@@ -453,8 +453,7 @@ def fixed_point_face(sigmas) -> np.ndarray | None:
     return None if face.shape[1] == d * d else face
 
 
-def build_via_sdp(sigmas, b=None, max_iter: int = sdpmod.MAX_ITER,
-                  feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
+def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
     """Find the minimum-trace PSD operator X fixing every given state,
     then complete it to the trace-preserving channel X + B (x) (I - tr_H1[X]).
 
@@ -477,22 +476,13 @@ def build_via_sdp(sigmas, b=None, max_iter: int = sdpmod.MAX_ITER,
         raise ValueError("decay state dimension mismatch")
 
     problem = sdpmod.assemble_fixed_point_constraints(states)
-    sol = sdpmod.solve(problem, max_iter=max_iter, feas_tol=feas_tol,
-                       face=fixed_point_face(states))
-    if sol.status == sdpmod.STATUS_INFEASIBLE:
-        raise ConstructionError(
-            "no PSD operator satisfies the fixed-point constraints"
-            + (" (dual certificate attached)" if sol.infeasibility_certificate is not None else ""),
-            reason="sdp-infeasible",
-            details={
-                "certificate": None if sol.infeasibility_certificate is None
-                else [float(v) for v in sol.infeasibility_certificate],
-                "message": sol.message,
-            },
-        )
+    sol = sdpmod.solve(problem, feas_tol=feas_tol, face=fixed_point_face(states))
     if sol.status != sdpmod.STATUS_OPTIMAL:
+        # the identity channel fixes every state, so the constraints are
+        # always feasible and an "infeasible" verdict is numerical as well
         raise sdpmod.NumericalLimitError(
-            f"SDP solve hit its numerical limit: {sol.message or 'no convergence'}"
+            f"SDP solve hit its numerical limit ({sol.status}): "
+            f"{sol.message or 'no convergence'}"
         )
 
     x = hermitize(sol.x)

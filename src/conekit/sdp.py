@@ -6,24 +6,30 @@ Solves
     subject to  tr[A_k X] = b_k,   k = 1..m
                 X >= 0  (PSD),
 
-with Hermitian data, by embedding Hermitian matrices into real symmetric
-ones ([Re, -Im; Im, Re]) and running a primal-dual path-following method
-with Nesterov-Todd scaling and Mehrotra-style adaptive centering (an
-affine predictor step fixes the centering weight of the actual step).
-Instances here are tiny (n <= ~50 after embedding, m <= ~60), so the
-implementation favors robustness over speed: dense eigendecompositions
-everywhere, rank reduction of the constraint set up front, and exact
-Farkas certificates for linearly inconsistent constraints.
+with Hermitian data. ``solve`` is the single entry point and runs one
+path:
 
-``solve`` is the single entry point; an external conic solver can replace
-the built-in method by passing ``backend=`` with the same
-problem-to-solution contract.
+1. optionally restrict X to a caller-supplied face X = V X' V^dag
+   (facial reduction: when the constraints force X onto a face of the
+   PSD cone, the restricted problem regains a strictly feasible point);
+2. embed Hermitian matrices into real symmetric ones ([Re, -Im; Im, Re])
+   unless the data are real;
+3. reduce the constraint set to full row rank, returning an exact Farkas
+   certificate when it is linearly inconsistent;
+4. run a primal-dual path-following method with Nesterov-Todd scaling
+   and Mehrotra-style adaptive centering (an affine predictor step fixes
+   the centering weight of the actual step);
+5. apply one least-norm affine projection onto the constraints, kept only
+   while the iterate stays PSD within PSD_TOL, and embed the result back.
+
+Residuals, eigenvalues, rank and status always refer to the full problem.
+Instances here are tiny (n <= ~50 after embedding, m <= ~60), so the
+implementation uses dense eigendecompositions everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -206,7 +212,7 @@ class _IpmResult:
 
 
 def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
-                    max_iter: int, feas_tol: float, psd_tol: float) -> _IpmResult:
+                    max_iter: int, feas_tol: float) -> _IpmResult:
     n = cost.shape[0]
     m = ops.shape[0]
     a_norms = np.array([np.linalg.norm(a) for a in ops])
@@ -223,20 +229,6 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         return np.einsum("k,kij->ij", vec, ops)
 
     gram_pinv = np.linalg.pinv(np.einsum("kij,lij->kl", ops, ops), rcond=1e-12)
-
-    def restore_feasibility(x: np.ndarray, rp: np.ndarray) -> np.ndarray:
-        """Least-norm affine correction, applied only while the iterate has
-        interior margin to absorb it. Once the primal residual is exactly
-        zero it stays negligible, which keeps the duality-gap measure free
-        of the y^T rp contamination that otherwise blocks convergence on
-        degenerate instances."""
-        dx = _sym(op_at(gram_pinv @ rp))
-        x_min = float(np.linalg.eigvalsh(x).min())
-        if x_min <= 0:
-            return x
-        if float(np.linalg.eigvalsh(x + dx).min()) >= 0.25 * x_min:
-            return _sym(x + dx)
-        return x
 
     b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
     c_scale = 1.0 + float(np.abs(cost).max(initial=0.0))
@@ -260,10 +252,6 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     best_gap = np.inf
     for it in range(1, max_iter + 1):
         rp = b - op_a(x)
-        pinf_abs = float(np.abs(rp).max(initial=0.0))
-        if 0.0 < pinf_abs <= 1e-5 * b_scale:
-            x = restore_feasibility(x, rp)
-            rp = b - op_a(x)
         rd = cost - z - op_at(y)
         mu = float(np.sum(x * z)) / n
         pobj = float(np.sum(cost * x))
@@ -345,36 +333,12 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         best_gap = min(best_gap, gap)
         if mu < 1e-15:
             break
-    # Polish: alternate least-norm affine corrections with PSD clipping and
-    # keep the best iterate. On degenerate instances (no strictly feasible
-    # point) the path-following residuals bottom out with a residual whose
-    # product with the large dual multipliers poisons the gap measure;
-    # restoring exact feasibility removes that term.
-    def score(mat: np.ndarray) -> float:
-        pres = float(np.abs(b - op_a(mat)).max(initial=0.0))
-        neg = max(0.0, -float(np.linalg.eigvalsh(mat).min()))
-        return max(pres / max(feas_tol, 1e-300), neg / max(psd_tol, 1e-300))
-
-    best_x = x
-    best_score = score(x)
-    if best_score > 0.0:
-        cand = x.copy()
-        for _ in range(30):
-            cand = _sym(cand + op_at(gram_pinv @ (b - op_a(cand))))
-            w_c, v_c = np.linalg.eigh(cand)
-            if w_c.min() < 0.0:
-                cand = _sym(v_c @ np.diag(np.clip(w_c, 0.0, None)) @ v_c.T)
-            sc = score(cand)
-            if sc < best_score:
-                best_score = sc
-                best_x = cand
-            if sc <= 0.25:
-                break
-        # end on the affine projection so the constraints bind exactly
-        cand = _sym(best_x + op_at(gram_pinv @ (b - op_a(best_x))))
-        if score(cand) < best_score:
-            best_x = cand
-    x = best_x
+    # One least-norm affine projection onto the constraints: on the edge
+    # of the cone the path-following residual bottoms out, and its product
+    # with the large dual multipliers would otherwise poison the gap.
+    cand = _sym(x + op_at(gram_pinv @ (b - op_a(x))))
+    if float(np.linalg.eigvalsh(cand).min()) >= -PSD_TOL:
+        x = cand
 
     if status != STATUS_OPTIMAL:
         message = message or "iteration limit reached"
@@ -391,163 +355,54 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Solving on a caller-supplied face
-# ----------------------------------------------------------------------
-
-def _solve_on_face(problem: SdpProblem, v: np.ndarray, max_iter: int,
-                   feas_tol: float, psd_tol: float) -> SdpSolution:
-    n = problem.n
-    if v.ndim != 2 or v.shape[0] != n:
-        raise ValueError(f"face isometry must be {n} x n', got {v.shape}")
-    n_red = v.shape[1]
-    if n_red and linops.max_abs(linops.dagger(v) @ v - np.eye(n_red)) > 1e-10:
-        raise ValueError("face columns must be orthonormal")
-    b_c = np.asarray(problem.constraint_vals, dtype=float)
-    if n_red == 0:
-        # the face is trivial: X = 0 is the only candidate
-        pres = float(np.abs(b_c).max(initial=0.0))
-        ok = pres <= feas_tol
-        return SdpSolution(
-            x=np.zeros((n, n), dtype=complex),
-            objective_value=0.0 if ok else np.nan,
-            primal_residual=pres, dual_residual=0.0,
-            status=STATUS_OPTIMAL if ok else STATUS_INFEASIBLE,
-            iterations=0, rank=0,
-            message="variable restricted to the zero face",
-        )
-    reduced = SdpProblem(
-        n=n_red,
-        objective=np.conj(linops.dagger(v) @ np.conj(problem.objective) @ v),
-        constraint_ops=tuple(hermitize(linops.dagger(v) @ a @ v) for a in problem.constraint_ops),
-        constraint_vals=problem.constraint_vals,
-    )
-    sol = solve(reduced, max_iter=max_iter, feas_tol=feas_tol, psd_tol=psd_tol)
-    x = hermitize(v @ sol.x @ linops.dagger(v))
-    if sol.status == STATUS_INFEASIBLE:
-        return SdpSolution(
-            x=np.zeros((n, n), dtype=complex), objective_value=np.nan,
-            primal_residual=np.inf, dual_residual=sol.dual_residual,
-            status=STATUS_INFEASIBLE, iterations=sol.iterations, y=sol.y,
-            infeasibility_certificate=sol.infeasibility_certificate,
-            message=(sol.message + " (on the restricted support)").strip(),
-        )
-    cost_c = np.conj(problem.objective)
-    primal_res = max(
-        abs(float(np.trace(a @ x).real) - bv)
-        for a, bv in zip(problem.constraint_ops, b_c)
-    )
-    eigs = np.linalg.eigvalsh(x)
-    status = sol.status
-    if status == STATUS_OPTIMAL and (primal_res > feas_tol or eigs.min() < -psd_tol):
-        status = STATUS_NUMERICAL_LIMIT
-    return SdpSolution(
-        x=x, objective_value=float(np.trace(cost_c @ x).real),
-        primal_residual=primal_res, dual_residual=sol.dual_residual,
-        status=status, iterations=sol.iterations, y=sol.y,
-        rank=int(np.sum(eigs > max(psd_tol, 1e-8 * float(eigs.max(initial=0.0))))),
-        message=sol.message,
-    )
-
-
-# ----------------------------------------------------------------------
-# Facial-reduction retry
-# ----------------------------------------------------------------------
-
-def _retry_on_face(first: _IpmResult, cost: np.ndarray, ops: np.ndarray,
-                   b: np.ndarray, max_iter: int, feas_tol: float,
-                   psd_tol: float) -> _IpmResult:
-    """Re-solve on the face spanned by the large eigenvectors of the first
-    iterate and adopt the embedded result when it is certified.
-
-    When no strictly feasible point exists (the constraints force the
-    variable onto a face of the PSD cone) the path-following iterates
-    cannot reach interior-grade accuracy. The face is visible in the first
-    pass's eigenvalue split; restricting every operator to it restores a
-    well-posed problem. The embedded solution is accepted only when it is
-    feasible for the full problem and its objective agrees with the first
-    pass's dual bound (weak duality certifies near-optimality).
-    """
-    w, v = np.linalg.eigh(first.x)
-    w_max = max(float(w.max(initial=0.0)), 1e-300)
-    dobj = float(b @ first.y)
-    for cut in (1e-7, 1e-5, 1e-3):
-        sel = w > cut * w_max
-        n_red = int(np.sum(sel))
-        if n_red == 0 or n_red == len(w):
-            continue
-        basis = v[:, sel]
-        ops_red = np.einsum("ia,kij,jb->kab", basis, ops, basis)
-        cost_red = basis.T @ cost @ basis
-        rows_red = ops_red.reshape(len(ops_red), -1)
-        _, sv_red, _ = np.linalg.svd(rows_red, full_matrices=True)
-        rank_red = int(np.sum(sv_red > max(1e-12, 1e-10 * (sv_red[0] if sv_red.size else 0.0))))
-        if rank_red < len(ops_red):
-            _, _, piv = scipy.linalg.qr(rows_red.T, pivoting=True, mode="economic")
-            keep_red = np.sort(piv[:rank_red])
-            # dropped rows must remain consistent on the face
-            trial = _solve_real_sdp(cost_red, ops_red[keep_red], b[keep_red],
-                                    max_iter, feas_tol, psd_tol)
-        else:
-            trial = _solve_real_sdp(cost_red, ops_red, b, max_iter, feas_tol, psd_tol)
-        if trial.status != STATUS_OPTIMAL:
-            continue
-        embedded = _sym(basis @ trial.x @ basis.T)
-        pres = float(np.abs(b - np.einsum("kij,ij->k", ops, embedded)).max(initial=0.0))
-        pobj = float(np.sum(cost * embedded))
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if pres <= 0.5 * feas_tol and gap <= feas_tol:
-            return _IpmResult(x=embedded, y=first.y, status=STATUS_OPTIMAL,
-                              iterations=first.iterations + trial.iterations,
-                              dual_residual=first.dual_residual,
-                              message="solved on the active face")
-    return first
-
-
-# ----------------------------------------------------------------------
 # Public solve
 # ----------------------------------------------------------------------
 
 def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_TOL,
-          psd_tol: float = PSD_TOL, face: np.ndarray | None = None,
-          backend: Callable[..., SdpSolution] | None = None) -> SdpSolution:
-    """Solve the SDP; see the module docstring for the method.
+          face: np.ndarray | None = None) -> SdpSolution:
+    """Solve ``problem`` by the one path of the module docstring.
 
+    ``max_iter`` caps the interior-point iterations. ``feas_tol`` bounds
+    the absolute constraint violation of a solution reported optimal.
     ``face`` optionally restricts the variable to a known support: an
-    isometry V (n x n', orthonormal columns) with X = V X' V^dag. Callers
-    use it when the constraints provably force X onto a face of the PSD
-    cone (no strictly feasible point exists there, which starves interior
-    methods); the restricted problem regains an interior. The returned
-    solution is embedded back and all residuals refer to the full problem.
+    isometry V (n x n', n' >= 1, orthonormal columns) with X = V X' V^dag.
+    Callers use it when the constraints provably force X onto a face of
+    the PSD cone (no strictly feasible point exists there, which starves
+    interior methods); the restricted problem regains an interior.
 
-    The reported primal_residual is the max absolute constraint violation
-    over the problem's full (pre-reduction) constraint set.
+    The returned x, primal_residual (the max absolute constraint violation
+    over the full, pre-reduction constraint set), rank and status refer to
+    the full problem.
     """
-    if backend is not None:
-        return backend(problem, max_iter=max_iter, feas_tol=feas_tol, psd_tol=psd_tol)
-
-    if face is not None:
-        return _solve_on_face(problem, np.asarray(face, dtype=complex),
-                              max_iter, feas_tol, psd_tol)
-
     n = problem.n
     ops_c = list(problem.constraint_ops)
     b_c = np.asarray(problem.constraint_vals, dtype=float)
     cost_c = np.conj(problem.objective)  # F0^T == conj(F0) for Hermitian F0
 
+    v = None
+    ops_f, cost_f = ops_c, cost_c
+    if face is not None:
+        v = np.asarray(face, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != n or v.shape[1] < 1:
+            raise ValueError(f"face isometry must be {n} x n' with n' >= 1, got {v.shape}")
+        if linops.max_abs(linops.dagger(v) @ v - np.eye(v.shape[1])) > 1e-10:
+            raise ValueError("face columns must be orthonormal")
+        # tr[C V X' V^dag] = tr[(V^dag C V) X'] conjugates every operator by V
+        ops_f = [hermitize(linops.dagger(v) @ a @ v) for a in ops_c]
+        cost_f = hermitize(linops.dagger(v) @ cost_c @ v)
+
     is_real = (
-        linops.max_abs(problem.objective.imag) == 0.0
-        and all(linops.max_abs(a.imag) == 0.0 for a in ops_c)
+        linops.max_abs(cost_f.imag) == 0.0
+        and all(linops.max_abs(a.imag) == 0.0 for a in ops_f)
     )
     if is_real:
-        nr = n
-        ops_r = np.array([a.real for a in ops_c])
+        ops_r = np.array([a.real for a in ops_f])
         b_r = b_c.copy()
-        cost_r = cost_c.real
+        cost_r = cost_f.real
     else:
-        nr = 2 * n
-        ops_r = np.array([_realify(a) for a in ops_c])
+        ops_r = np.array([_realify(a) for a in ops_f])
         b_r = 2.0 * b_c
-        cost_r = _realify(cost_c)
+        cost_r = _realify(cost_f)
 
     m = len(ops_c)
     rows = ops_r.reshape(m, -1)
@@ -576,18 +431,17 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     else:
         keep = np.arange(m)
 
-    res = _solve_real_sdp(cost_r, ops_r[keep], b_r[keep], max_iter, feas_tol, psd_tol)
-    if res.status == STATUS_NUMERICAL_LIMIT:
-        res = _retry_on_face(res, cost_r, ops_r[keep], b_r[keep],
-                             max_iter, feas_tol, psd_tol)
+    res = _solve_real_sdp(cost_r, ops_r[keep], b_r[keep], max_iter, feas_tol)
 
     y_full = np.zeros(m)
     y_full[keep] = res.y
     if not is_real:
-        x = _unrealify(res.x, n)
+        x = _unrealify(res.x, cost_f.shape[0])
         y_full = 2.0 * y_full
     else:
         x = hermitize(res.x.astype(complex))
+    if v is not None:
+        x = hermitize(v @ x @ linops.dagger(v))
 
     if res.status == STATUS_INFEASIBLE:
         return SdpSolution(
@@ -602,10 +456,10 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
         for a, bv in zip(ops_c, b_c)
     )
     eigs = np.linalg.eigvalsh(x)
-    x_rank = int(np.sum(eigs > max(psd_tol, 1e-8 * float(eigs.max(initial=0.0)))))
+    x_rank = int(np.sum(eigs > max(PSD_TOL, 1e-8 * float(eigs.max(initial=0.0)))))
     obj = float(np.trace(cost_c @ x).real)
     status = res.status
-    if status == STATUS_OPTIMAL and (primal_res > feas_tol or eigs.min() < -psd_tol):
+    if status == STATUS_OPTIMAL and (primal_res > feas_tol or eigs.min() < -PSD_TOL):
         status = STATUS_NUMERICAL_LIMIT
     return SdpSolution(
         x=x, objective_value=obj, primal_residual=primal_res,

@@ -179,6 +179,25 @@ class TestSdpCommand:
         assert code == 4
         assert json.loads(err)["reason"] == "numerical-limit"
 
+    def test_engineer_sdp_infeasible_verdict_exits_4(self, workdir, capsys, monkeypatch):
+        # the identity channel fixes every state, so an infeasible verdict
+        # from the solver is a numerical failure, not an infeasibility
+        def infeasible(problem, **kwargs):
+            return sdpmod.SdpSolution(
+                x=np.zeros((problem.n, problem.n), dtype=complex), objective_value=np.nan,
+                primal_residual=np.inf, dual_residual=np.inf, status=sdpmod.STATUS_INFEASIBLE,
+                message="dual improving ray found (primal infeasible)",
+            )
+
+        monkeypatch.setattr(sdpmod, "solve", infeasible)
+        _, write = workdir
+        s0 = write("s0.json", linops.matrix_to_json(basis_proj(0, 2)))
+        code, _, err = run_cli(capsys, "engineer", "sdp", "--sigma", s0)
+        assert code == 4
+        payload = json.loads(err)
+        assert payload["reason"] == "numerical-limit"
+        assert "dual improving ray found" in payload["error"]
+
 
 class TestQuasirealCommands:
     def markov_obj(self):

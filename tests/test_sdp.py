@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conekit import linops, sdp
+from conekit.engineer import fixed_point_face
 from conekit.linops import kron
 
 from conftest import basis_proj, random_density, random_hermitian
@@ -142,14 +143,15 @@ class TestSolve:
         sol = sdp.solve(p, max_iter=1)
         assert sol.status == "numerical-limit"
 
-    def test_backend_hook(self):
-        sentinel = sdp.SdpSolution(
-            x=np.eye(2, dtype=complex), objective_value=0.0, primal_residual=0.0,
-            dual_residual=0.0, status="optimal",
-        )
+    def test_empty_face_rejected(self):
         p = make_problem([np.eye(2)], [1.0])
-        out = sdp.solve(p, backend=lambda problem, **kw: sentinel)
-        assert out is sentinel
+        with pytest.raises(ValueError):
+            sdp.solve(p, face=np.zeros((2, 0), dtype=complex))
+
+    def test_non_orthonormal_face_rejected(self):
+        p = make_problem([np.eye(2)], [1.0])
+        with pytest.raises(ValueError):
+            sdp.solve(p, face=np.array([[1.0], [1.0]]))
 
 
 def largest_psd_step(s, ds, cap=1e6):
@@ -213,6 +215,20 @@ class TestComplexHermitianHandling:
         assert abs(sol.objective_value - 1.0) < 1e-6
         expected = kron(sigma, sigma.T)
         assert np.abs(sol.x - expected).max() < 1e-5
+
+    def test_pure_complex_state_on_face_matches_full_solve(self):
+        # the face isometry is complex: exercises the conjugation by V and
+        # the embedding X = V X' V^dag
+        psi = np.array([1.0, 1.0j]) / np.sqrt(2)
+        sigma = linops.ket_projector(psi)
+        p = sdp.assemble_fixed_point_constraints([sigma])
+        v = fixed_point_face([sigma])
+        assert np.abs(v.imag).max() > 0.1
+        full = sdp.solve(p)
+        on_face = sdp.solve(p, face=v)
+        assert full.status == on_face.status == "optimal"
+        assert abs(full.objective_value - on_face.objective_value) < 1e-7
+        assert np.abs(full.x - on_face.x).max() < 1e-5
 
     def test_single_constraint_top_eigenvalue(self):
         a = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
