@@ -13,17 +13,23 @@ tr_H1[C] = I on the input space.
 A map rho -> sum_a S_a tr[F_a rho] built from operator pairs (S_a, F_a)
 therefore has Choi matrix sum_a S_a (x) F_a^T; the separable channel
 constructions in :mod:`conekit.engineer` use exactly that form.
+
+A ChoiMatrix holds a read-only copy of its matrix and caches what is
+derived from it: ``superop``, the reshuffle S with S @ vec(rho) =
+vec(Phi(rho)), through which every application of the channel goes, and
+``cptp``, the CPTP verdict, so a channel is checked once however often it
+is iterated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linops
 from .linops import (
-    HERM_TOL,
     PSD_TOL,
     hermitize,
     kron,
@@ -35,8 +41,6 @@ from .linops import (
 
 TP_TOL = 1e-9
 FP_TOL = 1e-8
-# iteration is declared converged when consecutive states agree to this level
-ITER_CONV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,24 @@ class ChoiMatrix:
             raise ValueError(
                 f"Choi matrix shape {m.shape} does not match d_out*d_in = {n}"
             )
+        m = m.copy()
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """Read-only S, shape (d_out^2, d_in^2), with S @ vec(rho) = vec(Phi(rho))
+        (vec = row-major flatten): Phi(rho)_{ab} = sum_{jk} C[(a,j),(b,k)] rho_{jk}."""
+        do, di = self.d_out, self.d_in
+        t = self.matrix.reshape(do, di, do, di)  # indices (a, j, b, k)
+        s = t.transpose(0, 2, 1, 3).reshape(do * do, di * di)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def cptp(self) -> CptpReport:
+        """is_cptp at the default tolerances."""
+        return is_cptp(self)
 
 
 @dataclass(frozen=True)
@@ -137,14 +158,13 @@ def random_cptp_choi(dim: int, rng: np.random.Generator) -> ChoiMatrix:
 # ----------------------------------------------------------------------
 
 def apply(c: ChoiMatrix, rho) -> np.ndarray:
-    """Phi(rho) = tr_H2[C (I (x) rho^T)]."""
+    """Phi(rho), as the superoperator acting on vec(rho)."""
     rho = linops.as_matrix(rho)
     if rho.shape != (c.d_in, c.d_in):
         raise ValueError(
             f"state dimension {rho.shape} does not match channel input {c.d_in}"
         )
-    prod = c.matrix @ kron(np.eye(c.d_out, dtype=complex), rho.T)
-    return partial_trace(prod, (c.d_out, c.d_in), over=2)
+    return (c.superop @ rho.reshape(-1)).reshape(c.d_out, c.d_out)
 
 
 def is_cptp(c: ChoiMatrix, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:
@@ -159,17 +179,19 @@ def is_cptp(c: ChoiMatrix, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> 
     )
 
 
-def superoperator(c: ChoiMatrix) -> np.ndarray:
-    """Matrix S with S @ vec(rho) = vec(Phi(rho)), vec = row-major flatten.
+def require_cptp(c: ChoiMatrix, what: str) -> None:
+    """Raise ValueError naming `what` unless the channel is CPTP."""
+    rep = c.cptp
+    if not (rep.cp and rep.tp):
+        raise ValueError(
+            f"{what} requires a CPTP channel (min_eig={rep.min_eig:.3e}, "
+            f"tp_residual={rep.tp_residual:.3e})"
+        )
 
-    Entrywise Phi(rho)_{ab} = sum_{jk} C[(a,j),(b,k)] rho_{jk}, so S is a
-    reshuffle of the Choi matrix.
-    """
-    if c.d_in != c.d_out:
-        raise ValueError("superoperator requires a square channel (d_in == d_out)")
-    d = c.d_in
-    t = c.matrix.reshape(d, d, d, d)  # indices (a, j, b, k)
-    return t.transpose(0, 2, 1, 3).reshape(d * d, d * d).copy()
+
+def superoperator(c: ChoiMatrix) -> np.ndarray:
+    """The cached, read-only superoperator of the channel (ChoiMatrix.superop)."""
+    return c.superop
 
 
 def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[np.ndarray]:
@@ -180,12 +202,7 @@ def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[
     """
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    rep = is_cptp(c)
-    if not (rep.cp and rep.tp):
-        raise ValueError(
-            f"iterate requires a CPTP channel (min_eig={rep.min_eig:.3e}, "
-            f"tp_residual={rep.tp_residual:.3e})"
-        )
+    require_cptp(c, "iterate")
     state = linops.check_density(rho0, tol=1e-6)
     out: list[np.ndarray] = []
     for _ in range(n):
@@ -224,29 +241,19 @@ def _hermitian_fixed_basis(null_vecs: np.ndarray, d: int) -> list[np.ndarray]:
     return basis
 
 
-def _reference_fixed_state(c: ChoiMatrix, s: np.ndarray, fp_tol: float) -> np.ndarray:
-    """A maximal-support fixed state: spectral projection of I/d onto the
-    eigenvalue-1 eigenspace (the Cesaro limit of Phi^k(I/d))."""
-    d = c.d_in
-    evals, evecs = np.linalg.eig(s)
-    sel = np.abs(evals - 1.0) <= max(fp_tol, 1e-9)
-    if not np.any(sel):
-        sel = np.abs(evals - 1.0) <= 1e-6
-    proj = evecs[:, sel] @ np.linalg.pinv(evecs)[sel, :]
-    vec = proj @ (np.eye(d, dtype=complex) / d).reshape(-1)
+def _reference_fixed_state(right: np.ndarray, left: np.ndarray, d: int) -> np.ndarray:
+    """A maximal-support fixed state: the spectral projection of I/d onto
+    the fixed space (the limit of the Cesaro means of Phi^k(I/d)).
+
+    The eigenvalue 1 of a CPTP map is semisimple, so with R and L the right
+    and left null vectors of S - I the projector is exactly
+    R (L^dag R)^-1 L^dag, with no iterative fallback. It keeps the trace,
+    as vec(I) is a left null vector; dividing by it removes rounding only.
+    """
+    l_dag = linops.dagger(left)
+    vec = right @ np.linalg.solve(l_dag @ right, l_dag @ np.eye(d, dtype=complex).reshape(-1) / d)
     rho = hermitize(vec.reshape(d, d))
-    tr = np.trace(rho).real
-    if abs(tr) > 1e-12:
-        rho = rho / tr
-    if trace_distance(hermitize(apply(c, rho)), rho) > 10 * fp_tol:
-        # ill-conditioned eigenbasis: fall back to a Cesaro average
-        acc = np.zeros((d, d), dtype=complex)
-        state = np.eye(d, dtype=complex) / d
-        for _ in range(20000):
-            state = hermitize(apply(c, state))
-            acc += state
-        rho = acc / np.trace(acc).real
-    return rho
+    return rho / np.trace(rho).real
 
 
 def _candidate_key(rho: np.ndarray) -> tuple:
@@ -265,21 +272,19 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     state, recover the extremal fixed states whenever the fixed set is a
     simplex over distinguishable sectors (the engineered-channel case).
     Candidates failing the fixed-point residual are dropped; the
-    maximal-support state is the fallback, so the result is never empty.
+    maximal-support state, the exact spectral projection of I/d onto the
+    fixed space, is the fallback, so the result is never empty.
     """
-    rep = is_cptp(c)
-    if not (rep.cp and rep.tp):
-        raise ValueError(
-            f"fixed_points requires a CPTP channel (min_eig={rep.min_eig:.3e}, "
-            f"tp_residual={rep.tp_residual:.3e})"
-        )
+    if c.d_in != c.d_out:
+        raise ValueError("fixed_points requires a square channel (d_in == d_out)")
+    require_cptp(c, "fixed_points")
     d = c.d_in
-    s = superoperator(c)
+    s = c.superop
     evals = np.linalg.eigvals(s)
     peripheral = [complex(z) for z in evals[np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)]]
     peripheral.sort(key=lambda z: (-abs(z), np.angle(z)))
 
-    _, sv, vh = np.linalg.svd(s - np.eye(d * d))
+    u, sv, vh = np.linalg.svd(s - np.eye(d * d))
     null_mask = sv <= max(fp_tol, 1e-11)
     if not np.any(null_mask):
         null_mask = sv <= sv.min() * (1 + 1e-9)
@@ -287,7 +292,7 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     basis = _hermitian_fixed_basis(null_vecs, d)
     m = len(basis)
 
-    rho_ref = _reference_fixed_state(c, s, fp_tol)
+    rho_ref = _reference_fixed_state(null_vecs, u[:, null_mask], d)
 
     def residual(rho: np.ndarray) -> float:
         return trace_distance(hermitize(apply(c, rho)), rho)

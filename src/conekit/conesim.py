@@ -61,12 +61,7 @@ class FixedKick:
     choi: ChoiMatrix
 
     def __post_init__(self):
-        rep = chan.is_cptp(self.choi)
-        if not (rep.cp and rep.tp):
-            raise ValueError(
-                f"kick channel must be CPTP (min_eig={rep.min_eig:.3e}, "
-                f"tp_residual={rep.tp_residual:.3e})"
-            )
+        chan.require_cptp(self.choi, "FixedKick")
 
     def apply(self, rho: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return chan.apply(self.choi, rho)
@@ -110,14 +105,13 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        rep = chan.is_cptp(self.channel)
-        if not (rep.cp and rep.tp):
-            raise ValueError(
-                f"simulation channel must be CPTP (min_eig={rep.min_eig:.3e}, "
-                f"tp_residual={rep.tp_residual:.3e})"
-            )
+        chan.require_cptp(self.channel, "SimulationConfig")
         if self.channel.d_in != self.channel.d_out:
             raise ValueError("simulation channel must be square")
+        d = self.channel.d_in
+        if isinstance(self.kick, FixedKick) and (self.kick.choi.d_in, self.kick.choi.d_out) != (d, d):
+            k = self.kick.choi
+            raise ValueError(f"kick channel is {k.d_in}->{k.d_out}, the simulation channel is {d}->{d}")
         if self.n_iter < 1 or self.n_rounds < 1:
             raise ValueError("n_iter and n_rounds must be >= 1")
         if self.classify_tol <= 0:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit import channel as chan
 from conekit import linops
@@ -12,6 +14,26 @@ from conftest import basis_proj, random_density
 def dephasing_choi(d=2) -> ChoiMatrix:
     m = sum(kron(basis_proj(i, d), basis_proj(i, d)) for i in range(d))
     return ChoiMatrix(d, d, m)
+
+
+def random_cptp_rect(rng: np.random.Generator, d_in: int, d_out: int) -> ChoiMatrix:
+    """Random CPTP d_in -> d_out channel: PSD Ginibre Choi matrix, then
+    conjugated by I (x) tr_H1[C]^(-1/2) so that tr_H1[C] = I."""
+    n = d_out * d_in
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw = g @ g.conj().T
+    red = linops.partial_trace(raw, (d_out, d_in), over=1)
+    w, v = np.linalg.eigh(red)
+    isq = v @ np.diag(1 / np.sqrt(w)) @ v.conj().T
+    factor = kron(np.eye(d_out), isq)
+    return ChoiMatrix(d_in, d_out, linops.hermitize(factor @ raw @ factor))
+
+
+def classical_choi(t: np.ndarray) -> ChoiMatrix:
+    """rho -> sum_ij t[i, j] <j|rho|j> |i><i| for a column-stochastic t."""
+    d = t.shape[0]
+    return ChoiMatrix(d, d, sum(t[i, j] * kron(basis_proj(i, d), basis_proj(j, d))
+                                for i in range(d) for j in range(d)))
 
 
 def apply_oracle(c: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
@@ -119,17 +141,69 @@ class TestSuperoperator:
                 )
                 assert np.abs(via_s - via_apply).max() < 1e-10
 
-    def test_rejects_non_square(self, rng):
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        raw = g @ g.conj().T
-        red = linops.partial_trace(raw, (3, 2), over=1)
-        w, v = np.linalg.eigh(red)
-        isq = v @ np.diag(1 / np.sqrt(w)) @ v.conj().T
-        factor = kron(np.eye(3), isq)
-        c = ChoiMatrix(2, 3, linops.hermitize(factor @ raw @ factor))
+    def test_non_square_shape_and_action(self, rng):
+        c = random_cptp_rect(rng, 2, 3)
         assert chan.is_cptp(c).tp
+        s = chan.superoperator(c)
+        assert s.shape == (9, 4)
+        for _ in range(5):
+            rho = random_density(rng, 2)
+            via_s = (s @ rho.reshape(-1)).reshape(3, 3)
+            assert np.abs(via_s - apply_oracle(c, rho)).max() < 1e-12
+
+
+class TestImmutableChoi:
+    def test_caller_mutation_does_not_change_channel(self, rng):
+        original = dephasing_choi().matrix.copy()
+        a = np.array(original, dtype=complex)
+        c = ChoiMatrix(2, 2, a)
+        a[:] = 0
+        rho = random_density(rng, 2)
+        assert np.array_equal(c.matrix, original)
+        assert np.abs(chan.apply(c, rho) - np.diag(np.diag(rho))).max() < 1e-12
+        assert c.cptp.cp and c.cptp.tp
+
+    def test_matrix_and_superop_read_only(self):
+        c = dephasing_choi()
+        assert not c.matrix.flags.writeable
+        assert not c.superop.flags.writeable
         with pytest.raises(ValueError):
-            chan.superoperator(c)
+            c.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            c.superop[0, 0] = 2.0
+
+    def test_cptp_verdict_cached(self):
+        c = chan.identity_channel(2)
+        assert c.cptp is c.cptp
+        assert c.cptp == chan.is_cptp(c)
+
+
+class TestApplyProperties:
+    """apply against the index-sum oracle on random CPTP channels of every
+    shape d_in, d_out in 1..4 (derandomized, so the examples are fixed)."""
+
+    dims = st.integers(min_value=1, max_value=4)
+    seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+    @settings(derandomize=True, deadline=None)
+    @given(d_in=dims, d_out=dims, seed=seeds)
+    def test_matches_index_sum_oracle(self, d_in, d_out, seed):
+        rng = np.random.default_rng(seed)
+        c = random_cptp_rect(rng, d_in, d_out)
+        rho = random_density(rng, d_in)
+        assert np.abs(chan.apply(c, rho) - apply_oracle(c, rho)).max() < 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(d_in=dims, d_out=dims, seed=seeds,
+           alpha=st.floats(-1.0, 1.0), beta=st.floats(-1.0, 1.0))
+    def test_linear(self, d_in, d_out, seed, alpha, beta):
+        rng = np.random.default_rng(seed)
+        c = random_cptp_rect(rng, d_in, d_out)
+        x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        y = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        lhs = chan.apply(c, alpha * x + beta * y)
+        rhs = alpha * chan.apply(c, x) + beta * chan.apply(c, y)
+        assert np.abs(lhs - rhs).max() < 1e-12
 
 
 class TestFixedPoints:
@@ -167,6 +241,45 @@ class TestFixedPoints:
     def test_rejects_non_cptp(self):
         with pytest.raises(ValueError):
             chan.fixed_points(ChoiMatrix(2, 2, -np.eye(4)))
+
+    def test_rejects_non_square(self, rng):
+        with pytest.raises(ValueError, match="fixed_points requires a square channel"):
+            chan.fixed_points(random_cptp_rect(rng, 2, 3))
+
+    def test_jordan_block_below_one(self):
+        # classical chain 3 -> 2 -> 1 -> 0, each step taken with probability
+        # eps: the superoperator has the eigenvalue 1 (state 0) and a 3x3
+        # Jordan block at 1 - eps, so its eigenvectors are not a basis
+        eps = 1e-3
+        t = np.eye(4)
+        for j in (1, 2, 3):
+            t[j, j], t[j - 1, j] = 1 - eps, eps
+        fps = chan.fixed_points(classical_choi(t))
+        assert len(fps.states) == 1
+        assert np.abs(fps.states[0] - basis_proj(0, 4)).max() <= 1e-12
+        assert fps.eigenvalue_residuals[0] <= 1e-12
+
+    def test_reference_state_is_cesaro_limit(self):
+        # 3 -> 2 -> 0 with probability eps per step, 1 absorbing: the limit of
+        # Phi^k(I/4) moves the weight of 2 and 3 onto |0><0| and keeps 1/4 on
+        # |1><1|; the orthogonal projection onto the fixed space would not
+        eps = 1e-3
+        t = np.eye(4)
+        t[2, 2], t[0, 2] = 1 - eps, eps
+        t[3, 3], t[2, 3] = 1 - eps, eps
+        s = chan.superoperator(classical_choi(t))
+        u, sv, vh = np.linalg.svd(s - np.eye(16))
+        null = sv <= chan.FP_TOL
+        assert null.sum() == 2
+        rho = chan._reference_fixed_state(vh[null].conj().T, u[:, null], 4)
+        assert np.abs(rho - np.diag([0.75, 0.25, 0.0, 0.0])).max() <= 1e-12
+
+    def test_unitary_with_phase(self):
+        fps = chan.fixed_points(chan.unitary_channel(np.diag([1.0, 1j])))
+        assert len(fps.states) == 2
+        for i in (0, 1):
+            assert min(trace_distance(s, basis_proj(i, 2)) for s in fps.states) < 1e-12
+        assert max(fps.eigenvalue_residuals) < 1e-12
 
 
 class TestIterate:

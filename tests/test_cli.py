@@ -281,6 +281,17 @@ class TestConesimCommands:
         assert code == 0
         assert out.splitlines()[0] == "from,to0,to1,to2"
 
+    def test_run_kick_dimension_mismatch_is_validation_error(self, workdir, capsys):
+        tmp, write = workdir
+        obj = self.config_obj(rounds=5)
+        obj["kick"] = {"policy": "fixed", "choi": chan.choi_to_json(chan.identity_channel(2))}
+        cfg = write("sim.json", obj)
+        code, _, err = run_cli(capsys, "conesim", "run", "--config", cfg,
+                               "--out", str(tmp / "traj.jsonl"))
+        assert code == 2
+        assert json.loads(err)["reason"] == "validation"
+        assert "kick channel is 2->2" in json.loads(err)["error"]
+
     def test_run_deterministic_output(self, workdir, capsys):
         tmp, write = workdir
         cfg = write("sim.json", self.config_obj(rounds=40))

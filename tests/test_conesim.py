@@ -247,6 +247,12 @@ class TestConfigJson:
         with pytest.raises(ValueError):
             conesim.config_from_json(obj)
 
+    def test_fixed_kick_dimension_mismatch_rejected(self):
+        obj = self.base_config_obj()
+        obj["kick"] = {"policy": "fixed", "choi": chan.choi_to_json(chan.identity_channel(2))}
+        with pytest.raises(ValueError, match="kick channel is 2->2"):
+            conesim.config_from_json(obj)
+
     def test_fixed_kick_needs_choi(self):
         obj = self.base_config_obj()
         obj["kick"] = {"policy": "fixed"}
