@@ -202,6 +202,8 @@ def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[
     """
     if n < 1:
         raise ValueError("iteration count must be >= 1")
+    if c.d_in != c.d_out:
+        raise ValueError("iterate requires a square channel (d_in == d_out)")
     require_cptp(c, "iterate")
     state = linops.check_density(rho0, tol=1e-6)
     out: list[np.ndarray] = []
@@ -217,29 +219,6 @@ def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[
 # ----------------------------------------------------------------------
 # Fixed-point extraction
 # ----------------------------------------------------------------------
-
-def _hermitian_fixed_basis(null_vecs: np.ndarray, d: int) -> list[np.ndarray]:
-    """Real-orthonormal Hermitian basis of the fixed subspace.
-
-    The fixed subspace of a CPTP map is closed under M -> M^dag, so the
-    Hermitian parts of a complex basis span a real space of the same
-    dimension.
-    """
-    m = null_vecs.shape[1]
-    rows = []
-    for k in range(m):
-        mat = null_vecs[:, k].reshape(d, d)
-        for h in (hermitize(mat), hermitize(-1j * mat)):
-            rows.append(np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)]))
-    stack = np.asarray(rows)
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    keep = s > 1e-8 * max(1.0, s[0])
-    basis = []
-    for row in vt[keep]:
-        re, im = row[: d * d].reshape(d, d), row[d * d :].reshape(d, d)
-        basis.append(hermitize(re + 1j * im))
-    return basis
-
 
 def _reference_fixed_state(right: np.ndarray, left: np.ndarray, d: int) -> np.ndarray:
     """A maximal-support fixed state: the spectral projection of I/d onto
@@ -266,14 +245,18 @@ def _candidate_key(rho: np.ndarray) -> tuple:
 def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     """Extract fixed states of a CPTP channel.
 
-    The eigenvalue-1 subspace of the superoperator is computed via SVD,
-    Hermitized, and probed with generic Hermitian elements: eigenprojectors
-    of a generic fixed element, compressed against a maximal-support fixed
-    state, recover the extremal fixed states whenever the fixed set is a
-    simplex over distinguishable sectors (the engineered-channel case).
-    Candidates failing the fixed-point residual are dropped; the
-    maximal-support state, the exact spectral projection of I/d onto the
-    fixed space, is the fallback, so the result is never empty.
+    The fixed space is the null space of S - I, from its SVD. On the support
+    of a maximal-support fixed state rho, the exact spectral projection of
+    I/d onto the fixed space, every fixed point is rho^1/2 A rho^1/2 with A
+    in a *-algebra (Wolf, Quantum Channels & Operations, 2012, ch. 6). The
+    eigenspaces of rho^-1/2 G rho^-1/2, for one generic Hermitian fixed
+    element G, therefore split that support into sectors, and rho
+    compressed to each sector is one state. When the fixed set is a simplex
+    over distinguishable sectors (the separable case, mixed sectors
+    included) these are exactly its extreme points; for noiseless
+    subsystems they are one valid but basis-dependent choice. Candidates
+    failing the fixed-point residual are dropped and rho is the fallback,
+    so the result is never empty. States are sorted by ``_candidate_key``.
     """
     if c.d_in != c.d_out:
         raise ValueError("fixed_points requires a square channel (d_in == d_out)")
@@ -289,62 +272,47 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     if not np.any(null_mask):
         null_mask = sv <= sv.min() * (1 + 1e-9)
     null_vecs = vh[null_mask].conj().T
-    basis = _hermitian_fixed_basis(null_vecs, d)
-    m = len(basis)
-
     rho_ref = _reference_fixed_state(null_vecs, u[:, null_mask], d)
+
+    # rho_ref^-1/2 on its support; the conjugation amplifies rounding by
+    # 1/w, so eigenvalues below fp_tol relative to the largest are cut
+    w, support = np.linalg.eigh(rho_ref)
+    keep = w > fp_tol * w.max()
+    support = support[:, keep]
+    iso = support / np.sqrt(w[keep])
+    # the fixed space is closed under M -> M^dag, so the Hermitian part of a
+    # random element of it is a generic Hermitian fixed element
+    rng = np.random.default_rng(12345)  # fixed seed: extraction is deterministic
+    z = rng.standard_normal(null_vecs.shape[1]) + 1j * rng.standard_normal(null_vecs.shape[1])
+    gen = hermitize((null_vecs @ z).reshape(d, d))
+    a, vecs = np.linalg.eigh(hermitize(linops.dagger(iso) @ gen @ iso))
+    gap_tol = 1e-7 * max(1.0, float(np.abs(a).max()))
 
     def residual(rho: np.ndarray) -> float:
         return trace_distance(hermitize(apply(c, rho)), rho)
 
-    def probe(gen: np.ndarray) -> list[np.ndarray]:
-        found = []
-        w, v = np.linalg.eigh(gen)
-        gap_tol = 1e-7 * max(1.0, float(np.abs(w).max()))
-        i = 0
-        while i < len(w):
-            j = i
-            while j + 1 < len(w) and abs(w[j + 1] - w[j]) <= gap_tol:
-                j += 1
-            cols = v[:, i : j + 1]
-            proj = cols @ linops.dagger(cols)
-            compressed = hermitize(proj @ rho_ref @ proj)
-            tr = np.trace(compressed).real
-            if tr > 1e-9:
-                cand = compressed / tr
-                if residual(cand) <= fp_tol:
-                    found.append(cand)
-            i = j + 1
-        return found
-
-    candidates: list[np.ndarray] = []
-    if m == 1:
-        candidates.append(rho_ref)
-    else:
-        rng = np.random.default_rng(12345)  # fixed seed: extraction is deterministic
-        for _ in range(3):
-            coeff = rng.standard_normal(m)
-            candidates = probe(sum(ck * hk for ck, hk in zip(coeff, basis)))
-            if candidates:
-                break
-
-    states: list[np.ndarray] = []
-    keys: set[tuple] = set()
-    for cand in candidates:
-        if residual(cand) > fp_tol:
-            continue
-        if any(trace_distance(cand, st) < 1e-7 for st in states):
-            continue
-        key = _candidate_key(cand)
-        if key in keys:
-            continue
-        keys.add(key)
-        states.append(cand)
-    if not states:
-        states.append(rho_ref)
-    states.sort(key=_candidate_key)
-    residuals = [residual(st) for st in states]
-    return FixedPointSet(states=states, eigenvalue_residuals=residuals, peripheral_spectrum=peripheral)
+    found = []
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[j + 1] - a[j] <= gap_tol:
+            j += 1
+        q = support @ vecs[:, i : j + 1]
+        proj = q @ linops.dagger(q)
+        cand = hermitize(proj @ rho_ref @ proj)
+        cand = cand / np.trace(cand).real
+        r = residual(cand)
+        if r <= fp_tol:
+            found.append((cand, r))
+        i = j + 1
+    if not found:
+        found.append((rho_ref, residual(rho_ref)))
+    found.sort(key=lambda pair: _candidate_key(pair[0]))
+    return FixedPointSet(
+        states=[st for st, _ in found],
+        eigenvalue_residuals=[r for _, r in found],
+        peripheral_spectrum=peripheral,
+    )
 
 
 # ----------------------------------------------------------------------

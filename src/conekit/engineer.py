@@ -101,7 +101,7 @@ def single_fixed_point_report(spec: SingleFixedPointSpec) -> dict:
     overlap = float(np.real(np.conj(spec.v_max) @ spec.b @ spec.v_max))
     cp_factor = spec.sigma - (1.0 - spec.lambda_max) * spec.b
     c = build_single_fixed_point(spec, validate=False)
-    rep = chan.is_cptp(c)
+    rep = c.cptp
     return {
         "lambda_max": spec.lambda_max,
         "vmax_overlap": overlap,
@@ -139,7 +139,7 @@ class DiscriminationReport:
     failing_index: int | None = None
 
 
-def _kernel_intersection(states: list[np.ndarray], skip: int, rank_tol: float) -> np.ndarray:
+def _kernel_intersection(states: list[np.ndarray], skip: int) -> np.ndarray:
     """Projector onto the intersection of ker(sigma_j) over j != skip.
 
     For PSD operators the intersection of kernels equals the kernel of the
@@ -154,10 +154,10 @@ def _kernel_intersection(states: list[np.ndarray], skip: int, rank_tol: float) -
             count += 1
     if count == 0:
         return np.eye(d, dtype=complex)
-    return linops.kernel_projector(total / count, rank_tol=rank_tol)
+    return linops.kernel_projector(total / count)
 
 
-def find_discrimination_projectors(sigmas, rank_tol: float = RANK_TOL) -> DiscriminationReport:
+def find_discrimination_projectors(sigmas) -> DiscriminationReport:
     """Search for PSD operators Pi_i with tr[Pi_i sigma_j] = 0 for j != i
     and tr[Pi_i sigma_i] > 0 (zero-error detection of each state)."""
     states = [linops.check_density(s) for s in sigmas]
@@ -171,10 +171,10 @@ def find_discrimination_projectors(sigmas, rank_tol: float = RANK_TOL) -> Discri
     projectors, overlaps, kernels, kernel_overlaps, kernel_ranks = [], [], [], [], []
     failing = None
     for i, sigma in enumerate(states):
-        k = _kernel_intersection(states, i, rank_tol)
+        k = _kernel_intersection(states, i)
         compressed = hermitize(k @ sigma @ k)
-        if linops.max_abs(compressed) > rank_tol:
-            pi = linops.support_projector(compressed, rank_tol=rank_tol, psd_tol=1e-7)
+        if linops.max_abs(compressed) > RANK_TOL:
+            pi = linops.support_projector(compressed, psd_tol=1e-7)
         else:
             pi = np.zeros((d, d), dtype=complex)
         ov = float(np.trace(pi @ sigma).real)
@@ -183,7 +183,7 @@ def find_discrimination_projectors(sigmas, rank_tol: float = RANK_TOL) -> Discri
         kernels.append(k)
         kernel_overlaps.append(float(np.trace(k @ sigma).real))
         kernel_ranks.append(int(round(np.trace(k).real)))
-        if ov <= rank_tol and failing is None:
+        if ov <= RANK_TOL and failing is None:
             failing = i
     return DiscriminationReport(
         feasible=failing is None,
@@ -216,7 +216,7 @@ class SeparableMultiSpec:
     degenerate: bool
 
     @classmethod
-    def from_parts(cls, sigmas, projectors, b=None, rank_tol: float = RANK_TOL) -> "SeparableMultiSpec":
+    def from_parts(cls, sigmas, projectors, b=None) -> "SeparableMultiSpec":
         states = tuple(linops.check_density(s) for s in sigmas)
         if not states:
             raise ValueError("need at least one state")
@@ -229,7 +229,7 @@ class SeparableMultiSpec:
         resid = np.eye(d, dtype=complex)
         weight = 0.0
         for p, ov in zip(projs, overlaps):
-            if abs(ov) > rank_tol:
+            if abs(ov) > RANK_TOL:
                 resid = resid - p.T / ov
                 weight += float(np.trace(b @ p).real) / ov
         degenerate = linops.max_abs(resid) <= 1e-9
@@ -237,13 +237,13 @@ class SeparableMultiSpec:
                    convergence_margin=1.0 - weight, degenerate=degenerate)
 
     @classmethod
-    def from_states(cls, sigmas, b=None, rank_tol: float = RANK_TOL) -> "SeparableMultiSpec":
+    def from_states(cls, sigmas, b=None) -> "SeparableMultiSpec":
         """Derive projectors via the kernel-intersection search."""
         states = [linops.check_density(s) for s in sigmas]
         if len(states) == 1:
-            pi = linops.support_projector(states[0], rank_tol=rank_tol)
-            return cls.from_parts(states, [pi], b=b, rank_tol=rank_tol)
-        report = find_discrimination_projectors(states, rank_tol=rank_tol)
+            pi = linops.support_projector(states[0])
+            return cls.from_parts(states, [pi], b=b)
+        report = find_discrimination_projectors(states)
         if not report.feasible:
             i = report.failing_index
             raise ConstructionError(
@@ -258,7 +258,7 @@ class SeparableMultiSpec:
                     "kernel_ranks": report.kernel_ranks,
                 },
             )
-        return cls.from_parts(states, report.projectors, b=b, rank_tol=rank_tol)
+        return cls.from_parts(states, report.projectors, b=b)
 
 
 def separable_condition_report(spec: SeparableMultiSpec) -> dict:
@@ -275,7 +275,7 @@ def separable_condition_report(spec: SeparableMultiSpec) -> dict:
         default=0.0,
     )
     c = build_separable_multi(spec, validate=False)
-    rep = chan.is_cptp(c)
+    rep = c.cptp
     return {
         "cross_overlaps": cross,
         "max_cross_overlap": max_cross,
@@ -293,14 +293,14 @@ def separable_condition_report(spec: SeparableMultiSpec) -> dict:
     }
 
 
-def _validate_separable(spec: SeparableMultiSpec, rank_tol: float) -> None:
+def _validate_separable(spec: SeparableMultiSpec) -> None:
     k = len(spec.sigmas)
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
             cross = abs(float(np.trace(spec.sigmas[i] @ spec.projectors[j]).real))
-            if cross > rank_tol:
+            if cross > RANK_TOL:
                 raise ConstructionError(
                     f"condition 1 (annihilation) failed: tr[sigma_{i} Pi_{j}] = {cross:.3e} != 0",
                     reason="cross-overlap-nonzero",
@@ -308,7 +308,7 @@ def _validate_separable(spec: SeparableMultiSpec, rank_tol: float) -> None:
                 )
     for i in range(k):
         ov = float(np.trace(spec.projectors[i] @ spec.sigmas[i]).real)
-        if ov <= rank_tol:
+        if ov <= RANK_TOL:
             raise ConstructionError(
                 f"condition 2 (detection) failed: tr[Pi_{i} sigma_{i}] = {ov:.3e} not > 0",
                 reason="zero-detection-overlap",
@@ -323,8 +323,7 @@ def _validate_separable(spec: SeparableMultiSpec, rank_tol: float) -> None:
         )
 
 
-def build_separable_multi(spec: SeparableMultiSpec, validate: bool = True,
-                          rank_tol: float = RANK_TOL) -> ChoiMatrix:
+def build_separable_multi(spec: SeparableMultiSpec, validate: bool = True) -> ChoiMatrix:
     """Choi matrix sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i]
     + B (x) (I - sum_i Pi_i^T / tr[Pi_i sigma_i]).
 
@@ -333,13 +332,13 @@ def build_separable_multi(spec: SeparableMultiSpec, validate: bool = True,
     the error names the one that failed.
     """
     if validate:
-        _validate_separable(spec, rank_tol)
+        _validate_separable(spec)
     d = spec.sigmas[0].shape[0]
     c = np.zeros((d * d, d * d), dtype=complex)
     resid = np.eye(d, dtype=complex)
     for sigma, pi in zip(spec.sigmas, spec.projectors):
         ov = float(np.trace(pi @ sigma).real)
-        if abs(ov) <= rank_tol:
+        if abs(ov) <= RANK_TOL:
             continue
         c += kron(sigma, pi.T) / ov
         resid = resid - pi.T / ov
@@ -500,6 +499,6 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
         contraction_warning=(not degenerate) and contraction >= 1.0,
         degenerate=degenerate,
         residuals=[trace_distance(chan.apply(c, s), s) for s in states],
-        cptp=chan.is_cptp(c),
+        cptp=c.cptp,
         solution=sol,
     )

@@ -166,17 +166,17 @@ def _check_psd_for(a, tol: float, what: str) -> tuple[np.ndarray, np.ndarray, np
     return np.asarray(a, dtype=complex), w, v
 
 
-def support_projector(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue > rank_tol."""
+def support_projector(a, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """Orthogonal projector onto the span of eigenvectors with eigenvalue > RANK_TOL."""
     _, w, v = _check_psd_for(a, psd_tol, "support_projector")
-    cols = v[:, w > rank_tol]
+    cols = v[:, w > RANK_TOL]
     return hermitize(cols @ dagger(cols))
 
 
-def kernel_projector(a, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
+def kernel_projector(a, psd_tol: float = PSD_TOL) -> np.ndarray:
     """I minus the support projector: projector onto the (numerical) kernel."""
     m = check_hermitian(a)
-    return hermitize(np.eye(m.shape[0], dtype=complex) - support_projector(a, rank_tol, psd_tol))
+    return hermitize(np.eye(m.shape[0], dtype=complex) - support_projector(a, psd_tol))
 
 
 def trace_distance(a, b) -> float:

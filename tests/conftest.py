@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from conekit import linops
+from conekit.channel import ChoiMatrix
+from conekit.conesim import haar_unitary
+
+# one profile for every property test: fixed examples, no per-example deadline
+settings.register_profile("conekit", derandomize=True, deadline=None)
+settings.load_profile("conekit")
 
 
 @pytest.fixture
@@ -56,3 +63,29 @@ def sample_valid_single_pair(rng: np.random.Generator, dim: int):
                 hi = mid
         alpha = rng.uniform(0.0, lo)
     return sigma, (1 - alpha) * sigma + alpha * target
+
+
+def mixed_sector_channel(rng: np.random.Generator, sectors, extra: int = 0):
+    """Separable channel rho -> sum_i sigma_i tr[P_i rho] + I/d tr[(I - sum_i P_i) rho].
+
+    sigma_i has eigenvalues proportional to sectors[i] on the i-th block of
+    columns of a Haar unitary and P_i projects onto that block; ``extra``
+    columns are left to the decay term. The fixed states are exactly the
+    convex hull of the sigma_i. Returns (sigmas, channel).
+    """
+    d = sum(len(w) for w in sectors) + extra
+    u = haar_unitary(d, rng)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    rest = np.eye(d, dtype=complex)
+    sigmas = []
+    start = 0
+    for w in sectors:
+        cols = u[:, start : start + len(w)]
+        start += len(w)
+        sigma = (cols * (np.asarray(w) / sum(w))) @ cols.conj().T
+        proj = cols @ cols.conj().T
+        sigmas.append(sigma)
+        choi += linops.kron(sigma, proj.T)
+        rest -= proj
+    choi += linops.kron(np.eye(d) / d, rest.T)
+    return sigmas, ChoiMatrix(d, d, linops.hermitize(choi))

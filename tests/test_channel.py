@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conekit import channel as chan
@@ -8,7 +8,7 @@ from conekit import linops
 from conekit.channel import ChoiMatrix
 from conekit.linops import kron, trace_distance
 
-from conftest import basis_proj, random_density
+from conftest import basis_proj, mixed_sector_channel, random_density
 
 
 def dephasing_choi(d=2) -> ChoiMatrix:
@@ -185,7 +185,6 @@ class TestApplyProperties:
     dims = st.integers(min_value=1, max_value=4)
     seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
-    @settings(derandomize=True, deadline=None)
     @given(d_in=dims, d_out=dims, seed=seeds)
     def test_matches_index_sum_oracle(self, d_in, d_out, seed):
         rng = np.random.default_rng(seed)
@@ -193,7 +192,6 @@ class TestApplyProperties:
         rho = random_density(rng, d_in)
         assert np.abs(chan.apply(c, rho) - apply_oracle(c, rho)).max() < 1e-12
 
-    @settings(derandomize=True, deadline=None)
     @given(d_in=dims, d_out=dims, seed=seeds,
            alpha=st.floats(-1.0, 1.0), beta=st.floats(-1.0, 1.0))
     def test_linear(self, d_in, d_out, seed, alpha, beta):
@@ -281,6 +279,31 @@ class TestFixedPoints:
             assert min(trace_distance(s, basis_proj(i, 2)) for s in fps.states) < 1e-12
         assert max(fps.eigenvalue_residuals) < 1e-12
 
+    def test_two_mixed_sectors(self, rng):
+        # d = 4, two rank-2 mixed states on orthogonal supports in a Haar basis
+        sigmas, c = mixed_sector_channel(rng, [[0.7, 0.3], [0.4, 0.6]])
+        fps = chan.fixed_points(c)
+        assert len(fps.states) == 2
+        for sigma in sigmas:
+            assert min(np.abs(s - sigma).max() for s in fps.states) < 1e-9
+
+
+class TestFixedPointsProperties:
+    """On random separable channels (2-3 sectors of rank 1-3, eigenvalue
+    weights >= 1e-3 before normalization, Haar basis, an optional decay
+    dimension) the fixed states are exactly the sector states sigma_i."""
+
+    @given(sectors=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+                            min_size=2, max_size=3),
+           extra=st.integers(0, 1),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_recovers_sector_states(self, sectors, extra, seed):
+        sigmas, c = mixed_sector_channel(np.random.default_rng(seed), sectors, extra)
+        fps = chan.fixed_points(c)
+        assert len(fps.states) == len(sigmas)
+        for sigma in sigmas:
+            assert min(trace_distance(s, sigma) for s in fps.states) <= 1e-8
+
 
 class TestIterate:
     def test_identity_constant(self, rng):
@@ -313,6 +336,10 @@ class TestIterate:
             chan.iterate(chan.identity_channel(2), np.eye(2) / 2, 0)
         with pytest.raises(ValueError):
             chan.iterate(ChoiMatrix(2, 2, -np.eye(4)), np.eye(2) / 2, 3)
+
+    def test_rejects_non_square(self, rng):
+        with pytest.raises(ValueError, match="iterate requires a square channel"):
+            chan.iterate(random_cptp_rect(rng, 2, 3), np.eye(2) / 2, 1)
 
 
 class TestChoiJson:

@@ -18,7 +18,7 @@ from conekit.conesim import (
 )
 from conekit.linops import kron, trace_distance
 
-from conftest import basis_proj, random_density
+from conftest import basis_proj, mixed_sector_channel, random_density
 
 
 def qutrit_channel() -> ChoiMatrix:
@@ -132,6 +132,17 @@ class TestRun:
             assert np.array_equal(a.settled_state, b.settled_state)
             assert np.array_equal(a.post_kick_state, b.post_kick_state)
             assert a.symbol == b.symbol and a.settle_steps == b.settle_steps
+
+    def test_sample_mode_on_mixed_sectors(self, rng):
+        # two rank-2 mixed sectors at d = 4: both are fixed points and symbols
+        sigmas, c = mixed_sector_channel(rng, [[0.7, 0.3], [0.4, 0.6]])
+        cfg = SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=20, n_rounds=40,
+                               classify_mode="sample", seed=3)
+        traj = run(cfg, np.eye(4) / 4)
+        assert len(traj.fixed_points) == 2
+        for sigma in sigmas:
+            assert min(trace_distance(fp, sigma) for fp in traj.fixed_points) < 1e-9
+        assert set(traj.symbols()) == {0, 1}
 
     def test_dimension_mismatch(self, rng):
         cfg = SimulationConfig(channel=qutrit_channel(), kick=HaarUnitaryKick(),
