@@ -14,7 +14,6 @@ from .channel import (
     is_cptp,
     iterate,
     random_cptp_choi,
-    superoperator,
     unitary_channel,
 )
 from .conesim import (

@@ -189,11 +189,6 @@ def require_cptp(c: ChoiMatrix, what: str) -> None:
         )
 
 
-def superoperator(c: ChoiMatrix) -> np.ndarray:
-    """The cached, read-only superoperator of the channel (ChoiMatrix.superop)."""
-    return c.superop
-
-
 def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[np.ndarray]:
     """Apply the channel repeatedly: [Phi(rho0), Phi^2(rho0), ...].
 

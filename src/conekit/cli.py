@@ -6,17 +6,29 @@ prob|check|cone-check``, ``conesim run|estimate`` and ``demo bell``.
 Inputs and outputs are the JSON formats defined in the owning modules;
 ``--format csv`` flattens matrix output with interleaved re,im columns.
 
-Exit codes: 0 success, 2 validation error, 3 infeasible or failed
-precondition (machine-readable reason on stderr), 4 numerical limit.
-Internal numerical errors (``numpy.linalg.LinAlgError`` raised inside a
-computation, such as a failed factorization) also exit 4 with reason
-``numerical-limit``; they never count as validation errors.
+Exit code 0 is success. Every failure prints ``{"error", "reason"}``
+(plus ``details`` for construction errors) as one JSON line on stderr:
+
+    reason                            exit  raised for
+    validation                        2     malformed or out-of-range input
+    numerical-limit                   4     solver limit, or a LinAlgError
+                                            inside a computation
+    sdp-infeasible                    3     ``sdp solve`` proved infeasibility
+    overlap-exceeds-lambda-max        3     ConstructionError (engineer single)
+    not-unambiguously-discriminable   3     ConstructionError (separable)
+    cross-overlap-nonzero             3     ConstructionError (separable)
+    zero-detection-overlap            3     ConstructionError (separable)
+    decay-weight-too-large            3     ConstructionError (separable)
+    construction-error                3     ConstructionError without a tag
+
+A numerical failure never counts as a validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -251,10 +263,9 @@ def cmd_quasireal_cone_check(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_conesim_run(args) -> int:
-    cfg_obj = _load_json(args.config)
+    cfg = conesim.config_from_json(_load_json(args.config))
     if args.seed is not None:
-        cfg_obj["seed"] = args.seed
-    cfg = conesim.config_from_json(cfg_obj)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.state:
         rho0 = linops.matrix_from_json(_load_json(args.state))
     else:
@@ -276,12 +287,12 @@ def cmd_conesim_run(args) -> int:
 
 
 def cmd_conesim_estimate(args) -> int:
-    rounds = []
-    with open(args.trajectory) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rounds.append(conesim.round_from_json(json.loads(line)))
+    try:
+        with open(args.trajectory) as fh:
+            lines = [line for line in fh if line.strip()]
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.trajectory}: {exc}") from exc
+    rounds = [conesim.round_from_json(json.loads(line)) for line in lines]
     traj = conesim.Trajectory(rounds=rounds)
     proc = conesim.estimate_process(traj)
     if args.format == "csv":

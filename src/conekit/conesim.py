@@ -329,6 +329,8 @@ def round_to_json(r: Round, index: int) -> dict:
 
 
 def round_from_json(obj: dict) -> Round:
+    if not isinstance(obj, dict) or not {"settled_state", "settle_steps", "post_kick_state"} <= set(obj):
+        raise ValueError("trajectory round needs settled_state, settle_steps and post_kick_state")
     return Round(
         settled_state=linops.matrix_from_json(obj["settled_state"]),
         symbol=None if obj.get("symbol") is None else int(obj["symbol"]),

@@ -25,7 +25,6 @@ import numpy as np
 # Default tolerances, chosen for double precision at dimensions <= 64.
 HERM_TOL = 1e-9
 PSD_TOL = 1e-9
-EIG_TOL = 1e-8
 RANK_TOL = 1e-7
 
 

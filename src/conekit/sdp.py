@@ -12,19 +12,22 @@ path:
 1. optionally restrict X to a caller-supplied face X = V X' V^dag
    (facial reduction: when the constraints force X onto a face of the
    PSD cone, the restricted problem regains a strictly feasible point);
-2. embed Hermitian matrices into real symmetric ones ([Re, -Im; Im, Re])
-   unless the data are real;
-3. reduce the constraint set to full row rank, returning an exact Farkas
+2. reduce the constraint set to full row rank, returning an exact Farkas
    certificate when it is linearly inconsistent;
-4. run a primal-dual path-following method with Nesterov-Todd scaling
+3. run a primal-dual path-following method with Nesterov-Todd scaling
    and Mehrotra-style adaptive centering (an affine predictor step fixes
    the centering weight of the actual step);
-5. apply one least-norm affine projection onto the constraints, kept only
-   while the iterate stays PSD within PSD_TOL, and embed the result back.
+4. apply one least-norm affine projection onto the constraints, kept only
+   while the iterate stays PSD within PSD_TOL, and map the result back
+   through the face.
 
-Residuals, eigenvalues, rank and status always refer to the full problem.
-Instances here are tiny (n <= ~50 after embedding, m <= ~60), so the
-implementation uses dense eigendecompositions everywhere.
+The iterates are Hermitian matrices of one dtype, inner products are
+Re tr[A^dag X]: real when the objective and every constraint (after
+conjugation by the face) are real, complex otherwise. Residuals,
+eigenvalues, rank and status always refer to the full problem, and y
+holds the dual multipliers of the full constraint list. Instances here
+are tiny (n <= ~25, m <= ~60), so the implementation uses dense
+eigendecompositions everywhere.
 """
 
 from __future__ import annotations
@@ -146,42 +149,33 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
 
 
 # ----------------------------------------------------------------------
-# Real symmetric embedding of Hermitian data
-# ----------------------------------------------------------------------
-
-def _realify(h: np.ndarray) -> np.ndarray:
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
-
-
-def _unrealify(y: np.ndarray, n: int) -> np.ndarray:
-    re = (y[:n, :n] + y[n:, n:]) / 2.0
-    im = (y[n:, :n] - y[:n, n:]) / 2.0
-    return hermitize(re + 1j * im)
-
-
-# ----------------------------------------------------------------------
-# Interior-point core (real symmetric data)
+# Interior-point core (Hermitian data, real or complex dtype)
 # ----------------------------------------------------------------------
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + m.conj().T) / 2.0
+
+
+def _max_entry(m: np.ndarray) -> float:
+    """Largest |Re| or |Im| over the entries of m."""
+    return max(float(np.abs(m.real).max(initial=0.0)), float(np.abs(m.imag).max(initial=0.0)))
 
 
 def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest alpha with s + alpha*ds >= 0, via eigenvalues of L^-1 ds L^-T.
+    """Largest alpha with s + alpha*ds >= 0, via eigenvalues of L^-1 ds L^-dag.
 
     When s is too close to singular for a Cholesky factor, G = V w^-1/2
-    from s = V diag(w) V^T (w clipped at 1e-14) gives G^T ds G, which is
-    similar to s^-1/2 ds s^-1/2 and so has the same eigenvalues.
+    from s = V diag(w) V^dag (w clipped at 1e-14) gives G^dag ds G, which
+    is similar to s^-1/2 ds s^-1/2 and so has the same eigenvalues.
     """
     try:
         low = np.linalg.cholesky(s)
         m1 = scipy.linalg.solve_triangular(low, ds, lower=True)
-        m2 = scipy.linalg.solve_triangular(low, m1.T, lower=True)
+        m2 = scipy.linalg.solve_triangular(low, m1.conj().T, lower=True)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(s)
         g = v / np.sqrt(np.clip(w, 1e-14, None))
-        m2 = g.T @ ds @ g
+        m2 = g.conj().T @ ds @ g
     lam_min = float(np.linalg.eigvalsh(_sym(m2)).min())
     if lam_min >= -1e-14:
         return np.inf
@@ -192,12 +186,12 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """W > 0 with W Z W = X."""
     wz, vz = np.linalg.eigh(z)
     wz = np.clip(wz, 1e-14, None)
-    z_half = vz @ np.diag(np.sqrt(wz)) @ vz.T
-    z_ihalf = vz @ np.diag(1.0 / np.sqrt(wz)) @ vz.T
+    z_half = (vz * np.sqrt(wz)) @ vz.conj().T
+    z_ihalf = (vz / np.sqrt(wz)) @ vz.conj().T
     b = _sym(z_half @ x @ z_half)
     wb, vb = np.linalg.eigh(b)
     wb = np.clip(wb, 1e-16, None)
-    b_half = vb @ np.diag(np.sqrt(wb)) @ vb.T
+    b_half = (vb * np.sqrt(wb)) @ vb.conj().T
     return _sym(z_ihalf @ b_half @ z_ihalf)
 
 
@@ -211,34 +205,47 @@ class _IpmResult:
     message: str = ""
 
 
-def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
-                    max_iter: int, feas_tol: float) -> _IpmResult:
+def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
+                         max_iter: int, feas_tol: float) -> _IpmResult:
+    """Path following on Hermitian n x n iterates of the dtype of ``ops``
+    (m x n x n); ``cost`` and ``ops`` share it."""
     n = cost.shape[0]
     m = ops.shape[0]
-    a_norms = np.array([np.linalg.norm(a) for a in ops])
-    xi_p = max(1.0, np.sqrt(n), np.sqrt(n) * float(np.max(np.abs(b) / (1.0 + a_norms))))
-    xi_d = max(1.0, np.sqrt(n), (float(np.linalg.norm(cost)) + float(a_norms.max())) / np.sqrt(n))
-    x = xi_p * np.eye(n)
-    z = xi_d * np.eye(n)
+    rows = ops.reshape(m, -1)
+    rows_h = rows.conj()
+    # Start point and exit tests keep the scale of the real embedding
+    # [Re, -Im; Im, Re] they were tuned on (dimension, inner products and b
+    # doubled): several engineered channels have min eig C within 1e-8 of PSD_TOL.
+    emb = 2.0 if np.iscomplexobj(rows) else 1.0
+    dim = emb * n
+    a_norms = np.sqrt(emb) * np.linalg.norm(rows, axis=1)
+    xi_p = max(1.0, np.sqrt(dim), np.sqrt(dim) * float(np.max(emb * np.abs(b) / (1.0 + a_norms))))
+    xi_d = max(1.0, np.sqrt(dim),
+               (np.sqrt(emb) * float(np.linalg.norm(cost)) + float(a_norms.max())) / np.sqrt(dim))
+    x = xi_p * np.eye(n, dtype=rows.dtype)
+    z = xi_d * np.eye(n, dtype=rows.dtype)
     y = np.zeros(m)
 
     def op_a(mat: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,ij->k", ops, mat)
+        return (rows_h @ mat.ravel()).real
 
     def op_at(vec: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", vec, ops)
+        return (vec @ rows).reshape(n, n)
 
-    gram_pinv = np.linalg.pinv(np.einsum("kij,lij->kl", ops, ops), rcond=1e-12)
+    def inner(p: np.ndarray, q: np.ndarray) -> float:
+        return float(np.vdot(p, q).real)
 
-    b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    c_scale = 1.0 + float(np.abs(cost).max(initial=0.0))
+    gram_pinv = np.linalg.pinv((rows_h @ rows.T).real, rcond=1e-12)
+
+    b_scale = 1.0 + emb * float(np.abs(b).max(initial=0.0))
+    c_scale = 1.0 + _max_entry(cost)
     target = 0.1 * feas_tol
 
     def converged(rp, rd, pobj, dobj, tol):
-        pinf_abs = float(np.abs(rp).max(initial=0.0))
+        pinf_abs = emb * float(np.abs(rp).max(initial=0.0))
         pinf = pinf_abs / b_scale
-        dinf = float(np.abs(rd).max(initial=0.0)) / c_scale
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        dinf = _max_entry(rd) / c_scale
+        gap = emb * abs(pobj - dobj) / (1.0 + emb * (abs(pobj) + abs(dobj)))
         ok = (pinf <= tol and dinf <= tol and gap <= tol
               and pinf_abs <= 0.5 * feas_tol)
         return ok, pinf, dinf, gap
@@ -253,8 +260,8 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     for it in range(1, max_iter + 1):
         rp = b - op_a(x)
         rd = cost - z - op_at(y)
-        mu = float(np.sum(x * z)) / n
-        pobj = float(np.sum(cost * x))
+        mu = inner(x, z) / n
+        pobj = inner(cost, x)
         dobj = float(b @ y)
         done, pinf, dinf, gap = converged(rp, rd, pobj, dobj, target)
         if done:
@@ -263,10 +270,10 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
 
         # Farkas-style test for a dual improving ray (primal infeasibility).
         ynorm = float(np.linalg.norm(y))
-        if dobj > 1.0 and ynorm > 1e4 * b_scale:
+        if emb * dobj > 1.0 and ynorm > 1e4 * b_scale:
             ray = y / dobj
             lam_max = float(np.linalg.eigvalsh(_sym(op_at(ray))).max())
-            if lam_max <= 1e-7 * (1.0 + float(a_norms.max())):
+            if lam_max <= emb * 1e-7 * (1.0 + float(a_norms.max())):
                 return _IpmResult(x=x, y=ray, status=STATUS_INFEASIBLE, iterations=it,
                                   dual_residual=dinf,
                                   message="dual improving ray found (primal infeasible)")
@@ -279,9 +286,8 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
             break
         zinv = _sym(zinv)
 
-        waw = np.einsum("ab,kbc,cd->kad", w, ops, w)
-        schur = np.einsum("kij,lij->kl", ops, waw)
-        schur = _sym(schur)
+        waw = (w @ ops @ w).reshape(m, -1)
+        schur = _sym((rows_h @ waw.T).real)
         w_rd_w = _sym(w @ rd @ w)
         try:
             chol = scipy.linalg.cho_factor(schur + 1e-13 * np.trace(schur) / m * np.eye(m))
@@ -306,7 +312,7 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         dx_a, dy_a, dz_a = newton(-x)
         ap = min(1.0, 0.98 * _max_step(x, dx_a))
         ad = min(1.0, 0.98 * _max_step(z, dz_a))
-        mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a))) / n
+        mu_aff = inner(x + ap * dx_a, z + ad * dz_a) / n
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         dx, dy, dz = newton(sigma * mu * zinv - x)
@@ -344,7 +350,7 @@ def _solve_real_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         message = message or "iteration limit reached"
     rp = b - op_a(x)
     rd = cost - z - op_at(y)
-    pobj = float(np.sum(cost * x))
+    pobj = inner(cost, x)
     dobj = float(b @ y)
     done, pinf, dinf, gap = converged(rp, rd, pobj, dobj, feas_tol)
     if done:
@@ -375,7 +381,8 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     the full problem.
     """
     n = problem.n
-    ops_c = list(problem.constraint_ops)
+    m = len(problem.constraint_ops)
+    ops_c = np.array(problem.constraint_ops)
     b_c = np.asarray(problem.constraint_vals, dtype=float)
     cost_c = np.conj(problem.objective)  # F0^T == conj(F0) for Hermitian F0
 
@@ -388,24 +395,15 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
         if linops.max_abs(linops.dagger(v) @ v - np.eye(v.shape[1])) > 1e-10:
             raise ValueError("face columns must be orthonormal")
         # tr[C V X' V^dag] = tr[(V^dag C V) X'] conjugates every operator by V
-        ops_f = [hermitize(linops.dagger(v) @ a @ v) for a in ops_c]
+        ops_f = np.array([hermitize(linops.dagger(v) @ a @ v) for a in ops_c])
         cost_f = hermitize(linops.dagger(v) @ cost_c @ v)
 
-    is_real = (
-        linops.max_abs(cost_f.imag) == 0.0
-        and all(linops.max_abs(a.imag) == 0.0 for a in ops_f)
-    )
-    if is_real:
-        ops_r = np.array([a.real for a in ops_f])
-        b_r = b_c.copy()
-        cost_r = cost_f.real
-    else:
-        ops_r = np.array([_realify(a) for a in ops_f])
-        b_r = 2.0 * b_c
-        cost_r = _realify(cost_f)
-
-    m = len(ops_c)
-    rows = ops_r.reshape(m, -1)
+    data = np.concatenate([cost_f[None], ops_f])
+    if not data.imag.any():
+        data = data.real.copy()
+    cost_f, ops_f = data[0], data[1:]
+    # the real coordinates of the rows: their dot products are Re tr[A_k^dag A_l]
+    rows = ops_f.reshape(m, -1).view(float)
 
     # Linear consistency and rank reduction of the constraint set.
     u, sv, _ = np.linalg.svd(rows, full_matrices=True)
@@ -413,17 +411,14 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     rank = int(np.sum(sv > max(1e-12, 1e-10 * smax)))
     if rank < m:
         null_left = u[:, rank:]
-        mismatch = null_left.T @ b_r
+        mismatch = null_left.T @ b_c
         j = int(np.argmax(np.abs(mismatch)))
-        if abs(mismatch[j]) > 1e-9 * (1.0 + float(np.abs(b_r).max())):
-            cert = null_left[:, j] / mismatch[j]
-            if not is_real:
-                cert = 2.0 * cert
+        if abs(mismatch[j]) > 1e-9 * (1.0 + float(np.abs(b_c).max())):
             return SdpSolution(
                 x=np.zeros((n, n), dtype=complex), objective_value=np.nan,
                 primal_residual=np.inf, dual_residual=np.inf,
                 status=STATUS_INFEASIBLE, iterations=0,
-                infeasibility_certificate=cert,
+                infeasibility_certificate=null_left[:, j] / mismatch[j],
                 message="constraints are linearly inconsistent",
             )
         _, _, piv = scipy.linalg.qr(rows.T, pivoting=True, mode="economic")
@@ -431,15 +426,11 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     else:
         keep = np.arange(m)
 
-    res = _solve_real_sdp(cost_r, ops_r[keep], b_r[keep], max_iter, feas_tol)
+    res = _solve_hermitian_sdp(cost_f, ops_f[keep], b_c[keep], max_iter, feas_tol)
 
     y_full = np.zeros(m)
     y_full[keep] = res.y
-    if not is_real:
-        x = _unrealify(res.x, cost_f.shape[0])
-        y_full = 2.0 * y_full
-    else:
-        x = hermitize(res.x.astype(complex))
+    x = hermitize(res.x)
     if v is not None:
         x = hermitize(v @ x @ linops.dagger(v))
 
@@ -451,10 +442,7 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
             y=y_full, infeasibility_certificate=y_full, message=res.message,
         )
 
-    primal_res = max(
-        abs(float(np.trace(a @ x).real) - bv)
-        for a, bv in zip(ops_c, b_c)
-    )
+    primal_res = float(np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c).max())
     eigs = np.linalg.eigvalsh(x)
     x_rank = int(np.sum(eigs > max(PSD_TOL, 1e-8 * float(eigs.max(initial=0.0)))))
     obj = float(np.trace(cost_c @ x).real)
@@ -495,6 +483,8 @@ def problem_from_json(obj: dict) -> SdpProblem:
     ops = []
     vals = []
     for c in cons:
+        if not isinstance(c, dict) or not {"a", "b"} <= set(c):
+            raise ValueError("each constraint must be an object with keys 'a' and 'b'")
         ops.append(linops.matrix_from_json(c["a"]))
         vals.append(float(c["b"]))
     return SdpProblem(

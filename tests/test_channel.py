@@ -113,16 +113,16 @@ class TestIsCptp:
 
 class TestSuperoperator:
     def test_identity(self):
-        s = chan.superoperator(chan.identity_channel(2))
+        s = chan.identity_channel(2).superop
         assert np.abs(s - np.eye(4)).max() < 1e-12
 
     def test_dephasing(self):
-        s = chan.superoperator(dephasing_choi())
+        s = dephasing_choi().superop
         assert np.abs(s - np.diag([1.0, 0.0, 0.0, 1.0])).max() < 1e-12
 
     def test_agrees_with_apply(self, rng):
         c = chan.random_cptp_choi(3, rng)
-        s = chan.superoperator(c)
+        s = c.superop
         for _ in range(20):
             rho = random_density(rng, 3)
             via_s = (s @ rho.reshape(-1)).reshape(3, 3)
@@ -130,7 +130,7 @@ class TestSuperoperator:
 
     def test_agrees_on_full_operator_basis(self, rng):
         c = chan.random_cptp_choi(2, rng)
-        s = chan.superoperator(c)
+        s = c.superop
         for i in range(2):
             for j in range(2):
                 e = np.zeros((2, 2), dtype=complex)
@@ -144,7 +144,7 @@ class TestSuperoperator:
     def test_non_square_shape_and_action(self, rng):
         c = random_cptp_rect(rng, 2, 3)
         assert chan.is_cptp(c).tp
-        s = chan.superoperator(c)
+        s = c.superop
         assert s.shape == (9, 4)
         for _ in range(5):
             rho = random_density(rng, 2)
@@ -265,7 +265,7 @@ class TestFixedPoints:
         t = np.eye(4)
         t[2, 2], t[0, 2] = 1 - eps, eps
         t[3, 3], t[2, 3] = 1 - eps, eps
-        s = chan.superoperator(classical_choi(t))
+        s = classical_choi(t).superop
         u, sv, vh = np.linalg.svd(s - np.eye(16))
         null = sv <= chan.FP_TOL
         assert null.sum() == 2

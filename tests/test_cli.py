@@ -66,11 +66,22 @@ class TestChannelCommands:
         states = json.loads(out)["states"]
         assert len(states) == 4
 
-    def test_malformed_input_is_validation_error(self, workdir, capsys):
-        tmp, _ = workdir
-        bad = tmp / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run_cli(capsys, "channel", "check", "--choi", str(bad))
+    @pytest.mark.parametrize("argv", [
+        lambda tmp, write: ["channel", "check", "--choi", write("bad.json", "{not json")],
+        lambda tmp, write: ["conesim", "run", "--seed", "3", "--config", write("cfg.json", "[]"),
+                            "--out", str(tmp / "t.jsonl")],
+        lambda tmp, write: ["conesim", "estimate", write("t.jsonl", "{}\n")],
+        lambda tmp, write: ["conesim", "estimate", str(tmp / "missing.jsonl")],
+        lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps({
+            "n": 1, "objective": linops.matrix_to_json(np.eye(1)), "constraints": [{"b": 1.0}],
+        }))],
+    ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
+            "constraint-without-a"])
+    def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
+        def write(name, text):
+            (tmp_path / name).write_text(text)
+            return str(tmp_path / name)
+        code, _, err = run_cli(capsys, *argv(tmp_path, write))
         assert code == 2
         assert json.loads(err)["reason"] == "validation"
 
@@ -298,7 +309,8 @@ class TestConesimCommands:
         p1, p2 = str(tmp / "a.jsonl"), str(tmp / "b.jsonl")
         assert run_cli(capsys, "conesim", "run", "--config", cfg, "--out", p1)[0] == 0
         assert run_cli(capsys, "conesim", "run", "--config", cfg, "--out", p2)[0] == 0
-        assert open(p1).read() == open(p2).read()
+        with open(p1) as f1, open(p2) as f2:
+            assert f1.read() == f2.read()
 
     def test_seed_override_changes_symbols(self, workdir, capsys):
         tmp, write = workdir
@@ -306,7 +318,9 @@ class TestConesimCommands:
         p1, p2 = str(tmp / "a.jsonl"), str(tmp / "b.jsonl")
         run_cli(capsys, "conesim", "run", "--config", cfg, "--out", p1)
         run_cli(capsys, "conesim", "run", "--config", cfg, "--out", p2, "--seed", "99")
-        sym = lambda p: [json.loads(l)["symbol"] for l in open(p) if l.strip()]
+        def sym(p):
+            with open(p) as fh:
+                return [json.loads(l)["symbol"] for l in fh if l.strip()]
         assert sym(p1) != sym(p2)
 
     def test_unknown_config_key_exits_2(self, workdir, capsys):

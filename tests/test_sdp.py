@@ -99,6 +99,20 @@ class TestSolve:
         resid_op = np.eye(2) - linops.partial_trace(sol.x, (2, 2), over=1)
         assert np.abs(resid_op).max() < 1e-6
 
+    @pytest.mark.parametrize("a, objective", [
+        (np.array([[2.0, 1.0j], [-1.0j, 2.0]]), 1.0 / 3.0),
+        (np.diag([1.0, 2.0]), 0.5),
+    ], ids=["complex", "real"])
+    def test_dual_multipliers(self, a, objective):
+        # strong duality: b.y equals the optimum and F0^T - sum_k y_k A_k >= 0
+        p = make_problem([a], [1.0])
+        sol = sdp.solve(p)
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - objective) < 1e-7
+        assert abs(np.dot(sol.y, p.constraint_vals) - sol.objective_value) < 1e-6
+        slack = p.objective.T - sum(y * op for y, op in zip(sol.y, p.constraint_ops))
+        assert np.linalg.eigvalsh(slack).min() >= -1e-6
+
     def test_linearly_inconsistent(self):
         p = make_problem([np.eye(2), np.eye(2)], [1.0, 2.0])
         sol = sdp.solve(p)
@@ -202,9 +216,32 @@ class TestMaxStep:
             ds = h + (np.linalg.norm(h, 2) + 1.0) * ker @ ker.T
             assert sdp._max_step(s, ds) == pytest.approx(largest_psd_step(s, ds), rel=1e-8)
 
+    def test_complex_positive_definite_s(self, rng):
+        # Cholesky succeeds: exercises the conjugate transpose of L^-1 ds
+        for _ in range(5):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            s = g @ g.conj().T + 0.1 * np.eye(4)
+            ds = random_hermitian(rng, 4)
+            ref = largest_psd_step(s, ds)
+            assert np.isfinite(ref)
+            assert sdp._max_step(s, ds) == pytest.approx(ref, rel=1e-8)
+
+    def test_complex_singular_s(self, rng):
+        # Cholesky fails: exercises G^dag ds G on the eigenvector fallback
+        for _ in range(5):
+            g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            s = g @ g.conj().T
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(s)
+            _, v = np.linalg.eigh(s)
+            ker = v[:, :2]
+            h = random_hermitian(rng, 4)
+            ds = h + (np.linalg.norm(h, 2) + 1.0) * ker @ ker.conj().T
+            assert sdp._max_step(s, ds) == pytest.approx(largest_psd_step(s, ds), rel=1e-8)
+
 
 class TestComplexHermitianHandling:
-    """Realified solves must reproduce known complex optima."""
+    """Solves on complex Hermitian data must reproduce known complex optima."""
 
     def test_pure_complex_state_fixed_point(self):
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
