@@ -8,7 +8,6 @@ from .channel import (
     apply,
     choi_from_json,
     choi_to_json,
-    depolarizing_channel,
     fixed_points,
     identity_channel,
     is_cptp,

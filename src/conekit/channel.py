@@ -129,18 +129,6 @@ def unitary_channel(u) -> ChoiMatrix:
     return choi_from_map(lambda rho: u @ rho @ linops.dagger(u), u.shape[0], u.shape[0])
 
 
-def depolarizing_channel(dim: int, strength: float) -> ChoiMatrix:
-    """rho -> (1-p) rho + p tr[rho] I/dim."""
-    if not 0.0 <= strength <= 1.0:
-        raise ValueError("depolarizing strength must lie in [0, 1]")
-    eye = np.eye(dim, dtype=complex)
-    return choi_from_map(
-        lambda rho: (1 - strength) * rho + strength * np.trace(rho) * eye / dim,
-        dim,
-        dim,
-    )
-
-
 def random_cptp_choi(dim: int, rng: np.random.Generator) -> ChoiMatrix:
     """Sample a random CPTP Choi matrix (PSD Ginibre, then TP normalization)."""
     n = dim * dim
@@ -324,4 +312,8 @@ def choi_to_json(c: ChoiMatrix) -> dict:
 def choi_from_json(obj: dict) -> ChoiMatrix:
     if not isinstance(obj, dict) or "d_in" not in obj or "d_out" not in obj:
         raise ValueError("Choi JSON must contain d_in and d_out")
-    return ChoiMatrix(int(obj["d_in"]), int(obj["d_out"]), matrix_from_json(obj))
+    try:
+        d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
+    except TypeError as exc:
+        raise ValueError(f"Choi JSON dimension has the wrong type: {exc}") from exc
+    return ChoiMatrix(d_in, d_out, matrix_from_json(obj))

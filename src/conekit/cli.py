@@ -371,12 +371,9 @@ def run_bell_demo(coeffs: list[float], s_weights: list[float], r_weights: list[f
     sigma1 = linops.check_density(sigma1)
     b = np.eye(4, dtype=complex) / 4.0
 
-    disc = engineer.find_discrimination_projectors([sigma0, sigma1])
     states = [sigma0, sigma1]
-    cross = [
-        [float(np.trace(states[i] @ disc.projectors[j]).real) for j in range(2)]
-        for i in range(2)
-    ]
+    disc = engineer.find_discrimination_projectors(states)
+    spec = engineer.SeparableMultiSpec.from_parts(states, disc.projectors, b=b)
     report: dict = {
         "coefficients": coeffs,
         "weights": {"s": list(map(float, s)), "r": list(map(float, r))},
@@ -386,14 +383,13 @@ def run_bell_demo(coeffs: list[float], s_weights: list[float], r_weights: list[f
             "feasible": disc.feasible,
             "failing_index": disc.failing_index,
             "detection_overlaps": disc.overlaps,     # tr[Pi_i sigma_i]
-            "cross_overlaps": cross,                 # tr[sigma_i Pi_j]
+            "cross_overlaps": spec.cross_overlaps.tolist(),  # tr[sigma_i Pi_j]
             "kernel_ranks": disc.kernel_ranks,
             "kernel_overlaps": disc.kernel_overlaps,  # tr[K_i sigma_i]
         },
     }
 
     if disc.feasible:
-        spec = engineer.SeparableMultiSpec.from_parts(states, disc.projectors, b=b)
         cond = engineer.separable_condition_report(spec)
         c = engineer.build_separable_multi(spec)
         report["path"] = "separable"

@@ -295,12 +295,19 @@ def config_from_json(obj: dict) -> SimulationConfig:
     unknown = set(kick_obj) - _KICK_KEYS
     if unknown:
         raise ValueError(f"unknown kick keys: {sorted(unknown)}")
+    try:
+        n_iter, n_rounds = int(obj["n_iter"]), int(obj["n_rounds"])
+        classify_tol = float(obj.get("classify_tol", CLASSIFY_TOL))
+        seed = int(obj.get("seed", 0))
+        strength = float(kick_obj.get("strength", 1.0))
+    except TypeError as exc:
+        raise ValueError(f"config field has the wrong type: {exc}") from exc
     policy = kick_obj["policy"]
     kick: KickPolicy
     if policy == "haar":
         kick = HaarUnitaryKick()
     elif policy == "depolarizing":
-        kick = DepolarizingKick(strength=float(kick_obj.get("strength", 1.0)))
+        kick = DepolarizingKick(strength=strength)
     elif policy == "fixed":
         if "choi" not in kick_obj:
             raise ValueError("fixed kick needs a 'choi' matrix")
@@ -310,11 +317,11 @@ def config_from_json(obj: dict) -> SimulationConfig:
     return SimulationConfig(
         channel=chan.choi_from_json(obj["channel"]),
         kick=kick,
-        n_iter=int(obj["n_iter"]),
-        n_rounds=int(obj["n_rounds"]),
-        classify_tol=float(obj.get("classify_tol", CLASSIFY_TOL)),
+        n_iter=n_iter,
+        n_rounds=n_rounds,
+        classify_tol=classify_tol,
         classify_mode=str(obj.get("classify", "nearest")),
-        seed=int(obj.get("seed", 0)),
+        seed=seed,
     )
 
 
@@ -331,10 +338,15 @@ def round_to_json(r: Round, index: int) -> dict:
 def round_from_json(obj: dict) -> Round:
     if not isinstance(obj, dict) or not {"settled_state", "settle_steps", "post_kick_state"} <= set(obj):
         raise ValueError("trajectory round needs settled_state, settle_steps and post_kick_state")
+    try:
+        symbol = None if obj.get("symbol") is None else int(obj["symbol"])
+        settle_steps = int(obj["settle_steps"])
+    except TypeError as exc:
+        raise ValueError(f"trajectory round field has the wrong type: {exc}") from exc
     return Round(
         settled_state=linops.matrix_from_json(obj["settled_state"]),
-        symbol=None if obj.get("symbol") is None else int(obj["symbol"]),
-        settle_steps=int(obj["settle_steps"]),
+        symbol=symbol,
+        settle_steps=settle_steps,
         post_kick_state=linops.matrix_from_json(obj["post_kick_state"]),
     )
 

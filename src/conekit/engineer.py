@@ -1,20 +1,26 @@
 """Constructive design of channels with prescribed fixed points.
 
-Three routes, all emitting Choi matrices in the convention of
-:mod:`conekit.channel`:
+Every construction builds a PSD core X on H1 (x) H2 (output (x) input,
+the Choi convention of :mod:`conekit.channel`) and finishes it with one
+completion by the decay state B, ``_complete``:
 
-* a closed form for a single fixed state sigma, built from its top
-  eigenpair and a free decay state B;
-* a separable construction for several states that can be unambiguously
-  discriminated, built from annihilating projectors;
-* a semidefinite program that finds a minimum-trace PSD operator fixing
-  all requested states, completed to a trace-preserving channel by B.
+    C = X + B (x) (I - tr_H1[X]),
 
-The closed forms guarantee the fixed points identically; complete
-positivity depends on the inputs and is checked on the assembled Choi
-matrix rather than factor by factor (some factors are indefinite by
-design). Validity reports carry every condition with its numeric
-residual.
+which is trace preserving whenever tr B = 1. C maps sigma to
+X(sigma) + tr[(I - tr_H1[X]) sigma^T] B, so it fixes every sigma that X
+fixes: the fixed-point condition tr[(I - tr_H1[X]) sigma^T] = 0 reads
+tr sigma = tr X(sigma). The three cores are:
+
+* sigma (x) P^T / lambda_max for a single state, with P the projector
+  onto its top eigenvector;
+* sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i] for states that
+  annihilating projectors Pi_i discriminate unambiguously (the single
+  core is its one-projector case);
+* the minimum-trace PSD X fixing every state, from a semidefinite program.
+
+Complete positivity depends on the inputs and is checked on the assembled
+Choi matrix rather than factor by factor (some factors are indefinite by
+design). Validity reports carry every condition with its numeric residual.
 """
 
 from __future__ import annotations
@@ -41,6 +47,31 @@ class ConstructionError(ValueError):
         super().__init__(message)
         self.reason = reason or "construction-error"
         self.details = details or {}
+
+
+def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
+    """X + B (x) (I - tr_H1[X]), trace preserving for every core X when tr B = 1.
+
+    It maps sigma to X(sigma) + tr[(I - tr_H1[X]) sigma^T] B, so it fixes
+    every sigma with X(sigma) = sigma: the fixed-point condition
+    tr[(I - tr_H1[X]) sigma^T] = 0 then holds, as tr X(sigma) = tr sigma.
+    """
+    d = b.shape[0]
+    rest = np.eye(d, dtype=complex) - linops.partial_trace(x, (d, d), over=1)
+    return ChoiMatrix(d, d, hermitize(x + kron(b, rest)))
+
+
+def _channel_checks(c: ChoiMatrix, sigmas) -> dict:
+    """CP/TP data of an assembled channel and the trace distance from each
+    requested state to its image."""
+    rep = c.cptp
+    return {
+        "choi_min_eig": rep.min_eig,
+        "tp_residual": rep.tp_residual,
+        "cp": rep.cp,
+        "tp": rep.tp,
+        "fixed_point_residuals": [trace_distance(chan.apply(c, s), s) for s in sigmas],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -73,14 +104,13 @@ class SingleFixedPointSpec:
 
 
 def build_single_fixed_point(spec: SingleFixedPointSpec, validate: bool = True) -> ChoiMatrix:
-    """Choi matrix sigma (x) P^T / lambda + B (x) (I - P^T / lambda) with
-    P the projector onto the top eigenvector of sigma.
+    """The core sigma (x) P^T / lambda_max, with P the projector onto the
+    top eigenvector of sigma, completed by B.
 
     With validate=True the overlap condition <v|B|v> <= lambda_max is
     enforced (a ConstructionError names the inequality); the returned
     channel fixes sigma identically either way.
     """
-    d = spec.sigma.shape[0]
     overlap = float(np.real(np.conj(spec.v_max) @ spec.b @ spec.v_max))
     if validate and overlap > spec.lambda_max + 1e-9:
         raise ConstructionError(
@@ -90,9 +120,7 @@ def build_single_fixed_point(spec: SingleFixedPointSpec, validate: bool = True) 
             details={"overlap": overlap, "lambda_max": spec.lambda_max},
         )
     proj_t = linops.ket_projector(spec.v_max).T
-    rest = np.eye(d, dtype=complex) - proj_t / spec.lambda_max
-    c = kron(spec.sigma, proj_t / spec.lambda_max) + kron(spec.b, rest)
-    return ChoiMatrix(d, d, hermitize(c))
+    return _complete(kron(spec.sigma, proj_t / spec.lambda_max), spec.b)
 
 
 def single_fixed_point_report(spec: SingleFixedPointSpec) -> dict:
@@ -100,18 +128,15 @@ def single_fixed_point_report(spec: SingleFixedPointSpec) -> dict:
     with its numeric residual, computed on the assembled channel."""
     overlap = float(np.real(np.conj(spec.v_max) @ spec.b @ spec.v_max))
     cp_factor = spec.sigma - (1.0 - spec.lambda_max) * spec.b
-    c = build_single_fixed_point(spec, validate=False)
-    rep = c.cptp
+    checks = _channel_checks(build_single_fixed_point(spec, validate=False), [spec.sigma])
+    (residual,) = checks.pop("fixed_point_residuals")
     return {
         "lambda_max": spec.lambda_max,
         "vmax_overlap": overlap,
         "overlap_margin": spec.lambda_max - overlap,
         "cp_factor_min_eig": float(np.linalg.eigvalsh(hermitize(cp_factor)).min()),
-        "choi_min_eig": rep.min_eig,
-        "tp_residual": rep.tp_residual,
-        "cp": rep.cp,
-        "tp": rep.tp,
-        "fixed_point_residual": trace_distance(chan.apply(c, spec.sigma), spec.sigma),
+        **checks,
+        "fixed_point_residual": residual,
     }
 
 
@@ -123,8 +148,8 @@ def single_fixed_point_report(spec: SingleFixedPointSpec) -> dict:
 class DiscriminationReport:
     """Outcome of the annihilating-projector search.
 
-    kernel_projectors[i] projects onto the intersection of the kernels of
-    all other states; projectors[i] is its restriction to the support of
+    With K_i the projector onto the intersection of the kernels of all
+    other states, projectors[i] is the restriction of K_i to the support of
     sigma_i (zero when the state never enters that kernel). overlaps[i] is
     tr[Pi_i sigma_i]; the search is infeasible when any overlap vanishes,
     and failing_index records the first such state.
@@ -133,7 +158,6 @@ class DiscriminationReport:
     feasible: bool
     projectors: list[np.ndarray]
     overlaps: list[float]
-    kernel_projectors: list[np.ndarray]
     kernel_overlaps: list[float]
     kernel_ranks: list[int]
     failing_index: int | None = None
@@ -143,18 +167,10 @@ def _kernel_intersection(states: list[np.ndarray], skip: int) -> np.ndarray:
     """Projector onto the intersection of ker(sigma_j) over j != skip.
 
     For PSD operators the intersection of kernels equals the kernel of the
-    sum. An empty intersection set (single state) yields the identity.
+    sum; the caller passes at least two states.
     """
-    d = states[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    count = 0
-    for j, s in enumerate(states):
-        if j != skip:
-            total += s
-            count += 1
-    if count == 0:
-        return np.eye(d, dtype=complex)
-    return linops.kernel_projector(total / count)
+    others = [s for j, s in enumerate(states) if j != skip]
+    return linops.kernel_projector(sum(others) / len(others))
 
 
 def find_discrimination_projectors(sigmas) -> DiscriminationReport:
@@ -168,7 +184,7 @@ def find_discrimination_projectors(sigmas) -> DiscriminationReport:
         if s.shape != (d, d):
             raise ValueError("states must share one dimension")
 
-    projectors, overlaps, kernels, kernel_overlaps, kernel_ranks = [], [], [], [], []
+    projectors, overlaps, kernel_overlaps, kernel_ranks = [], [], [], []
     failing = None
     for i, sigma in enumerate(states):
         k = _kernel_intersection(states, i)
@@ -180,7 +196,6 @@ def find_discrimination_projectors(sigmas) -> DiscriminationReport:
         ov = float(np.trace(pi @ sigma).real)
         projectors.append(pi)
         overlaps.append(ov)
-        kernels.append(k)
         kernel_overlaps.append(float(np.trace(k @ sigma).real))
         kernel_ranks.append(int(round(np.trace(k).real)))
         if ov <= RANK_TOL and failing is None:
@@ -189,7 +204,6 @@ def find_discrimination_projectors(sigmas) -> DiscriminationReport:
         feasible=failing is None,
         projectors=projectors,
         overlaps=overlaps,
-        kernel_projectors=kernels,
         kernel_overlaps=kernel_overlaps,
         kernel_ranks=kernel_ranks,
         failing_index=failing,
@@ -204,14 +218,17 @@ def find_discrimination_projectors(sigmas) -> DiscriminationReport:
 class SeparableMultiSpec:
     """States, their annihilating projectors, and the decay state B.
 
-    convergence_margin is 1 minus the B-weight sum tr[B Pi_i]/tr[Pi_i sigma_i];
-    when the residual operator vanishes (degenerate case) B never acts and
-    the margin is reported as 0 with degenerate=True.
+    cross_overlaps[i, j] is tr[sigma_i Pi_j]; its diagonal holds the
+    detection overlaps tr[Pi_i sigma_i]. convergence_margin is 1 minus the
+    B-weight sum tr[B Pi_i]/tr[Pi_i sigma_i]; when the residual operator
+    vanishes (degenerate case) B never acts and the margin is reported as
+    0 with degenerate=True.
     """
 
     sigmas: tuple[np.ndarray, ...]
     projectors: tuple[np.ndarray, ...]
     b: np.ndarray
+    cross_overlaps: np.ndarray
     convergence_margin: float
     degenerate: bool
 
@@ -225,15 +242,15 @@ class SeparableMultiSpec:
         if len(projs) != len(states):
             raise ValueError("one projector per state required")
         b = np.eye(d, dtype=complex) / d if b is None else linops.check_density(b)
-        overlaps = [float(np.trace(p @ s).real) for p, s in zip(projs, states)]
+        cross = np.array([[np.trace(p @ s).real for p in projs] for s in states])
         resid = np.eye(d, dtype=complex)
         weight = 0.0
-        for p, ov in zip(projs, overlaps):
+        for p, ov in zip(projs, np.diag(cross).tolist()):
             if abs(ov) > RANK_TOL:
                 resid = resid - p.T / ov
                 weight += float(np.trace(b @ p).real) / ov
         degenerate = linops.max_abs(resid) <= 1e-9
-        return cls(sigmas=states, projectors=projs, b=b,
+        return cls(sigmas=states, projectors=projs, b=b, cross_overlaps=cross,
                    convergence_margin=1.0 - weight, degenerate=degenerate)
 
     @classmethod
@@ -264,50 +281,32 @@ class SeparableMultiSpec:
 def separable_condition_report(spec: SeparableMultiSpec) -> dict:
     """The three separability conditions with numeric residuals, plus the
     assembled channel's CP/TP data."""
-    k = len(spec.sigmas)
-    cross = [
-        [float(np.trace(spec.sigmas[i] @ spec.projectors[j]).real) for j in range(k)]
-        for i in range(k)
-    ]
-    overlaps = [cross[i][i] for i in range(k)]
-    max_cross = max(
-        (abs(cross[i][j]) for i in range(k) for j in range(k) if i != j),
-        default=0.0,
-    )
-    c = build_separable_multi(spec, validate=False)
-    rep = c.cptp
+    cross = spec.cross_overlaps
+    off_diagonal = ~np.eye(len(cross), dtype=bool)
     return {
-        "cross_overlaps": cross,
-        "max_cross_overlap": max_cross,
-        "overlaps": overlaps,
+        "cross_overlaps": cross.tolist(),
+        "max_cross_overlap": float(np.abs(cross[off_diagonal]).max(initial=0.0)),
+        "overlaps": np.diag(cross).tolist(),
         "b_weight": 1.0 - spec.convergence_margin,
         "convergence_margin": spec.convergence_margin,
         "degenerate_residual": spec.degenerate,
-        "choi_min_eig": rep.min_eig,
-        "tp_residual": rep.tp_residual,
-        "cp": rep.cp,
-        "tp": rep.tp,
-        "fixed_point_residuals": [
-            trace_distance(chan.apply(c, s), s) for s in spec.sigmas
-        ],
+        **_channel_checks(build_separable_multi(spec, validate=False), spec.sigmas),
     }
 
 
 def _validate_separable(spec: SeparableMultiSpec) -> None:
-    k = len(spec.sigmas)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            cross = abs(float(np.trace(spec.sigmas[i] @ spec.projectors[j]).real))
-            if cross > RANK_TOL:
-                raise ConstructionError(
-                    f"condition 1 (annihilation) failed: tr[sigma_{i} Pi_{j}] = {cross:.3e} != 0",
-                    reason="cross-overlap-nonzero",
-                    details={"i": i, "j": j, "value": cross},
-                )
-    for i in range(k):
-        ov = float(np.trace(spec.projectors[i] @ spec.sigmas[i]).real)
+    cross = spec.cross_overlaps
+    off_diagonal = ~np.eye(len(cross), dtype=bool)
+    failed = np.argwhere(off_diagonal & (np.abs(cross) > RANK_TOL))
+    if len(failed):
+        i, j = failed[0].tolist()
+        value = abs(float(cross[i, j]))
+        raise ConstructionError(
+            f"condition 1 (annihilation) failed: tr[sigma_{i} Pi_{j}] = {value:.3e} != 0",
+            reason="cross-overlap-nonzero",
+            details={"i": i, "j": j, "value": value},
+        )
+    for i, ov in enumerate(np.diag(cross).tolist()):
         if ov <= RANK_TOL:
             raise ConstructionError(
                 f"condition 2 (detection) failed: tr[Pi_{i} sigma_{i}] = {ov:.3e} not > 0",
@@ -324,9 +323,9 @@ def _validate_separable(spec: SeparableMultiSpec) -> None:
 
 
 def build_separable_multi(spec: SeparableMultiSpec, validate: bool = True) -> ChoiMatrix:
-    """Choi matrix sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i]
-    + B (x) (I - sum_i Pi_i^T / tr[Pi_i sigma_i]).
+    """The core sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i], completed by B.
 
+    States with a vanishing detection overlap are left out of the core.
     Each sigma_i is a fixed point exactly when the cross overlaps vanish;
     with validate=True the three separability conditions are enforced and
     the error names the one that failed.
@@ -334,16 +333,11 @@ def build_separable_multi(spec: SeparableMultiSpec, validate: bool = True) -> Ch
     if validate:
         _validate_separable(spec)
     d = spec.sigmas[0].shape[0]
-    c = np.zeros((d * d, d * d), dtype=complex)
-    resid = np.eye(d, dtype=complex)
-    for sigma, pi in zip(spec.sigmas, spec.projectors):
-        ov = float(np.trace(pi @ sigma).real)
-        if abs(ov) <= RANK_TOL:
-            continue
-        c += kron(sigma, pi.T) / ov
-        resid = resid - pi.T / ov
-    c += kron(spec.b, resid)
-    return ChoiMatrix(d, d, hermitize(c))
+    x = np.zeros((d * d, d * d), dtype=complex)
+    for sigma, pi, ov in zip(spec.sigmas, spec.projectors, np.diag(spec.cross_overlaps)):
+        if abs(ov) > RANK_TOL:
+            x += kron(sigma, pi.T) / ov
+    return _complete(x, spec.b)
 
 
 # ----------------------------------------------------------------------
@@ -453,8 +447,7 @@ def fixed_point_face(sigmas) -> np.ndarray | None:
 
 
 def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
-    """Find the minimum-trace PSD operator X fixing every given state,
-    then complete it to the trace-preserving channel X + B (x) (I - tr_H1[X]).
+    """The minimum-trace PSD core X fixing every given state, completed by B.
 
     X is restricted to the face of the PSD cone forced by the supports of
     PSD elements of span{sigma_i} (``fixed_point_face``). When one of them
@@ -485,11 +478,9 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
         )
 
     x = hermitize(sol.x)
-    resid_op = np.eye(d, dtype=complex) - linops.partial_trace(x, (d, d), over=1)
-    c_mat = hermitize(x + kron(b, resid_op))
+    c = _complete(x, b)
     contraction = float(np.trace(x @ kron(np.eye(d), b.T)).real)
-    degenerate = linops.max_abs(resid_op) <= 1e-9
-    c = ChoiMatrix(d, d, c_mat)
+    degenerate = linops.max_abs(np.eye(d) - linops.partial_trace(x, (d, d), over=1)) <= 1e-9
     return SdpChannelResult(
         x=ChoiMatrix(d, d, x),
         c=c,

@@ -211,11 +211,14 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     missing = {"rows", "cols", "re", "im"} - set(obj)
     if missing:
         raise ValueError(f"matrix JSON missing keys: {sorted(missing)}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"matrix JSON field has the wrong type: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(
             f"entry count mismatch: {rows}x{cols} needs {rows*cols} values, "
@@ -226,7 +229,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def vector_from_json(obj: Sequence[float], what: str = "vector") -> np.ndarray:
-    v = np.asarray(obj, dtype=float)
+    try:
+        v = np.asarray(obj, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} has the wrong type: {exc}") from exc
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{what} must be a non-empty flat list of reals")
     if not np.all(np.isfinite(v)):

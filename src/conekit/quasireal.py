@@ -273,13 +273,19 @@ def quasireal_from_json(obj: dict) -> QuasiRealization:
     missing = {"dim", "alphabet", "D", "pi", "tau"} - set(obj)
     if missing:
         raise ValueError(f"quasi-realization JSON missing keys: {sorted(missing)}")
+    if not isinstance(obj["alphabet"], list):
+        raise ValueError("'alphabet' must be a list of symbols")
     alphabet = [str(u) for u in obj["alphabet"]]
     d_obj = obj["D"]
     if not isinstance(d_obj, dict):
         raise ValueError("'D' must map each symbol to a matrix")
-    d_maps = {u: np.asarray(d_obj[u], dtype=float) for u in alphabet if u in d_obj}
+    try:
+        dim = int(obj["dim"])
+        d_maps = {u: np.asarray(d_obj[u], dtype=float) for u in alphabet if u in d_obj}
+    except TypeError as exc:
+        raise ValueError(f"quasi-realization JSON field has the wrong type: {exc}") from exc
     return QuasiRealization(
-        dim=int(obj["dim"]),
+        dim=dim,
         alphabet=tuple(alphabet),
         d_maps=d_maps,
         pi=linops.vector_from_json(obj["pi"], "pi"),
@@ -294,4 +300,8 @@ def cone_to_json(cone: PolyhedralCone) -> dict:
 def cone_from_json(obj: dict) -> PolyhedralCone:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError("cone JSON must contain 'generators'")
-    return PolyhedralCone(generators=np.asarray(obj["generators"], dtype=float))
+    try:
+        generators = np.asarray(obj["generators"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"cone generators have the wrong type: {exc}") from exc
+    return PolyhedralCone(generators=generators)

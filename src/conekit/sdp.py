@@ -120,8 +120,6 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     """Build the minimum-trace SDP whose PSD variable leaves every given
     state invariant: tr[(E (x) sigma^T) X] = tr[E sigma] over a Hermitian
     basis E of the output space, objective F0 = I.
-
-    Exactly-equal constraint rows (operator and value) are deduplicated.
     """
     states = [linops.check_density(s) for s in sigmas]
     if not states:
@@ -130,22 +128,13 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     for s in states:
         if s.shape != (d, d):
             raise ValueError("states must share one dimension")
-    ops: list[np.ndarray] = []
-    vals: list[float] = []
-    for sigma in states:
-        for e in hermitian_basis(d):
-            a = kron(e, sigma.T)
-            b = float(np.trace(e @ sigma).real)
-            duplicate = any(
-                np.array_equal(a, a_prev) and b == b_prev
-                for a_prev, b_prev in zip(ops, vals)
-            )
-            if not duplicate:
-                ops.append(a)
-                vals.append(b)
+    basis = hermitian_basis(d)
     n = d * d
-    return SdpProblem(n=n, objective=np.eye(n, dtype=complex),
-                      constraint_ops=tuple(ops), constraint_vals=tuple(vals))
+    return SdpProblem(
+        n=n, objective=np.eye(n, dtype=complex),
+        constraint_ops=tuple(kron(e, s.T) for s in states for e in basis),
+        constraint_vals=tuple(float(np.trace(e @ s).real) for s in states for e in basis),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -480,18 +469,18 @@ def problem_from_json(obj: dict) -> SdpProblem:
     cons = obj["constraints"]
     if not isinstance(cons, list) or not cons:
         raise ValueError("constraints must be a non-empty list")
-    ops = []
-    vals = []
-    for c in cons:
-        if not isinstance(c, dict) or not {"a", "b"} <= set(c):
-            raise ValueError("each constraint must be an object with keys 'a' and 'b'")
-        ops.append(linops.matrix_from_json(c["a"]))
-        vals.append(float(c["b"]))
+    if not all(isinstance(c, dict) and {"a", "b"} <= set(c) for c in cons):
+        raise ValueError("each constraint must be an object with keys 'a' and 'b'")
+    try:
+        n = int(obj["n"])
+        vals = tuple(float(c["b"]) for c in cons)
+    except TypeError as exc:
+        raise ValueError(f"problem JSON field has the wrong type: {exc}") from exc
     return SdpProblem(
-        n=int(obj["n"]),
+        n=n,
         objective=linops.matrix_from_json(obj["objective"]),
-        constraint_ops=tuple(ops),
-        constraint_vals=tuple(vals),
+        constraint_ops=tuple(linops.matrix_from_json(c["a"]) for c in cons),
+        constraint_vals=vals,
     )
 
 

@@ -26,6 +26,11 @@ def qutrit_choi_obj():
     return chan.choi_to_json(engineer.build_separable_multi(spec))
 
 
+def one_by_one_problem():
+    eye = linops.matrix_to_json(np.eye(1))
+    return {"n": 1, "objective": eye, "constraints": [{"a": eye, "b": 1.0}]}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -66,6 +71,22 @@ class TestChannelCommands:
         states = json.loads(out)["states"]
         assert len(states) == 4
 
+    def test_iterate_csv(self, workdir, capsys):
+        _, write = workdir
+        cpath = write("c.json", qutrit_choi_obj())
+        spath = write("rho.json", linops.matrix_to_json(np.eye(3) / 3))
+        code, out, _ = run_cli(capsys, "channel", "iterate", "--choi", cpath,
+                               "--state", spath, "-n", "3", "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("step,re0,im0")
+        assert len(lines) == 4
+        step, *values = lines[1].split(",")
+        assert step == "1"
+        # the dephasing channel keeps I/3: re, im interleaved, diagonal 1/3
+        rho = np.array(values[0::2], dtype=float) + 1j * np.array(values[1::2], dtype=float)
+        assert np.abs(rho.reshape(3, 3) - np.eye(3) / 3).max() < 1e-12
+
     @pytest.mark.parametrize("argv", [
         lambda tmp, write: ["channel", "check", "--choi", write("bad.json", "{not json")],
         lambda tmp, write: ["conesim", "run", "--seed", "3", "--config", write("cfg.json", "[]"),
@@ -75,8 +96,37 @@ class TestChannelCommands:
         lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps({
             "n": 1, "objective": linops.matrix_to_json(np.eye(1)), "constraints": [{"b": 1.0}],
         }))],
+        lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps(
+            dict(one_by_one_problem(), n=[1])))],
+        lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps(
+            dict(one_by_one_problem(), constraints=[{"a": linops.matrix_to_json(np.eye(1)),
+                                                     "b": None}])))],
+        lambda tmp, write: ["channel", "check", "--choi", write("c.json", json.dumps(
+            dict(qutrit_choi_obj(), rows=[2])))],
+        lambda tmp, write: ["quasireal", "check", "--realization", write("q.json", json.dumps({
+            "dim": 1, "alphabet": 5, "D": {}, "pi": [1.0], "tau": [1.0],
+        }))],
+        lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"), "--config",
+                            write("cfg.json", json.dumps({
+                                "channel": qutrit_choi_obj(), "kick": {"policy": "haar"},
+                                "n_iter": [5], "n_rounds": 1,
+                            }))],
+        lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"), "--config",
+                            write("cfg.json", json.dumps({
+                                "channel": qutrit_choi_obj(),
+                                "kick": {"policy": "depolarizing", "strength": None},
+                                "n_iter": 5, "n_rounds": 1,
+                            }))],
+        lambda tmp, write: ["quasireal", "check", "--realization", write("q.json", json.dumps({
+            "dim": 1, "alphabet": ["0"], "D": {"0": [[1.0]]}, "pi": {"0": 1.0}, "tau": [1.0],
+        }))],
+        lambda tmp, write: ["quasireal", "cone-check", "--cone", write("c.json", json.dumps({
+            "generators": {"0": 1.0}})), "--realization", write("q.json", json.dumps({
+                "dim": 1, "alphabet": ["0"], "D": {"0": [[1.0]]}, "pi": [1.0], "tau": [1.0],
+            }))],
     ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
-            "constraint-without-a"])
+            "constraint-without-a", "n-list", "b-null", "rows-list", "alphabet-int",
+            "n-iter-list", "strength-null", "pi-object", "generators-object"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
         def write(name, text):
             (tmp_path / name).write_text(text)
@@ -106,6 +156,21 @@ class TestEngineerCommands:
         code, _, err = run_cli(capsys, "engineer", "single", "--sigma", spath, "--b", bpath)
         assert code == 3
         assert json.loads(err)["reason"] == "overlap-exceeds-lambda-max"
+
+    def test_separable_with_report(self, workdir, capsys):
+        _, write = workdir
+        s0 = write("s0.json", linops.matrix_to_json(basis_proj(0, 3)))
+        s1 = write("s1.json", linops.matrix_to_json(basis_proj(1, 3)))
+        code, out, _ = run_cli(capsys, "engineer", "separable", "--sigma", s0, "--sigma", s1,
+                               "--report")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["report"]["cp"] and rep["report"]["tp"]
+        assert chan.is_cptp(chan.choi_from_json(rep["channel"])).cp
+        cross = np.array(rep["report"]["cross_overlaps"])
+        assert cross.shape == (2, 2)
+        assert abs(cross[0, 1]) <= 1e-12 and abs(cross[1, 0]) <= 1e-12
+        assert max(rep["report"]["fixed_point_residuals"]) < 1e-12
 
     def test_separable_infeasible_exits_3(self, workdir, capsys):
         _, write = workdir
@@ -291,6 +356,23 @@ class TestConesimCommands:
         code, out, _ = run_cli(capsys, "conesim", "estimate", traj_path, "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "from,to0,to1,to2"
+
+    def test_run_from_given_state(self, workdir, capsys):
+        tmp, write = workdir
+        obj = dict(self.config_obj(rounds=5), classify="nearest")
+        cfg = write("sim.json", obj)
+        spath = write("rho.json", linops.matrix_to_json(basis_proj(1, 3)))
+        traj_path = str(tmp / "traj.jsonl")
+        code, out, _ = run_cli(capsys, "conesim", "run", "--config", cfg, "--state", spath,
+                               "--out", traj_path)
+        assert code == 0
+        assert json.loads(out)["rounds"] == 5
+        with open(traj_path) as fh:
+            first = json.loads(fh.readline())
+        # the dephasing channel fixes |1><1|, so round 0 settles where it started
+        settled = linops.matrix_from_json(first["settled_state"])
+        assert np.abs(settled - basis_proj(1, 3)).max() < 1e-12
+        assert first["symbol"] == 1
 
     def test_run_kick_dimension_mismatch_is_validation_error(self, workdir, capsys):
         tmp, write = workdir

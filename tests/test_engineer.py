@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conekit import channel as chan
 from conekit import cli, engineer, linops
@@ -16,6 +18,38 @@ from conekit.engineer import (
 from conekit.linops import kron, trace_distance
 
 from conftest import basis_proj, random_density, sample_valid_single_pair
+
+
+def random_psd(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return g @ g.conj().T
+
+
+class TestComplete:
+    """X + B (x) (I - tr_H1[X]), the completion every construction ends with."""
+
+    dims = st.integers(1, 4)
+    seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+    @given(d=dims, seed=seeds)
+    def test_trace_preserving_for_any_core(self, d, seed):
+        rng = np.random.default_rng(seed)
+        x = random_psd(rng, d * d, d * d) / d
+        c = engineer._complete(x, random_density(rng, d))
+        reduced = linops.partial_trace(c.matrix, (d, d), over=1)
+        assert np.abs(reduced - np.eye(d)).max() <= 1e-12
+
+    @given(d=dims, rank=st.integers(1, 4), seed=seeds)
+    def test_fixes_sigma_of_a_projector_core(self, d, rank, seed):
+        rng = np.random.default_rng(seed)
+        sigma = random_density(rng, d)
+        pi = random_psd(rng, d, min(rank, d))
+        pi /= np.linalg.eigvalsh(pi).max()
+        overlap = float(np.trace(pi @ sigma).real)
+        assume(overlap > 1e-3)
+        c = engineer._complete(kron(sigma, pi.T) / overlap, random_density(rng, d))
+        assert np.abs(linops.partial_trace(c.matrix, (d, d), over=1) - np.eye(d)).max() <= 1e-12
+        assert trace_distance(chan.apply(c, sigma), sigma) <= 1e-12
 
 
 class TestSingleFixedPoint:

@@ -58,11 +58,6 @@ class TestAssemble:
         for a, b in zip(p.constraint_ops, p.constraint_vals):
             assert abs(np.trace(a @ x).real - b) < 1e-12
 
-    def test_duplicate_states_deduplicated(self):
-        sigma = basis_proj(0, 2)
-        p = sdp.assemble_fixed_point_constraints([sigma, sigma])
-        assert len(p.constraint_ops) == 4
-
     def test_constraints_encode_partial_trace_condition(self, rng):
         # tr[(E (x) sigma^T) X] == tr[E tr_H2[X (I (x) sigma^T)]] for any X
         sigma = random_density(rng, 2)
