@@ -96,10 +96,20 @@ class FixedPointSet:
     trace distance between Phi(states[i]) and states[i]; peripheral_spectrum
     lists the superoperator eigenvalues of modulus within tolerance of 1
     (zero-trace fixed directions show up here but yield no state).
+
+    projector is P1 = R (L^dag R)^-1 L^dag, shape (d^2, d^2), with R and L
+    the right and left null vectors of S - I: the spectral projector onto
+    the fixed space (exact, as the eigenvalue 1 of a CPTP map is
+    semisimple). When 1 is the only peripheral eigenvalue, P1 @ vec(rho) is
+    vec of the limit of Phi^n(rho). decay_modulus is the largest eigenvalue
+    modulus off the unit circle (0.0 when there is none): Phi^n(rho)
+    approaches that limit as decay_modulus^n.
     """
 
     states: list[np.ndarray]
     eigenvalue_residuals: list[float]
+    projector: np.ndarray
+    decay_modulus: float
     peripheral_spectrum: list[complex] = field(default_factory=list)
 
 
@@ -203,21 +213,6 @@ def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[
 # Fixed-point extraction
 # ----------------------------------------------------------------------
 
-def _reference_fixed_state(right: np.ndarray, left: np.ndarray, d: int) -> np.ndarray:
-    """A maximal-support fixed state: the spectral projection of I/d onto
-    the fixed space (the limit of the Cesaro means of Phi^k(I/d)).
-
-    The eigenvalue 1 of a CPTP map is semisimple, so with R and L the right
-    and left null vectors of S - I the projector is exactly
-    R (L^dag R)^-1 L^dag, with no iterative fallback. It keeps the trace,
-    as vec(I) is a left null vector; dividing by it removes rounding only.
-    """
-    l_dag = linops.dagger(left)
-    vec = right @ np.linalg.solve(l_dag @ right, l_dag @ np.eye(d, dtype=complex).reshape(-1) / d)
-    rho = hermitize(vec.reshape(d, d))
-    return rho / np.trace(rho).real
-
-
 def _candidate_key(rho: np.ndarray) -> tuple:
     flat = np.concatenate(
         [np.diag(rho).real, rho.real.reshape(-1), rho.imag.reshape(-1)]
@@ -229,8 +224,9 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     """Extract fixed states of a CPTP channel.
 
     The fixed space is the null space of S - I, from its SVD. On the support
-    of a maximal-support fixed state rho, the exact spectral projection of
-    I/d onto the fixed space, every fixed point is rho^1/2 A rho^1/2 with A
+    of a maximal-support fixed state rho = P1 I/d, the limit of the Cesaro
+    means of Phi^k(I/d) with P1 the spectral projector onto the fixed space
+    (returned as ``projector``), every fixed point is rho^1/2 A rho^1/2 with A
     in a *-algebra (Wolf, Quantum Channels & Operations, 2012, ch. 6). The
     eigenspaces of rho^-1/2 G rho^-1/2, for one generic Hermitian fixed
     element G, therefore split that support into sectors, and rho
@@ -247,15 +243,24 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     d = c.d_in
     s = c.superop
     evals = np.linalg.eigvals(s)
-    peripheral = [complex(z) for z in evals[np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)]]
+    on_circle = np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)
+    peripheral = [complex(z) for z in evals[on_circle]]
     peripheral.sort(key=lambda z: (-abs(z), np.angle(z)))
+    decay_modulus = float(np.abs(evals[~on_circle]).max(initial=0.0))
 
     u, sv, vh = np.linalg.svd(s - np.eye(d * d))
     null_mask = sv <= max(fp_tol, 1e-11)
     if not np.any(null_mask):
         null_mask = sv <= sv.min() * (1 + 1e-9)
     null_vecs = vh[null_mask].conj().T
-    rho_ref = _reference_fixed_state(null_vecs, u[:, null_mask], d)
+    l_dag = linops.dagger(u[:, null_mask])
+    gram = l_dag @ null_vecs
+    projector = null_vecs @ np.linalg.solve(gram, l_dag)
+    # rho_ref = P1 I/d, evaluated right to left; P1 keeps the trace, as vec(I)
+    # is a left null vector, so dividing by it removes rounding only
+    vec_ref = null_vecs @ np.linalg.solve(gram, l_dag @ np.eye(d, dtype=complex).reshape(-1) / d)
+    rho_ref = hermitize(vec_ref.reshape(d, d))
+    rho_ref = rho_ref / np.trace(rho_ref).real
 
     # rho_ref^-1/2 on its support; the conjugation amplifies rounding by
     # 1/w, so eigenvalues below fp_tol relative to the largest are cut
@@ -294,6 +299,8 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     return FixedPointSet(
         states=[st for st, _ in found],
         eigenvalue_residuals=[r for _, r in found],
+        projector=projector,
+        decay_modulus=decay_modulus,
         peripheral_spectrum=peripheral,
     )
 

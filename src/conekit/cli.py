@@ -57,10 +57,17 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _open_out(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(obj, out_path: str | None = None):
     text = json.dumps(obj, indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -82,7 +89,7 @@ def _interleaved_row(m: np.ndarray) -> list[float]:
 
 
 def _write_csv(rows: list[list], header: list[str], out_path: str | None):
-    fh = open(out_path, "w", newline="") if out_path else sys.stdout
+    fh = _open_out(out_path, newline="") if out_path else sys.stdout
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -272,7 +279,7 @@ def cmd_conesim_run(args) -> int:
         d = cfg.channel.d_in
         rho0 = np.eye(d, dtype=complex) / d
     traj = conesim.run(cfg, rho0)
-    with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
         for i, r in enumerate(traj.rounds):
             fh.write(json.dumps(conesim.round_to_json(r, i)) + "\n")
     classified = sum(1 for r in traj.rounds if r.symbol is not None)

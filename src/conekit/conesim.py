@@ -1,12 +1,17 @@
 """Iterated-channel simulation of a classical process.
 
-One round = settle, classify, kick: apply the multi-fixed-point channel
-until the state stops moving, record which canonical fixed point it
-settled into (the emitted symbol), then kick the state away with a
-random channel and repeat. The emitted symbol sequence is a classical
-stochastic process; ``estimate_process`` tabulates its empirical
-transition matrix and ``to_quasi_realization`` packages that as a
-positive realization for the quasi-realization toolkit.
+One round = settle, classify, kick: settle the state rho to P1 rho, the
+limit of Phi^n(rho) under the multi-fixed-point channel Phi, in one
+product with the spectral projector P1 onto the fixed space; record which
+canonical fixed point it settled into (the emitted symbol), then kick the
+state away with a random channel and repeat. n_iter is the settle budget:
+a run whose predicted settle count (from the channel's decay modulus)
+exceeds it, or whose iterates never settle, is rejected before round 1,
+and each round records that predicted count as ``settle_steps``. The
+emitted symbol sequence is a classical stochastic process;
+``estimate_process`` tabulates its empirical transition matrix and
+``to_quasi_realization`` packages that as a positive realization for the
+quasi-realization toolkit.
 
 Two classification modes. "nearest" deterministically picks the closest
 canonical fixed point by trace distance, with None beyond classify_tol.
@@ -28,6 +33,7 @@ the configured seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -146,8 +152,32 @@ def _fixed_point_weights(settled: np.ndarray, fps: list[np.ndarray]) -> tuple[np
     return coeffs, float(residual)
 
 
+def _settle_steps(fps: chan.FixedPointSet, n_iter: int) -> int:
+    """Predicted settle count: the smallest n >= 1 with decay_modulus^n <=
+    SETTLE_TOL, infinite when a peripheral eigenvalue other than 1 keeps the
+    iterates from settling. Raises ValueError when it exceeds n_iter."""
+    stuck = [z for z in fps.peripheral_spectrum if abs(z - 1.0) > chan.FP_TOL]
+    m = fps.decay_modulus
+    if stuck:
+        steps, cause = math.inf, f"peripheral eigenvalue {stuck[0]:.6g}"
+    else:
+        steps = 1 if m <= SETTLE_TOL else math.ceil(math.log(SETTLE_TOL) / math.log(m))
+        cause = f"decay modulus {m:.6g}"
+    if steps > n_iter:
+        raise ValueError(
+            f"settling to {SETTLE_TOL:g} takes a predicted {steps} steps at the {cause}, "
+            f"more than n_iter = {n_iter}"
+        )
+    return steps
+
+
 def run(config: SimulationConfig, rho0) -> Trajectory:
     """Settle / classify / kick for n_rounds, deterministically under the seed.
+
+    Each round settles the state rho to P1 rho (``FixedPointSet.projector``),
+    the limit of Phi^n(rho). n_iter is the settle budget, checked once by
+    ``_settle_steps``; each Round records its predicted count as
+    settle_steps.
 
     In "nearest" mode classification picks the nearest canonical fixed
     point by trace distance (ties to the lowest index), records None when
@@ -161,12 +191,13 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     state = linops.check_density(rho0, tol=1e-7)
     if state.shape != (config.channel.d_in,) * 2:
         raise ValueError("initial state dimension does not match the channel")
+    fp_set = chan.fixed_points(config.channel)
+    steps = _settle_steps(fp_set, config.n_iter)
+    fps, p1 = fp_set.states, fp_set.projector
     rng = np.random.default_rng(config.seed)
-    fps = chan.fixed_points(config.channel).states
     rounds: list[Round] = []
     for _ in range(config.n_rounds):
-        trail = chan.iterate(config.channel, state, config.n_iter, stop_tol=SETTLE_TOL)
-        settled = trail[-1]
+        settled = hermitize((p1 @ state.reshape(-1)).reshape(state.shape))
         if config.classify_mode == "sample":
             weights, resid = _fixed_point_weights(settled, fps)
             total = weights.sum()
@@ -181,7 +212,7 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
         kick_input = fps[symbol] if (config.classify_mode == "sample" and symbol is not None) else settled
         post = hermitize(config.kick.apply(kick_input, rng))
         rounds.append(Round(settled_state=settled, symbol=symbol,
-                            settle_steps=len(trail), post_kick_state=post))
+                            settle_steps=steps, post_kick_state=post))
         state = post
     return Trajectory(rounds=rounds, fixed_points=fps)
 

@@ -265,11 +265,9 @@ class TestFixedPoints:
         t = np.eye(4)
         t[2, 2], t[0, 2] = 1 - eps, eps
         t[3, 3], t[2, 3] = 1 - eps, eps
-        s = classical_choi(t).superop
-        u, sv, vh = np.linalg.svd(s - np.eye(16))
-        null = sv <= chan.FP_TOL
-        assert null.sum() == 2
-        rho = chan._reference_fixed_state(vh[null].conj().T, u[:, null], 4)
+        p1 = chan.fixed_points(classical_choi(t)).projector
+        assert np.linalg.matrix_rank(p1) == 2
+        rho = (p1 @ np.eye(4).reshape(-1) / 4).reshape(4, 4)
         assert np.abs(rho - np.diag([0.75, 0.25, 0.0, 0.0])).max() <= 1e-12
 
     def test_unitary_with_phase(self):
@@ -303,6 +301,20 @@ class TestFixedPointsProperties:
         assert len(fps.states) == len(sigmas)
         for sigma in sigmas:
             assert min(trace_distance(s, sigma) for s in fps.states) <= 1e-8
+
+    @given(sectors=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+                            min_size=2, max_size=3),
+           extra=st.integers(1, 3),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_projector_gives_the_limit(self, sectors, extra, seed):
+        # with `extra` decaying dimensions P1 rho is the limit of the iterates
+        rng = np.random.default_rng(seed)
+        _, c = mixed_sector_channel(rng, sectors, extra)
+        rho = random_density(rng, c.d_in)
+        settled = (chan.fixed_points(c).projector @ rho.reshape(-1)).reshape(rho.shape)
+        assert trace_distance(chan.apply(c, settled), settled) <= 1e-12
+        limit = chan.iterate(c, rho, 2000, stop_tol=1e-13)[-1]
+        assert np.abs(settled - limit).max() <= 1e-9
 
 
 class TestIterate:

@@ -124,9 +124,28 @@ class TestChannelCommands:
             "generators": {"0": 1.0}})), "--realization", write("q.json", json.dumps({
                 "dim": 1, "alphabet": ["0"], "D": {"0": [[1.0]]}, "pi": [1.0], "tau": [1.0],
             }))],
+        lambda tmp, write: ["channel", "check", "--choi", write("c.json", json.dumps(
+            qutrit_choi_obj())), "--out", str(tmp / "no-such-dir" / "x.json")],
+        lambda tmp, write: ["channel", "fixed-points", "--format", "csv", "--choi",
+                            write("c.json", json.dumps(qutrit_choi_obj())),
+                            "--out", str(tmp / "no-such-dir" / "x.csv")],
+        lambda tmp, write: ["conesim", "run", "--out", str(tmp / "no-such-dir" / "t.jsonl"),
+                            "--config", write("cfg.json", json.dumps({
+                                "channel": qutrit_choi_obj(), "kick": {"policy": "haar"},
+                                "n_iter": 5, "n_rounds": 1,
+                            }))],
+        # X conjugation has the peripheral eigenvalue -1: its iterates never settle
+        lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"), "--config",
+                            write("cfg.json", json.dumps({
+                                "channel": chan.choi_to_json(chan.unitary_channel(
+                                    np.array([[0.0, 1.0], [1.0, 0.0]]))),
+                                "kick": {"policy": "haar"}, "n_iter": 2000, "n_rounds": 1,
+                            }))],
     ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
             "constraint-without-a", "n-list", "b-null", "rows-list", "alphabet-int",
-            "n-iter-list", "strength-null", "pi-object", "generators-object"])
+            "n-iter-list", "strength-null", "pi-object", "generators-object",
+            "check-out-unwritable", "fixed-points-csv-out-unwritable",
+            "run-out-unwritable", "channel-never-settles"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
         def write(name, text):
             (tmp_path / name).write_text(text)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from conekit import channel as chan
 from conekit import conesim, engineer, quasireal
@@ -144,6 +145,32 @@ class TestRun:
             assert min(trace_distance(fp, sigma) for fp in traj.fixed_points) < 1e-9
         assert set(traj.symbols()) == {0, 1}
 
+    def test_identity_channel_settles_in_one_step(self, rng):
+        cfg = SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
+                               n_iter=1, n_rounds=3, seed=0)
+        assert all(r.settle_steps == 1 for r in run(cfg, random_density(rng, 2)).rounds)
+
+    def test_rejects_peripheral_eigenvalue_other_than_one(self):
+        # X conjugation swaps |0><0| and |1><1|: eigenvalue -1, iterates never settle
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cfg = SimulationConfig(channel=chan.unitary_channel(x), kick=HaarUnitaryKick(),
+                               n_iter=2000, n_rounds=3, seed=0)
+        with pytest.raises(ValueError, match="peripheral eigenvalue -1"):
+            run(cfg, np.diag([1.0, 0.0]))
+
+    def test_settle_budget(self):
+        # 0.5 id + 0.5 dephasing decays coherences as 0.5^n: 0.5^34 <= 1e-10 < 0.5^33
+        c = chan.choi_from_map(lambda r: 0.5 * r + 0.5 * np.diag(np.diag(r)), 2, 2)
+        rho0 = np.full((2, 2), 0.5)
+        cfg = SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=10, n_rounds=3, seed=0)
+        with pytest.raises(ValueError, match="predicted 34 steps at the decay modulus 0.5, "
+                                             "more than n_iter = 10"):
+            run(cfg, rho0)
+        traj = run(SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=34, n_rounds=3,
+                                    seed=0), rho0)
+        assert all(r.settle_steps == 34 for r in traj.rounds)
+        assert np.abs(traj.rounds[0].settled_state - np.eye(2) / 2).max() < 1e-12
+
     def test_dimension_mismatch(self, rng):
         cfg = SimulationConfig(channel=qutrit_channel(), kick=HaarUnitaryKick(),
                                n_iter=5, n_rounds=2, classify_tol=0.5, seed=0)
@@ -226,6 +253,29 @@ class TestToQuasiRealization:
         for (a, b), p_model in dist.items():
             p_emp = sum(1 for x, y in pairs if str(x) == a and str(y) == b) / len(pairs)
             assert abs(p_model - p_emp) < 0.02
+
+
+class TestExactProcess:
+    """Sample mode on the qutrit dephasing channel with a depolarizing kick
+    of strength s emits an exact Markov chain: the kick takes the collapsed
+    vertex |i><i| to (1 - s)|i><i| + s I/3, whose weights over the three
+    fixed points give T = (1 - s) I + (s/3) J."""
+
+    @pytest.mark.parametrize("seed", [9, 1, 2])
+    def test_bigram_rows_match_transition_matrix(self, seed):
+        s = 0.5
+        cfg = SimulationConfig(channel=qutrit_channel(), kick=DepolarizingKick(s),
+                               n_iter=20, n_rounds=3000, classify_tol=0.67,
+                               classify_mode="sample", seed=seed)
+        symbols = run(cfg, np.eye(3) / 3).symbols()
+        counts = np.zeros((3, 3))
+        np.add.at(counts, (symbols[:-1], symbols[1:]), 1)
+        t = (1 - s) * np.eye(3) + s / 3
+        expected = counts.sum(axis=1, keepdims=True) * t
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        # Pearson chi-square over the rows, k(k - 1) = 6 degrees of freedom;
+        # the threshold is exceeded by a correct simulation with probability 1e-6
+        assert stat <= chi2.isf(1e-6, 6)
 
 
 class TestConfigJson:
