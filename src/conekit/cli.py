@@ -6,11 +6,21 @@ prob|check|cone-check``, ``conesim run|estimate`` and ``demo bell``.
 Inputs and outputs are the JSON formats defined in the owning modules;
 ``--format csv`` flattens matrix output with interleaved re,im columns.
 
-Exit code 0 is success. Every failure prints ``{"error", "reason"}``
-(plus ``details`` for construction errors) as one JSON line on stderr:
+Output is compact JSON on one line (``json.dumps`` without ``indent``,
+which takes the C encoder; floats print by ``repr`` either way). The
+argument parser is built once per process, on the first ``main`` call,
+and reused by every later call; the command handlers are bound to it at
+that first build. Tolerance options must be finite and > 0, and
+``--max-iter`` at least 1.
+
+Exit code 0 is success, and ``--help`` exits 0. Every failure prints
+``{"error", "reason"}`` (plus ``details`` for construction errors) as one
+JSON line on stderr; a usage error (a missing or unknown argument, a bad
+option value) is a ``validation`` error like any other malformed input:
 
     reason                            exit  raised for
-    validation                        2     malformed or out-of-range input
+    validation                        2     malformed or out-of-range input,
+                                            usage errors
     numerical-limit                   4     solver limit, or a LinAlgError
                                             inside a computation
     sdp-infeasible                    3     ``sdp solve`` proved infeasibility
@@ -29,7 +39,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,7 +77,7 @@ def _open_out(path: str, newline: str | None = None):
 
 
 def _emit(obj, out_path: str | None = None):
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj)
     if out_path:
         with _open_out(out_path) as fh:
             fh.write(text + "\n")
@@ -435,8 +447,33 @@ def cmd_demo_bell(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ValueError, so they reach ``main``'s
+    ``validation`` branch instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _tolerance(text: str) -> float:
+    """Option type for tolerances: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """Option type for iteration counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conekit",
         description="Engineer quantum channels with prescribed fixed points and "
                     "simulate the classical processes they generate.",
@@ -448,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     gs = g.add_subparsers(dest="cmd", required=True)
     p = gs.add_parser("check", help="CP/TP report")
     p.add_argument("--choi", required=True)
-    p.add_argument("--psd-tol", type=float, default=linops.PSD_TOL)
-    p.add_argument("--tp-tol", type=float, default=chan.TP_TOL)
+    p.add_argument("--psd-tol", type=_tolerance, default=linops.PSD_TOL)
+    p.add_argument("--tp-tol", type=_tolerance, default=chan.TP_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_channel_check)
     p = gs.add_parser("fixed-points", help="extract fixed states")
     p.add_argument("--choi", required=True)
-    p.add_argument("--tol", type=float, default=chan.FP_TOL)
+    p.add_argument("--tol", type=_tolerance, default=chan.FP_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_channel_fixed_points)
@@ -462,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--choi", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--stop-tol", type=float, default=None)
+    p.add_argument("--stop-tol", type=_tolerance, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_channel_iterate)
@@ -485,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = gs.add_parser("sdp", help="minimum-trace SDP construction")
     p.add_argument("--sigma", action="append", required=True)
     p.add_argument("--b")
-    p.add_argument("--feas-tol", type=float, default=sdpmod.FEAS_TOL)
+    p.add_argument("--feas-tol", type=_tolerance, default=sdpmod.FEAS_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_engineer_sdp)
 
@@ -494,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     gs = g.add_subparsers(dest="cmd", required=True)
     p = gs.add_parser("solve", help="solve a problem JSON")
     p.add_argument("--problem", required=True)
-    p.add_argument("--max-iter", type=int, default=sdpmod.MAX_ITER)
-    p.add_argument("--feas-tol", type=float, default=sdpmod.FEAS_TOL)
+    p.add_argument("--max-iter", type=_count, default=sdpmod.MAX_ITER)
+    p.add_argument("--feas-tol", type=_tolerance, default=sdpmod.FEAS_TOL)
     p.add_argument("--dump", action="store_true", help="echo the problem next to the solution")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sdp_solve)
@@ -511,13 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quasireal_prob)
     p = gs.add_parser("check", help="positive-realization report")
     p.add_argument("--realization", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_quasireal_check)
     p = gs.add_parser("cone-check", help="verify the three cone conditions")
     p.add_argument("--realization", required=True)
     p.add_argument("--cone", required=True)
-    p.add_argument("--tol", type=float, default=quasireal.CONE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=quasireal.CONE_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_quasireal_cone_check)
 
@@ -550,9 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except engineer.ConstructionError as exc:
         _emit_error(str(exc), reason=exc.reason, details=exc.details)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -364,3 +366,11 @@ class TestChoiJson:
     def test_missing_dims(self):
         with pytest.raises(ValueError):
             chan.choi_from_json({"rows": 4, "cols": 4, "re": [0.0] * 16, "im": [0.0] * 16})
+
+    @given(d_in=st.integers(1, 4), d_out=st.integers(1, 4),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_roundtrip_through_text_is_exact(self, d_in, d_out, seed):
+        c = random_cptp_rect(np.random.default_rng(seed), d_in, d_out)
+        back = chan.choi_from_json(json.loads(json.dumps(chan.choi_to_json(c))))
+        assert (back.d_in, back.d_out) == (d_in, d_out)
+        assert np.array_equal(back.matrix, c.matrix)

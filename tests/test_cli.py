@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conekit import channel as chan
-from conekit import engineer, linops, sdp as sdpmod
+from conekit import cli, engineer, linops, sdp as sdpmod
 from conekit.cli import main
 
 from conftest import basis_proj
@@ -141,11 +141,29 @@ class TestChannelCommands:
                                     np.array([[0.0, 1.0], [1.0, 0.0]]))),
                                 "kick": {"policy": "haar"}, "n_iter": 2000, "n_rounds": 1,
                             }))],
+        lambda tmp, write: ["channel", "check", "--choi", write("c.json", json.dumps(
+            qutrit_choi_obj())), "--psd-tol", "nan"],
+        lambda tmp, write: ["channel", "check", "--choi", write("c.json", json.dumps(
+            qutrit_choi_obj())), "--tp-tol", "0"],
+        lambda tmp, write: ["channel", "fixed-points", "--choi", write("c.json", json.dumps(
+            qutrit_choi_obj())), "--tol", "nan"],
+        lambda tmp, write: ["channel", "iterate", "--choi", write("c.json", json.dumps(
+            qutrit_choi_obj())), "--state", write("rho.json", json.dumps(
+                linops.matrix_to_json(np.eye(3) / 3))), "-n", "2", "--stop-tol", "inf"],
+        lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps(
+            one_by_one_problem())), "--feas-tol", "-1"],
+        lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps(
+            one_by_one_problem())), "--max-iter", "0"],
+        lambda tmp, write: ["quasireal", "check", "--realization", "q.json", "--tol", "abc"],
+        lambda tmp, write: ["channel", "check"],
+        lambda tmp, write: ["channel", "no-such-command"],
     ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
             "constraint-without-a", "n-list", "b-null", "rows-list", "alphabet-int",
             "n-iter-list", "strength-null", "pi-object", "generators-object",
             "check-out-unwritable", "fixed-points-csv-out-unwritable",
-            "run-out-unwritable", "channel-never-settles"])
+            "run-out-unwritable", "channel-never-settles", "psd-tol-nan", "tp-tol-zero",
+            "fixed-points-tol-nan", "stop-tol-inf", "feas-tol-negative", "max-iter-zero",
+            "tol-not-a-number", "check-without-choi", "unknown-command"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
         def write(name, text):
             (tmp_path / name).write_text(text)
@@ -482,3 +500,44 @@ class TestDemoBell:
         assert code == 0
         rep = json.loads(out_path.read_text())
         assert "discrimination" in rep and "channel" in rep
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_share_no_state(self, workdir, capsys):
+        _, write = workdir
+        paths = [write(f"s{i}.json", linops.matrix_to_json(basis_proj(i, 3)))
+                 for i in range(3)]
+        code, out, _ = run_cli(capsys, "engineer", "separable", "--sigma", paths[0],
+                               "--sigma", paths[1], "--report")
+        assert code == 0
+        assert len(json.loads(out)["report"]["cross_overlaps"]) == 2
+        code, out, _ = run_cli(capsys, "engineer", "separable", "--sigma", paths[2], "--report")
+        assert code == 0
+        assert len(json.loads(out)["report"]["cross_overlaps"]) == 1
+
+    def test_call_after_usage_error_succeeds(self, workdir, capsys):
+        _, write = workdir
+        path = write("c.json", qutrit_choi_obj())
+        code, out, err = run_cli(capsys, "channel", "check", "--choi")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["reason"] == "validation"
+        code, out, _ = run_cli(capsys, "channel", "check", "--choi", path)
+        assert code == 0
+        assert json.loads(out)["cp"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", "check", "--help"])
+        assert exc.value.code == 0
+        assert "--psd-tol" in capsys.readouterr().out
+
+    def test_emit_is_one_line_of_json(self, capsys):
+        obj = {"states": [linops.matrix_to_json(np.eye(2) / 3 + 1e-17j)],
+               "residuals": [1e-300, 0.1 + 0.2], "flag": None, "word": ["0", "1"]}
+        cli._emit(obj)
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out) == obj

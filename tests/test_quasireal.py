@@ -1,7 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conekit import quasireal
 from conekit.quasireal import (
@@ -37,6 +41,18 @@ def markov_realization():
     return QuasiRealization(dim=2, alphabet=("0", "1"),
                             d_maps={"0": m0, "1": m1},
                             pi=MARKOV_PI.copy(), tau=np.ones(2))
+
+
+def random_positive_realization(rng: np.random.Generator, dim: int, n_symbols: int):
+    """Nonnegative D_u whose sum is row-stochastic, tau = 1 and pi the
+    stationary distribution of that sum."""
+    maps = rng.uniform(0.0, 1.0, size=(n_symbols, dim, dim))
+    maps /= maps.sum(axis=(0, 2))[None, :, None]
+    w, v = np.linalg.eig(maps.sum(axis=0).T)
+    pi = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+    return QuasiRealization(dim=dim, alphabet=tuple(str(u) for u in range(n_symbols)),
+                            d_maps={str(u): m for u, m in enumerate(maps)},
+                            pi=pi / pi.sum(), tau=np.ones(dim))
 
 
 def markov_word_oracle(word):
@@ -101,6 +117,16 @@ class TestWordProbability:
                 right = sum(word_probability(q, word + (u,)) for u in q.alphabet)
                 assert left == pytest.approx(p, abs=1e-10)
                 assert right == pytest.approx(p, abs=1e-10)
+
+    @given(dim=st.integers(1, 4), n_symbols=st.integers(1, 3),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_distribution_sums_to_pi_tau(self, dim, n_symbols, seed):
+        q = random_positive_realization(np.random.default_rng(seed), dim, n_symbols)
+        assert is_positive_realization(q).all_ok
+        for length in range(1, 5):
+            dist = word_distribution(q, length)
+            assert len(dist) == n_symbols ** length
+            assert abs(sum(dist.values()) - float(q.pi @ q.tau)) <= 1e-12
 
     def test_enumeration_cap(self):
         q = markov_realization()
@@ -271,3 +297,17 @@ class TestJson:
         cone = PolyhedralCone(generators=np.array([[1.0, 2.0], [0.0, 1.0]]))
         back = quasireal.cone_from_json(quasireal.cone_to_json(cone))
         assert np.abs(back.generators - cone.generators).max() < 1e-15
+
+    @given(dim=st.integers(1, 4), n_symbols=st.integers(1, 3), data=st.data())
+    def test_quasireal_roundtrip_through_text_is_exact(self, dim, n_symbols, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        maps = data.draw(arrays(float, (n_symbols, dim, dim), elements=finite))
+        pi, tau = (data.draw(arrays(float, dim, elements=finite)) for _ in range(2))
+        q = QuasiRealization(dim=dim, alphabet=tuple(f"s{u}" for u in range(n_symbols)),
+                             d_maps={f"s{u}": m for u, m in enumerate(maps)}, pi=pi, tau=tau)
+        text = json.dumps(quasireal.quasireal_to_json(q))
+        back = quasireal.quasireal_from_json(json.loads(text))
+        assert (back.dim, back.alphabet) == (q.dim, q.alphabet)
+        for u in q.alphabet:
+            assert np.array_equal(back.d_maps[u], q.d_maps[u])
+        assert np.array_equal(back.pi, q.pi) and np.array_equal(back.tau, q.tau)
