@@ -48,6 +48,7 @@ from .quasireal import QuasiRealization
 
 CLASSIFY_TOL = 1e-3
 SETTLE_TOL = 1e-10
+TIE_TOL = 1e-9  # nearest-mode ties: above the settle error, about 1e-10
 CLASSIFY_MODES = ("nearest", "sample")
 
 
@@ -180,13 +181,13 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     settle_steps.
 
     In "nearest" mode classification picks the nearest canonical fixed
-    point by trace distance (ties to the lowest index), records None when
-    even the nearest one is farther than classify_tol, and the kick acts
-    on the settled state. In "sample" mode the symbol is drawn from the
-    settled state's barycentric weights over the fixed points (None when
-    the decomposition residual exceeds classify_tol), the state collapses
-    onto the drawn fixed point, and the kick acts on that. Unclassified
-    rounds are recorded, never fatal.
+    point by trace distance (ties within TIE_TOL to the lowest index),
+    records None when even the nearest one is farther than classify_tol,
+    and the kick acts on the settled state. In "sample" mode the symbol is
+    drawn from the settled state's barycentric weights over the fixed
+    points (None when the decomposition residual exceeds classify_tol),
+    the state collapses onto the drawn fixed point, and the kick acts on
+    that. Unclassified rounds are recorded, never fatal.
     """
     state = linops.check_density(rho0, tol=1e-7)
     if state.shape != (config.channel.d_in,) * 2:
@@ -206,8 +207,8 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
             else:
                 symbol = None
         else:
-            dists = [trace_distance(settled, fp) for fp in fps]
-            best = int(np.argmin(dists))
+            dists = np.array([trace_distance(settled, fp) for fp in fps])
+            best = int(np.flatnonzero(dists <= dists.min() + TIE_TOL)[0])
             symbol = best if dists[best] <= config.classify_tol else None
         kick_input = fps[symbol] if (config.classify_mode == "sample" and symbol is not None) else settled
         post = hermitize(config.kick.apply(kick_input, rng))

@@ -18,6 +18,15 @@ tr sigma = tr X(sigma). The three cores are:
   core is its one-projector case);
 * the minimum-trace PSD X fixing every state, from a semidefinite program.
 
+The constructions check one decay condition on the part of C outside
+the fixed states: the B-weight tr[X(B)] = tr[tr_H1[X] B^T] must be below
+1 (``_decay_weight``), unless I - tr_H1[X] vanishes (degenerate) and B
+never acts. Reports show it as ``b_weight``, ``convergence_margin`` =
+1 - b_weight and ``degenerate_residual`` (separable core), ``contraction``
+and ``contraction_warning`` (SDP core), and ``vmax_overlap <= lambda_max``
+(single core: its B-weight is tr sigma <v_max|B|v_max> / lambda_max, so
+this is the same bound when tr sigma = 1).
+
 Complete positivity depends on the inputs and is checked on the assembled
 Choi matrix rather than factor by factor (some factors are indefinite by
 design). Validity reports carry every condition with its numeric residual.
@@ -50,15 +59,15 @@ class ConstructionError(ValueError):
 
 
 def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
-    """X + B (x) (I - tr_H1[X]), trace preserving for every core X when tr B = 1.
-
-    It maps sigma to X(sigma) + tr[(I - tr_H1[X]) sigma^T] B, so it fixes
-    every sigma with X(sigma) = sigma: the fixed-point condition
-    tr[(I - tr_H1[X]) sigma^T] = 0 then holds, as tr X(sigma) = tr sigma.
-    """
+    """X + B (x) (I - tr_H1[X]), the completion of the module docstring."""
     d = b.shape[0]
     rest = np.eye(d, dtype=complex) - linops.partial_trace(x, (d, d), over=1)
     return ChoiMatrix(d, d, hermitize(x + kron(b, rest)))
+
+
+def _decay_weight(x_out: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
+    """B-weight and degeneracy (max |I - x_out| <= 1e-9) of a core X with tr_H1[X] = x_out."""
+    return float(np.trace(x_out @ b.T).real), linops.max_abs(np.eye(len(b)) - x_out) <= 1e-9
 
 
 def _channel_checks(c: ChoiMatrix, sigmas) -> dict:
@@ -220,9 +229,8 @@ class SeparableMultiSpec:
 
     cross_overlaps[i, j] is tr[sigma_i Pi_j]; its diagonal holds the
     detection overlaps tr[Pi_i sigma_i]. convergence_margin is 1 minus the
-    B-weight sum tr[B Pi_i]/tr[Pi_i sigma_i]; when the residual operator
-    vanishes (degenerate case) B never acts and the margin is reported as
-    0 with degenerate=True.
+    B-weight, and degenerate the flag, of the core that
+    ``build_separable_multi`` assembles (see the module docstring).
     """
 
     sigmas: tuple[np.ndarray, ...]
@@ -243,13 +251,9 @@ class SeparableMultiSpec:
             raise ValueError("one projector per state required")
         b = np.eye(d, dtype=complex) / d if b is None else linops.check_density(b)
         cross = np.array([[np.trace(p @ s).real for p in projs] for s in states])
-        resid = np.eye(d, dtype=complex)
-        weight = 0.0
-        for p, ov in zip(projs, np.diag(cross).tolist()):
-            if abs(ov) > RANK_TOL:
-                resid = resid - p.T / ov
-                weight += float(np.trace(b @ p).real) / ov
-        degenerate = linops.max_abs(resid) <= 1e-9
+        x_out = sum((np.trace(s).real / ov * p.T for s, p, ov in zip(states, projs, np.diag(cross))
+                     if abs(ov) > RANK_TOL), np.zeros_like(b))  # tr_H1 of the assembled core
+        weight, degenerate = _decay_weight(x_out, b)
         return cls(sigmas=states, projectors=projs, b=b, cross_overlaps=cross,
                    convergence_margin=1.0 - weight, degenerate=degenerate)
 
@@ -456,8 +460,8 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     interior-point method may stall; on the face it regains an interior.
     The face holds every feasible X, so the optimum is unchanged.
 
-    The contraction number tr[X (I (x) B^T)] is reported; values >= 1 set
-    contraction_warning (iterating from B's sector may not settle).
+    The contraction number is the B-weight of the module docstring; values
+    >= 1 off the degenerate case set contraction_warning.
     """
     states = [linops.check_density(s) for s in sigmas]
     if not states:
@@ -479,14 +483,11 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
 
     x = hermitize(sol.x)
     c = _complete(x, b)
-    contraction = float(np.trace(x @ kron(np.eye(d), b.T)).real)
-    degenerate = linops.max_abs(np.eye(d) - linops.partial_trace(x, (d, d), over=1)) <= 1e-9
+    contraction, degenerate = _decay_weight(linops.partial_trace(x, (d, d), over=1), b)
     return SdpChannelResult(
         x=ChoiMatrix(d, d, x),
         c=c,
         contraction=contraction,
-        # tr[X (I (x) B^T)] equals tr[B] = 1 identically once tr_H1[X] = I,
-        # so the convergence warning only means something off the degenerate case
         contraction_warning=(not degenerate) and contraction >= 1.0,
         degenerate=degenerate,
         residuals=[trace_distance(chan.apply(c, s), s) for s in states],

@@ -224,7 +224,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"entry count mismatch: {rows}x{cols} needs {rows*cols} values, "
             f"got re={re.size}, im={im.size}"
         )
-    m = (re + 1j * im).reshape(rows, cols)
+    m = re.astype(complex).reshape(rows, cols)
+    m.imag = im.reshape(rows, cols)  # re + 1j * im would drop the sign of a zero im
     return as_matrix(m)
 
 

@@ -6,8 +6,8 @@ Solves
     subject to  tr[A_k X] = b_k,   k = 1..m
                 X >= 0  (PSD),
 
-with Hermitian data. ``solve`` is the single entry point and runs one
-path:
+with Hermitian data, the A_k stacked in one (m, n, n) array that every
+step works on. ``solve`` is the single entry point and runs one path:
 
 1. optionally restrict X to a caller-supplied face X = V X' V^dag
    (facial reduction: when the constraints force X onto a face of the
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linops
-from .linops import PSD_TOL, hermitize, kron
+from .linops import PSD_TOL, hermitize
 
 FEAS_TOL = 1e-7
 MAX_ITER = 200
@@ -54,31 +54,38 @@ class NumericalLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """min tr[F0^T X] over PSD X subject to tr[A_k X] = b_k."""
+    """min tr[F0^T X] over PSD X subject to tr[A_k X] = b_k, the A_k (any
+    sequence of n x n operators) stored as one read-only (m, n, n) array."""
 
     n: int
     objective: np.ndarray                 # F0, Hermitian n x n
-    constraint_ops: tuple[np.ndarray, ...]
+    constraint_ops: np.ndarray            # A_k stacked, (m, n, n), Hermitian
     constraint_vals: tuple[float, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("variable dimension must be positive")
-        if len(self.constraint_ops) == 0:
+        shapes = [np.shape(a) for a in self.constraint_ops]
+        if not shapes:
             raise ValueError("constraint list must be non-empty")
-        if len(self.constraint_ops) != len(self.constraint_vals):
+        if len(shapes) != len(self.constraint_vals):
             raise ValueError("constraint operators and values differ in length")
         f0 = linops.check_hermitian(self.objective)
         if f0.shape != (self.n, self.n):
             raise ValueError("objective dimension does not match n")
-        ops = []
-        for k, a in enumerate(self.constraint_ops):
-            m = linops.check_hermitian(a)
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"constraint {k} has dimension {m.shape}, expected {self.n}")
-            ops.append(m)
+        for k, shape in enumerate(shapes):
+            if shape != (self.n, self.n):
+                raise ValueError(f"constraint {k} has dimension {shape}, expected {self.n}")
+        ops = np.array(self.constraint_ops, dtype=complex)
+        if not np.isfinite(ops).all():
+            raise ValueError("constraint operators contain non-finite entries")
+        defects = np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        k = int(np.argmax(defects))
+        if defects[k] > linops.HERM_TOL:
+            raise ValueError(f"constraint {k} is not Hermitian (defect {defects[k]:.3e})")
+        ops.flags.writeable = False
         object.__setattr__(self, "objective", f0)
-        object.__setattr__(self, "constraint_ops", tuple(ops))
+        object.__setattr__(self, "constraint_ops", ops)
         object.__setattr__(self, "constraint_vals", tuple(float(v) for v in self.constraint_vals))
 
 
@@ -96,23 +103,16 @@ class SdpSolution:
     message: str = ""
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of d x d Hermitian matrices, d**2 elements."""
-    basis = []
-    for j in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[j, j] = 1.0
-        basis.append(e)
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of d x d Hermitian matrices as a (d**2, d, d)
+    stack: the diagonal units, then per j < k the symmetric and antisymmetric pair."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    j, k = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(j))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[j, k] = e[k, j] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[j, k] = -1j * inv_sqrt2
-            e[k, j] = 1j * inv_sqrt2
-            basis.append(e)
+    basis[sym, j, k] = basis[sym, k, j] = inv_sqrt2
+    basis[sym + 1, j, k], basis[sym + 1, k, j] = -1j * inv_sqrt2, 1j * inv_sqrt2
     return basis
 
 
@@ -125,15 +125,17 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     if not states:
         raise ValueError("need at least one state")
     d = states[0].shape[0]
-    for s in states:
-        if s.shape != (d, d):
-            raise ValueError("states must share one dimension")
+    if any(s.shape != (d, d) for s in states):
+        raise ValueError("states must share one dimension")
     basis = hermitian_basis(d)
+    sig = np.array(states)
+    # every E (x) sigma^T in one broadcast product, axes (state, E, i, a, j, b)
+    ops = basis[None, :, :, None, :, None] * sig.swapaxes(1, 2)[:, None, None, :, None, :]
     n = d * d
     return SdpProblem(
         n=n, objective=np.eye(n, dtype=complex),
-        constraint_ops=tuple(kron(e, s.T) for s in states for e in basis),
-        constraint_vals=tuple(float(np.trace(e @ s).real) for s in states for e in basis),
+        constraint_ops=ops.reshape(-1, n, n),
+        constraint_vals=np.trace(basis @ sig[:, None], axis1=2, axis2=3).real.ravel(),
     )
 
 
@@ -142,7 +144,7 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
 # ----------------------------------------------------------------------
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _max_entry(m: np.ndarray) -> float:
@@ -370,29 +372,24 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     the full problem.
     """
     n = problem.n
-    m = len(problem.constraint_ops)
-    ops_c = np.array(problem.constraint_ops)
+    ops_c = problem.constraint_ops
+    m = ops_c.shape[0]
     b_c = np.asarray(problem.constraint_vals, dtype=float)
     cost_c = np.conj(problem.objective)  # F0^T == conj(F0) for Hermitian F0
 
-    v = None
-    ops_f, cost_f = ops_c, cost_c
-    if face is not None:
-        v = np.asarray(face, dtype=complex)
+    v = None if face is None else np.asarray(face, dtype=complex)
+    data = np.concatenate([cost_c[None], ops_c])
+    if v is not None:
         if v.ndim != 2 or v.shape[0] != n or v.shape[1] < 1:
             raise ValueError(f"face isometry must be {n} x n' with n' >= 1, got {v.shape}")
         if linops.max_abs(linops.dagger(v) @ v - np.eye(v.shape[1])) > 1e-10:
             raise ValueError("face columns must be orthonormal")
         # tr[C V X' V^dag] = tr[(V^dag C V) X'] conjugates every operator by V
-        ops_f = np.array([hermitize(linops.dagger(v) @ a @ v) for a in ops_c])
-        cost_f = hermitize(linops.dagger(v) @ cost_c @ v)
-
-    data = np.concatenate([cost_f[None], ops_f])
+        data = _sym(linops.dagger(v) @ data @ v)
     if not data.imag.any():
         data = data.real.copy()
-    cost_f, ops_f = data[0], data[1:]
     # the real coordinates of the rows: their dot products are Re tr[A_k^dag A_l]
-    rows = ops_f.reshape(m, -1).view(float)
+    rows = data[1:].reshape(m, -1).view(float)
 
     # Linear consistency and rank reduction of the constraint set.
     u, sv, _ = np.linalg.svd(rows, full_matrices=True)
@@ -415,7 +412,7 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     else:
         keep = np.arange(m)
 
-    res = _solve_hermitian_sdp(cost_f, ops_f[keep], b_c[keep], max_iter, feas_tol)
+    res = _solve_hermitian_sdp(data[0], data[1 + keep], b_c[keep], max_iter, feas_tol)
 
     y_full = np.zeros(m)
     y_full[keep] = res.y

@@ -373,4 +373,4 @@ class TestChoiJson:
         c = random_cptp_rect(np.random.default_rng(seed), d_in, d_out)
         back = chan.choi_from_json(json.loads(json.dumps(chan.choi_to_json(c))))
         assert (back.d_in, back.d_out) == (d_in, d_out)
-        assert np.array_equal(back.matrix, c.matrix)
+        assert back.matrix.tobytes() == c.matrix.tobytes()

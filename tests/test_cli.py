@@ -209,6 +209,17 @@ class TestEngineerCommands:
         assert abs(cross[0, 1]) <= 1e-12 and abs(cross[1, 0]) <= 1e-12
         assert max(rep["report"]["fixed_point_residuals"]) < 1e-12
 
+    def test_separable_trace_error_within_tolerance_exits_0(self, workdir, capsys):
+        _, write = workdir
+        s0 = write("s0.json", linops.matrix_to_json(np.diag([1 - 5e-8, 0.0])))
+        s1 = write("s1.json", linops.matrix_to_json(np.diag([0.0, 1.0])))
+        code, out, _ = run_cli(capsys, "engineer", "separable", "--sigma", s0, "--sigma", s1,
+                               "--report")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["degenerate_residual"]
+        assert max(rep["fixed_point_residuals"]) < 1e-12
+
     def test_separable_infeasible_exits_3(self, workdir, capsys):
         _, write = workdir
         s0 = write("s0.json", linops.matrix_to_json(basis_proj(0, 2)))
@@ -541,3 +552,62 @@ class TestParser:
         out = capsys.readouterr().out
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == obj
+
+
+def qubit_choi_obj(m):
+    return dict(linops.matrix_to_json(m), d_in=2, d_out=2)
+
+
+# Qubit Choi matrices just outside the default tolerances (each off by 1e-6):
+# dephasing with min eigenvalue -1e-6, dephasing with trace residual 1e-6,
+# and (1 - g) diag(rho) + g tr(rho) I/2 with g = 1e-6, whose eigenvalue 1 - g
+# counts as peripheral only at tolerances above g.
+_NOT_PSD = np.diag([1.0, 0.0, 0.0, 1.0]) + 1e-6 * np.fliplr(np.diag([0.0, 1.0, 1.0, 0.0]))
+_NOT_TP = np.diag([1.0 + 1e-6, 0.0, 0.0, 1.0])
+_SLOW = sum(np.kron((1 - 1e-6) * basis_proj(i, 2) + 1e-6 * np.eye(2) / 2, basis_proj(i, 2))
+            for i in range(2))
+# a Markov realization with one entry at -1e-6, moved to its row's other map
+_NEAR_POSITIVE = {
+    "dim": 2, "alphabet": ["0", "1"],
+    "D": {"0": [[0.9, -1e-6], [0.2, 0.0]], "1": [[0.0, 0.1 + 1e-6], [0.0, 0.8]]},
+    "pi": [2 / 3, 1 / 3], "tau": [1.0, 1.0],
+}
+
+
+class TestToleranceOptions:
+    """A valid tolerance reaches the command: 1e-5 (1e-2 for the solver)
+    changes the output from the default's on inputs just past the default."""
+
+    @pytest.mark.parametrize("argv, option, read, default, loose", [
+        (lambda w: ["channel", "check", "--choi", w("c.json", qubit_choi_obj(_NOT_PSD))],
+         ["--psd-tol", "1e-5"], lambda out: out["cp"], False, True),
+        (lambda w: ["channel", "check", "--choi", w("c.json", qubit_choi_obj(_NOT_TP))],
+         ["--tp-tol", "1e-5"], lambda out: out["tp"], False, True),
+        (lambda w: ["channel", "fixed-points", "--choi", w("c.json", qubit_choi_obj(_SLOW))],
+         ["--tol", "1e-5"], lambda out: len(out["states"]), 1, 2),
+        (lambda w: ["channel", "iterate", "--choi", w("c.json", qubit_choi_obj(_SLOW)),
+                    "--state", w("rho.json", linops.matrix_to_json(np.diag([0.7, 0.3]))),
+                    "-n", "5"],
+         ["--stop-tol", "1e-3"], lambda out: len(out["states"]), 5, 1),
+        (lambda w: ["quasireal", "check", "--realization", w("q.json", _NEAR_POSITIVE)],
+         ["--tol", "1e-5"], lambda out: out["positive_realization"], False, True),
+        (lambda w: ["quasireal", "cone-check", "--realization", w("q.json", _NEAR_POSITIVE),
+                    "--cone", w("cone.json", {"generators": [[1.0, 0.0], [0.0, 1.0]]})],
+         ["--tol", "1e-5"], lambda out: out["all_conditions"], False, True),
+        (lambda w: ["sdp", "solve", "--problem", w("p.json", sdpmod.problem_to_json(
+            sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])))],
+         ["--feas-tol", "1e-2"], lambda out: out["iterations"] > 5, True, False),
+        (lambda w: ["engineer", "sdp", "--sigma",
+                    w("s.json", linops.matrix_to_json(basis_proj(0, 2)))],
+         ["--feas-tol", "1e-2"], lambda out: abs(out["objective_trace"] - 1.0) < 1e-6, True, False),
+    ], ids=["psd-tol", "tp-tol", "fixed-points-tol", "stop-tol", "quasireal-check-tol",
+            "cone-check-tol", "sdp-solve-feas-tol", "engineer-sdp-feas-tol"])
+    def test_valid_value_changes_output(self, workdir, capsys, argv, option, read, default, loose):
+        _, write = workdir
+        base = argv(write)
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0
+        assert read(json.loads(out)) == default
+        code, out, _ = run_cli(capsys, *base, *option)
+        assert code == 0
+        assert read(json.loads(out)) == loose

@@ -97,9 +97,34 @@ class TestRun:
         cfg = SimulationConfig(channel=qutrit_channel(), kick=DepolarizingKick(0.5),
                                n_iter=20, n_rounds=100, classify_tol=0.67, seed=0)
         traj = run(cfg, basis_proj(1, 3))
-        symbols = traj.symbols()
-        assert all(s == 1 for s in symbols)  # mixing toward I/3 keeps the argmax
+        # mixing toward I/3 keeps the argmax while the distance gap (2^-k
+        # after k rounds) exceeds the tie tolerance; later rounds are ties
+        # between all three fixed points and go to the lowest index
+        for i, r in enumerate(traj.rounds):
+            dists = np.sort([trace_distance(r.settled_state, fp) for fp in traj.fixed_points])
+            assert (dists[1] - dists[0] > conesim.TIE_TOL) == (i < 30)
+            assert r.symbol == (1 if i < 30 else 0)
         assert all(r.settle_steps <= 2 for r in traj.rounds)
+
+    def test_nearest_ties_go_to_lowest_index(self):
+        # 0.5 id + 0.5 dephasing with Haar kicks: the settled diagonal drifts
+        # to 1/2, where both fixed points are equally near in exact arithmetic
+        dephase = sum(kron(basis_proj(i, 2), basis_proj(i, 2)) for i in range(2))
+        vec_id = np.eye(2).reshape(-1)
+        channel = ChoiMatrix(2, 2, 0.5 * np.outer(vec_id, vec_id) + 0.5 * dephase)
+        tied = 0
+        for seed in range(8):
+            cfg = SimulationConfig(channel=channel, kick=HaarUnitaryKick(), n_iter=50,
+                                   n_rounds=100, classify_tol=1.0, seed=seed)
+            traj = run(cfg, np.diag([1 / 3, 2 / 3]))
+            for r in traj.rounds:
+                d0, d1 = (trace_distance(r.settled_state, fp) for fp in traj.fixed_points)
+                if abs(d0 - d1) <= conesim.TIE_TOL:
+                    tied += 1
+                    assert r.symbol == 0
+                else:
+                    assert r.symbol == int(d1 < d0)
+        assert tied > 0
 
     def test_sample_mode_collapses_and_mixes(self):
         cfg = SimulationConfig(channel=qutrit_channel(), kick=DepolarizingKick(0.5),

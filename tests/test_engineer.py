@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conekit import channel as chan
 from conekit import cli, engineer, linops
+from conekit.conesim import haar_unitary
 from conekit.engineer import (
     ConstructionError,
     SeparableMultiSpec,
@@ -174,6 +175,40 @@ class TestSeparableMulti:
         assert np.abs(ca.matrix - cb.matrix).max() < 1e-12
         expected = kron(basis_proj(0, 2), basis_proj(0, 2)) + kron(basis_proj(1, 2), basis_proj(1, 2))
         assert np.abs(ca.matrix - expected).max() < 1e-12
+
+    def test_trace_error_within_tolerance_stays_degenerate(self):
+        # tr sigma_0 = 1 - 5e-8 passes check_density; the core still has
+        # tr_H1[X] = I, so B never acts and both states stay fixed
+        states = [np.diag([1 - 5e-8, 0.0]), np.diag([0.0, 1.0])]
+        spec = SeparableMultiSpec.from_states(states)
+        assert spec.degenerate
+        c = build_separable_multi(spec)
+        for s in states:
+            assert trace_distance(chan.apply(c, s), s) < 1e-12
+
+    @given(d=st.integers(2, 6), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_decay_verdict_is_that_of_the_assembled_core(self, d, seed):
+        # states on disjoint blocks of a Haar basis, traces within 1e-7 of 1,
+        # with their support projectors
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(d, rng)
+        covered = int(rng.integers(1, d + 1))
+        k = int(rng.integers(1, covered + 1))
+        cuts = np.sort(rng.choice(np.arange(1, covered), size=k - 1, replace=False))
+        sigmas, projs = [], []
+        for cols in np.split(u[:, :covered], cuts, axis=1):
+            w = rng.uniform(0.1, 1.0, cols.shape[1])
+            w *= (1.0 + rng.uniform(-9e-8, 9e-8)) / w.sum()
+            sigmas.append((cols * w) @ cols.conj().T)
+            projs.append(cols @ cols.conj().T)
+        b = random_density(rng, d)
+        spec = SeparableMultiSpec.from_parts(sigmas, projs, b=b)
+        core = sum(kron(s, p.T) / ov
+                   for s, p, ov in zip(sigmas, projs, np.diag(spec.cross_overlaps)))
+        x_out = linops.partial_trace(core, (d, d), over=1)
+        assert abs(1.0 - spec.convergence_margin - np.trace(x_out @ b.T).real) <= 1e-12
+        assert spec.degenerate == engineer._decay_weight(x_out, b)[1]
+        assert spec.degenerate == (covered == d)
 
     def test_single_pure_state_reduces_to_closed_form(self):
         sigma = basis_proj(0, 2)

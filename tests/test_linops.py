@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -224,11 +224,12 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 1, "re": [float("nan")], "im": [0.0]})
 
-    # through JSON text every finite entry comes back exactly (by value: a
-    # zero imaginary part can lose its sign)
+    # through JSON text every finite entry comes back bit for bit, the sign
+    # of a zero real or imaginary part included
     @given(m=arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 4)),
                     elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    @example(m=np.array([[complex(-0.0, -0.0), complex(-0.0, 1.0)]]))
     def test_roundtrip_is_exact(self, m):
         back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
         assert back.shape == m.shape
-        assert np.array_equal(back.real, m.real) and np.array_equal(back.imag, m.imag)
+        assert back.tobytes() == m.tobytes()

@@ -309,5 +309,5 @@ class TestJson:
         back = quasireal.quasireal_from_json(json.loads(text))
         assert (back.dim, back.alphabet) == (q.dim, q.alphabet)
         for u in q.alphabet:
-            assert np.array_equal(back.d_maps[u], q.d_maps[u])
-        assert np.array_equal(back.pi, q.pi) and np.array_equal(back.tau, q.tau)
+            assert back.d_maps[u].tobytes() == q.d_maps[u].tobytes()
+        assert back.pi.tobytes() == q.pi.tobytes() and back.tau.tobytes() == q.tau.tobytes()

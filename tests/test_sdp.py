@@ -41,7 +41,40 @@ class TestHermitianBasis:
                     assert abs(ip - (1.0 if i == j else 0.0)) < 1e-12
 
 
+def loop_hermitian_basis(d):
+    """Reference: the basis element by element, in the order of the stack."""
+    basis = []
+    for j in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[j, j] = 1.0
+        basis.append(e)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[j, k] = e[k, j] = inv_sqrt2
+            basis.append(e)
+            e = np.zeros((d, d), dtype=complex)
+            e[j, k] = -1j * inv_sqrt2
+            e[k, j] = 1j * inv_sqrt2
+            basis.append(e)
+    return np.array(basis)
+
+
 class TestAssemble:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_equals_kron_loop_bit_for_bit(self, rng, d):
+        states = [random_density(rng, d) for _ in range(2)]
+        basis = sdp.hermitian_basis(d)
+        assert basis.tobytes() == loop_hermitian_basis(d).tobytes()
+        p = sdp.assemble_fixed_point_constraints(states)
+        assert p.constraint_ops.shape == (2 * d * d, d * d, d * d)
+        assert not p.constraint_ops.flags.writeable
+        expected = np.array([np.kron(e, s.T) for s in states for e in basis])
+        assert p.constraint_ops.tobytes() == expected.tobytes()
+        assert p.constraint_vals == tuple(float(np.trace(e @ s).real)
+                                          for s in states for e in basis)
+
     def test_single_state_constraint_count_and_witness(self):
         sigma = basis_proj(0, 2)
         p = sdp.assemble_fixed_point_constraints([sigma])
@@ -314,6 +347,22 @@ class TestProblemJson:
         p = make_problem([np.eye(2)], [1.0])
         sol = sdp.solve(p)
         json.dumps(sdp.solution_to_json(sol))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(n=0), "variable dimension must be positive"),
+        (dict(constraint_vals=(1.0, 2.0)), "differ in length"),
+        (dict(objective=np.eye(3)), "objective dimension"),
+        (dict(constraint_ops=(np.eye(2), np.eye(3)), constraint_vals=(1.0, 1.0)),
+         r"constraint 1 has dimension \(3, 3\), expected 2"),
+        (dict(constraint_ops=(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])),
+              constraint_vals=(1.0, 1.0)), r"constraint 1 is not Hermitian \(defect 1"),
+        (dict(constraint_ops=(np.diag([1.0, np.inf]),)), "non-finite"),
+    ], ids=["n-zero", "length-mismatch", "objective-shape", "constraint-shape",
+            "non-hermitian", "non-finite"])
+    def test_malformed_problem_rejected(self, change, message):
+        args = dict(n=2, objective=np.eye(2), constraint_ops=(np.eye(2),), constraint_vals=(1.0,))
+        with pytest.raises(ValueError, match=message):
+            sdp.SdpProblem(**{**args, **change})
 
     def test_empty_constraints_rejected(self):
         with pytest.raises(ValueError):
