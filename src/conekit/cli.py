@@ -6,6 +6,15 @@ prob|check|cone-check``, ``conesim run|estimate`` and ``demo bell``.
 Inputs and outputs are the JSON formats defined in the owning modules;
 ``--format csv`` flattens matrix output with interleaved re,im columns.
 
+``conesim run`` writes the trajectory as JSONL, one line per round:
+``{"round", "symbol", "settle_steps", "weights", "residual"}``, with the
+canonical fixed points added to line 0 only as ``"fixed_points"``.
+States are not written. Its stdout summary gives the round counts, the
+number of fixed points, the predicted ``settle_steps``, the
+``unclassified_rounds`` as ``[round, residual]`` pairs and the
+``max_residual``. ``conesim estimate`` reads only ``round``, ``symbol``
+and ``settle_steps`` from each line, strictly: line i must be round i.
+
 Output is compact JSON on one line (``json.dumps`` without ``indent``,
 which takes the C encoder; floats print by ``repr`` either way). The
 argument parser is built once per process, on the first ``main`` call,
@@ -292,14 +301,17 @@ def cmd_conesim_run(args) -> int:
         rho0 = np.eye(d, dtype=complex) / d
     traj = conesim.run(cfg, rho0)
     with _open_out(args.out) as fh:
-        for i, r in enumerate(traj.rounds):
-            fh.write(json.dumps(conesim.round_to_json(r, i)) + "\n")
-    classified = sum(1 for r in traj.rounds if r.symbol is not None)
+        for rec in conesim.trajectory_to_json(traj):
+            fh.write(json.dumps(rec) + "\n")
+    unclassified = [[i, r.residual] for i, r in enumerate(traj.rounds) if r.symbol is None]
     _emit({
         "rounds": len(traj.rounds),
-        "classified": classified,
-        "unclassified": len(traj.rounds) - classified,
+        "classified": len(traj.rounds) - len(unclassified),
+        "unclassified": len(unclassified),
         "n_fixed_points": len(traj.fixed_points),
+        "settle_steps": traj.rounds[0].settle_steps,
+        "unclassified_rounds": unclassified,
+        "max_residual": max(r.residual for r in traj.rounds),
         "out": args.out,
     })
     return EXIT_OK
@@ -308,12 +320,10 @@ def cmd_conesim_run(args) -> int:
 def cmd_conesim_estimate(args) -> int:
     try:
         with open(args.trajectory) as fh:
-            lines = [line for line in fh if line.strip()]
+            records = [json.loads(line) for line in fh if line.strip()]
     except OSError as exc:
         raise ValueError(f"cannot read {args.trajectory}: {exc}") from exc
-    rounds = [conesim.round_from_json(json.loads(line)) for line in lines]
-    traj = conesim.Trajectory(rounds=rounds)
-    proc = conesim.estimate_process(traj)
+    proc = conesim.estimate_process(conesim.symbols_from_json(records))
     if args.format == "csv":
         rows = [
             [proc.symbols[i]] + [float(x) for x in proc.transition_estimate[i]]

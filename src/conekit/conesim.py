@@ -29,13 +29,31 @@ Kick policies: a fixed channel, conjugation by a fresh Haar-random
 unitary each round (sampled from the run's seeded generator), or a
 depolarizing map of given strength. Everything is deterministic under
 the configured seed.
+
+Both modes resolve every settled state into its barycentric weights over
+the fixed points (one NNLS solve, which draws nothing from the
+generator) and keep them, with the decomposition residual, on the Round.
+A trajectory is written as JSONL, one line per round carrying the
+process, not the states:
+
+    {"round": i, "symbol": s | null, "settle_steps": n,
+     "weights": [w_0, ..., w_k-1], "residual": r}
+
+and line 0 alone adds ``"fixed_points"``, the canonical fixed states as
+matrix JSON, so the file describes itself. Neither the settled nor the
+post-kick state is written; both stay on the in-memory Round, and
+``run`` reproduces them from the config and seed. Reading a trajectory
+takes only ``round``, ``symbol`` and ``settle_steps`` from each line, so
+files that also hold the states (the earlier format) read the same.
+Integer fields are read strictly: a bool, a non-integral number or a
+string is rejected, never coerced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.optimize import nnls
@@ -121,6 +139,8 @@ class SimulationConfig:
             raise ValueError(f"kick channel is {k.d_in}->{k.d_out}, the simulation channel is {d}->{d}")
         if self.n_iter < 1 or self.n_rounds < 1:
             raise ValueError("n_iter and n_rounds must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.classify_tol <= 0:
             raise ValueError("classify_tol must be positive")
         if self.classify_mode not in CLASSIFY_MODES:
@@ -133,6 +153,8 @@ class Round:
     symbol: int | None          # index into the canonical fixed points, None if unclassified
     settle_steps: int
     post_kick_state: np.ndarray
+    weights: np.ndarray         # settled state's NNLS weights over the fixed points
+    residual: float             # 2-norm residual of that decomposition
 
 
 @dataclass
@@ -178,7 +200,9 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     Each round settles the state rho to P1 rho (``FixedPointSet.projector``),
     the limit of Phi^n(rho). n_iter is the settle budget, checked once by
     ``_settle_steps``; each Round records its predicted count as
-    settle_steps.
+    settle_steps. Every round, in either mode, also records the settled
+    state's barycentric weights over the fixed points and the residual of
+    that decomposition.
 
     In "nearest" mode classification picks the nearest canonical fixed
     point by trace distance (ties within TIE_TOL to the lowest index),
@@ -199,8 +223,8 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     rounds: list[Round] = []
     for _ in range(config.n_rounds):
         settled = hermitize((p1 @ state.reshape(-1)).reshape(state.shape))
+        weights, resid = _fixed_point_weights(settled, fps)
         if config.classify_mode == "sample":
-            weights, resid = _fixed_point_weights(settled, fps)
             total = weights.sum()
             if resid <= config.classify_tol and total > 0:
                 symbol = int(rng.choice(len(fps), p=weights / total))
@@ -212,8 +236,8 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
             symbol = best if dists[best] <= config.classify_tol else None
         kick_input = fps[symbol] if (config.classify_mode == "sample" and symbol is not None) else settled
         post = hermitize(config.kick.apply(kick_input, rng))
-        rounds.append(Round(settled_state=settled, symbol=symbol,
-                            settle_steps=steps, post_kick_state=post))
+        rounds.append(Round(settled_state=settled, symbol=symbol, settle_steps=steps,
+                            post_kick_state=post, weights=weights, residual=resid))
         state = post
     return Trajectory(rounds=rounds, fixed_points=fps)
 
@@ -250,9 +274,10 @@ def _left_fixed_vector(t: np.ndarray) -> np.ndarray:
     return v / s if s > 0 else np.full(len(v), 1.0 / len(v))
 
 
-def estimate_process(trajectory: Trajectory) -> EmpiricalProcess:
-    """Count symbol transitions between consecutively classified rounds."""
-    seq = trajectory.symbols()
+def estimate_process(seq: Sequence[int | None]) -> EmpiricalProcess:
+    """Count symbol transitions between consecutively classified rounds of
+    an emitted symbol sequence (``Trajectory.symbols()``), None marking an
+    unclassified round."""
     classified = [s for s in seq if s is not None]
     if len(classified) < 2:
         raise ValueError(
@@ -310,6 +335,24 @@ def to_quasi_realization(process: EmpiricalProcess) -> QuasiRealization:
 
 _CONFIG_KEYS = {"channel", "kick", "n_iter", "n_rounds", "classify_tol", "classify", "seed"}
 _KICK_KEYS = {"policy", "strength", "choi"}
+_ROUND_KEYS = {"round", "symbol", "settle_steps"}
+
+
+def _json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = False) -> int | None:
+    """obj[key] as an int. A bool, a non-integral or non-finite number and
+    anything that is not a number raise ValueError, as does a value below
+    minimum; null is allowed only when nullable."""
+    value = obj[key]
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def config_from_json(obj: dict) -> SimulationConfig:
@@ -327,10 +370,10 @@ def config_from_json(obj: dict) -> SimulationConfig:
     unknown = set(kick_obj) - _KICK_KEYS
     if unknown:
         raise ValueError(f"unknown kick keys: {sorted(unknown)}")
+    n_iter, n_rounds = _json_int(obj, "n_iter"), _json_int(obj, "n_rounds")
+    seed = _json_int(obj, "seed") if "seed" in obj else 0
     try:
-        n_iter, n_rounds = int(obj["n_iter"]), int(obj["n_rounds"])
         classify_tol = float(obj.get("classify_tol", CLASSIFY_TOL))
-        seed = int(obj.get("seed", 0))
         strength = float(kick_obj.get("strength", 1.0))
     except TypeError as exc:
         raise ValueError(f"config field has the wrong type: {exc}") from exc
@@ -357,30 +400,37 @@ def config_from_json(obj: dict) -> SimulationConfig:
     )
 
 
-def round_to_json(r: Round, index: int) -> dict:
-    return {
-        "round": index,
-        "settled_state": linops.matrix_to_json(r.settled_state),
-        "symbol": r.symbol,
-        "settle_steps": r.settle_steps,
-        "post_kick_state": linops.matrix_to_json(r.post_kick_state),
-    }
+def trajectory_to_json(traj: Trajectory) -> list[dict]:
+    """One record per round, in order; the first also holds the fixed points."""
+    records = [
+        {
+            "round": i,
+            "symbol": r.symbol,
+            "settle_steps": r.settle_steps,
+            "weights": r.weights.tolist(),
+            "residual": r.residual,
+        }
+        for i, r in enumerate(traj.rounds)
+    ]
+    if records:
+        records[0]["fixed_points"] = [linops.matrix_to_json(fp) for fp in traj.fixed_points]
+    return records
 
 
-def round_from_json(obj: dict) -> Round:
-    if not isinstance(obj, dict) or not {"settled_state", "settle_steps", "post_kick_state"} <= set(obj):
-        raise ValueError("trajectory round needs settled_state, settle_steps and post_kick_state")
-    try:
-        symbol = None if obj.get("symbol") is None else int(obj["symbol"])
-        settle_steps = int(obj["settle_steps"])
-    except TypeError as exc:
-        raise ValueError(f"trajectory round field has the wrong type: {exc}") from exc
-    return Round(
-        settled_state=linops.matrix_from_json(obj["settled_state"]),
-        symbol=symbol,
-        settle_steps=settle_steps,
-        post_kick_state=linops.matrix_from_json(obj["post_kick_state"]),
-    )
+def symbols_from_json(records: Sequence) -> list[int | None]:
+    """The symbol sequence of a trajectory's records. Record i must have
+    round i, settle_steps >= 1 and a symbol >= 0 or null; every other key
+    is ignored."""
+    symbols: list[int | None] = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or not _ROUND_KEYS <= set(rec):
+            raise ValueError(f"trajectory line {i} needs {sorted(_ROUND_KEYS)}")
+        if _json_int(rec, "round") != i:
+            raise ValueError(f"trajectory line {i} holds round {rec['round']}: "
+                             "rounds must run 0, 1, 2, ... without gaps")
+        _json_int(rec, "settle_steps", minimum=1)
+        symbols.append(_json_int(rec, "symbol", minimum=0, nullable=True))
+    return symbols
 
 
 def process_to_json(p: EmpiricalProcess) -> dict:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from conekit import cli, engineer, linops, sdp as sdpmod
 from conekit.cli import main
 
 from conftest import basis_proj
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -389,10 +392,15 @@ class TestConesimCommands:
         assert code == 0
         summary = json.loads(out)
         assert summary["rounds"] == 300 and summary["unclassified"] == 0
+        assert summary["settle_steps"] == 1 and summary["unclassified_rounds"] == []
+        assert 0.0 <= summary["max_residual"] < 1e-12
         with open(traj_path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
         assert len(lines) == 300
-        assert {"round", "settled_state", "symbol", "settle_steps", "post_kick_state"} <= set(lines[0])
+        keys = {"round", "symbol", "settle_steps", "weights", "residual"}
+        assert set(lines[0]) == keys | {"fixed_points"}
+        assert all(set(line) == keys for line in lines[1:])
+        assert len(lines[0]["fixed_points"]) == summary["n_fixed_points"] == 3
 
         code, out, _ = run_cli(capsys, "conesim", "estimate", traj_path)
         assert code == 0
@@ -417,9 +425,9 @@ class TestConesimCommands:
         assert json.loads(out)["rounds"] == 5
         with open(traj_path) as fh:
             first = json.loads(fh.readline())
-        # the dephasing channel fixes |1><1|, so round 0 settles where it started
-        settled = linops.matrix_from_json(first["settled_state"])
-        assert np.abs(settled - basis_proj(1, 3)).max() < 1e-12
+        # the dephasing channel fixes |1><1|, so round 0 settles where it
+        # started: all its weight on fixed point 1
+        assert np.abs(np.array(first["weights"]) - [0.0, 1.0, 0.0]).max() < 1e-12
         assert first["symbol"] == 1
 
     def test_run_kick_dimension_mismatch_is_validation_error(self, workdir, capsys):
@@ -452,6 +460,71 @@ class TestConesimCommands:
             with open(p) as fh:
                 return [json.loads(l)["symbol"] for l in fh if l.strip()]
         assert sym(p1) != sym(p2)
+
+    def test_estimate_reads_trajectory_with_states(self, capsys):
+        # written by the earlier format, whose lines also held settled_state
+        # and post_kick_state; its estimate must not change
+        path = str(DATA / "trajectory_with_states.jsonl")
+        code, out, _ = run_cli(capsys, "conesim", "estimate", path)
+        assert code == 0
+        assert out == (
+            '{"symbols": [0, 1, 2], "counts": [[4, 0, 1], [1, 0, 0], [0, 2, 3]], '
+            '"transition": [[0.8, 0.0, 0.2], [1.0, 0.0, 0.0], [0.0, 0.4, 0.6]], '
+            '"stationary": [0.5882352941176471, 0.11764705882352937, 0.2941176470588235]}\n'
+        )
+        code, out, _ = run_cli(capsys, "conesim", "estimate", path, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["from,to0,to1,to2", "0,0.8,0.0,0.2", "1,1.0,0.0,0.0",
+                                    "2,0.0,0.4,0.6"]
+
+    def test_estimate_reads_minimal_lines(self, workdir, capsys):
+        tmp, _ = workdir
+        path = tmp / "t.jsonl"
+        path.write_text("".join(json.dumps({"round": i, "symbol": s, "settle_steps": 1}) + "\n"
+                                for i, s in enumerate([0, 1, 0, 1])))
+        code, out, _ = run_cli(capsys, "conesim", "estimate", str(path))
+        assert code == 0
+        assert json.loads(out)["counts"] == [[0, 2], [1, 0]]
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[1].update(symbol=1.7),
+        lambda t: t[1].update(symbol=True),
+        lambda t: t[1].update(symbol=-3),
+        lambda t: t[1].update(symbol="1"),
+        lambda t: t[1].update(settle_steps=-5),
+        lambda t: t[1].update(settle_steps=0),
+        lambda t: t[1].update(round=1.5),
+        lambda t: t.pop(1),
+        lambda t: t.insert(0, t.pop(1)),
+        lambda t: t[1].pop("settle_steps"),
+    ], ids=["symbol-fraction", "symbol-bool", "symbol-negative", "symbol-string",
+            "settle-steps-negative", "settle-steps-zero", "round-fraction", "round-dropped",
+            "rounds-reordered", "settle-steps-missing"])
+    def test_estimate_rejects_bad_line(self, workdir, capsys, edit):
+        # lines the earlier format also reads, so each case checks the field alone
+        tmp, _ = workdir
+        with open(DATA / "trajectory_with_states.jsonl") as fh:
+            lines = [json.loads(line) for line in fh]
+        edit(lines)
+        path = tmp / "t.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code, _, err = run_cli(capsys, "conesim", "estimate", str(path))
+        assert code == 2
+        assert json.loads(err)["reason"] == "validation"
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_rounds", 2.9), ("n_rounds", "5"), ("n_iter", True), ("n_iter", float("inf")),
+        ("seed", -1), ("seed", 1.5), ("seed", False),
+    ], ids=["n-rounds-fraction", "n-rounds-string", "n-iter-bool", "n-iter-inf",
+            "seed-negative", "seed-fraction", "seed-bool"])
+    def test_run_rejects_non_integer_config(self, workdir, capsys, field, value):
+        tmp, write = workdir
+        cfg = write("sim.json", dict(self.config_obj(rounds=5), **{field: value}))
+        code, _, err = run_cli(capsys, "conesim", "run", "--config", cfg,
+                               "--out", str(tmp / "t.jsonl"))
+        assert code == 2
+        assert json.loads(err)["reason"] == "validation"
+        assert field in json.loads(err)["error"]
 
     def test_unknown_config_key_exits_2(self, workdir, capsys):
         tmp, write = workdir

@@ -1,17 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conekit import channel as chan
-from conekit import conesim, engineer, quasireal
+from conekit import conesim, engineer, linops, quasireal
 from conekit.channel import ChoiMatrix
 from conekit.conesim import (
     DepolarizingKick,
     FixedKick,
     HaarUnitaryKick,
-    Round,
     SimulationConfig,
-    Trajectory,
     estimate_process,
     haar_unitary,
     run,
@@ -27,13 +29,6 @@ def qutrit_channel() -> ChoiMatrix:
         [basis_proj(0, 3), basis_proj(1, 3)], b=basis_proj(2, 3)
     )
     return engineer.build_separable_multi(spec)
-
-
-def synthetic_trajectory(symbols) -> Trajectory:
-    eye = np.eye(2, dtype=complex) / 2
-    rounds = [Round(settled_state=eye, symbol=s, settle_steps=1, post_kick_state=eye)
-              for s in symbols]
-    return Trajectory(rounds=rounds)
 
 
 class TestHaarUnitary:
@@ -216,30 +211,30 @@ class TestRun:
 
 class TestEstimateProcess:
     def test_constant_sequence(self):
-        proc = estimate_process(synthetic_trajectory([1] * 10))
+        proc = estimate_process([1] * 10)
         assert proc.symbols == [1]
         assert proc.counts.tolist() == [[9]]
         assert proc.transition_estimate.tolist() == [[1.0]]
         assert proc.stationary_estimate.tolist() == [1.0]
 
     def test_alternating_sequence(self):
-        proc = estimate_process(synthetic_trajectory([0, 1] * 20))
+        proc = estimate_process([0, 1] * 20)
         assert proc.symbols == [0, 1]
         assert np.abs(proc.transition_estimate - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-12
         assert np.allclose(proc.stationary_estimate, [0.5, 0.5])
 
     def test_unclassified_breaks_pairs(self):
-        proc = estimate_process(synthetic_trajectory([0, None, 1, 1]))
+        proc = estimate_process([0, None, 1, 1])
         # only the (1, 1) adjacency is countable
         assert proc.symbols == [0, 1] or proc.symbols == [1]
         assert proc.counts.sum() == 1
 
     def test_requires_two_classified(self):
         with pytest.raises(ValueError):
-            estimate_process(synthetic_trajectory([0, None, None]))
+            estimate_process([0, None, None])
 
     def test_rows_exactly_normalized(self):
-        proc = estimate_process(synthetic_trajectory([0, 0, 1, 0, 1, 1, 0]))
+        proc = estimate_process([0, 0, 1, 0, 1, 1, 0])
         for i, row in enumerate(proc.transition_estimate):
             if proc.counts[i].sum() > 0:
                 assert abs(row.sum() - 1.0) < 1e-12
@@ -247,20 +242,20 @@ class TestEstimateProcess:
 
 class TestToQuasiRealization:
     def test_alternating_word_probabilities(self):
-        proc = estimate_process(synthetic_trajectory([0, 1] * 30))
+        proc = estimate_process([0, 1] * 30)
         q = to_quasi_realization(proc)
         assert quasireal.word_probability(q, "01") == pytest.approx(0.5)
         assert quasireal.word_probability(q, "00") == pytest.approx(0.0)
         assert quasireal.is_positive_realization(q, tol=1e-9).all_ok
 
     def test_constant_word_probabilities(self):
-        proc = estimate_process(synthetic_trajectory([0] * 12))
+        proc = estimate_process([0] * 12)
         q = to_quasi_realization(proc)
         for k in range(1, 6):
             assert quasireal.word_probability(q, "0" * k) == pytest.approx(1.0)
 
     def test_missing_rows_rejected(self):
-        proc = estimate_process(synthetic_trajectory([0, 0, 1]))  # symbol 1 has no exit
+        proc = estimate_process([0, 0, 1])  # symbol 1 has no exit
         with pytest.raises(ValueError) as exc:
             to_quasi_realization(proc)
         assert "1" in str(exc.value)
@@ -270,7 +265,7 @@ class TestToQuasiRealization:
                                n_iter=20, n_rounds=3000, classify_tol=0.67,
                                classify_mode="sample", seed=9)
         traj = run(cfg, np.eye(3) / 3)
-        proc = estimate_process(traj)
+        proc = estimate_process(traj.symbols())
         q = to_quasi_realization(proc)
         symbols = [s for s in traj.symbols() if s is not None]
         pairs = list(zip(symbols[:-1], symbols[1:]))
@@ -345,9 +340,44 @@ class TestConfigJson:
         with pytest.raises(ValueError):
             conesim.config_from_json(obj)
 
-    def test_round_record_roundtrip(self, rng):
-        r = Round(settled_state=random_density(rng, 2), symbol=None,
-                  settle_steps=3, post_kick_state=random_density(rng, 2))
-        back = conesim.round_from_json(conesim.round_to_json(r, 7))
-        assert back.symbol is None and back.settle_steps == 3
-        assert np.abs(back.settled_state - r.settled_state).max() < 1e-15
+    def test_round_record_roundtrip(self):
+        cfg = SimulationConfig(channel=qutrit_channel(), kick=HaarUnitaryKick(), n_iter=20,
+                               n_rounds=6, classify_tol=0.67, classify_mode="sample", seed=4)
+        traj = run(cfg, np.eye(3) / 3)
+        back = [json.loads(json.dumps(rec)) for rec in conesim.trajectory_to_json(traj)]
+        assert conesim.symbols_from_json(back) == traj.symbols()
+        for rec, r in zip(back, traj.rounds):
+            # repr of a float reads back to the same bits, signed zeros included
+            assert np.asarray(rec["weights"], dtype=float).tobytes() == r.weights.tobytes()
+            assert np.float64(rec["residual"]).tobytes() == np.float64(r.residual).tobytes()
+        fps = [linops.matrix_from_json(m) for m in back[0]["fixed_points"]]
+        assert all(np.array_equal(a, b) for a, b in zip(fps, traj.fixed_points))
+
+
+class TestRoundWeightsProperties:
+    """Every round of either mode records NNLS weights over the fixed
+    points that are a convex decomposition of its settled state, on
+    random separable channels (1-3 sectors of rank 1-2, optional decay
+    dimensions)."""
+
+    @given(sectors=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=2),
+                            min_size=1, max_size=3),
+           extra=st.integers(0, 2),
+           mode=st.sampled_from(conesim.CLASSIFY_MODES),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(sectors=[[0.7, 0.3], [1.0]], extra=0, mode="sample", seed=0)
+    @example(sectors=[[0.7, 0.3], [1.0]], extra=0, mode="nearest", seed=0)
+    @example(sectors=[[0.6, 0.4]], extra=1, mode="sample", seed=1)
+    @example(sectors=[[0.6, 0.4]], extra=1, mode="nearest", seed=1)
+    def test_weights_decompose_the_settled_state(self, sectors, extra, mode, seed):
+        rng = np.random.default_rng(seed)
+        _, c = mixed_sector_channel(rng, sectors, extra)
+        cfg = SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=2000, n_rounds=5,
+                               classify_mode=mode, seed=seed)
+        traj = run(cfg, random_density(rng, c.d_in))
+        fps = np.asarray(traj.fixed_points)
+        for r in traj.rounds:
+            assert r.weights.shape == (len(fps),)
+            assert (r.weights >= 0).all()
+            assert abs(r.weights.sum() - 1.0) <= 1e-10
+            assert np.linalg.norm(np.tensordot(r.weights, fps, axes=1) - r.settled_state) <= 1e-10
