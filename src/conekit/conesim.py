@@ -52,6 +52,7 @@ string is rejected, never coerced.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -355,6 +356,17 @@ def _json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = 
     return value
 
 
+def _json_float(obj: dict, key: str, default: float) -> float:
+    """obj[key], or default when the key is absent, as a float. A bool, a
+    string, null and a number that is not finite as a float raise ValueError."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def config_from_json(obj: dict) -> SimulationConfig:
     if not isinstance(obj, dict):
         raise ValueError("simulation config must be a JSON object")
@@ -372,11 +384,8 @@ def config_from_json(obj: dict) -> SimulationConfig:
         raise ValueError(f"unknown kick keys: {sorted(unknown)}")
     n_iter, n_rounds = _json_int(obj, "n_iter"), _json_int(obj, "n_rounds")
     seed = _json_int(obj, "seed") if "seed" in obj else 0
-    try:
-        classify_tol = float(obj.get("classify_tol", CLASSIFY_TOL))
-        strength = float(kick_obj.get("strength", 1.0))
-    except TypeError as exc:
-        raise ValueError(f"config field has the wrong type: {exc}") from exc
+    classify_tol = _json_float(obj, "classify_tol", CLASSIFY_TOL)
+    strength = _json_float(kick_obj, "strength", 1.0)
     policy = kick_obj["policy"]
     kick: KickPolicy
     if policy == "haar":

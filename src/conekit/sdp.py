@@ -16,7 +16,8 @@ step works on. ``solve`` is the single entry point and runs one path:
    certificate when it is linearly inconsistent;
 3. run a primal-dual path-following method with Nesterov-Todd scaling
    and Mehrotra-style adaptive centering (an affine predictor step fixes
-   the centering weight of the actual step);
+   the centering weight of the actual step); the scaling's eigh of Z and
+   of Z^1/2 X Z^1/2 also gives Z^-1 and every step length;
 4. apply one least-norm affine projection onto the constraints, kept only
    while the iterate stays PSD within PSD_TOL, and map the result back
    through the face.
@@ -152,30 +153,20 @@ def _max_entry(m: np.ndarray) -> float:
     return max(float(np.abs(m.real).max(initial=0.0)), float(np.abs(m.imag).max(initial=0.0)))
 
 
-def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest alpha with s + alpha*ds >= 0, via eigenvalues of L^-1 ds L^-dag.
-
-    When s is too close to singular for a Cholesky factor, G = V w^-1/2
-    from s = V diag(w) V^dag (w clipped at 1e-14) gives G^dag ds G, which
-    is similar to s^-1/2 ds s^-1/2 and so has the same eigenvalues.
-    """
-    try:
-        low = np.linalg.cholesky(s)
-        m1 = scipy.linalg.solve_triangular(low, ds, lower=True)
-        m2 = scipy.linalg.solve_triangular(low, m1.conj().T, lower=True)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(s)
-        g = v / np.sqrt(np.clip(w, 1e-14, None))
-        m2 = g.conj().T @ ds @ g
-    lam_min = float(np.linalg.eigvalsh(_sym(m2)).min())
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+def _max_step(g: np.ndarray, ds: np.ndarray) -> float:
+    """Largest alpha with s + alpha*ds >= 0, given a factor g with
+    g^dag s g = I: s + alpha*ds >= 0 exactly when I + alpha g^dag ds g >= 0."""
+    lam_min = float(np.linalg.eigvalsh(_sym(g.conj().T @ ds @ g)).min())
+    return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W > 0 with W Z W = X."""
+def _nt_scaling(x: np.ndarray, z: np.ndarray):
+    """(W, Z^-1, G_x, G_z) from eigh(z) and eigh(z^1/2 x z^1/2) = V_b w_b V_b^dag:
+    W Z W = X, G_z = z^-1/2 and G_x = z^1/2 V_b w_b^-1/2 (G^dag S G = I for S = X, Z).
+    None when z has an eigenvalue that is not positive and finite."""
     wz, vz = np.linalg.eigh(z)
+    if not (wz[0] > 0.0 and np.isfinite(wz).all()):
+        return None
     wz = np.clip(wz, 1e-14, None)
     z_half = (vz * np.sqrt(wz)) @ vz.conj().T
     z_ihalf = (vz / np.sqrt(wz)) @ vz.conj().T
@@ -183,7 +174,8 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     wb, vb = np.linalg.eigh(b)
     wb = np.clip(wb, 1e-16, None)
     b_half = (vb * np.sqrt(wb)) @ vb.conj().T
-    return _sym(z_ihalf @ b_half @ z_ihalf)
+    w = _sym(z_ihalf @ b_half @ z_ihalf)
+    return w, (vz / wz) @ vz.conj().T, z_half @ (vb / np.sqrt(wb)), z_ihalf
 
 
 @dataclass
@@ -196,6 +188,7 @@ class _IpmResult:
     message: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite iterate
 def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                          max_iter: int, feas_tol: float) -> _IpmResult:
     """Path following on Hermitian n x n iterates of the dtype of ``ops``
@@ -254,6 +247,10 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         mu = inner(x, z) / n
         pobj = inner(cost, x)
         dobj = float(b @ y)
+        # mu and dobj sum over every entry of x, z and y: a non-finite entry shows here
+        if not (np.isfinite(mu) and np.isfinite(dobj)):
+            message = "iterate became non-finite"
+            break
         done, pinf, dinf, gap = converged(rp, rd, pobj, dobj, target)
         if done:
             status = STATUS_OPTIMAL
@@ -269,16 +266,17 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                                   dual_residual=dinf,
                                   message="dual improving ray found (primal infeasible)")
 
-        w = _nt_scaling(x, z)
-        try:
-            zinv = np.linalg.inv(z)
-        except np.linalg.LinAlgError:
+        scaling = _nt_scaling(x, z)
+        if scaling is None:
             message = "scaling matrix became singular"
             break
-        zinv = _sym(zinv)
+        w, zinv, g_x, g_z = scaling
 
         waw = (w @ ops @ w).reshape(m, -1)
         schur = _sym((rows_h @ waw.T).real)
+        if not np.isfinite(schur).all():
+            message = "Schur complement became non-finite"
+            break
         w_rd_w = _sym(w @ rd @ w)
         try:
             chol = scipy.linalg.cho_factor(schur + 1e-13 * np.trace(schur) / m * np.eye(m))
@@ -301,20 +299,20 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
 
         # predictor: affine step fixes the centering weight
         dx_a, dy_a, dz_a = newton(-x)
-        ap = min(1.0, 0.98 * _max_step(x, dx_a))
-        ad = min(1.0, 0.98 * _max_step(z, dz_a))
+        ap = min(1.0, 0.98 * _max_step(g_x, dx_a))
+        ad = min(1.0, 0.98 * _max_step(g_z, dz_a))
         mu_aff = inner(x + ap * dx_a, z + ad * dz_a) / n
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         dx, dy, dz = newton(sigma * mu * zinv - x)
-        ap = min(1.0, 0.98 * _max_step(x, dx))
-        ad = min(1.0, 0.98 * _max_step(z, dz))
+        ap = min(1.0, 0.98 * _max_step(g_x, dx))
+        ad = min(1.0, 0.98 * _max_step(g_z, dz))
         if min(ap, ad) < 0.05:
             # drifting off the central path: take a centering step instead
             sigma = max(sigma, 0.5)
             dx, dy, dz = newton(sigma * mu * zinv - x)
-            ap = min(1.0, 0.98 * _max_step(x, dx))
-            ad = min(1.0, 0.98 * _max_step(z, dz))
+            ap = min(1.0, 0.98 * _max_step(g_x, dx))
+            ad = min(1.0, 0.98 * _max_step(g_z, dz))
         x = _sym(x + ap * dx)
         y = y + ad * dy
         z = _sym(z + ad * dz)
@@ -432,13 +430,14 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     eigs = np.linalg.eigvalsh(x)
     x_rank = int(np.sum(eigs > max(PSD_TOL, 1e-8 * float(eigs.max(initial=0.0)))))
     obj = float(np.trace(cost_c @ x).real)
-    status = res.status
+    status, message = res.status, res.message
     if status == STATUS_OPTIMAL and (primal_res > feas_tol or eigs.min() < -PSD_TOL):
         status = STATUS_NUMERICAL_LIMIT
+        message = f"off the full problem: residual {primal_res:.3e}, min eig {eigs.min():.3e}"
     return SdpSolution(
         x=x, objective_value=obj, primal_residual=primal_res,
         dual_residual=res.dual_residual, status=status,
-        iterations=res.iterations, y=y_full, rank=x_rank, message=res.message,
+        iterations=res.iterations, y=y_full, rank=x_rank, message=message,
     )
 
 

@@ -289,6 +289,22 @@ class TestSdpCommand:
         assert json.loads(out)["status"] == "numerical-limit"
         assert json.loads(err)["reason"] == "numerical-limit"
 
+    @pytest.mark.parametrize("scale", [1e100, 1e152, 1e160])
+    def test_overflow_inside_solve_exits_4(self, workdir, capsys, scale):
+        # finite data whose products overflow, a numerical failure, not bad
+        # input: at 1e152 the Schur matrix turns non-finite after some
+        # iterations, at 1e160 the start point already is; at 1e100 the rank
+        # reduction drops the small row and the solution misses it
+        _, write = workdir
+        obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
+            {"a": linops.matrix_to_json(np.diag([scale, 0.0])), "b": scale},
+            {"a": linops.matrix_to_json(np.diag([0.0, 1.0])), "b": 1.0}]}
+        code, out, err = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
+        assert code == 4
+        assert json.loads(out)["status"] == "numerical-limit"
+        payload = json.loads(err)
+        assert payload["reason"] == "numerical-limit"
+        assert payload["error"] != "SDP solve hit its numerical limit: "
 
     @pytest.mark.parametrize("command", ["sdp-solve", "demo-bell"])
     def test_linalg_error_inside_solve_exits_4(self, workdir, capsys, monkeypatch, command):

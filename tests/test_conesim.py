@@ -334,6 +334,22 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="kick channel is 2->2"):
             conesim.config_from_json(obj)
 
+    @pytest.mark.parametrize("field", ["classify_tol", "strength"])
+    @pytest.mark.parametrize("value", [True, "0.5", float("nan"), float("inf"), None, 10 ** 400],
+                             ids=["bool", "string", "nan", "inf", "null", "huge-int"])
+    def test_float_field_must_be_a_finite_number(self, field, value):
+        obj = self.base_config_obj()
+        (obj["kick"] if field == "strength" else obj)[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            conesim.config_from_json(obj)
+
+    def test_integer_float_fields_accepted(self):
+        obj = self.base_config_obj()
+        obj["classify_tol"], obj["kick"]["strength"] = 1, 0
+        cfg = conesim.config_from_json(obj)
+        assert (cfg.classify_tol, cfg.kick.strength) == (1.0, 0.0)
+        assert type(cfg.classify_tol) is float and type(cfg.kick.strength) is float
+
     def test_fixed_kick_needs_choi(self):
         obj = self.base_config_obj()
         obj["kick"] = {"policy": "fixed"}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conekit import linops, sdp
 from conekit.engineer import fixed_point_face
@@ -196,11 +198,11 @@ class TestSolve:
             sdp.solve(p, face=np.array([[1.0], [1.0]]))
 
 
-def largest_psd_step(s, ds, cap=1e6):
-    """Largest alpha with s + alpha*ds >= 0, by bisection on eigvalsh
-    (inf when the step stays PSD up to ``cap``)."""
+def largest_psd_step(s, ds, cap=1e6, tol=1e-12):
+    """Largest alpha with s + alpha*ds >= 0 (eigenvalues down to -tol), by
+    bisection on eigvalsh (inf when the step stays PSD up to ``cap``)."""
     def psd(alpha):
-        return np.linalg.eigvalsh(s + alpha * ds).min() >= -1e-12
+        return np.linalg.eigvalsh(s + alpha * ds).min() >= -tol
 
     if psd(cap):
         return np.inf
@@ -211,8 +213,16 @@ def largest_psd_step(s, ds, cap=1e6):
     return lo
 
 
+def eig_factor(s):
+    """g = V w^-1/2 from s = V diag(w) V^dag, w clipped at 1e-14 as the NT
+    scaling clips z; g^dag s g = I wherever w is above the clip."""
+    w, v = np.linalg.eigh(s)
+    return v / np.sqrt(np.clip(w, 1e-14, None))
+
+
 class TestMaxStep:
-    """The step-length rule on singular PSD iterates, where Cholesky fails."""
+    """The step-length rule in factor form, g^dag s g = I, on singular and
+    complex iterates."""
 
     def test_singular_s_finite_step(self):
         s = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
@@ -222,13 +232,13 @@ class TestMaxStep:
         ds = np.array([[-1.0, -1.0, 0.5], [-1.0, 0.5, 0.0], [0.5, 0.0, -1.0]])
         ref = largest_psd_step(s, ds)
         assert 0.5 < ref < 1.0
-        assert sdp._max_step(s, ds) == pytest.approx(ref, rel=1e-8)
+        assert sdp._max_step(eig_factor(s), ds) == pytest.approx(ref, rel=1e-8)
 
     def test_singular_s_psd_direction_is_unbounded(self):
         s = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         ds = np.diag([1.0, 0.5, 2.0])
         assert largest_psd_step(s, ds) == np.inf
-        assert sdp._max_step(s, ds) == np.inf
+        assert sdp._max_step(eig_factor(s), ds) == np.inf
 
     def test_random_rank_deficient_s(self, rng):
         for _ in range(5):
@@ -242,20 +252,21 @@ class TestMaxStep:
             h = (h + h.T) / 2
             # positive definite on ker s, so the step is finite and positive
             ds = h + (np.linalg.norm(h, 2) + 1.0) * ker @ ker.T
-            assert sdp._max_step(s, ds) == pytest.approx(largest_psd_step(s, ds), rel=1e-8)
+            assert sdp._max_step(eig_factor(s), ds) == pytest.approx(
+                largest_psd_step(s, ds), rel=1e-8)
 
     def test_complex_positive_definite_s(self, rng):
-        # Cholesky succeeds: exercises the conjugate transpose of L^-1 ds
+        # g = L^-dag from s = L L^dag is not Hermitian: exercises g^dag
         for _ in range(5):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             s = g @ g.conj().T + 0.1 * np.eye(4)
             ds = random_hermitian(rng, 4)
             ref = largest_psd_step(s, ds)
             assert np.isfinite(ref)
-            assert sdp._max_step(s, ds) == pytest.approx(ref, rel=1e-8)
+            factor = np.linalg.inv(np.linalg.cholesky(s)).conj().T
+            assert sdp._max_step(factor, ds) == pytest.approx(ref, rel=1e-8)
 
     def test_complex_singular_s(self, rng):
-        # Cholesky fails: exercises G^dag ds G on the eigenvector fallback
         for _ in range(5):
             g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
             s = g @ g.conj().T
@@ -265,7 +276,57 @@ class TestMaxStep:
             ker = v[:, :2]
             h = random_hermitian(rng, 4)
             ds = h + (np.linalg.norm(h, 2) + 1.0) * ker @ ker.conj().T
-            assert sdp._max_step(s, ds) == pytest.approx(largest_psd_step(s, ds), rel=1e-8)
+            assert sdp._max_step(eig_factor(s), ds) == pytest.approx(
+                largest_psd_step(s, ds), rel=1e-8)
+
+
+def random_pd(rng, n, complex_data, eigs):
+    """Q diag(eigs) Q^dag for a random unitary (orthogonal when real) Q."""
+    g = rng.standard_normal((n, n))
+    if complex_data:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    return (q * eigs) @ q.conj().T
+
+
+class TestNtScaling:
+    """The NT scaling's identities and step lengths, to rounding amplified by
+    kappa = cond(x) cond(z): measured below 20 eps kappa for n <= 6, allowed
+    up to 1e3 eps kappa."""
+
+    @given(n=st.integers(1, 6), complex_data=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           kind=st.sampled_from(["random", "x=z", "identity"]), x_min=st.floats(1e-3, 1.0))
+    @example(n=4, complex_data=True, seed=0, kind="random", x_min=1e-12)
+    @example(n=4, complex_data=False, seed=0, kind="random", x_min=1e-12)
+    @example(n=5, complex_data=True, seed=0, kind="x=z", x_min=1.0)
+    @example(n=3, complex_data=False, seed=0, kind="identity", x_min=1.0)
+    def test_identities_and_step_lengths(self, n, complex_data, seed, kind, x_min):
+        rng = np.random.default_rng(seed)
+        if kind == "identity":
+            x = z = np.eye(n, dtype=complex if complex_data else float)
+        else:
+            z = random_pd(rng, n, complex_data, rng.uniform(1e-3, 1.0, n))
+            x_eigs = np.concatenate([[x_min], rng.uniform(x_min, 1.0, n - 1)])
+            x = z.copy() if kind == "x=z" else random_pd(rng, n, complex_data, x_eigs)
+        w, zinv, g_x, g_z = sdp._nt_scaling(x, z)
+        tol = 1e3 * np.finfo(float).eps * np.linalg.cond(x) * np.linalg.cond(z)
+        eye = np.eye(n)
+        assert np.abs(w @ z @ w - x).max() <= tol * np.abs(x).max()
+        assert np.abs(g_x.conj().T @ x @ g_x - eye).max() <= tol
+        assert np.abs(g_z.conj().T @ z @ g_z - eye).max() <= tol
+        assert np.abs(z @ zinv - eye).max() <= tol
+        for g, s in ((g_x, x), (g_z, z)):
+            ds = rng.standard_normal((n, n))
+            if complex_data:
+                ds = ds + 1j * rng.standard_normal((n, n))
+            ds = ds + ds.conj().T
+            assert sdp._max_step(g, ds) == pytest.approx(largest_psd_step(s, ds, tol=0.0),
+                                                         rel=tol)
+
+    def test_singular_z_is_reported(self):
+        assert sdp._nt_scaling(np.eye(2), np.diag([1.0, 0.0])) is None
+        assert sdp._nt_scaling(np.eye(2), np.diag([1.0, -1e-3])) is None
 
 
 class TestComplexHermitianHandling:
