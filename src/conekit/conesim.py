@@ -30,6 +30,14 @@ unitary each round (sampled from the run's seeded generator), or a
 depolarizing map of given strength. Everything is deterministic under
 the configured seed.
 
+The per-round draw contract, which keeps seeded trajectories the same
+from one version to the next: a classified "sample"-mode round draws one
+uniform for its symbol, before the kick draws anything; an unclassified
+round and every "nearest"-mode round draw none; a Haar kick then draws
+2*d**2 standard normals, a fixed or depolarizing kick none. Whether a
+round draws depends on its state, so the draws of a run cannot be
+batched ahead of it without changing the trajectory.
+
 Both modes resolve every settled state into its barycentric weights over
 the fixed points (one NNLS solve, which draws nothing from the
 generator) and keep them, with the decomposition residual, on the Round.
@@ -57,6 +65,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.linalg.lapack import zgeqrf, zungqr
 from scipy.optimize import nnls
 
 from . import channel as chan
@@ -73,10 +82,17 @@ CLASSIFY_MODES = ("nearest", "sample")
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix with
-    the phases of R's diagonal folded back in."""
+    the phases of R's diagonal folded back in (Mezzadri 2007).
+
+    Draws 2*dim**2 standard normals, the real parts first. The QR is
+    LAPACK's zgeqrf / zungqr called directly, the pair that
+    ``np.linalg.qr`` runs, without its wrapper's cost; R's diagonal is
+    the diagonal of the factored matrix.
+    """
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
+    qr, tau, _, _ = zgeqrf(z)
+    q, _, _ = zungqr(qr, tau)
+    d = qr.diagonal()
     return q * (d / np.abs(d))
 
 
@@ -167,13 +183,25 @@ class Trajectory:
         return [r.symbol for r in self.rounds]
 
 
-def _fixed_point_weights(settled: np.ndarray, fps: list[np.ndarray]) -> tuple[np.ndarray, float]:
+def _stack_re_im(m: np.ndarray) -> np.ndarray:
+    return np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
+
+
+def _fixed_point_weights(settled: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative barycentric weights of a state over the fixed points,
-    via NNLS on the stacked real and imaginary parts."""
-    cols = [np.concatenate([fp.real.reshape(-1), fp.imag.reshape(-1)]) for fp in fps]
-    target = np.concatenate([settled.real.reshape(-1), settled.imag.reshape(-1)])
-    coeffs, residual = nnls(np.column_stack(cols), target)
+    via NNLS on the stacked real and imaginary parts; column j of
+    ``columns`` is fixed point j stacked the same way."""
+    coeffs, residual = nnls(columns, _stack_re_im(settled))
     return coeffs, float(residual)
+
+
+def _draw_symbol(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """``rng.choice(len(weights), p=weights / total)``, by the inverse-CDF
+    step that choice itself runs, without its validation of p: one
+    uniform drawn, the same index returned."""
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _settle_steps(fps: chan.FixedPointSet, n_iter: int) -> int:
@@ -220,15 +248,16 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     fp_set = chan.fixed_points(config.channel)
     steps = _settle_steps(fp_set, config.n_iter)
     fps, p1 = fp_set.states, fp_set.projector
+    columns = np.column_stack([_stack_re_im(fp) for fp in fps])
     rng = np.random.default_rng(config.seed)
     rounds: list[Round] = []
     for _ in range(config.n_rounds):
         settled = hermitize((p1 @ state.reshape(-1)).reshape(state.shape))
-        weights, resid = _fixed_point_weights(settled, fps)
+        weights, resid = _fixed_point_weights(settled, columns)
         if config.classify_mode == "sample":
             total = weights.sum()
             if resid <= config.classify_tol and total > 0:
-                symbol = int(rng.choice(len(fps), p=weights / total))
+                symbol = _draw_symbol(weights, total, rng)
             else:
                 symbol = None
         else:

@@ -389,8 +389,10 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     # the real coordinates of the rows: their dot products are Re tr[A_k^dag A_l]
     rows = data[1:].reshape(m, -1).view(float)
 
-    # Linear consistency and rank reduction of the constraint set.
-    u, sv, _ = np.linalg.svd(rows, full_matrices=True)
+    # Linear consistency and rank reduction of the constraint set. U must
+    # span all m rows for the left null space; V is never used, so the
+    # reduced SVD suffices unless there are more rows than columns.
+    u, sv, _ = np.linalg.svd(rows, full_matrices=m > rows.shape[1])
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > max(1e-12, 1e-10 * smax)))
     if rank < m:

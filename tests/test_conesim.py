@@ -31,7 +31,26 @@ def qutrit_channel() -> ChoiMatrix:
     return engineer.build_separable_multi(spec)
 
 
+def haar_unitary_by_numpy_qr(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Mezzadri's construction through np.linalg.qr: the reference for
+    haar_unitary, which calls LAPACK directly."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 class TestHaarUnitary:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_numpy_qr_construction(self, dim):
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = haar_unitary(dim, rng)
+            assert np.abs(u - haar_unitary_by_numpy_qr(dim, ref_rng)).max() <= 1e-13
+            assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-13
+            # both drew the same 2 dim^2 normals
+            assert rng.random() == ref_rng.random()
+
     def test_unitarity_and_determinism(self):
         u1 = haar_unitary(4, np.random.default_rng(3))
         u2 = haar_unitary(4, np.random.default_rng(3))
@@ -46,6 +65,25 @@ class TestHaarUnitary:
         for _ in range(n):
             acc += np.abs(haar_unitary(3, rng)) ** 2
         assert np.abs(acc / n - 1.0 / 3.0).max() < 0.05
+
+
+class TestDrawSymbol:
+    @pytest.mark.parametrize("weights", [
+        [0.2, 0.0, 0.5, 0.3],
+        [0.0, 0.0, 1.0],
+        [1.0],
+        [0.7],
+        [3.0, 0.0, 1.5, 0.0, 4.5],
+        [1e-300, 2e-300],
+    ])
+    def test_matches_generator_choice(self, weights):
+        w = np.array(weights)
+        total = w.sum()
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert conesim._draw_symbol(w, total, rng) == int(ref_rng.choice(len(w), p=w / total))
+            # one uniform drawn by each
+            assert rng.random() == ref_rng.random()
 
 
 class TestKickPolicies:
