@@ -14,8 +14,9 @@ positive realization for a user-supplied cone: tau in the cone, every
 D_u mapping the cone into itself, and pi nonnegative on it.
 
 Cone membership is solved as nonnegative least squares on the generator
-matrix; pointedness as a small LP (no nonzero nonnegative combination of
-generators sums to zero).
+matrix. Pointedness (no nonzero nonnegative combination of generators sums
+to zero) holds outright for linearly independent generators, which a rank
+test recognizes; any other cone is checked by a small LP.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from scipy.optimize import linprog, nnls
 from . import linops
 
 CONE_TOL = 1e-8
+# generators scaled to unit norm count as linearly independent when their
+# smallest singular value exceeds this (well above the LP's 1e-7 feasibility
+# tolerance, so the LP could not find a vanishing combination either)
+INDEPENDENCE_TOL = 1e-6
 WORD_ENUMERATION_CAP = 10 ** 6
 
 
@@ -179,9 +184,15 @@ def cone_membership(cone: PolyhedralCone, v, tol: float = CONE_TOL) -> tuple[boo
 
 def is_pointed(cone: PolyhedralCone, tol: float = CONE_TOL) -> bool:
     """A cone contains no line iff no nonzero nonnegative combination of
-    generators vanishes (generators being nonzero); checked as an LP."""
+    generators vanishes (generators being nonzero). Linearly independent
+    generators (INDEPENDENCE_TOL) have no vanishing combination at all, so
+    their cone is pointed; any other cone is checked as an LP."""
     k = cone.ambient_dim
     m = cone.generators.shape[0]
+    if m <= k:
+        unit = cone.generators / np.linalg.norm(cone.generators, axis=1)[:, None]
+        if np.linalg.svd(unit, compute_uv=False)[-1] > INDEPENDENCE_TOL:
+            return True
     res = linprog(
         c=-np.ones(m),
         A_eq=cone.generators.T,

@@ -13,11 +13,18 @@ step works on. ``solve`` is the single entry point and runs one path:
    (facial reduction: when the constraints force X onto a face of the
    PSD cone, the restricted problem regains a strictly feasible point);
 2. reduce the constraint set to full row rank, returning an exact Farkas
-   certificate when it is linearly inconsistent;
+   certificate when it is linearly inconsistent; both tests see each row
+   and its b divided by the row's norm, so row scale does not decide rank;
 3. run a primal-dual path-following method with Nesterov-Todd scaling
    and Mehrotra-style adaptive centering (an affine predictor step fixes
-   the centering weight of the actual step); the scaling's eigh of Z and
-   of Z^1/2 X Z^1/2 also gives Z^-1 and every step length;
+   the centering weight of the actual step). Every iteration calls LAPACK
+   directly, since at these sizes the numpy and scipy wrappers around the
+   same routines cost more than the arithmetic: dsyevd / zheevd
+   (``_eigh``) for the scaling's eigendecompositions of Z and of
+   Z^1/2 X Z^1/2, which also give Z^-1 and the factors in which each step
+   length is one eigenvalue-only solve, and dpotrf / dpotrs for the Schur
+   system (``_schur_solver``). An eigensolve of a non-finite matrix raises
+   LinAlgError;
 4. apply one least-norm affine projection onto the constraints, kept only
    while the iterate stays PSD within PSD_TOL, and map the result back
    through the face.
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, zheevd
 
 from . import linops
 from .linops import PSD_TOL, hermitize
@@ -153,29 +161,63 @@ def _max_entry(m: np.ndarray) -> float:
     return max(float(np.abs(m.real).max(initial=0.0)), float(np.abs(m.imag).max(initial=0.0)))
 
 
+def _eigh(a: np.ndarray, compute_v: int):
+    """(w, v) of Hermitian ``a`` in one LAPACK call: dsyevd for real and
+    zheevd for complex data, reading the lower triangle as np.linalg.eigh
+    does, so w (ascending) and v are bit-identical to it; v is not computed
+    when ``compute_v`` is 0. Raises LinAlgError on a non-finite entry, for
+    which LAPACK returns finite garbage without an error, and when LAPACK
+    reports a failure."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("eigensolve of a matrix with non-finite entries")
+    w, v, info = (zheevd if np.iscomplexobj(a) else dsyevd)(a, compute_v=compute_v, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigensolve failed (LAPACK info {info})")
+    return w, v
+
+
 def _max_step(g: np.ndarray, ds: np.ndarray) -> float:
     """Largest alpha with s + alpha*ds >= 0, given a factor g with
-    g^dag s g = I: s + alpha*ds >= 0 exactly when I + alpha g^dag ds g >= 0."""
-    lam_min = float(np.linalg.eigvalsh(_sym(g.conj().T @ ds @ g)).min())
+    g^dag s g = I: s + alpha*ds >= 0 exactly when I + alpha g^dag ds g >= 0,
+    so the step is one eigenvalue-only ``_eigh`` of g^dag ds g."""
+    lam_min = float(_eigh(_sym(g.conj().T @ ds @ g), 0)[0][0])
     return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """(W, Z^-1, G_x, G_z) from eigh(z) and eigh(z^1/2 x z^1/2) = V_b w_b V_b^dag:
-    W Z W = X, G_z = z^-1/2 and G_x = z^1/2 V_b w_b^-1/2 (G^dag S G = I for S = X, Z).
-    None when z has an eigenvalue that is not positive and finite."""
-    wz, vz = np.linalg.eigh(z)
+    """(W, Z^-1, G_x, G_z) from the two ``_eigh`` calls eigh(z) and
+    eigh(z^1/2 x z^1/2) = V_b w_b V_b^dag: W Z W = X, G_z = z^-1/2 and
+    G_x = z^1/2 V_b w_b^-1/2 (G^dag S G = I for S = X, Z). None when z
+    has an eigenvalue that is not positive and finite."""
+    wz, vz = _eigh(z, 1)
     if not (wz[0] > 0.0 and np.isfinite(wz).all()):
         return None
     wz = np.clip(wz, 1e-14, None)
     z_half = (vz * np.sqrt(wz)) @ vz.conj().T
     z_ihalf = (vz / np.sqrt(wz)) @ vz.conj().T
     b = _sym(z_half @ x @ z_half)
-    wb, vb = np.linalg.eigh(b)
+    wb, vb = _eigh(b, 1)
     wb = np.clip(wb, 1e-16, None)
     b_half = (vb * np.sqrt(wb)) @ vb.conj().T
     w = _sym(z_ihalf @ b_half @ z_ihalf)
     return w, (vz / wz) @ vz.conj().T, z_half @ (vb / np.sqrt(wb)), z_ihalf
+
+
+def _schur_solver(schur: np.ndarray):
+    """rhs -> dy with schur @ dy = rhs: dpotrf of schur plus a 1e-13
+    relative diagonal shift, then dpotrs with one refinement step against
+    schur itself; least squares when the shifted matrix is not positive
+    definite."""
+    m = schur.shape[0]
+    chol, info = dpotrf(schur + 1e-13 * np.trace(schur) / m * np.eye(m), lower=0, clean=0)
+    if info != 0:
+        return lambda rhs: np.linalg.lstsq(schur, rhs, rcond=None)[0]
+
+    def solve(rhs):
+        dy = dpotrs(chol, rhs, lower=0)[0]
+        dy += dpotrs(chol, rhs - schur @ dy, lower=0)[0]  # one refinement
+        return dy
+    return solve
 
 
 @dataclass
@@ -260,7 +302,7 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         ynorm = float(np.linalg.norm(y))
         if emb * dobj > 1.0 and ynorm > 1e4 * b_scale:
             ray = y / dobj
-            lam_max = float(np.linalg.eigvalsh(_sym(op_at(ray))).max())
+            lam_max = float(_eigh(_sym(op_at(ray)), 0)[0][-1])
             if lam_max <= emb * 1e-7 * (1.0 + float(a_norms.max())):
                 return _IpmResult(x=x, y=ray, status=STATUS_INFEASIBLE, iterations=it,
                                   dual_residual=dinf,
@@ -278,17 +320,7 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
             message = "Schur complement became non-finite"
             break
         w_rd_w = _sym(w @ rd @ w)
-        try:
-            chol = scipy.linalg.cho_factor(schur + 1e-13 * np.trace(schur) / m * np.eye(m))
-
-            def schur_solve(rhs):
-                dy = scipy.linalg.cho_solve(chol, rhs)
-                dy += scipy.linalg.cho_solve(chol, rhs - schur @ dy)  # one refinement
-                return dy
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-
-            def schur_solve(rhs):
-                return np.linalg.lstsq(schur, rhs, rcond=None)[0]
+        schur_solve = _schur_solver(schur)
 
         def newton(rc: np.ndarray):
             rhs = rp - op_a(rc) + op_a(w_rd_w)
@@ -332,7 +364,7 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     # of the cone the path-following residual bottoms out, and its product
     # with the large dual multipliers would otherwise poison the gap.
     cand = _sym(x + op_at(gram_pinv @ (b - op_a(x))))
-    if float(np.linalg.eigvalsh(cand).min()) >= -PSD_TOL:
+    if float(_eigh(cand, 0)[0][0]) >= -PSD_TOL:
         x = cand
 
     if status != STATUS_OPTIMAL:
@@ -367,7 +399,8 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
 
     The returned x, primal_residual (the max absolute constraint violation
     over the full, pre-reduction constraint set), rank and status refer to
-    the full problem.
+    the full problem. A LinAlgError from a LAPACK routine, or from an
+    eigensolve of an iterate that went non-finite, propagates.
     """
     n = problem.n
     ops_c = problem.constraint_ops
@@ -389,22 +422,33 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     # the real coordinates of the rows: their dot products are Re tr[A_k^dag A_l]
     rows = data[1:].reshape(m, -1).view(float)
 
-    # Linear consistency and rank reduction of the constraint set. U must
+    # Linear consistency and rank reduction of the constraint set, on each
+    # row and its b divided by the row's norm before the face, so that an
+    # independent but badly scaled row keeps its rank (norms after the face
+    # would inflate rows that vanish on it into unit-norm noise). U must
     # span all m rows for the left null space; V is never used, so the
     # reduced SVD suffices unless there are more rows than columns.
-    u, sv, _ = np.linalg.svd(rows, full_matrices=m > rows.shape[1])
+    flat = ops_c.reshape(m, -1)
+    peak = np.abs(flat).max(axis=1)
+    peak[peak == 0.0] = 1.0
+    # norms taken of rows divided by their peak entry: squares of entries
+    # near 1e160 would overflow
+    norms = peak * np.linalg.norm(flat / peak[:, None], axis=1)
+    scaled = rows / norms[:, None]
+    b_s = b_c / norms
+    u, sv, _ = np.linalg.svd(scaled, full_matrices=m > rows.shape[1])
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > max(1e-12, 1e-10 * smax)))
     if rank < m:
         null_left = u[:, rank:]
-        mismatch = null_left.T @ b_c
+        mismatch = null_left.T @ b_s
         j = int(np.argmax(np.abs(mismatch)))
-        if abs(mismatch[j]) > 1e-9 * (1.0 + float(np.abs(b_c).max())):
+        if abs(mismatch[j]) > 1e-9 * (1.0 + float(np.abs(b_s).max())):
             return SdpSolution(
                 x=np.zeros((n, n), dtype=complex), objective_value=np.nan,
                 primal_residual=np.inf, dual_residual=np.inf,
                 status=STATUS_INFEASIBLE, iterations=0,
-                infeasibility_certificate=null_left[:, j] / mismatch[j],
+                infeasibility_certificate=null_left[:, j] / norms / mismatch[j],
                 message="constraints are linearly inconsistent",
             )
         _, _, piv = scipy.linalg.qr(rows.T, pivoting=True, mode="economic")
@@ -429,7 +473,7 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
         )
 
     primal_res = float(np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c).max())
-    eigs = np.linalg.eigvalsh(x)
+    eigs = _eigh(x, 0)[0]
     x_rank = int(np.sum(eigs > max(PSD_TOL, 1e-8 * float(eigs.max(initial=0.0)))))
     obj = float(np.trace(cost_c @ x).real)
     status, message = res.status, res.message

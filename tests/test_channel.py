@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conekit import channel as chan
@@ -188,6 +188,9 @@ class TestApplyProperties:
     seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
     @given(d_in=dims, d_out=dims, seed=seeds)
+    @example(d_in=1, d_out=1, seed=0)
+    @example(d_in=1, d_out=4, seed=0)
+    @example(d_in=4, d_out=1, seed=0)
     def test_matches_index_sum_oracle(self, d_in, d_out, seed):
         rng = np.random.default_rng(seed)
         c = random_cptp_rect(rng, d_in, d_out)
@@ -196,6 +199,8 @@ class TestApplyProperties:
 
     @given(d_in=dims, d_out=dims, seed=seeds,
            alpha=st.floats(-1.0, 1.0), beta=st.floats(-1.0, 1.0))
+    @example(d_in=1, d_out=1, seed=0, alpha=0.0, beta=0.0)
+    @example(d_in=4, d_out=1, seed=0, alpha=-1.0, beta=1.0)
     def test_linear(self, d_in, d_out, seed, alpha, beta):
         rng = np.random.default_rng(seed)
         c = random_cptp_rect(rng, d_in, d_out)
@@ -297,6 +302,9 @@ class TestFixedPointsProperties:
                             min_size=2, max_size=3),
            extra=st.integers(0, 1),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(sectors=[[1.0], [1.0]], extra=0, seed=0)  # two pure states span d = 2
+    @example(sectors=[[1.0], [1.0], [1.0]], extra=1, seed=0)
+    @example(sectors=[[1e-3, 1.0], [1.0]], extra=0, seed=0)
     def test_recovers_sector_states(self, sectors, extra, seed):
         sigmas, c = mixed_sector_channel(np.random.default_rng(seed), sectors, extra)
         fps = chan.fixed_points(c)
@@ -308,6 +316,8 @@ class TestFixedPointsProperties:
                             min_size=2, max_size=3),
            extra=st.integers(1, 3),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(sectors=[[1.0], [1.0]], extra=1, seed=0)
+    @example(sectors=[[1.0], [1.0]], extra=3, seed=0)
     def test_projector_gives_the_limit(self, sectors, extra, seed):
         # with `extra` decaying dimensions P1 rho is the limit of the iterates
         rng = np.random.default_rng(seed)
@@ -369,6 +379,8 @@ class TestChoiJson:
 
     @given(d_in=st.integers(1, 4), d_out=st.integers(1, 4),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(d_in=1, d_out=1, seed=0)
+    @example(d_in=1, d_out=4, seed=0)
     def test_roundtrip_through_text_is_exact(self, d_in, d_out, seed):
         c = random_cptp_rect(np.random.default_rng(seed), d_in, d_out)
         back = chan.choi_from_json(json.loads(json.dumps(chan.choi_to_json(c))))

@@ -293,8 +293,8 @@ class TestSdpCommand:
     def test_overflow_inside_solve_exits_4(self, workdir, capsys, scale):
         # finite data whose products overflow, a numerical failure, not bad
         # input: at 1e152 the Schur matrix turns non-finite after some
-        # iterations, at 1e160 the start point already is; at 1e100 the rank
-        # reduction drops the small row and the solution misses it
+        # iterations, at 1e160 the start point already is; at 1e100 both rows
+        # are kept, and the IPM on the unscaled rows loses its NT scaling
         _, write = workdir
         obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
             {"a": linops.matrix_to_json(np.diag([scale, 0.0])), "b": scale},
@@ -321,6 +321,24 @@ class TestSdpCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 4
         assert json.loads(err)["reason"] == "numerical-limit"
+
+    @pytest.mark.parametrize("command", ["sdp-solve", "demo-bell"])
+    def test_eigensolve_failure_exits_4(self, workdir, capsys, monkeypatch, command):
+        def broken_eigh(a, compute_v):
+            raise np.linalg.LinAlgError("eigensolve failed (LAPACK info 3)")
+
+        monkeypatch.setattr(sdpmod, "_eigh", broken_eigh)
+        if command == "sdp-solve":
+            _, write = workdir
+            prob = sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])
+            argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
+        else:
+            argv = ["demo", "bell"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4
+        payload = json.loads(err)
+        assert payload["reason"] == "numerical-limit"
+        assert "LAPACK info 3" in payload["error"]
 
     def test_engineer_sdp_infeasible_verdict_exits_4(self, workdir, capsys, monkeypatch):
         # the identity channel fixes every state, so an infeasible verdict

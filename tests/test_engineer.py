@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conekit import channel as chan
@@ -33,6 +33,7 @@ class TestComplete:
     seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
     @given(d=dims, seed=seeds)
+    @example(d=1, seed=0)
     def test_trace_preserving_for_any_core(self, d, seed):
         rng = np.random.default_rng(seed)
         x = random_psd(rng, d * d, d * d) / d
@@ -41,6 +42,8 @@ class TestComplete:
         assert np.abs(reduced - np.eye(d)).max() <= 1e-12
 
     @given(d=dims, rank=st.integers(1, 4), seed=seeds)
+    @example(d=1, rank=1, seed=0)
+    @example(d=4, rank=1, seed=0)
     def test_fixes_sigma_of_a_projector_core(self, d, rank, seed):
         rng = np.random.default_rng(seed)
         sigma = random_density(rng, d)
@@ -187,6 +190,8 @@ class TestSeparableMulti:
             assert trace_distance(chan.apply(c, s), s) < 1e-12
 
     @given(d=st.integers(2, 6), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(d=1, seed=0)
+    @example(d=2, seed=0)
     def test_decay_verdict_is_that_of_the_assembled_core(self, d, seed):
         # states on disjoint blocks of a Haar basis, traces within 1e-7 of 1,
         # with their support projectors

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -70,6 +70,23 @@ def markov_word_oracle(word):
     return total
 
 
+def quasirealization(maps, pi, tau) -> QuasiRealization:
+    """Symbols s0, s1, ... for the given stack of maps."""
+    return QuasiRealization(dim=len(pi), alphabet=tuple(f"s{u}" for u in range(len(maps))),
+                            d_maps={f"s{u}": np.asarray(m, dtype=float) for u, m in enumerate(maps)},
+                            pi=np.asarray(pi, dtype=float), tau=np.asarray(tau, dtype=float))
+
+
+@st.composite
+def finite_quasirealizations(draw):
+    """Any finite entries, dim 1..4, 1..3 symbols."""
+    dim, n_symbols = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    maps = draw(arrays(float, (n_symbols, dim, dim), elements=finite))
+    pi, tau = (draw(arrays(float, dim, elements=finite)) for _ in range(2))
+    return quasirealization(maps, pi, tau)
+
+
 class TestWordProbability:
     def test_fair_coin(self):
         q = coin_realization()
@@ -120,6 +137,7 @@ class TestWordProbability:
 
     @given(dim=st.integers(1, 4), n_symbols=st.integers(1, 3),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(dim=1, n_symbols=1, seed=0)  # a single state and a single symbol
     def test_distribution_sums_to_pi_tau(self, dim, n_symbols, seed):
         q = random_positive_realization(np.random.default_rng(seed), dim, n_symbols)
         assert is_positive_realization(q).all_ok
@@ -190,6 +208,46 @@ class TestCones:
             PolyhedralCone(generators=np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
             PolyhedralCone(generators=np.zeros((0, 2)))
+
+
+def lp_and_fast_verdicts(cone, monkeypatch):
+    """is_pointed as it runs, and with the rank shortcut off (the LP alone)."""
+    fast = is_pointed(cone)
+    with monkeypatch.context() as mp:
+        mp.setattr(quasireal, "INDEPENDENCE_TOL", np.inf)
+        lp = is_pointed(cone)
+    return fast, lp
+
+
+class TestPointednessShortcut:
+    """Cones with linearly independent generators skip the LP; the verdict
+    must be the LP's."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_simplex_cones(self, rng, k, monkeypatch):
+        skewed = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
+        for gens in (np.eye(k), skewed):
+            cone = PolyhedralCone(generators=gens)
+            assert lp_and_fast_verdicts(cone, monkeypatch) == (True, True)
+            with monkeypatch.context() as mp:
+                mp.setattr(quasireal, "linprog", None)  # the shortcut must not need it
+                assert is_pointed(cone)
+
+    def test_random_cones(self, rng, monkeypatch):
+        for _ in range(40):
+            dim = int(rng.integers(1, 6))
+            gens = rng.standard_normal((int(rng.integers(1, dim + 3)), dim))
+            if rng.random() < 0.3:  # add a line
+                gens = np.vstack([gens, -gens[:1]])
+            fast, lp = lp_and_fast_verdicts(PolyhedralCone(generators=gens), monkeypatch)
+            assert fast == lp
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-7, 1e-3])
+    def test_nearly_dependent_generators(self, eps, monkeypatch):
+        # e1 + e2 + (-(e1 + e2) + eps e3) = eps e3: dependent up to eps
+        gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, eps]])
+        fast, lp = lp_and_fast_verdicts(PolyhedralCone(generators=gens), monkeypatch)
+        assert fast == lp
 
 
 class TestDharmadhikari:
@@ -298,13 +356,9 @@ class TestJson:
         back = quasireal.cone_from_json(quasireal.cone_to_json(cone))
         assert np.abs(back.generators - cone.generators).max() < 1e-15
 
-    @given(dim=st.integers(1, 4), n_symbols=st.integers(1, 3), data=st.data())
-    def test_quasireal_roundtrip_through_text_is_exact(self, dim, n_symbols, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        maps = data.draw(arrays(float, (n_symbols, dim, dim), elements=finite))
-        pi, tau = (data.draw(arrays(float, dim, elements=finite)) for _ in range(2))
-        q = QuasiRealization(dim=dim, alphabet=tuple(f"s{u}" for u in range(n_symbols)),
-                             d_maps={f"s{u}": m for u, m in enumerate(maps)}, pi=pi, tau=tau)
+    @given(q=finite_quasirealizations())
+    @example(q=quasirealization([[[-0.0]]], pi=[5e-324], tau=[-1.7976931348623157e308]))
+    def test_quasireal_roundtrip_through_text_is_exact(self, q):
         text = json.dumps(quasireal.quasireal_to_json(q))
         back = quasireal.quasireal_from_json(json.loads(text))
         assert (back.dim, back.alphabet) == (q.dim, q.alphabet)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -152,6 +153,33 @@ class TestSolve:
         comb = sum(c * a for c, a in zip(y, p.constraint_ops))
         assert np.abs(comb).max() < 1e-9
         assert abs(np.dot(y, p.constraint_vals) - 1.0) < 1e-9
+
+    def test_badly_scaled_independent_row_is_kept(self, monkeypatch):
+        # rank is judged on rows scaled to unit norm, so the unit row is not
+        # lost next to the 1e100 one as a rounding remnant
+        received = []
+        ipm = sdp._solve_hermitian_sdp
+
+        def spy(cost, ops, b, *args):
+            received.append(b)
+            return ipm(cost, ops, b, *args)
+
+        monkeypatch.setattr(sdp, "_solve_hermitian_sdp", spy)
+        p = make_problem([np.diag([1e100, 0.0]), np.diag([0.0, 1.0])], [1e100, 1.0])
+        sol = sdp.solve(p)
+        assert [list(b) for b in received] == [[1e100, 1.0]]
+        # X = I is the optimum; a solve that misses it must not claim optimal
+        assert sol.status == "numerical-limit" or abs(sol.objective_value - 2.0) < 1e-6
+
+    def test_badly_scaled_inconsistency_is_certified(self):
+        p = make_problem([np.diag([1e100, 0.0]), np.diag([2e100, 0.0])],
+                         [1e100, 2e100 * (1.0 + 1e-6)])
+        sol = sdp.solve(p)
+        assert sol.status == "infeasible"
+        y = sol.infeasibility_certificate
+        comb = sum(c * a for c, a in zip(y, p.constraint_ops))
+        assert np.abs(comb).max() <= 1e-9 * 1e100 * np.abs(y).max()
+        assert np.dot(y, p.constraint_vals) == pytest.approx(1.0, rel=1e-9)
 
     def test_psd_infeasible_consistent_linear_part(self):
         p = make_problem([np.diag([1.0, 0.0])], [-1.0])
@@ -327,6 +355,60 @@ class TestNtScaling:
     def test_singular_z_is_reported(self):
         assert sdp._nt_scaling(np.eye(2), np.diag([1.0, 0.0])) is None
         assert sdp._nt_scaling(np.eye(2), np.diag([1.0, -1e-3])) is None
+
+
+def random_symmetric(rng, n, complex_data):
+    return random_hermitian(rng, n) if complex_data else random_hermitian(rng, n).real
+
+
+class TestLapackKernels:
+    """_eigh and _schur_solver call LAPACK directly; they must agree bit for
+    bit with the numpy and scipy wrappers around the same routines."""
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_eigh_matches_numpy_bit_for_bit(self, rng, n, complex_data):
+        g = rng.standard_normal((n, -(-n // 2)))
+        if complex_data:
+            g = g + 1j * rng.standard_normal(g.shape)
+        mats = [random_symmetric(rng, n, complex_data) for _ in range(3)]
+        mats.append(g @ g.conj().T)  # rank ceil(n/2)
+        mats.append(random_pd(rng, n, complex_data, np.repeat([0.5, 2.0], n)[:n]))  # repeated
+        mats.append(np.eye(n, dtype=complex if complex_data else float))
+        for a in mats:
+            w, v = sdp._eigh(a, 1)
+            w_ref, v_ref = np.linalg.eigh(a)
+            assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+            assert sdp._eigh(a, 0)[0].tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    @pytest.mark.parametrize("compute_v", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_eigh_rejects_non_finite(self, compute_v, bad, dtype):
+        # LAPACK itself returns finite garbage here with info 0
+        a = np.eye(3, dtype=dtype)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._eigh(a, compute_v)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 17, 32, 40])
+    def test_schur_solver_matches_cho_solve_bit_for_bit(self, rng, m):
+        for _ in range(3):
+            g = rng.standard_normal((m, m))
+            schur = sdp._sym(g @ g.T + 1e-3 * np.eye(m))
+            rhs = rng.standard_normal(m)
+            chol = scipy.linalg.cho_factor(schur + 1e-13 * np.trace(schur) / m * np.eye(m))
+            ref = scipy.linalg.cho_solve(chol, rhs)
+            ref += scipy.linalg.cho_solve(chol, rhs - schur @ ref)
+            assert sdp._schur_solver(schur)(rhs).tobytes() == ref.tobytes()
+
+    def test_schur_solver_falls_back_to_least_squares(self):
+        schur = np.diag([2.0, -1.0, 0.0])
+        rhs = np.array([1.0, 1.0, 1.0])
+        ref = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+        assert sdp._schur_solver(schur)(rhs).tobytes() == ref.tobytes()
 
 
 class TestComplexHermitianHandling:
