@@ -14,7 +14,8 @@ step works on. ``solve`` is the single entry point and runs one path:
    PSD cone, the restricted problem regains a strictly feasible point);
 2. reduce the constraint set to full row rank, returning an exact Farkas
    certificate when it is linearly inconsistent; both tests see each row
-   and its b divided by the row's norm, so row scale does not decide rank;
+   and its b divided by the row's norm, so row scale does not decide rank
+   (a quotient past the float range ends the solve as numerical-limit);
 3. run a primal-dual path-following method with Nesterov-Todd scaling
    and Mehrotra-style adaptive centering (an affine predictor step fixes
    the centering weight of the actual step). Every iteration calls LAPACK
@@ -24,7 +25,8 @@ step works on. ``solve`` is the single entry point and runs one path:
    Z^1/2 X Z^1/2, which also give Z^-1 and the factors in which each step
    length is one eigenvalue-only solve, and dpotrf / dpotrs for the Schur
    system (``_schur_solver``). An eigensolve of a non-finite matrix raises
-   LinAlgError;
+   LinAlgError; inside the loop, an iterate or a step that goes non-finite
+   (or rows whose Gram matrix overflows) ends it as numerical-limit;
 4. apply one least-norm affine projection onto the constraints, kept only
    while the iterate stays PSD within PSD_TOL, and map the result back
    through the face.
@@ -161,15 +163,20 @@ def _max_entry(m: np.ndarray) -> float:
     return max(float(np.abs(m.real).max(initial=0.0)), float(np.abs(m.imag).max(initial=0.0)))
 
 
+class _NonFiniteError(np.linalg.LinAlgError):
+    """An eigensolve was asked of a matrix with a non-finite entry."""
+
+
 def _eigh(a: np.ndarray, compute_v: int):
     """(w, v) of Hermitian ``a`` in one LAPACK call: dsyevd for real and
     zheevd for complex data, reading the lower triangle as np.linalg.eigh
-    does, so w (ascending) and v are bit-identical to it; v is not computed
-    when ``compute_v`` is 0. Raises LinAlgError on a non-finite entry, for
-    which LAPACK returns finite garbage without an error, and when LAPACK
-    reports a failure."""
+    does (the same routines, so w ascending and v match it to rounding,
+    bit for bit when numpy links the same LAPACK build); v is not computed
+    when ``compute_v`` is 0. Raises LinAlgError when LAPACK reports a
+    failure, and its subclass _NonFiniteError on a non-finite entry, for
+    which LAPACK returns finite garbage without an error."""
     if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("eigensolve of a matrix with non-finite entries")
+        raise _NonFiniteError("eigensolve of a matrix with non-finite entries")
     w, v, info = (zheevd if np.iscomplexobj(a) else dsyevd)(a, compute_v=compute_v, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"eigensolve failed (LAPACK info {info})")
@@ -261,7 +268,13 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     def inner(p: np.ndarray, q: np.ndarray) -> float:
         return float(np.vdot(p, q).real)
 
-    gram_pinv = np.linalg.pinv((rows_h @ rows.T).real, rcond=1e-12)
+    gram = (rows_h @ rows.T).real
+    if not np.isfinite(gram).all():
+        # rows with entries past ~1e154: an SVD of the overflowed Gram
+        # matrix can loop without end
+        return _IpmResult(x=x, y=y, status=STATUS_NUMERICAL_LIMIT, iterations=0,
+                          dual_residual=np.inf, message="constraint Gram matrix overflowed")
+    gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
 
     b_scale = 1.0 + emb * float(np.abs(b).max(initial=0.0))
     c_scale = 1.0 + _max_entry(cost)
@@ -298,56 +311,63 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
             status = STATUS_OPTIMAL
             break
 
-        # Farkas-style test for a dual improving ray (primal infeasibility).
-        ynorm = float(np.linalg.norm(y))
-        if emb * dobj > 1.0 and ynorm > 1e4 * b_scale:
-            ray = y / dobj
-            lam_max = float(_eigh(_sym(op_at(ray)), 0)[0][-1])
-            if lam_max <= emb * 1e-7 * (1.0 + float(a_norms.max())):
-                return _IpmResult(x=x, y=ray, status=STATUS_INFEASIBLE, iterations=it,
-                                  dual_residual=dinf,
-                                  message="dual improving ray found (primal infeasible)")
+        try:
+            # Farkas-style test for a dual improving ray (primal infeasibility).
+            ynorm = float(np.linalg.norm(y))
+            if emb * dobj > 1.0 and ynorm > 1e4 * b_scale:
+                ray = y / dobj
+                lam_max = float(_eigh(_sym(op_at(ray)), 0)[0][-1])
+                if lam_max <= emb * 1e-7 * (1.0 + float(a_norms.max())):
+                    return _IpmResult(x=x, y=ray, status=STATUS_INFEASIBLE, iterations=it,
+                                      dual_residual=dinf,
+                                      message="dual improving ray found (primal infeasible)")
 
-        scaling = _nt_scaling(x, z)
-        if scaling is None:
-            message = "scaling matrix became singular"
-            break
-        w, zinv, g_x, g_z = scaling
+            scaling = _nt_scaling(x, z)
+            if scaling is None:
+                message = "scaling matrix became singular"
+                break
+            w, zinv, g_x, g_z = scaling
 
-        waw = (w @ ops @ w).reshape(m, -1)
-        schur = _sym((rows_h @ waw.T).real)
-        if not np.isfinite(schur).all():
-            message = "Schur complement became non-finite"
-            break
-        w_rd_w = _sym(w @ rd @ w)
-        schur_solve = _schur_solver(schur)
+            waw = (w @ ops @ w).reshape(m, -1)
+            schur = _sym((rows_h @ waw.T).real)
+            if not np.isfinite(schur).all():
+                message = "Schur complement became non-finite"
+                break
+            w_rd_w = _sym(w @ rd @ w)
+            schur_solve = _schur_solver(schur)
 
-        def newton(rc: np.ndarray):
-            rhs = rp - op_a(rc) + op_a(w_rd_w)
-            dy = schur_solve(rhs)
-            dz = rd - op_at(dy)
-            dx = _sym(rc - w @ dz @ w)
-            return dx, dy, dz
+            def newton(rc: np.ndarray):
+                rhs = rp - op_a(rc) + op_a(w_rd_w)
+                dy = schur_solve(rhs)
+                dz = rd - op_at(dy)
+                dx = _sym(rc - w @ dz @ w)
+                return dx, dy, dz
 
-        # predictor: affine step fixes the centering weight
-        dx_a, dy_a, dz_a = newton(-x)
-        ap = min(1.0, 0.98 * _max_step(g_x, dx_a))
-        ad = min(1.0, 0.98 * _max_step(g_z, dz_a))
-        mu_aff = inner(x + ap * dx_a, z + ad * dz_a) / n
-        sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+            # predictor: affine step fixes the centering weight
+            dx_a, dy_a, dz_a = newton(-x)
+            ap = min(1.0, 0.98 * _max_step(g_x, dx_a))
+            ad = min(1.0, 0.98 * _max_step(g_z, dz_a))
+            mu_aff = inner(x + ap * dx_a, z + ad * dz_a) / n
+            # the ratio is capped at 1 before the cube: a float power that
+            # overflows raises instead of returning inf
+            sigma = min(1.0, max(1e-8, min(max(mu_aff, 0.0) / mu, 1.0) ** 3))
 
-        dx, dy, dz = newton(sigma * mu * zinv - x)
-        ap = min(1.0, 0.98 * _max_step(g_x, dx))
-        ad = min(1.0, 0.98 * _max_step(g_z, dz))
-        if min(ap, ad) < 0.05:
-            # drifting off the central path: take a centering step instead
-            sigma = max(sigma, 0.5)
             dx, dy, dz = newton(sigma * mu * zinv - x)
             ap = min(1.0, 0.98 * _max_step(g_x, dx))
             ad = min(1.0, 0.98 * _max_step(g_z, dz))
-        x = _sym(x + ap * dx)
-        y = y + ad * dy
-        z = _sym(z + ad * dz)
+            if min(ap, ad) < 0.05:
+                # drifting off the central path: take a centering step instead
+                sigma = max(sigma, 0.5)
+                dx, dy, dz = newton(sigma * mu * zinv - x)
+                ap = min(1.0, 0.98 * _max_step(g_x, dx))
+                ad = min(1.0, 0.98 * _max_step(g_z, dz))
+            x = _sym(x + ap * dx)
+            y = y + ad * dy
+            z = _sym(z + ad * dz)
+        except _NonFiniteError:
+            # a matrix formed from the finite iterate overflowed
+            message = "Newton step became non-finite"
+            break
         # stagnation: no meaningful progress on mu or the gap for a while
         if mu < best_mu * 0.99 or gap < best_gap * 0.99:
             stalls = 0
@@ -363,8 +383,9 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     # One least-norm affine projection onto the constraints: on the edge
     # of the cone the path-following residual bottoms out, and its product
     # with the large dual multipliers would otherwise poison the gap.
+    # A projection that overflows is not taken.
     cand = _sym(x + op_at(gram_pinv @ (b - op_a(x))))
-    if float(_eigh(cand, 0)[0][0]) >= -PSD_TOL:
+    if np.isfinite(cand).all() and float(_eigh(cand, 0)[0][0]) >= -PSD_TOL:
         x = cand
 
     if status != STATUS_OPTIMAL:
@@ -399,8 +420,9 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
 
     The returned x, primal_residual (the max absolute constraint violation
     over the full, pre-reduction constraint set), rank and status refer to
-    the full problem. A LinAlgError from a LAPACK routine, or from an
-    eigensolve of an iterate that went non-finite, propagates.
+    the full problem. An iterate or step that goes non-finite ends the
+    solve with status numerical-limit. A LinAlgError that a LAPACK routine
+    reports propagates.
     """
     n = problem.n
     ops_c = problem.constraint_ops
@@ -432,10 +454,20 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     peak = np.abs(flat).max(axis=1)
     peak[peak == 0.0] = 1.0
     # norms taken of rows divided by their peak entry: squares of entries
-    # near 1e160 would overflow
-    norms = peak * np.linalg.norm(flat / peak[:, None], axis=1)
+    # near 1e160 would overflow; a zero row keeps norm 1 and stays zero
+    with np.errstate(over="ignore"):
+        norms = peak * np.linalg.norm(flat / peak[:, None], axis=1)
+        norms[norms == 0.0] = 1.0
+        b_s = b_c / norms
+    if not (np.isfinite(norms).all() and np.isfinite(b_s).all()):
+        # |X|_F >= |b_k| / |A_k|_F: past the float range, so is every solution
+        return SdpSolution(
+            x=np.zeros((n, n), dtype=complex), objective_value=np.nan,
+            primal_residual=np.inf, dual_residual=np.inf,
+            status=STATUS_NUMERICAL_LIMIT, iterations=0,
+            message="a constraint's scale is past the floating-point range",
+        )
     scaled = rows / norms[:, None]
-    b_s = b_c / norms
     u, sv, _ = np.linalg.svd(scaled, full_matrices=m > rows.shape[1])
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > max(1e-12, 1e-10 * smax)))
@@ -472,8 +504,10 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
             y=y_full, infeasibility_certificate=y_full, message=res.message,
         )
 
-    primal_res = float(np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c).max())
-    eigs = _eigh(x, 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual reads inf
+        primal_res = float(np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c).max())
+    # a non-finite x (the IPM stopped on it) has no spectrum: NaN, rank 0
+    eigs = _eigh(x, 0)[0] if np.isfinite(x).all() else np.full(x.shape[0], np.nan)
     x_rank = int(np.sum(eigs > max(PSD_TOL, 1e-8 * float(eigs.max(initial=0.0)))))
     obj = float(np.trace(cost_c @ x).real)
     status, message = res.status, res.message

@@ -293,7 +293,7 @@ class TestSdpCommand:
     def test_overflow_inside_solve_exits_4(self, workdir, capsys, scale):
         # finite data whose products overflow, a numerical failure, not bad
         # input: at 1e152 the Schur matrix turns non-finite after some
-        # iterations, at 1e160 the start point already is; at 1e100 both rows
+        # iterations, at 1e160 the rows' Gram matrix already is; at 1e100 both rows
         # are kept, and the IPM on the unscaled rows loses its NT scaling
         _, write = workdir
         obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
@@ -305,6 +305,19 @@ class TestSdpCommand:
         payload = json.loads(err)
         assert payload["reason"] == "numerical-limit"
         assert payload["error"] != "SDP solve hit its numerical limit: "
+
+    def test_non_finite_projection_exits_4_with_a_solution(self, workdir, capsys):
+        # mu overflows after one step and the closing projection overflows
+        # too: stdout still carries the numerical-limit solution
+        _, write = workdir
+        obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
+            {"a": linops.matrix_to_json(np.diag([1e100, 0.0])), "b": 1e100},
+            {"a": linops.matrix_to_json(np.diag([0.0, 1.0])), "b": 1e250}]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
+        assert code == 4
+        assert json.loads(out)["message"] == "iterate became non-finite"
+        assert json.loads(err)["reason"] == "numerical-limit"
 
     @pytest.mark.parametrize("command", ["sdp-solve", "demo-bell"])
     def test_linalg_error_inside_solve_exits_4(self, workdir, capsys, monkeypatch, command):
