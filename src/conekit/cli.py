@@ -15,8 +15,14 @@ number of fixed points, the predicted ``settle_steps``, the
 ``max_residual``. ``conesim estimate`` reads only ``round``, ``symbol``
 and ``settle_steps`` from each line, strictly: line i must be round i.
 
-Output is compact JSON on one line (``json.dumps`` without ``indent``,
-which takes the C encoder; floats print by ``repr`` either way). The
+Inputs are decoded by orjson (``_parse_json``). What orjson rejects, the
+stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``
+and ``Infinity`` tokens, a lone surrogate, a BOM and malformed JSON get
+the stdlib's value or its error message. An integer literal outside
+[-2**63, 2**64) comes back as a float, which the integer fields of a
+conesim config or trajectory reject from 2**53 up. Output is compact
+JSON on one line (``json.dumps`` without ``indent``, which takes the C
+encoder; floats print by ``repr`` either way). The
 argument parser is built once per process, on the first ``main`` call,
 and reused by every later call; the command handlers are bound to it at
 that first build. Tolerance options must be finite and > 0, and
@@ -49,11 +55,13 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
 
 import numpy as np
+import orjson
 
 from . import channel as chan
 from . import conesim
@@ -68,14 +76,33 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 
+def _parse_json(raw: bytes | str, where: str | None):
+    """The JSON value of ``raw``, decoded by orjson. Input orjson rejects
+    goes to ``json.loads``, as text decoded the way a text-mode ``open``
+    decodes a file, so it gets the stdlib's value or error. A decode error
+    raises ValueError naming ``where``, or the stdlib's JSONDecodeError
+    unchanged when ``where`` is None."""
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    if isinstance(raw, bytes):
+        raw = io.TextIOWrapper(io.BytesIO(raw)).read()
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        if where is None:
+            raise
+        raise ValueError(f"{where} is not valid JSON: {exc}") from exc
+
+
 def _load_json(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    return _parse_json(raw, path)
 
 
 def _open_out(path: str, newline: str | None = None):
@@ -318,9 +345,10 @@ def cmd_conesim_run(args) -> int:
 
 
 def cmd_conesim_estimate(args) -> int:
+    # text mode, so lines split and blank lines drop as they always have
     try:
         with open(args.trajectory) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            records = [_parse_json(line, None) for line in fh if line.strip()]
     except OSError as exc:
         raise ValueError(f"cannot read {args.trajectory}: {exc}") from exc
     proc = conesim.estimate_process(conesim.symbols_from_json(records))

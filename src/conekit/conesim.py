@@ -371,7 +371,9 @@ _ROUND_KEYS = {"round", "symbol", "settle_steps"}
 def _json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = False) -> int | None:
     """obj[key] as an int. A bool, a non-integral or non-finite number and
     anything that is not a number raise ValueError, as does a value below
-    minimum; null is allowed only when nullable."""
+    minimum; null is allowed only when nullable. So does a float of
+    magnitude >= 2**53: it cannot tell which integer was written (the CLI's
+    decoder returns an integer literal outside [-2**63, 2**64) as a float)."""
     value = obj[key]
     if value is None and nullable:
         return None
@@ -379,6 +381,9 @@ def _json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = 
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, float) and abs(value) >= 2.0 ** 53:
+        raise ValueError(f"{key} must be an integer, got {value!r}, a float too large "
+                         "to tell which integer was written")
     value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{key} must be >= {minimum}, got {value}")

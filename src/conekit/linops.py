@@ -200,8 +200,8 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(x) for x in m.real.reshape(-1)],
-        "im": [float(x) for x in m.imag.reshape(-1)],
+        "re": m.real.reshape(-1).tolist(),
+        "im": m.imag.reshape(-1).tolist(),
     }
 
 

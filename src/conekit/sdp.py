@@ -16,6 +16,9 @@ step works on. ``solve`` is the single entry point and runs one path:
    certificate when it is linearly inconsistent; both tests see each row
    and its b divided by the row's norm, so row scale does not decide rank
    (a quotient past the float range ends the solve as numerical-limit);
+   a consistent set of rank 0 leaves min tr[F0^T X] over X >= 0, which
+   ends there: X = 0 optimal when F0 >= -PSD_TOL, numerical-limit
+   (unbounded below) otherwise;
 3. run a primal-dual path-following method with Nesterov-Todd scaling
    and Mehrotra-style adaptive centering (an affine predictor step fixes
    the centering weight of the actual step). Every iteration calls LAPACK
@@ -488,7 +491,21 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     else:
         keep = np.arange(m)
 
-    res = _solve_hermitian_sdp(data[0], data[1 + keep], b_c[keep], max_iter, feas_tol)
+    if rank == 0:
+        # every constraint reads 0 = 0 (on the face): min tr[C X] over X >= 0
+        # is 0 at X = 0 when C >= 0 and unbounded below otherwise
+        lam_min = float(_eigh(data[0], 0)[0][0])
+        bounded = lam_min >= -PSD_TOL
+        res = _IpmResult(
+            x=np.zeros_like(data[0]), y=np.zeros(0),
+            status=STATUS_OPTIMAL if bounded else STATUS_NUMERICAL_LIMIT, iterations=0,
+            dual_residual=max(0.0, -lam_min) / (1.0 + _max_entry(data[0])),
+            message="" if bounded else (
+                "objective is unbounded below: every constraint vanishes and the "
+                f"objective has eigenvalue {lam_min:.3e} < 0"),
+        )
+    else:
+        res = _solve_hermitian_sdp(data[0], data[1 + keep], b_c[keep], max_iter, feas_tol)
 
     y_full = np.zeros(m)
     y_full[keep] = res.y

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conekit import channel as chan
 from conekit import cli, engineer, linops, sdp as sdpmod
@@ -306,6 +308,23 @@ class TestSdpCommand:
         assert payload["reason"] == "numerical-limit"
         assert payload["error"] != "SDP solve hit its numerical limit: "
 
+    @pytest.mark.parametrize("objective, code, status", [
+        (np.eye(2), 0, "optimal"), (np.diag([1.0, -1.0]), 4, "numerical-limit"),
+    ], ids=["psd-objective", "indefinite-objective"])
+    def test_all_zero_constraints_never_exit_2(self, workdir, capsys, objective, code, status):
+        # rank 0 once the zero rows are dropped: a valid problem, so never validation
+        _, write = workdir
+        zero = linops.matrix_to_json(np.zeros((2, 2)))
+        obj = {"n": 2, "objective": linops.matrix_to_json(objective),
+               "constraints": [{"a": zero, "b": 0}]}
+        got, out, err = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
+        assert got == code
+        assert json.loads(out)["status"] == status
+        if code:
+            payload = json.loads(err)
+            assert payload["reason"] == "numerical-limit"
+            assert "unbounded below" in payload["error"]
+
     def test_non_finite_projection_exits_4_with_a_solution(self, workdir, capsys):
         # mu overflows after one step and the closing projection overflows
         # too: stdout still carries the numerical-limit solution
@@ -584,6 +603,31 @@ class TestConesimCommands:
         assert json.loads(err)["reason"] == "validation"
 
 
+    def test_seed_past_the_integer_range_is_rejected(self, workdir, capsys):
+        # 2**64 + 1 decodes as a float, which cannot tell which integer was written
+        tmp, write = workdir
+        cfg = write("sim.json", self.config_obj(seed=2 ** 64 + 1, rounds=5))
+        code, _, err = run_cli(capsys, "conesim", "run", "--config", cfg,
+                               "--out", str(tmp / "t.jsonl"))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["reason"] == "validation"
+        assert payload["error"].startswith("seed must be an integer")
+
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1])
+    def test_large_seed_is_read_exactly(self, workdir, capsys, seed):
+        tmp, write = workdir
+        cfg = write("sim.json", self.config_obj(seed=seed, rounds=5))
+        value = cli._load_json(cfg)["seed"]
+        assert type(value) is int and value == seed
+        # the same trajectory as the seed given exactly on the command line
+        p1, p2 = str(tmp / "a.jsonl"), str(tmp / "b.jsonl")
+        assert run_cli(capsys, "conesim", "run", "--config", cfg, "--out", p1)[0] == 0
+        assert run_cli(capsys, "conesim", "run", "--config", write("s0.json", self.config_obj(
+            seed=0, rounds=5)), "--seed", str(seed), "--out", p2)[0] == 0
+        assert Path(p1).read_text() == Path(p2).read_text()
+
+
 class TestDemoBell:
     def test_default_falls_back_to_sdp(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "bell")
@@ -672,6 +716,78 @@ class TestParser:
         out = capsys.readouterr().out
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out) == obj
+
+
+CHOI_1 = '{"rows": 1, "cols": 1, "re": [%s], "im": [0.0], "d_in": 1, "d_out": 1}'
+
+
+class TestJsonInput:
+    """orjson decodes every input. What it rejects gets the value or the
+    error message of the stdlib decoder, which read every input in text
+    mode before; the error texts below are the ones it gave."""
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+           form=st.sampled_from(["repr", ".17g", ".25e"]))
+    @example(values=[-0.0], form="repr")
+    @example(values=[5e-324], form="repr")
+    @example(values=[1.7976931348623157e308, -1.7976931348623157e308], form="repr")
+    @example(values=[0.30000000000000004], form=".17g")
+    def test_matrix_json_decodes_as_the_stdlib_does(self, values, form):
+        def number(x):
+            return repr(x) if form == "repr" else format(x, form)
+        text = '{"rows": 1, "cols": %d, "re": [%s], "im": [%s]}' % (
+            len(values), ", ".join(map(number, values)), ", ".join(map(number, values[::-1])))
+        want = repr(json.loads(text))  # repr tells -0.0 from 0.0 and 1 from 1.0
+        assert repr(cli._parse_json(text.encode(), "m.json")) == want
+        assert repr(cli._parse_json(text, None)) == want
+
+    @pytest.mark.parametrize("raw, error", [
+        ((CHOI_1 % "NaN").encode(), "matrix contains non-finite entries"),
+        ((CHOI_1 % "Infinity").encode(), "matrix contains non-finite entries"),
+        ((CHOI_1 % "-Infinity").encode(), "matrix contains non-finite entries"),
+        ((CHOI_1 % "1e400").encode(), "matrix contains non-finite entries"),
+        (b"\xef\xbb\xbf" + (CHOI_1 % "1.0").encode(),
+         "{path} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        ((CHOI_1 % "1.0")[:-1].encode() + b", }",
+         "{path} is not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 73 (char 72)"),
+        ((CHOI_1 % "1.0,").encode(),
+         "{path} is not valid JSON: Expecting value: line 1 column 35 (char 34)"),
+        (b"", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        # positions count a CRLF as one character, as text mode read it
+        (b'{\r\n"d_in": 1,\r\n}', "{path} is not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 3 column 1 (char 13)"),
+    ], ids=["nan", "infinity", "minus-infinity", "overflow", "bom", "trailing-comma",
+            "trailing-comma-in-list", "empty", "crlf"])
+    def test_rejected_input_keeps_its_error(self, tmp_path, capsys, raw, error):
+        path = tmp_path / "c.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "channel", "check", "--choi", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error.format(path=path), "reason": "validation"}
+
+    def test_lone_surrogate_keeps_its_value(self, tmp_path, capsys):
+        good = (CHOI_1 % "1.0").encode()
+        paths = tmp_path / "good.json", tmp_path / "surrogate.json"
+        paths[0].write_bytes(good)
+        paths[1].write_bytes(good[:-1] + b', "\\ud800": 0}')
+        assert cli._load_json(str(paths[1]))["\ud800"] == 0
+        outs = [run_cli(capsys, "channel", "check", "--choi", str(p)) for p in paths]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    @pytest.mark.parametrize("last, error", [
+        ('{"round": 2, "symbol": NaN, "settle_steps": 1}', "symbol must be an integer, got nan"),
+        ('{"round": 2,', "Expecting property name enclosed in double quotes: "
+         "line 1 column 13 (char 12)"),
+    ], ids=["nan-symbol", "malformed-line"])
+    def test_rejected_trajectory_line_keeps_its_error(self, tmp_path, capsys, last, error):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"round": 0, "symbol": 0, "settle_steps": 1}\r\n'
+                        '{"round": 1, "symbol": 1, "settle_steps": 1}\r\n' + last)
+        code, out, err = run_cli(capsys, "conesim", "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error, "reason": "validation"}
 
 
 def qubit_choi_obj(m):

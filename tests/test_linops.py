@@ -224,6 +224,23 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 1, "re": [float("nan")], "im": [0.0]})
 
+    # the entries are the Python floats of the per-element reference, bit for bit
+    @given(m=arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                    elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    @example(m=np.array([[complex(-0.0, -0.0), complex(-0.0, 1.0)]]))
+    @example(m=np.array([[complex(5e-324, -5e-324), complex(2.2250738585072009e-308, -1e-310)]]))
+    @example(m=np.array([[complex(1.7976931348623157e308, -1.7976931348623157e308)]]))
+    def test_entries_match_elementwise_floats(self, m):
+        def bits(values):
+            return [np.float64(x).tobytes() for x in values]
+
+        obj = matrix_to_json(m)
+        for key, part in (("re", m.real), ("im", m.imag)):
+            reference = [float(x) for x in part.reshape(-1)]
+            assert all(type(x) is float for x in obj[key])
+            assert bits(obj[key]) == bits(reference)
+            assert json.dumps(obj[key]) == json.dumps(reference)
+
     # through JSON text every finite entry comes back bit for bit, the sign
     # of a zero real or imaginary part included
     @given(m=arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 4)),

@@ -208,6 +208,26 @@ class TestSolve:
         assert np.abs(comb).max() < 1e-12
         assert np.dot(y, p.constraint_vals) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("face", [None, np.eye(3)[:, :2]])
+    def test_rank_zero_with_psd_objective_is_solved_without_the_ipm(self, monkeypatch, face):
+        # every row zero and every b zero: min tr[F0 X] over X >= 0 is 0 at X = 0
+        received = self.record_ipm_b(monkeypatch)
+        p = make_problem([np.zeros((3, 3))] * 2, [0.0, 0.0], objective=np.diag([1.0, 2.0, 0.0]))
+        sol = sdp.solve(p, face=face)
+        assert received == []
+        assert sol.status == "optimal" and sol.iterations == 0
+        assert sol.objective_value == 0.0 and sol.primal_residual == 0.0
+        assert sol.rank == 0 and not sol.x.any()
+        assert sol.y.tolist() == [0.0, 0.0]
+
+    def test_rank_zero_with_indefinite_objective_is_unbounded(self, monkeypatch):
+        received = self.record_ipm_b(monkeypatch)
+        p = make_problem([np.zeros((2, 2))], [0.0], objective=np.diag([1.0, -0.5]))
+        sol = sdp.solve(p)
+        assert received == []
+        assert sol.status == "numerical-limit"
+        assert sol.message.startswith("objective is unbounded below")
+
     def test_non_finite_projection_returns_a_status(self):
         # at this scale the iterate's mu overflows after one step, and the
         # closing projection of x onto the constraints overflows too: the
