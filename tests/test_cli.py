@@ -602,7 +602,6 @@ class TestConesimCommands:
         assert code == 2
         assert json.loads(err)["reason"] == "validation"
 
-
     def test_seed_past_the_integer_range_is_rejected(self, workdir, capsys):
         # 2**64 + 1 decodes as a float, which cannot tell which integer was written
         tmp, write = workdir
