@@ -33,9 +33,7 @@ from .engineer import (
     DiscriminationReport,
     SdpChannelResult,
     SeparableMultiSpec,
-    SingleFixedPointSpec,
     build_separable_multi,
-    build_single_fixed_point,
     build_via_sdp,
     find_discrimination_projectors,
 )

@@ -319,8 +319,5 @@ def choi_to_json(c: ChoiMatrix) -> dict:
 def choi_from_json(obj: dict) -> ChoiMatrix:
     if not isinstance(obj, dict) or "d_in" not in obj or "d_out" not in obj:
         raise ValueError("Choi JSON must contain d_in and d_out")
-    try:
-        d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
-    except TypeError as exc:
-        raise ValueError(f"Choi JSON dimension has the wrong type: {exc}") from exc
-    return ChoiMatrix(d_in, d_out, matrix_from_json(obj))
+    return ChoiMatrix(linops.json_int(obj, "d_in"), linops.json_int(obj, "d_out"),
+                      matrix_from_json(obj))

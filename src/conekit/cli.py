@@ -13,7 +13,9 @@ States are not written. Its stdout summary gives the round counts, the
 number of fixed points, the predicted ``settle_steps``, the
 ``unclassified_rounds`` as ``[round, residual]`` pairs and the
 ``max_residual``. ``conesim estimate`` reads only ``round``, ``symbol``
-and ``settle_steps`` from each line, strictly: line i must be round i.
+and ``settle_steps`` from each line, strictly: line i must be round i. A
+line that is not JSON is reported with the file path and its 1-based
+line number in the file.
 
 Inputs are decoded by orjson (``_parse_json``). What orjson rejects, the
 stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``
@@ -207,11 +209,32 @@ def _load_states(paths: list[str]) -> list[np.ndarray]:
 def cmd_engineer_single(args) -> int:
     sigma = _load_states([args.sigma])[0]
     b = _load_states([args.b])[0] if args.b else np.eye(sigma.shape[0], dtype=complex) / sigma.shape[0]
-    spec = engineer.SingleFixedPointSpec.from_states(sigma, b)
-    c = engineer.build_single_fixed_point(spec)
+    spec = engineer.SeparableMultiSpec.from_top_eigenvector(sigma, b)
+    lambda_max = float(spec.cross_overlaps[0, 0])
+    overlap = float(np.trace(spec.projectors[0] @ spec.b).real)
+    try:
+        c = engineer.build_separable_multi(spec)
+    except engineer.ConstructionError as exc:
+        # one state with lambda_max >= 1/d fails only the decay weight
+        # condition, which for this projector reads overlap <= lambda_max
+        raise engineer.ConstructionError(
+            "decay state overlaps the top eigenvector too strongly: "
+            f"<v_max|B|v_max> = {overlap:.12g} > lambda_max = {lambda_max:.12g}",
+            reason="overlap-exceeds-lambda-max",
+            details={"overlap": overlap, "lambda_max": lambda_max},
+        ) from exc
     out = {"channel": chan.choi_to_json(c)}
     if args.report:
-        out["report"] = engineer.single_fixed_point_report(spec)
+        rep = engineer.separable_condition_report(spec)
+        cp_factor = spec.sigmas[0] - (1.0 - lambda_max) * spec.b
+        out["report"] = {
+            "lambda_max": lambda_max,
+            "vmax_overlap": overlap,
+            "overlap_margin": lambda_max - overlap,
+            "cp_factor_min_eig": float(np.linalg.eigvalsh(linops.hermitize(cp_factor)).min()),
+            **{key: rep[key] for key in ("choi_min_eig", "tp_residual", "cp", "tp")},
+            "fixed_point_residual": rep["fixed_point_residuals"][0],
+        }
     _emit(out, args.out)
     return EXIT_OK
 
@@ -348,9 +371,17 @@ def cmd_conesim_estimate(args) -> int:
     # text mode, so lines split and blank lines drop as they always have
     try:
         with open(args.trajectory) as fh:
-            records = [_parse_json(line, None) for line in fh if line.strip()]
+            lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read {args.trajectory}: {exc}") from exc
+    records = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                records.append(_parse_json(line, None))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.trajectory} is not valid JSON: {exc.msg}: "
+                                 f"line {number} column {exc.colno}") from exc
     proc = conesim.estimate_process(conesim.symbols_from_json(records))
     if args.format == "csv":
         rows = [

@@ -368,28 +368,6 @@ _KICK_KEYS = {"policy", "strength", "choi"}
 _ROUND_KEYS = {"round", "symbol", "settle_steps"}
 
 
-def _json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = False) -> int | None:
-    """obj[key] as an int. A bool, a non-integral or non-finite number and
-    anything that is not a number raise ValueError, as does a value below
-    minimum; null is allowed only when nullable. So does a float of
-    magnitude >= 2**53: it cannot tell which integer was written (the CLI's
-    decoder returns an integer literal outside [-2**63, 2**64) as a float)."""
-    value = obj[key]
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if isinstance(value, float) and abs(value) >= 2.0 ** 53:
-        raise ValueError(f"{key} must be an integer, got {value!r}, a float too large "
-                         "to tell which integer was written")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
 def _json_float(obj: dict, key: str, default: float) -> float:
     """obj[key], or default when the key is absent, as a float. A bool, a
     string, null and a number that is not finite as a float raise ValueError."""
@@ -416,8 +394,8 @@ def config_from_json(obj: dict) -> SimulationConfig:
     unknown = set(kick_obj) - _KICK_KEYS
     if unknown:
         raise ValueError(f"unknown kick keys: {sorted(unknown)}")
-    n_iter, n_rounds = _json_int(obj, "n_iter"), _json_int(obj, "n_rounds")
-    seed = _json_int(obj, "seed") if "seed" in obj else 0
+    n_iter, n_rounds = linops.json_int(obj, "n_iter"), linops.json_int(obj, "n_rounds")
+    seed = linops.json_int(obj, "seed") if "seed" in obj else 0
     classify_tol = _json_float(obj, "classify_tol", CLASSIFY_TOL)
     strength = _json_float(kick_obj, "strength", 1.0)
     policy = kick_obj["policy"]
@@ -468,11 +446,11 @@ def symbols_from_json(records: Sequence) -> list[int | None]:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or not _ROUND_KEYS <= set(rec):
             raise ValueError(f"trajectory line {i} needs {sorted(_ROUND_KEYS)}")
-        if _json_int(rec, "round") != i:
+        if linops.json_int(rec, "round") != i:
             raise ValueError(f"trajectory line {i} holds round {rec['round']}: "
                              "rounds must run 0, 1, 2, ... without gaps")
-        _json_int(rec, "settle_steps", minimum=1)
-        symbols.append(_json_int(rec, "symbol", minimum=0, nullable=True))
+        linops.json_int(rec, "settle_steps", minimum=1)
+        symbols.append(linops.json_int(rec, "symbol", minimum=0, nullable=True))
     return symbols
 
 

@@ -9,23 +9,28 @@ completion by the decay state B, ``_complete``:
 which is trace preserving whenever tr B = 1. C maps sigma to
 X(sigma) + tr[(I - tr_H1[X]) sigma^T] B, so it fixes every sigma that X
 fixes: the fixed-point condition tr[(I - tr_H1[X]) sigma^T] = 0 reads
-tr sigma = tr X(sigma). The three cores are:
+tr sigma = tr X(sigma). The two cores are:
 
-* sigma (x) P^T / lambda_max for a single state, with P the projector
-  onto its top eigenvector;
-* sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i] for states that
-  annihilating projectors Pi_i discriminate unambiguously (the single
-  core is its one-projector case);
+* the separable core sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i] for
+  states that annihilating projectors Pi_i discriminate unambiguously.
+  One state has two projector choices: the top eigenvector
+  |v_max><v_max| (``from_top_eigenvector``, the closed form
+  sigma (x) Pi^T / lambda_max of ``engineer single``) and the support
+  projector (``from_states([sigma])``, which maps supp sigma onto sigma
+  and the rest onto B);
 * the minimum-trace PSD X fixing every state, from a semidefinite program.
 
-The constructions check one decay condition on the part of C outside
-the fixed states: the B-weight tr[X(B)] = tr[tr_H1[X] B^T] must be below
-1 (``_decay_weight``), unless I - tr_H1[X] vanishes (degenerate) and B
-never acts. Reports show it as ``b_weight``, ``convergence_margin`` =
-1 - b_weight and ``degenerate_residual`` (separable core), ``contraction``
-and ``contraction_warning`` (SDP core), and ``vmax_overlap <= lambda_max``
-(single core: its B-weight is tr sigma <v_max|B|v_max> / lambda_max, so
-this is the same bound when tr sigma = 1).
+Off the fixed states C decays through the B-weight
+w = tr[X(B)] = tr[tr_H1[X] B^T] (``_decay_weight``). The separable core
+maps B to (1 - w) B plus a combination of the sigma_i and every traceless
+rho with tr[Pi_i rho] = 0 to zero, so the eigenvalue of C off the fixed
+states is 1 - w: w = 0 leaves B fixed (a pure qubit sigma with an
+orthogonal B gives the dephasing channel), and 1 < w < 2 would still
+decay. The separable constructions accept w <= 1 + DECAY_TOL, or any w
+when I - tr_H1[X] vanishes (degenerate) and B never acts. Reports show
+``b_weight``, ``convergence_margin`` = 1 - b_weight and
+``degenerate_residual`` (separable core), and ``contraction`` and
+``contraction_warning``, set from 1 on (SDP core).
 
 Complete positivity depends on the inputs and is checked on the assembled
 Choi matrix rather than factor by factor (some factors are indefinite by
@@ -65,88 +70,15 @@ def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
     return ChoiMatrix(d, d, hermitize(x + kron(b, rest)))
 
 
+# The separable constructions accept a B-weight up to 1 + DECAY_TOL. At
+# w = 1 the off-core eigenvalue 1 - w is 0 (one state with B = sigma
+# gives the replacement channel), so rounding must not decide that case.
+DECAY_TOL = 1e-9
+
+
 def _decay_weight(x_out: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     """B-weight and degeneracy (max |I - x_out| <= 1e-9) of a core X with tr_H1[X] = x_out."""
     return float(np.trace(x_out @ b.T).real), linops.max_abs(np.eye(len(b)) - x_out) <= 1e-9
-
-
-def _channel_checks(c: ChoiMatrix, sigmas) -> dict:
-    """CP/TP data of an assembled channel and the trace distance from each
-    requested state to its image."""
-    rep = c.cptp
-    return {
-        "choi_min_eig": rep.min_eig,
-        "tp_residual": rep.tp_residual,
-        "cp": rep.cp,
-        "tp": rep.tp,
-        "fixed_point_residuals": [trace_distance(chan.apply(c, s), s) for s in sigmas],
-    }
-
-
-# ----------------------------------------------------------------------
-# Single fixed point, closed form
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SingleFixedPointSpec:
-    """Inputs for the single-fixed-point construction.
-
-    lambda_max / v_max are the top eigenpair of sigma (deterministic
-    tie-break from linops.herm_eig). The construction requires
-    <v_max|B|v_max> <= lambda_max; it is completely positive iff
-    sigma - (1 - lambda_max) B >= 0.
-    """
-
-    sigma: np.ndarray
-    b: np.ndarray
-    lambda_max: float
-    v_max: np.ndarray
-
-    @classmethod
-    def from_states(cls, sigma, b) -> "SingleFixedPointSpec":
-        sigma = linops.check_density(sigma)
-        b = linops.check_density(b)
-        if b.shape != sigma.shape:
-            raise ValueError("sigma and B must have equal dimensions")
-        w, v = linops.herm_eig(sigma)
-        return cls(sigma=sigma, b=b, lambda_max=float(w[0]), v_max=v[:, 0].copy())
-
-
-def build_single_fixed_point(spec: SingleFixedPointSpec, validate: bool = True) -> ChoiMatrix:
-    """The core sigma (x) P^T / lambda_max, with P the projector onto the
-    top eigenvector of sigma, completed by B.
-
-    With validate=True the overlap condition <v|B|v> <= lambda_max is
-    enforced (a ConstructionError names the inequality); the returned
-    channel fixes sigma identically either way.
-    """
-    overlap = float(np.real(np.conj(spec.v_max) @ spec.b @ spec.v_max))
-    if validate and overlap > spec.lambda_max + 1e-9:
-        raise ConstructionError(
-            f"decay state overlaps the top eigenvector too strongly: "
-            f"<v_max|B|v_max> = {overlap:.12g} > lambda_max = {spec.lambda_max:.12g}",
-            reason="overlap-exceeds-lambda-max",
-            details={"overlap": overlap, "lambda_max": spec.lambda_max},
-        )
-    proj_t = linops.ket_projector(spec.v_max).T
-    return _complete(kron(spec.sigma, proj_t / spec.lambda_max), spec.b)
-
-
-def single_fixed_point_report(spec: SingleFixedPointSpec) -> dict:
-    """Every validity condition of the single-fixed-point construction
-    with its numeric residual, computed on the assembled channel."""
-    overlap = float(np.real(np.conj(spec.v_max) @ spec.b @ spec.v_max))
-    cp_factor = spec.sigma - (1.0 - spec.lambda_max) * spec.b
-    checks = _channel_checks(build_single_fixed_point(spec, validate=False), [spec.sigma])
-    (residual,) = checks.pop("fixed_point_residuals")
-    return {
-        "lambda_max": spec.lambda_max,
-        "vmax_overlap": overlap,
-        "overlap_margin": spec.lambda_max - overlap,
-        "cp_factor_min_eig": float(np.linalg.eigvalsh(hermitize(cp_factor)).min()),
-        **checks,
-        "fixed_point_residual": residual,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -250,12 +182,28 @@ class SeparableMultiSpec:
         if len(projs) != len(states):
             raise ValueError("one projector per state required")
         b = np.eye(d, dtype=complex) / d if b is None else linops.check_density(b)
+        shapes = {f"state {i}": s.shape for i, s in enumerate(states)}
+        shapes.update({f"projector {i}": p.shape for i, p in enumerate(projs)}, B=b.shape)
+        for name, shape in shapes.items():
+            if shape != (d, d):
+                raise ValueError(f"{name} is {shape[0]}x{shape[1]}, but state 0 is {d}x{d}")
         cross = np.array([[np.trace(p @ s).real for p in projs] for s in states])
         x_out = sum((np.trace(s).real / ov * p.T for s, p, ov in zip(states, projs, np.diag(cross))
                      if abs(ov) > RANK_TOL), np.zeros_like(b))  # tr_H1 of the assembled core
         weight, degenerate = _decay_weight(x_out, b)
         return cls(sigmas=states, projectors=projs, b=b, cross_overlaps=cross,
                    convergence_margin=1.0 - weight, degenerate=degenerate)
+
+    @classmethod
+    def from_top_eigenvector(cls, sigma, b) -> "SeparableMultiSpec":
+        """One state with Pi = |v_max><v_max|, the top eigenvector of sigma
+        (deterministic tie-break from linops.herm_eig): the closed form
+        sigma (x) Pi^T / lambda_max of ``engineer single``."""
+        sigma, b = linops.check_density(sigma), linops.check_density(b)
+        if b.shape != sigma.shape:
+            raise ValueError("sigma and B must have equal dimensions")
+        _, v = linops.herm_eig(sigma)
+        return cls.from_parts([sigma], [linops.ket_projector(v[:, 0])], b)
 
     @classmethod
     def from_states(cls, sigmas, b=None) -> "SeparableMultiSpec":
@@ -287,6 +235,7 @@ def separable_condition_report(spec: SeparableMultiSpec) -> dict:
     assembled channel's CP/TP data."""
     cross = spec.cross_overlaps
     off_diagonal = ~np.eye(len(cross), dtype=bool)
+    c = build_separable_multi(spec, validate=False)
     return {
         "cross_overlaps": cross.tolist(),
         "max_cross_overlap": float(np.abs(cross[off_diagonal]).max(initial=0.0)),
@@ -294,7 +243,11 @@ def separable_condition_report(spec: SeparableMultiSpec) -> dict:
         "b_weight": 1.0 - spec.convergence_margin,
         "convergence_margin": spec.convergence_margin,
         "degenerate_residual": spec.degenerate,
-        **_channel_checks(build_separable_multi(spec, validate=False), spec.sigmas),
+        "choi_min_eig": c.cptp.min_eig,
+        "tp_residual": c.cptp.tp_residual,
+        "cp": c.cptp.cp,
+        "tp": c.cptp.tp,
+        "fixed_point_residuals": [trace_distance(chan.apply(c, s), s) for s in spec.sigmas],
     }
 
 
@@ -317,12 +270,13 @@ def _validate_separable(spec: SeparableMultiSpec) -> None:
                 reason="zero-detection-overlap",
                 details={"i": i, "value": ov},
             )
-    if not spec.degenerate and spec.convergence_margin <= 0.0:
+    weight = 1.0 - spec.convergence_margin
+    if not spec.degenerate and weight > 1.0 + DECAY_TOL:
         raise ConstructionError(
             f"condition 3 (decay weight) failed: sum tr[B Pi_i]/tr[Pi_i sigma_i] = "
-            f"{1.0 - spec.convergence_margin:.12g} not < 1",
+            f"{weight:.12g} > 1 + {DECAY_TOL:g}",
             reason="decay-weight-too-large",
-            details={"b_weight": 1.0 - spec.convergence_margin},
+            details={"b_weight": weight},
         )
 
 

@@ -195,6 +195,28 @@ def max_abs(a) -> float:
 # JSON wire format: {"rows", "cols", "re": [...], "im": [...]} row-major.
 # ----------------------------------------------------------------------
 
+def json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = False) -> int | None:
+    """obj[key] as an int. A bool, a non-integral or non-finite number and
+    anything that is not a number raise ValueError, as does a value below
+    minimum; null is allowed only when nullable. So does a float of
+    magnitude >= 2**53: it cannot tell which integer was written (the CLI's
+    decoder returns an integer literal outside [-2**63, 2**64) as a float)."""
+    value = obj[key]
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, float) and abs(value) >= 2.0 ** 53:
+        raise ValueError(f"{key} must be an integer, got {value!r}, a float too large "
+                         "to tell which integer was written")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def matrix_to_json(m) -> dict:
     m = as_matrix(m)
     return {
@@ -211,8 +233,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     missing = {"rows", "cols", "re", "im"} - set(obj)
     if missing:
         raise ValueError(f"matrix JSON missing keys: {sorted(missing)}")
+    rows, cols = json_int(obj, "rows"), json_int(obj, "cols")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except TypeError as exc:

@@ -290,8 +290,8 @@ def quasireal_from_json(obj: dict) -> QuasiRealization:
     d_obj = obj["D"]
     if not isinstance(d_obj, dict):
         raise ValueError("'D' must map each symbol to a matrix")
+    dim = linops.json_int(obj, "dim")
     try:
-        dim = int(obj["dim"])
         d_maps = {u: np.asarray(d_obj[u], dtype=float) for u in alphabet if u in d_obj}
     except TypeError as exc:
         raise ValueError(f"quasi-realization JSON field has the wrong type: {exc}") from exc

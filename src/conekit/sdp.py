@@ -564,8 +564,8 @@ def problem_from_json(obj: dict) -> SdpProblem:
         raise ValueError("constraints must be a non-empty list")
     if not all(isinstance(c, dict) and {"a", "b"} <= set(c) for c in cons):
         raise ValueError("each constraint must be an object with keys 'a' and 'b'")
+    n = linops.json_int(obj, "n")
     try:
-        n = int(obj["n"])
         vals = tuple(float(c["b"]) for c in cons)
     except TypeError as exc:
         raise ValueError(f"problem JSON field has the wrong type: {exc}") from exc

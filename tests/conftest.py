@@ -32,9 +32,9 @@ def basis_proj(i: int, dim: int) -> np.ndarray:
 
 
 def sample_valid_single_pair(rng: np.random.Generator, dim: int):
-    """Random (sigma, B) valid for the single-fixed-point construction:
-    the top-eigenvector overlap condition plus the complete-positivity
-    condition sigma - (1 - lambda_max) B >= 0.
+    """Random (sigma, B) valid for the top-eigenvector construction of
+    ``engineer single``: the overlap condition <v_max|B|v_max> <= lambda_max
+    plus the complete-positivity condition sigma - (1 - lambda_max) B >= 0.
 
     sigma itself is always a valid B (boundary overlap), so B is drawn
     uniformly on the segment from sigma toward a random density matrix,

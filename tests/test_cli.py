@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -162,20 +164,47 @@ class TestChannelCommands:
         lambda tmp, write: ["quasireal", "check", "--realization", "q.json", "--tol", "abc"],
         lambda tmp, write: ["channel", "check"],
         lambda tmp, write: ["channel", "no-such-command"],
+        # 1 x 1 Choi matrices whose dimension fields truncate to 1
+        lambda tmp, write: ["channel", "check", "--choi", write("c.json", json.dumps(
+            dict(json.loads(CHOI_1 % "1.0"), rows=1.9)))],
+        lambda tmp, write: ["channel", "check", "--choi", write("c.json", json.dumps(
+            dict(json.loads(CHOI_1 % "1.0"), d_in=True)))],
+        lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", json.dumps(
+            dict(one_by_one_problem(), n=1.9)))],
+        lambda tmp, write: ["quasireal", "check", "--realization", write("q.json", json.dumps({
+            "dim": True, "alphabet": ["0"], "D": {"0": [[1.0]]}, "pi": [1.0], "tau": [1.0],
+        }))],
+        lambda tmp, write: ["engineer", "separable", "--sigma", write("s.json", json.dumps(
+            linops.matrix_to_json(np.eye(2) / 2))), "--b", write("b.json", json.dumps(
+                linops.matrix_to_json(np.eye(3) / 3)))],
+        lambda tmp, write: ["engineer", "separable", "--sigma", write("s.json", json.dumps(
+            linops.matrix_to_json(np.eye(2) / 2))), "--b", write("b.json", json.dumps(
+                linops.matrix_to_json(np.eye(1))))],
+        lambda tmp, write: ["engineer", "separable", "--sigma", write("s0.json", json.dumps(
+            linops.matrix_to_json(basis_proj(0, 2)))), "--sigma", write("s1.json", json.dumps(
+                linops.matrix_to_json(basis_proj(1, 3))))],
+        lambda tmp, write: ["engineer", "single", "--sigma", write("s.json", json.dumps(
+            linops.matrix_to_json(np.eye(2) / 2))), "--b", write("b.json", json.dumps(
+                linops.matrix_to_json(np.eye(3) / 3)))],
     ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
             "constraint-without-a", "n-list", "b-null", "rows-list", "alphabet-int",
             "n-iter-list", "strength-null", "pi-object", "generators-object",
             "check-out-unwritable", "fixed-points-csv-out-unwritable",
             "run-out-unwritable", "channel-never-settles", "psd-tol-nan", "tp-tol-zero",
             "fixed-points-tol-nan", "stop-tol-inf", "feas-tol-negative", "max-iter-zero",
-            "tol-not-a-number", "check-without-choi", "unknown-command"])
+            "tol-not-a-number", "check-without-choi", "unknown-command", "rows-fraction",
+            "d-in-bool", "n-fraction", "dim-bool", "separable-b-mismatch",
+            "separable-b-one-by-one", "separable-state-mismatch", "single-b-mismatch"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
         def write(name, text):
             (tmp_path / name).write_text(text)
             return str(tmp_path / name)
         code, _, err = run_cli(capsys, *argv(tmp_path, write))
         assert code == 2
-        assert json.loads(err)["reason"] == "validation"
+        payload = json.loads(err)
+        assert payload["reason"] == "validation"
+        # the message is the program's own, not numpy's
+        assert "broadcast" not in payload["error"] and "gufunc" not in payload["error"]
 
 
 class TestEngineerCommands:
@@ -717,6 +746,35 @@ class TestParser:
         assert json.loads(out) == obj
 
 
+class TestErrorTaxonomy:
+    def test_reason_tags_match_the_exit_code_table(self):
+        # rows of the table in the cli docstring: "    <reason>   <exit>   <raised for>"
+        table = dict(re.findall(r"^    ([a-z][a-z-]*) +(\d) ", cli.__doc__, re.M))
+
+        def tags(node):
+            return {n.value for n in ast.walk(node)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+        raised, construction = set(), set()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):  # reason="..." in a call
+                    callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    for kw in node.keywords:
+                        if kw.arg == "reason":
+                            raised |= tags(kw.value)
+                            if callee == "ConstructionError":
+                                construction |= tags(kw.value)
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Attribute) and t.attr == "reason" for t in node.targets):
+                    raised |= tags(node.value)  # the ConstructionError default
+                    construction |= tags(node.value)
+        assert raised == set(table)
+        # main exits 3 on every ConstructionError, whatever its tag
+        assert "overlap-exceeds-lambda-max" in construction
+        assert all(table[tag] == str(cli.EXIT_INFEASIBLE) for tag in construction)
+
+
 CHOI_1 = '{"rows": 1, "cols": 1, "re": [%s], "im": [0.0], "d_in": 1, "d_out": 1}'
 
 
@@ -777,16 +835,17 @@ class TestJsonInput:
 
     @pytest.mark.parametrize("last, error", [
         ('{"round": 2, "symbol": NaN, "settle_steps": 1}', "symbol must be an integer, got nan"),
-        ('{"round": 2,', "Expecting property name enclosed in double quotes: "
-         "line 1 column 13 (char 12)"),
+        # line 4 of the file: a blank line counts
+        ('{"round": 2,', "{path} is not valid JSON: Expecting property name enclosed in "
+         "double quotes: line 4 column 13"),
     ], ids=["nan-symbol", "malformed-line"])
     def test_rejected_trajectory_line_keeps_its_error(self, tmp_path, capsys, last, error):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"round": 0, "symbol": 0, "settle_steps": 1}\r\n'
+        path.write_text('{"round": 0, "symbol": 0, "settle_steps": 1}\r\n\r\n'
                         '{"round": 1, "symbol": 1, "settle_steps": 1}\r\n' + last)
         code, out, err = run_cli(capsys, "conesim", "estimate", str(path))
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": error, "reason": "validation"}
+        assert json.loads(err) == {"error": error.format(path=path), "reason": "validation"}
 
 
 def qubit_choi_obj(m):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -9,9 +11,7 @@ from conekit.conesim import haar_unitary
 from conekit.engineer import (
     ConstructionError,
     SeparableMultiSpec,
-    SingleFixedPointSpec,
     build_separable_multi,
-    build_single_fixed_point,
     build_via_sdp,
     find_discrimination_projectors,
     fixed_point_face,
@@ -56,42 +56,73 @@ class TestComplete:
         assert trace_distance(chan.apply(c, sigma), sigma) <= 1e-12
 
 
+def engineer_single(tmp_path, capsys, sigma, b, *flags):
+    """Exit code and JSON output (stdout, else stderr) of ``engineer single``."""
+    paths = []
+    for name, m in (("sigma", sigma), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(linops.matrix_to_json(m)))
+    code = cli.main(["engineer", "single", "--sigma", str(paths[0]), "--b", str(paths[1]), *flags])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out or captured.err)
+
+
 class TestSingleFixedPoint:
+    """One state with its top-eigenvector projector, the core of ``engineer single``."""
+
+    top = staticmethod(SeparableMultiSpec.from_top_eigenvector)
+
     def test_pure_sigma_orthogonal_b_gives_dephasing(self):
-        spec = SingleFixedPointSpec.from_states(basis_proj(0, 2), basis_proj(1, 2))
-        c = build_single_fixed_point(spec)
+        c = build_separable_multi(self.top(basis_proj(0, 2), basis_proj(1, 2)))
         expected = kron(basis_proj(0, 2), basis_proj(0, 2)) + kron(basis_proj(1, 2), basis_proj(1, 2))
         assert np.abs(c.matrix - expected).max() < 1e-12
 
     def test_maximally_mixed_sigma_uses_tiebreak(self):
         b = basis_proj(1, 2)
-        spec = SingleFixedPointSpec.from_states(np.eye(2) / 2, b)
-        assert abs(spec.lambda_max - 0.5) < 1e-12
-        assert np.allclose(spec.v_max, [1.0, 0.0])
-        c = build_single_fixed_point(spec)
+        spec = self.top(np.eye(2) / 2, b)
+        assert abs(spec.cross_overlaps[0, 0] - 0.5) < 1e-12
+        assert np.abs(spec.projectors[0] - basis_proj(0, 2)).max() < 1e-12
+        c = build_separable_multi(spec)
         expected = kron(np.eye(2) - b, basis_proj(0, 2)) + kron(b, basis_proj(1, 2))
         assert np.abs(c.matrix - expected).max() < 1e-12
         assert trace_distance(chan.apply(c, np.eye(2) / 2), np.eye(2) / 2) < 1e-12
 
     def test_boundary_overlap_accepted(self):
-        spec = SingleFixedPointSpec.from_states(basis_proj(0, 2), basis_proj(0, 2))
-        c = build_single_fixed_point(spec)
+        c = build_separable_multi(self.top(basis_proj(0, 2), basis_proj(0, 2)))
         rep = chan.is_cptp(c)
         assert rep.cp and rep.tp
         assert trace_distance(chan.apply(c, basis_proj(0, 2)), basis_proj(0, 2)) < 1e-12
 
-    def test_violation_rejected_with_named_inequality(self):
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_b_equal_to_sigma_gives_the_replacement_channel(self, rng, d, tmp_path, capsys):
+        # b_weight is 1 up to rounding in either direction (margin 0.0 and
+        # -2.2e-16 occur at d = 3, 4); DECAY_TOL accepts both
+        sigma = random_density(rng, d)
+        spec = self.top(sigma, sigma)
+        assert abs(spec.convergence_margin) < 1e-12
+        c = build_separable_multi(spec)
+        rho = random_density(rng, d)
+        assert trace_distance(chan.apply(c, rho), sigma) < 1e-12
+        code, out = engineer_single(tmp_path, capsys, sigma, sigma)
+        assert code == 0
+        assert np.abs(chan.choi_from_json(out["channel"]).matrix - c.matrix).max() == 0
+
+    def test_violation_rejected_with_named_inequality(self, tmp_path, capsys):
         sigma = np.diag([0.7, 0.3]).astype(complex)
         with pytest.raises(ConstructionError) as exc:
-            build_single_fixed_point(SingleFixedPointSpec.from_states(sigma, basis_proj(0, 2)))
-        assert exc.value.reason == "overlap-exceeds-lambda-max"
-        assert "lambda_max" in str(exc.value)
+            build_separable_multi(self.top(sigma, basis_proj(0, 2)))
+        assert exc.value.reason == "decay-weight-too-large"
+        code, err = engineer_single(tmp_path, capsys, sigma, basis_proj(0, 2))
+        assert code == 3
+        assert err["reason"] == "overlap-exceeds-lambda-max"
+        assert "lambda_max" in err["error"]
+        assert err["details"] == pytest.approx({"overlap": 1.0, "lambda_max": 0.7}, abs=1e-12)
 
     def test_valid_pairs_give_cptp_fixed_point(self, rng):
         for dim in (2, 3, 4):
             for _ in range(15):
                 sigma, b = sample_valid_single_pair(rng, dim)
-                c = build_single_fixed_point(SingleFixedPointSpec.from_states(sigma, b))
+                c = build_separable_multi(self.top(sigma, b))
                 rep = chan.is_cptp(c)
                 assert rep.cp and rep.tp
                 assert trace_distance(chan.apply(c, sigma), sigma) < 1e-9
@@ -102,14 +133,16 @@ class TestSingleFixedPoint:
         for _ in range(20):
             sigma = random_density(rng, 2)
             b = random_density(rng, 2)
-            spec = SingleFixedPointSpec.from_states(sigma, b)
-            c = build_single_fixed_point(spec, validate=False)
+            c = build_separable_multi(self.top(sigma, b), validate=False)
             rep = chan.is_cptp(c)
             assert rep.cp and rep.tp
 
-    def test_report_fields(self):
-        spec = SingleFixedPointSpec.from_states(basis_proj(0, 2), basis_proj(1, 2))
-        rep = engineer.single_fixed_point_report(spec)
+    def test_report_fields(self, tmp_path, capsys):
+        code, out = engineer_single(tmp_path, capsys, basis_proj(0, 2), basis_proj(1, 2), "--report")
+        assert code == 0
+        rep = out["report"]
+        assert list(rep) == ["lambda_max", "vmax_overlap", "overlap_margin", "cp_factor_min_eig",
+                             "choi_min_eig", "tp_residual", "cp", "tp", "fixed_point_residual"]
         assert rep["cp"] and rep["tp"]
         assert rep["fixed_point_residual"] < 1e-12
         assert abs(rep["lambda_max"] - 1.0) < 1e-12
@@ -220,8 +253,10 @@ class TestSeparableMulti:
         b = basis_proj(1, 2)
         spec = SeparableMultiSpec.from_states([sigma], b=b)
         via_multi = build_separable_multi(spec)
-        via_single = build_single_fixed_point(SingleFixedPointSpec.from_states(sigma, b))
-        assert np.abs(via_multi.matrix - via_single.matrix).max() < 1e-12
+        # sigma (x) P^T / lambda_max, P the projector onto the top eigenvector
+        w, v = linops.herm_eig(sigma)
+        closed_form = engineer._complete(kron(sigma, linops.ket_projector(v[:, 0]).T) / w[0], b)
+        assert np.abs(via_multi.matrix - closed_form.matrix).max() < 1e-12
 
     def test_condition1_error_names_annihilation(self):
         spec = self.qutrit_spec()
@@ -257,6 +292,17 @@ class TestSeparableMulti:
         with pytest.raises(ConstructionError) as exc:
             build_separable_multi(bad)
         assert exc.value.reason == "decay-weight-too-large"
+
+    @pytest.mark.parametrize("sigmas, projectors, b, message", [
+        ([np.eye(2) / 2], [np.eye(2)], np.eye(3) / 3, "B is 3x3, but state 0 is 2x2"),
+        ([np.eye(2) / 2], [np.eye(2)], np.eye(1), "B is 1x1, but state 0 is 2x2"),
+        ([np.eye(2) / 2, np.eye(3) / 3], [np.eye(2), np.eye(3)], None,
+         "state 1 is 3x3, but state 0 is 2x2"),
+        ([np.eye(2) / 2], [np.eye(3)], None, "projector 0 is 3x3, but state 0 is 2x2"),
+    ], ids=["b-larger", "b-one-by-one", "state", "projector"])
+    def test_dimension_mismatch_is_named(self, sigmas, projectors, b, message):
+        with pytest.raises(ValueError, match=message):
+            SeparableMultiSpec.from_parts(sigmas, projectors, b=b)
 
     def test_infeasible_states_raise_through_from_states(self):
         with pytest.raises(ConstructionError) as exc:
@@ -308,8 +354,8 @@ class TestBuildViaSdp:
         res = build_via_sdp([sigma], b=basis_proj(1, 2))
         assert abs(res.solution.objective_value - 1.0) < 1e-6
         # minimum-trace X is the first term of the closed-form construction
-        spec = SingleFixedPointSpec.from_states(sigma, basis_proj(1, 2))
-        first_term = kron(sigma, linops.ket_projector(spec.v_max).T) / spec.lambda_max
+        spec = SeparableMultiSpec.from_top_eigenvector(sigma, basis_proj(1, 2))
+        first_term = kron(sigma, spec.projectors[0].T) / spec.cross_overlaps[0, 0]
         assert np.abs(res.x.matrix - first_term).max() < 1e-5
 
     def test_duplicated_states_match_single(self):
