@@ -26,11 +26,11 @@ maps B to (1 - w) B plus a combination of the sigma_i and every traceless
 rho with tr[Pi_i rho] = 0 to zero, so the eigenvalue of C off the fixed
 states is 1 - w: w = 0 leaves B fixed (a pure qubit sigma with an
 orthogonal B gives the dephasing channel), and 1 < w < 2 would still
-decay. The separable constructions accept w <= 1 + DECAY_TOL, or any w
-when I - tr_H1[X] vanishes (degenerate) and B never acts. Reports show
-``b_weight``, ``convergence_margin`` = 1 - b_weight and
-``degenerate_residual`` (separable core), and ``contraction`` and
-``contraction_warning``, set from 1 on (SDP core).
+decay. Both cores share one decay rule (``_decays``): w <= 1 + DECAY_TOL,
+or any w when I - tr_H1[X] vanishes (degenerate) and B never acts; the
+separable constructions reject a core that breaks it, the SDP core sets
+``contraction_warning``. Reports show ``b_weight``, ``convergence_margin``
+= 1 - b_weight and ``degenerate_residual`` (separable), and ``contraction``.
 
 Complete positivity depends on the inputs and is checked on the assembled
 Choi matrix rather than factor by factor (some factors are indefinite by
@@ -70,8 +70,7 @@ def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
     return ChoiMatrix(d, d, hermitize(x + kron(b, rest)))
 
 
-# The separable constructions accept a B-weight up to 1 + DECAY_TOL. At
-# w = 1 the off-core eigenvalue 1 - w is 0 (one state with B = sigma
+# At w = 1 the off-core eigenvalue 1 - w is 0 (one state with B = sigma
 # gives the replacement channel), so rounding must not decide that case.
 DECAY_TOL = 1e-9
 
@@ -79,6 +78,11 @@ DECAY_TOL = 1e-9
 def _decay_weight(x_out: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     """B-weight and degeneracy (max |I - x_out| <= 1e-9) of a core X with tr_H1[X] = x_out."""
     return float(np.trace(x_out @ b.T).real), linops.max_abs(np.eye(len(b)) - x_out) <= 1e-9
+
+
+def _decays(weight: float, degenerate: bool) -> bool:
+    """The decay rule of both cores: degenerate, or w <= 1 + DECAY_TOL."""
+    return degenerate or weight <= 1.0 + DECAY_TOL
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +275,7 @@ def _validate_separable(spec: SeparableMultiSpec) -> None:
                 details={"i": i, "value": ov},
             )
     weight = 1.0 - spec.convergence_margin
-    if not spec.degenerate and weight > 1.0 + DECAY_TOL:
+    if not _decays(weight, spec.degenerate):
         raise ConstructionError(
             f"condition 3 (decay weight) failed: sum tr[B Pi_i]/tr[Pi_i sigma_i] = "
             f"{weight:.12g} > 1 + {DECAY_TOL:g}",
@@ -414,8 +418,8 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     interior-point method may stall; on the face it regains an interior.
     The face holds every feasible X, so the optimum is unchanged.
 
-    The contraction number is the B-weight of the module docstring; values
-    >= 1 off the degenerate case set contraction_warning.
+    The contraction number is the B-weight of the module docstring; a core
+    that breaks the decay rule there sets contraction_warning.
     """
     states = [linops.check_density(s) for s in sigmas]
     if not states:
@@ -442,7 +446,7 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
         x=ChoiMatrix(d, d, x),
         c=c,
         contraction=contraction,
-        contraction_warning=(not degenerate) and contraction >= 1.0,
+        contraction_warning=not _decays(contraction, degenerate),
         degenerate=degenerate,
         residuals=[trace_distance(chan.apply(c, s), s) for s in states],
         cptp=c.cptp,

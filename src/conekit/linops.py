@@ -191,6 +191,17 @@ def max_abs(a) -> float:
     return float(np.abs(np.asarray(a)).max(initial=0.0))
 
 
+def row_norms(rows) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, taken of the row divided
+    by its peak entry: squares of entries past ~1e154 would overflow and
+    those below ~1e-154 underflow. A zero row has norm 0; a norm past the
+    float range reads inf."""
+    rows = np.asarray(rows)
+    peak = np.abs(rows).max(axis=1)
+    with np.errstate(over="ignore"):
+        return peak * np.linalg.norm(rows / np.where(peak == 0.0, 1.0, peak)[:, None], axis=1)
+
+
 # ----------------------------------------------------------------------
 # JSON wire format: {"rows", "cols", "re": [...], "im": [...]} row-major.
 # ----------------------------------------------------------------------

@@ -13,9 +13,10 @@ step works on. ``solve`` is the single entry point and runs one path:
    (facial reduction: when the constraints force X onto a face of the
    PSD cone, the restricted problem regains a strictly feasible point);
 2. reduce the constraint set to full row rank, returning an exact Farkas
-   certificate when it is linearly inconsistent; both tests see each row
-   and its b divided by the row's norm, so row scale does not decide rank
-   (a quotient past the float range ends the solve as numerical-limit);
+   certificate when it is linearly inconsistent; both tests and the choice
+   of rows to keep see each row and its b divided by the row's norm, so
+   row scale does not decide rank or which rows stay (a quotient past the
+   float range ends the solve as numerical-limit);
    a consistent set of rank 0 leaves min tr[F0^T X] over X >= 0, which
    ends there: X = 0 optimal when F0 >= -PSD_TOL, numerical-limit
    (unbounded below) otherwise;
@@ -447,20 +448,15 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     # the real coordinates of the rows: their dot products are Re tr[A_k^dag A_l]
     rows = data[1:].reshape(m, -1).view(float)
 
-    # Linear consistency and rank reduction of the constraint set, on each
-    # row and its b divided by the row's norm before the face, so that an
+    # The consistency test, the rank and the rows kept all see each row and
+    # its b divided by the row's norm before the face, so that an
     # independent but badly scaled row keeps its rank (norms after the face
     # would inflate rows that vanish on it into unit-norm noise). U must
     # span all m rows for the left null space; V is never used, so the
     # reduced SVD suffices unless there are more rows than columns.
-    flat = ops_c.reshape(m, -1)
-    peak = np.abs(flat).max(axis=1)
-    peak[peak == 0.0] = 1.0
-    # norms taken of rows divided by their peak entry: squares of entries
-    # near 1e160 would overflow; a zero row keeps norm 1 and stays zero
+    norms = linops.row_norms(ops_c.reshape(m, -1))
+    norms[norms == 0.0] = 1.0  # a zero row stays zero
     with np.errstate(over="ignore"):
-        norms = peak * np.linalg.norm(flat / peak[:, None], axis=1)
-        norms[norms == 0.0] = 1.0
         b_s = b_c / norms
     if not (np.isfinite(norms).all() and np.isfinite(b_s).all()):
         # |X|_F >= |b_k| / |A_k|_F: past the float range, so is every solution
@@ -486,7 +482,7 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
                 infeasibility_certificate=null_left[:, j] / norms / mismatch[j],
                 message="constraints are linearly inconsistent",
             )
-        _, _, piv = scipy.linalg.qr(rows.T, pivoting=True, mode="economic")
+        _, _, piv = scipy.linalg.qr(scaled.T, pivoting=True, mode="economic")
         keep = np.sort(piv[:rank])
     else:
         keep = np.arange(m)

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import importlib
 import json
 import re
 from pathlib import Path
@@ -461,6 +463,20 @@ class TestQuasirealCommands:
         assert code == 0
         assert json.loads(out)["all_conditions"]
 
+    def test_cone_check_with_a_line_at_large_scale(self, workdir, capsys):
+        # a line along e1 at scale 1e15: pointedness is answered, not a crash
+        _, write = workdir
+        qpath = write("q.json", {"dim": 3, "alphabet": ["0"], "D": {"0": np.eye(3).tolist()},
+                                 "pi": [1.0, 1.0, 1.0], "tau": [1.0, 1.0, 1.0]})
+        cpath = write("cone.json", {"generators": [[1e15, 0, 0], [-1e15, 0, 0], [0, 1, 0],
+                                                   [0, 0, 1], [1, 1, 1]]})
+        code, out, _ = run_cli(capsys, "quasireal", "cone-check",
+                               "--realization", qpath, "--cone", cpath)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["pointed"] is False and rep["all_conditions"] is False
+        assert rep["tau_in_cone"] and rep["maps_preserve_cone"]
+
     def test_unknown_symbol_exits_2(self, workdir, capsys):
         _, write = workdir
         qpath = write("q.json", self.markov_obj())
@@ -773,6 +789,33 @@ class TestErrorTaxonomy:
         # main exits 3 on every ConstructionError, whatever its tag
         assert "overlap-exceeds-lambda-max" in construction
         assert all(table[tag] == str(cli.EXIT_INFEASIBLE) for tag in construction)
+
+    def test_every_raise_is_mapped_to_an_exit_code(self):
+        # main maps ValueError (LinAlgError and ConstructionError among its
+        # subclasses) and NumericalLimitError; argparse turns an
+        # ArgumentTypeError into a usage error. Any other class escapes main
+        # as a traceback.
+        mapped = (ValueError, sdpmod.NumericalLimitError, argparse.ArgumentTypeError)
+        unmapped = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            name = "conekit" if path.stem == "__init__" else f"conekit.{path.stem}"
+            namespace = vars(importlib.import_module(name))
+            tree = ast.parse(path.read_text())
+            handlers = {id(r): h for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)
+                        for r in ast.walk(h) if isinstance(r, ast.Raise)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Raise):
+                    continue
+                if node.exc is None:  # a bare raise re-raises what its handler caught
+                    expr = handlers[id(node)].type
+                    exprs = expr.elts if isinstance(expr, ast.Tuple) else [expr]
+                else:
+                    exprs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+                for expr in exprs:
+                    cls = eval(ast.unparse(expr), namespace)
+                    if not (isinstance(cls, type) and issubclass(cls, mapped)):
+                        unmapped.append(f"{path.name}:{node.lineno} raises {ast.unparse(expr)}")
+        assert unmapped == []
 
 
 CHOI_1 = '{"rows": 1, "cols": 1, "re": [%s], "im": [0.0], "d_in": 1, "d_out": 1}'

@@ -349,6 +349,17 @@ class TestBuildViaSdp:
         assert res.contraction == pytest.approx(1.0, abs=1e-6)
         assert not res.contraction_warning
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_decay_state_equal_to_the_fixed_state_is_no_warning(self, d):
+        # B = sigma gives w = 1 up to rounding, which the decay rule of both
+        # cores accepts: no warning, whichever side of 1 rounding lands on
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            sigma = random_density(rng, d)
+            res = build_via_sdp([sigma], b=sigma)
+            assert res.contraction == pytest.approx(1.0, abs=1e-9)
+            assert not res.degenerate and not res.contraction_warning
+
     def test_single_pure_state_recovers_closed_form_term(self):
         sigma = basis_proj(0, 2)
         res = build_via_sdp([sigma], b=basis_proj(1, 2))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -204,6 +205,29 @@ class TestTraceDistance:
         for _ in range(20):
             a, b, c = (random_density(rng, 3) for _ in range(3))
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
+
+
+class TestRowNorms:
+    def test_far_from_unit_scale(self):
+        rows = np.array([[1e160, 1e160], [3e-200, 4e-200], [0.0, 0.0], [1.5e308, 1.5e308]])
+        norms = linops.row_norms(rows)
+        assert norms[0] == pytest.approx(np.sqrt(2.0) * 1e160, rel=1e-15)
+        assert norms[1] == pytest.approx(5e-200, rel=1e-15)
+        assert norms[2] == 0.0 and norms[3] == np.inf
+
+    def test_complex_rows(self):
+        assert linops.row_norms(np.array([[3e200j, 4e200]])) == pytest.approx([5e200], rel=1e-15)
+
+    @given(arrays(float, (3, 4),
+                  elements=st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)),
+           st.integers(-900, 900))
+    @example(np.zeros((3, 4)), 0)
+    def test_scales_exactly_by_powers_of_two(self, rows, k):
+        # math.hypot neither overflows nor underflows; a power of two scales
+        # every entry exactly (no entry goes subnormal), and the peak division undoes it
+        norms = linops.row_norms(rows)
+        assert np.allclose(norms, [math.hypot(*r) for r in rows], rtol=1e-14, atol=0.0)
+        assert np.array_equal(linops.row_norms(np.ldexp(rows, k)), np.ldexp(norms, k))
 
 
 class TestMatrixJson:

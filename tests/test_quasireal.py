@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from conekit import quasireal
 from conekit.quasireal import (
@@ -210,44 +211,111 @@ class TestCones:
             PolyhedralCone(generators=np.zeros((0, 2)))
 
 
-def lp_and_fast_verdicts(cone, monkeypatch):
-    """is_pointed as it runs, and with the rank shortcut off (the LP alone)."""
-    fast = is_pointed(cone)
-    with monkeypatch.context() as mp:
-        mp.setattr(quasireal, "INDEPENDENCE_TOL", np.inf)
-        lp = is_pointed(cone)
-    return fast, lp
+def lp_pointed(generators, tol: float = quasireal.CONE_TOL) -> bool:
+    """Reference verdict, independent of the NNLS: the LP max 1^T lambda over
+    0 <= lambda <= 1 with G^T lambda = 0, on the generators scaled to unit
+    norm (each row divided by its peak entry first, so that no square
+    overflows). The cone is pointed when that maximum is within tol of 0."""
+    g = np.asarray(generators, dtype=float)
+    g = g / np.abs(g).max(axis=1)[:, None]
+    g = g / np.linalg.norm(g, axis=1)[:, None]
+    res = linprog(c=-np.ones(len(g)), A_eq=g.T, b_eq=np.zeros(g.shape[1]),
+                  bounds=[(0.0, 1.0)] * len(g), method="highs")
+    assert res.success, res.message
+    return bool(-res.fun <= tol)
+
+
+# e1 + e2 + (-(e1 + e2) + eps e3) = eps e3: dependent up to eps
+def nearly_dependent(eps: float) -> np.ndarray:
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, eps]])
+
+
+# a line along e1 at scale 1e15: the pointedness LP on the raw rows failed on it
+LINE_AT_1E15 = np.array([[1e15, 0, 0], [-1e15, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+
+
+@st.composite
+def scaled_cones(draw):
+    """Random cones of dimension 1..7 with 1..dim+3 generators, some with an
+    added line or a dependent combination, each row scaled by 10^k for k
+    in [-150, 150]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 7))
+    gens = rng.standard_normal((draw(st.integers(1, dim + 3)), dim))
+    if draw(st.booleans()):  # add a line
+        gens = np.vstack([gens, -gens[:1]])
+    if draw(st.booleans()):  # add a combination of the others, of either sign
+        gens = np.vstack([gens, rng.standard_normal(len(gens)) @ gens])
+    exponents = draw(arrays(int, len(gens), elements=st.integers(-150, 150)))
+    return gens * 10.0 ** exponents[:, None]
 
 
 class TestPointednessShortcut:
-    """Cones with linearly independent generators skip the LP; the verdict
-    must be the LP's."""
+    """Pointedness by one NNLS against the LP reference, whose cases the
+    rank shortcut and the LP it replaced were held to."""
 
     @pytest.mark.parametrize("k", range(1, 8))
-    def test_simplex_cones(self, rng, k, monkeypatch):
+    def test_simplex_cones(self, rng, k):
         skewed = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
         for gens in (np.eye(k), skewed):
-            cone = PolyhedralCone(generators=gens)
-            assert lp_and_fast_verdicts(cone, monkeypatch) == (True, True)
-            with monkeypatch.context() as mp:
-                mp.setattr(quasireal, "linprog", None)  # the shortcut must not need it
-                assert is_pointed(cone)
+            assert is_pointed(PolyhedralCone(generators=gens))
+            assert lp_pointed(gens)
 
-    def test_random_cones(self, rng, monkeypatch):
+    def test_random_cones(self, rng):
         for _ in range(40):
             dim = int(rng.integers(1, 6))
             gens = rng.standard_normal((int(rng.integers(1, dim + 3)), dim))
             if rng.random() < 0.3:  # add a line
                 gens = np.vstack([gens, -gens[:1]])
-            fast, lp = lp_and_fast_verdicts(PolyhedralCone(generators=gens), monkeypatch)
-            assert fast == lp
+            assert is_pointed(PolyhedralCone(generators=gens)) == lp_pointed(gens)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-7, 1e-3])
-    def test_nearly_dependent_generators(self, eps, monkeypatch):
-        # e1 + e2 + (-(e1 + e2) + eps e3) = eps e3: dependent up to eps
-        gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, eps]])
-        fast, lp = lp_and_fast_verdicts(PolyhedralCone(generators=gens), monkeypatch)
-        assert fast == lp
+    def test_nearly_dependent_generators(self, eps):
+        gens = nearly_dependent(eps)
+        assert is_pointed(PolyhedralCone(generators=gens)) == lp_pointed(gens)
+
+    @given(scaled_cones())
+    @example(LINE_AT_1E15)
+    @example(np.array([[1e160, 0.0], [0.0, 1.0]]))
+    @example(np.array([[1e-200, 0.0], [0.0, 1.0]]))
+    @example(np.eye(2))
+    @example(nearly_dependent(1e-7))
+    def test_matches_lp_at_any_row_scale(self, gens):
+        assert is_pointed(PolyhedralCone(generators=gens)) == lp_pointed(gens)
+
+
+class TestScaleWitnesses:
+    """Cones and vectors far from unit scale, whose norms overflow or
+    underflow when squared."""
+
+    def test_line_at_large_scale_is_not_pointed(self):
+        assert not is_pointed(PolyhedralCone(generators=LINE_AT_1E15))
+        assert is_pointed(PolyhedralCone(generators=np.array([[1e160, 0.0], [0.0, 1.0]])))
+
+    def test_tiny_generator_is_accepted(self):
+        cone = PolyhedralCone(generators=np.array([[1e-200, 0.0], [0.0, 1.0]]))
+        assert is_pointed(cone)
+        assert cone_membership(cone, [3.0, 1.0])[0]
+
+    def test_norm_past_float_range_is_rejected(self):
+        with pytest.raises(ValueError, match="floating-point range"):
+            PolyhedralCone(generators=np.array([[1.5e308, 1.5e308]]))
+
+    def test_huge_vector_outside_orthant(self):
+        orthant = PolyhedralCone(generators=np.eye(2))
+        member, residual, _ = cone_membership(orthant, [-1e160, 0.0])
+        assert not member and residual == pytest.approx(1e160)
+        q = quasirealization([np.diag([-1e160, 1.0])], [1.0, 1.0], [1.0, 1.0])
+        assert not check_dharmadhikari(q, orthant).maps_preserve_cone
+
+    def test_dual_condition_at_large_scale(self):
+        cone = PolyhedralCone(generators=np.array([[1e160, 0.0], [0.0, 1.0]]))
+        rep = check_dharmadhikari(quasirealization([np.eye(2)], [-1.0, 2.0], [1.0, 1.0]), cone)
+        assert rep.tau_in_cone and rep.maps_preserve_cone and rep.pointed
+        assert not rep.pi_in_dual
+        assert rep.min_dual_value == -1e160
+        rep = check_dharmadhikari(quasirealization([np.eye(2)], [1.0, 2.0], [1.0, 1.0]), cone)
+        assert rep.all_ok
 
 
 class TestDharmadhikari:

@@ -177,6 +177,17 @@ class TestSolve:
         # X = I is the optimum; a solve that misses it must not claim optimal
         assert sol.status == "numerical-limit" or abs(sol.objective_value - 2.0) < 1e-6
 
+    def test_kept_rows_are_chosen_on_scaled_rows(self, monkeypatch, rng):
+        # A3 = 3 A1 and both dwarf A2: a pivoted QR of the raw rows keeps the
+        # dependent pair A1, A3 and drops A2; on the scaled rows A2 stays
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        p0, p1 = np.outer(q[:, 0], q[:, 0]), np.outer(q[:, 1], q[:, 1])
+        ops = [1e100 * p0, p1, 3e100 * p0]
+        received = self.record_ipm_b(monkeypatch)
+        sdp.solve(make_problem(ops, [1e100, 1.0, 3e100]))  # X = I is feasible
+        assert len(received) == 1 and len(received[0]) == 2
+        assert 1.0 in received[0]
+
     def test_badly_scaled_inconsistency_is_certified(self):
         p = make_problem([np.diag([1e100, 0.0]), np.diag([2e100, 0.0])],
                          [1e100, 2e100 * (1.0 + 1e-6)])
