@@ -23,14 +23,20 @@ tr sigma = tr X(sigma). The two cores are:
 Off the fixed states C decays through the B-weight
 w = tr[X(B)] = tr[tr_H1[X] B^T] (``_decay_weight``). The separable core
 maps B to (1 - w) B plus a combination of the sigma_i and every traceless
-rho with tr[Pi_i rho] = 0 to zero, so the eigenvalue of C off the fixed
-states is 1 - w: w = 0 leaves B fixed (a pure qubit sigma with an
-orthogonal B gives the dephasing channel), and 1 < w < 2 would still
-decay. Both cores share one decay rule (``_decays``): w <= 1 + DECAY_TOL,
-or any w when I - tr_H1[X] vanishes (degenerate) and B never acts; the
-separable constructions reject a core that breaks it, the SDP core sets
+rho with tr[Pi_i rho] = 0 to zero, so C has spectrum {1 (k times), 1 - w,
+0, ...} and decays exactly when 0 < w < 2, the one rule of both cores
+(``_decays``). At w = 0 B is a second fixed point (a pure qubit sigma with
+an orthogonal B gives the dephasing channel); a degenerate core
+(I - tr_H1[X] = 0, B never acts) has w = tr B = 1. The separable
+constructions reject a core that breaks the rule, the SDP core sets
 ``contraction_warning``. Reports show ``b_weight``, ``convergence_margin``
 = 1 - b_weight and ``degenerate_residual`` (separable), and ``contraction``.
+
+Two SDP cores are known exactly: sigma (x) |v_max><v_max|^T / lambda_max
+for one state (1 = tr Phi(sigma) = sum_a tr[sigma K_a^dag K_a] <=
+lambda_max tr X), and the least trace sum_i 1 / lambda_max(sigma_i) on
+orthogonal supports. The solver meets them within 6e-9 (200 states,
+d = 2-4, lambda_max leading by >= 1e-2) and 5e-8 (400 pairs, d = 4).
 
 Complete positivity depends on the inputs and is checked on the assembled
 Choi matrix rather than factor by factor (some factors are indefinite by
@@ -40,6 +46,7 @@ design). Validity reports carry every condition with its numeric residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,8 +77,8 @@ def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
     return ChoiMatrix(d, d, hermitize(x + kron(b, rest)))
 
 
-# At w = 1 the off-core eigenvalue 1 - w is 0 (one state with B = sigma
-# gives the replacement channel), so rounding must not decide that case.
+# Exact inputs reach w = 0 (pure qubit sigma, orthogonal B) and w = 2
+# (sigma = I/2, pure B), so rounding must not decide either end.
 DECAY_TOL = 1e-9
 
 
@@ -80,9 +87,9 @@ def _decay_weight(x_out: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     return float(np.trace(x_out @ b.T).real), linops.max_abs(np.eye(len(b)) - x_out) <= 1e-9
 
 
-def _decays(weight: float, degenerate: bool) -> bool:
-    """The decay rule of both cores: degenerate, or w <= 1 + DECAY_TOL."""
-    return degenerate or weight <= 1.0 + DECAY_TOL
+def _decays(weight: float) -> bool:
+    """The decay rule of both cores: DECAY_TOL < w < 2 - DECAY_TOL."""
+    return DECAY_TOL < weight < 2.0 - DECAY_TOL
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +172,8 @@ class SeparableMultiSpec:
 
     cross_overlaps[i, j] is tr[sigma_i Pi_j]; its diagonal holds the
     detection overlaps tr[Pi_i sigma_i]. convergence_margin is 1 minus the
-    B-weight, and degenerate the flag, of the core that
-    ``build_separable_multi`` assembles (see the module docstring).
+    B-weight, and degenerate the flag, of the core of ``channel`` (see the
+    module docstring).
     """
 
     sigmas: tuple[np.ndarray, ...]
@@ -199,14 +206,11 @@ class SeparableMultiSpec:
                    convergence_margin=1.0 - weight, degenerate=degenerate)
 
     @classmethod
-    def from_top_eigenvector(cls, sigma, b) -> "SeparableMultiSpec":
+    def from_top_eigenvector(cls, sigma, b=None) -> "SeparableMultiSpec":
         """One state with Pi = |v_max><v_max|, the top eigenvector of sigma
         (deterministic tie-break from linops.herm_eig): the closed form
         sigma (x) Pi^T / lambda_max of ``engineer single``."""
-        sigma, b = linops.check_density(sigma), linops.check_density(b)
-        if b.shape != sigma.shape:
-            raise ValueError("sigma and B must have equal dimensions")
-        _, v = linops.herm_eig(sigma)
+        _, v = linops.herm_eig(linops.check_density(sigma))
         return cls.from_parts([sigma], [linops.ket_projector(v[:, 0])], b)
 
     @classmethod
@@ -214,8 +218,7 @@ class SeparableMultiSpec:
         """Derive projectors via the kernel-intersection search."""
         states = [linops.check_density(s) for s in sigmas]
         if len(states) == 1:
-            pi = linops.support_projector(states[0])
-            return cls.from_parts(states, [pi], b=b)
+            return cls.from_parts(states, [linops.support_projector(states[0])], b=b)
         report = find_discrimination_projectors(states)
         if not report.feasible:
             i = report.failing_index
@@ -233,18 +236,35 @@ class SeparableMultiSpec:
             )
         return cls.from_parts(states, report.projectors, b=b)
 
+    @cached_property
+    def channel(self) -> ChoiMatrix:
+        """The core sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i], without states
+        of vanishing detection overlap, completed by B and built on first use;
+        ``build_separable_multi`` checks the conditions it needs."""
+        d = self.sigmas[0].shape[0]
+        x = np.zeros((d * d, d * d), dtype=complex)
+        for sigma, pi, ov in zip(self.sigmas, self.projectors, np.diag(self.cross_overlaps)):
+            if abs(ov) > RANK_TOL:
+                x += kron(sigma, pi.T) / ov
+        return _complete(x, self.b)
+
+
+def _condition_evidence(spec: SeparableMultiSpec) -> dict:
+    """The numbers the three separable conditions test: 1 annihilation, every
+    |tr[sigma_i Pi_j]| with i != j at most RANK_TOL; 2 detection, every
+    tr[Pi_i sigma_i] above RANK_TOL; 3 decay, ``_decays`` of the B-weight."""
+    cross = spec.cross_overlaps
+    off_diagonal = np.where(np.eye(len(cross), dtype=bool), 0.0, np.abs(cross))
+    return {"cross_overlaps": cross.tolist(), "max_cross_overlap": float(off_diagonal.max()),
+            "overlaps": np.diag(cross).tolist(), "b_weight": 1.0 - spec.convergence_margin}
+
 
 def separable_condition_report(spec: SeparableMultiSpec) -> dict:
-    """The three separability conditions with numeric residuals, plus the
-    assembled channel's CP/TP data."""
-    cross = spec.cross_overlaps
-    off_diagonal = ~np.eye(len(cross), dtype=bool)
-    c = build_separable_multi(spec, validate=False)
+    """The evidence for the three separable conditions (``_condition_evidence``),
+    plus the CP/TP data of ``spec.channel``."""
+    c = spec.channel
     return {
-        "cross_overlaps": cross.tolist(),
-        "max_cross_overlap": float(np.abs(cross[off_diagonal]).max(initial=0.0)),
-        "overlaps": np.diag(cross).tolist(),
-        "b_weight": 1.0 - spec.convergence_margin,
+        **_condition_evidence(spec),
         "convergence_margin": spec.convergence_margin,
         "degenerate_residual": spec.degenerate,
         "choi_min_eig": c.cptp.min_eig,
@@ -255,51 +275,28 @@ def separable_condition_report(spec: SeparableMultiSpec) -> dict:
     }
 
 
-def _validate_separable(spec: SeparableMultiSpec) -> None:
-    cross = spec.cross_overlaps
-    off_diagonal = ~np.eye(len(cross), dtype=bool)
-    failed = np.argwhere(off_diagonal & (np.abs(cross) > RANK_TOL))
-    if len(failed):
-        i, j = failed[0].tolist()
-        value = abs(float(cross[i, j]))
+def build_separable_multi(spec: SeparableMultiSpec) -> ChoiMatrix:
+    """``spec.channel``, once the spec meets the three conditions of
+    ``_condition_evidence``; otherwise the error names the first that failed."""
+    evidence = _condition_evidence(spec)
+    cross, weight = evidence["max_cross_overlap"], evidence["b_weight"]
+    i = int(np.argmin(evidence["overlaps"]))
+    overlap = evidence["overlaps"][i]
+    if cross > RANK_TOL:
         raise ConstructionError(
-            f"condition 1 (annihilation) failed: tr[sigma_{i} Pi_{j}] = {value:.3e} != 0",
-            reason="cross-overlap-nonzero",
-            details={"i": i, "j": j, "value": value},
-        )
-    for i, ov in enumerate(np.diag(cross).tolist()):
-        if ov <= RANK_TOL:
-            raise ConstructionError(
-                f"condition 2 (detection) failed: tr[Pi_{i} sigma_{i}] = {ov:.3e} not > 0",
-                reason="zero-detection-overlap",
-                details={"i": i, "value": ov},
-            )
-    weight = 1.0 - spec.convergence_margin
-    if not _decays(weight, spec.degenerate):
+            f"condition 1 (annihilation) failed: |tr[sigma_i Pi_j]| = {cross:.3e} for some i != j",
+            reason="cross-overlap-nonzero", details={"value": cross})
+    if overlap <= RANK_TOL:
         raise ConstructionError(
-            f"condition 3 (decay weight) failed: sum tr[B Pi_i]/tr[Pi_i sigma_i] = "
-            f"{weight:.12g} > 1 + {DECAY_TOL:g}",
-            reason="decay-weight-too-large",
-            details={"b_weight": weight},
-        )
-
-
-def build_separable_multi(spec: SeparableMultiSpec, validate: bool = True) -> ChoiMatrix:
-    """The core sum_i sigma_i (x) Pi_i^T / tr[Pi_i sigma_i], completed by B.
-
-    States with a vanishing detection overlap are left out of the core.
-    Each sigma_i is a fixed point exactly when the cross overlaps vanish;
-    with validate=True the three separability conditions are enforced and
-    the error names the one that failed.
-    """
-    if validate:
-        _validate_separable(spec)
-    d = spec.sigmas[0].shape[0]
-    x = np.zeros((d * d, d * d), dtype=complex)
-    for sigma, pi, ov in zip(spec.sigmas, spec.projectors, np.diag(spec.cross_overlaps)):
-        if abs(ov) > RANK_TOL:
-            x += kron(sigma, pi.T) / ov
-    return _complete(x, spec.b)
+            f"condition 2 (detection) failed: tr[Pi_{i} sigma_{i}] = {overlap:.3e} not > 0",
+            reason="zero-detection-overlap", details={"i": i, "value": overlap})
+    if not _decays(weight):
+        raise ConstructionError(
+            f"condition 3 (decay weight) failed: sum tr[B Pi_i]/tr[Pi_i sigma_i] = {weight:.12g} "
+            f"is not in ({DECAY_TOL:g}, 2 - {DECAY_TOL:g})",
+            reason="decay-weight-zero" if weight <= DECAY_TOL else "decay-weight-too-large",
+            details={"b_weight": weight})
+    return spec.channel
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +443,7 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
         x=ChoiMatrix(d, d, x),
         c=c,
         contraction=contraction,
-        contraction_warning=not _decays(contraction, degenerate),
+        contraction_warning=not _decays(contraction),
         degenerate=degenerate,
         residuals=[trace_distance(chan.apply(c, s), s) for s in states],
         cptp=c.cptp,

@@ -168,15 +168,23 @@ class PolyhedralCone:
 def cone_membership(cone: PolyhedralCone, v, tol: float = CONE_TOL) -> tuple[bool, float, np.ndarray]:
     """Is v a nonnegative combination of the generators?
 
-    Returns (member, residual, coefficients) from nonnegative least squares.
+    Returns (member, residual, coefficients) from nonnegative least squares;
+    v is a member when the residual is at most tol * max(1, |v|), tested on
+    v / max |v_i| when |v| or the residual is past the float range (a cone
+    is closed under positive scaling, and the residual may then read inf).
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != cone.ambient_dim:
         raise ValueError(f"vector dimension {v.size} != cone dimension {cone.ambient_dim}")
     coeffs, residual = nnls(cone.generators.T, v)
     # the bound is tol * max(1, |v|): |v| is needed only above tol
-    member = bool(residual <= tol or residual <= tol * float(linops.row_norms(v[None])[0]))
-    return member, float(residual), coeffs
+    norm = 0.0 if residual <= tol else float(linops.row_norms(v[None])[0])
+    if residual < np.inf and norm < np.inf:
+        return bool(residual <= tol or residual <= tol * norm), float(residual), coeffs
+    peak = float(np.abs(v).max())  # |v| / peak and the residual / peak are finite
+    member, residual, coeffs = cone_membership(cone, v / peak, tol)
+    with np.errstate(over="ignore"):
+        return member, residual * peak, coeffs * peak
 
 
 def is_pointed(cone: PolyhedralCone, tol: float = CONE_TOL) -> bool:
@@ -237,8 +245,9 @@ def check_dharmadhikari(q: QuasiRealization, cone: PolyhedralCone,
 
     # g.pi >= -tol max(1, |g||pi|), divided by |g| so that no product overflows
     norms = linops.row_norms(cone.generators)
-    with np.errstate(over="ignore"):  # 1 / |g| of a subnormal |g| reads inf
+    with np.errstate(over="ignore"):  # 1 / |g| of a subnormal |g|, or g.pi, may read inf
         floor = -tol * np.maximum(1.0 / norms, linops.row_norms(q.pi[None])[0])
+        min_dual_value = float((cone.generators @ q.pi).min())
     pi_ok = bool(np.all((cone.generators / norms[:, None]) @ q.pi >= floor))
     return DharmadhikariReport(
         tau_in_cone=tau_ok,
@@ -248,7 +257,7 @@ def check_dharmadhikari(q: QuasiRealization, cone: PolyhedralCone,
         tau_residual=tau_res,
         worst_map_residual=worst_res,
         worst_map_case=worst_case,
-        min_dual_value=float((cone.generators @ q.pi).min()),
+        min_dual_value=min_dual_value,
     )
 
 

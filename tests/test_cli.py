@@ -29,10 +29,12 @@ def workdir(tmp_path):
 
 
 def qutrit_choi_obj():
+    # the qutrit dephasing channel: the separable core of |0><0| and |1><1|,
+    # completed by B = |2><2| (w = 0, which engineer rejects as B is fixed too)
     spec = engineer.SeparableMultiSpec.from_states(
         [basis_proj(0, 3), basis_proj(1, 3)], b=basis_proj(2, 3)
     )
-    return chan.choi_to_json(engineer.build_separable_multi(spec))
+    return chan.choi_to_json(spec.channel)
 
 
 def one_by_one_problem():
@@ -213,7 +215,7 @@ class TestEngineerCommands:
     def test_single_with_report(self, workdir, capsys):
         _, write = workdir
         spath = write("s.json", linops.matrix_to_json(basis_proj(0, 2)))
-        bpath = write("b.json", linops.matrix_to_json(basis_proj(1, 2)))
+        bpath = write("b.json", linops.matrix_to_json(np.eye(2) / 2))
         code, out, _ = run_cli(capsys, "engineer", "single", "--sigma", spath,
                                "--b", bpath, "--report")
         assert code == 0
@@ -223,12 +225,48 @@ class TestEngineerCommands:
         assert chan.is_cptp(c).cp
 
     def test_single_invalid_pair_exits_3(self, workdir, capsys):
+        # w = 0 leaves B fixed; w = 2 gives the eigenvalue -1
         _, write = workdir
-        spath = write("s.json", linops.matrix_to_json(np.diag([0.7, 0.3])))
+        for sigma, b, reason in ((basis_proj(0, 2), basis_proj(1, 2), "decay-weight-zero"),
+                                 (np.eye(2) / 2, basis_proj(0, 2), "decay-weight-too-large")):
+            spath = write("s.json", linops.matrix_to_json(sigma))
+            bpath = write("b.json", linops.matrix_to_json(b))
+            code, _, err = run_cli(capsys, "engineer", "single", "--sigma", spath, "--b", bpath)
+            assert code == 3
+            assert json.loads(err)["reason"] == reason
+
+    def test_single_decays_past_unit_weight(self, workdir, capsys):
+        # sigma = diag(0.7, 0.3) with B = |0><0|: w = 1/0.7, eigenvalue 1 - w = -0.43
+        _, write = workdir
+        sigma = np.diag([0.7, 0.3])
+        spath = write("s.json", linops.matrix_to_json(sigma))
         bpath = write("b.json", linops.matrix_to_json(basis_proj(0, 2)))
-        code, _, err = run_cli(capsys, "engineer", "single", "--sigma", spath, "--b", bpath)
-        assert code == 3
-        assert json.loads(err)["reason"] == "overlap-exceeds-lambda-max"
+        code, out, _ = run_cli(capsys, "engineer", "single", "--sigma", spath, "--b", bpath)
+        assert code == 0
+        c = chan.choi_from_json(json.loads(out)["channel"])
+        assert c.cptp.cp and c.cptp.tp
+        assert np.abs(chan.apply(c, sigma) - sigma).max() < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["engineer", "separable", "--report"],
+        ["engineer", "single", "--report"],
+        ["demo", "bell", "--s", "1,0,0", "--r", "1,0,0"],
+    ], ids=["separable", "single", "bell"])
+    def test_report_builds_the_channel_once(self, workdir, capsys, monkeypatch, argv):
+        _, write = workdir
+        calls = []
+        complete = engineer._complete
+
+        def counted(*args):
+            calls.append(args)
+            return complete(*args)
+
+        monkeypatch.setattr(engineer, "_complete", counted)
+        if argv[0] == "engineer":
+            argv = argv + ["--sigma", write("s.json", linops.matrix_to_json(np.diag([0.7, 0.3])))]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_separable_with_report(self, workdir, capsys):
         _, write = workdir
@@ -476,6 +514,33 @@ class TestQuasirealCommands:
         rep = json.loads(out)
         assert rep["pointed"] is False and rep["all_conditions"] is False
         assert rep["tau_in_cone"] and rep["maps_preserve_cone"]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cone_check_with_tau_past_the_float_range(self, workdir, capsys, sign):
+        # |tau| = 2.1e308 overflows; membership is decided on tau / 1.5e308
+        _, write = workdir
+        qpath = write("q.json", {"dim": 2, "alphabet": ["0"], "D": {"0": np.eye(2).tolist()},
+                                 "pi": [1.0, 1.0], "tau": [sign * 1.5e308, sign * 1.5e308]})
+        cpath = write("cone.json", {"generators": np.eye(2).tolist()})
+        code, out, _ = run_cli(capsys, "quasireal", "cone-check",
+                               "--realization", qpath, "--cone", cpath)
+        assert code == 0
+        rep = json.loads(out, parse_constant=pytest.fail)
+        assert rep["tau_in_cone"] is (sign > 0) and rep["all_conditions"] is (sign > 0)
+        assert rep["tau_residual"] == (0.0 if sign > 0 else None)
+
+    def test_cone_check_min_dual_value_past_the_float_range(self, workdir, capsys):
+        # g.pi = -1e320 overflows: no RuntimeWarning (an error under this
+        # suite's filterwarnings), and null rather than -Infinity
+        _, write = workdir
+        qpath = write("q.json", {"dim": 2, "alphabet": ["0"], "D": {"0": np.eye(2).tolist()},
+                                 "pi": [-1e160, 1.0], "tau": [1.0, 1.0]})
+        cpath = write("cone.json", {"generators": [[1e160, 0.0], [0.0, 1.0]]})
+        code, out, err = run_cli(capsys, "quasireal", "cone-check",
+                                 "--realization", qpath, "--cone", cpath)
+        assert (code, err) == (0, "")
+        rep = json.loads(out, parse_constant=pytest.fail)
+        assert rep["min_dual_value"] is None and rep["pi_in_dual"] is False
 
     def test_unknown_symbol_exits_2(self, workdir, capsys):
         _, write = workdir
@@ -787,7 +852,7 @@ class TestErrorTaxonomy:
                     construction |= tags(node.value)
         assert raised == set(table)
         # main exits 3 on every ConstructionError, whatever its tag
-        assert "overlap-exceeds-lambda-max" in construction
+        assert {"decay-weight-zero", "decay-weight-too-large"} <= construction
         assert all(table[tag] == str(cli.EXIT_INFEASIBLE) for tag in construction)
 
     def test_every_raise_is_mapped_to_an_exit_code(self):

@@ -25,10 +25,12 @@ from conftest import basis_proj, mixed_sector_channel, random_density
 
 
 def qutrit_channel() -> ChoiMatrix:
+    """The qutrit dephasing channel: the separable core of |0><0| and |1><1|,
+    completed by B = |2><2| (w = 0, so B is a third fixed point)."""
     spec = engineer.SeparableMultiSpec.from_states(
         [basis_proj(0, 3), basis_proj(1, 3)], b=basis_proj(2, 3)
     )
-    return engineer.build_separable_multi(spec)
+    return spec.channel
 
 
 def haar_unitary_by_numpy_qr(dim: int, rng: np.random.Generator) -> np.ndarray:

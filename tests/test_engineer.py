@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conekit import channel as chan
@@ -73,12 +73,17 @@ class TestSingleFixedPoint:
     top = staticmethod(SeparableMultiSpec.from_top_eigenvector)
 
     def test_pure_sigma_orthogonal_b_gives_dephasing(self):
-        c = build_separable_multi(self.top(basis_proj(0, 2), basis_proj(1, 2)))
+        # w = 0: the core completes to the dephasing channel, which fixes B
+        # as well, so the construction is rejected
+        spec = self.top(basis_proj(0, 2), basis_proj(1, 2))
         expected = kron(basis_proj(0, 2), basis_proj(0, 2)) + kron(basis_proj(1, 2), basis_proj(1, 2))
-        assert np.abs(c.matrix - expected).max() < 1e-12
+        assert np.abs(spec.channel.matrix - expected).max() < 1e-12
+        with pytest.raises(ConstructionError) as exc:
+            build_separable_multi(spec)
+        assert exc.value.reason == "decay-weight-zero"
 
     def test_maximally_mixed_sigma_uses_tiebreak(self):
-        b = basis_proj(1, 2)
+        b = linops.ket_projector(np.array([1.0, 1.0]) / np.sqrt(2))  # w = 2 <0|B|0> = 1
         spec = self.top(np.eye(2) / 2, b)
         assert abs(spec.cross_overlaps[0, 0] - 0.5) < 1e-12
         assert np.abs(spec.projectors[0] - basis_proj(0, 2)).max() < 1e-12
@@ -108,15 +113,16 @@ class TestSingleFixedPoint:
         assert np.abs(chan.choi_from_json(out["channel"]).matrix - c.matrix).max() == 0
 
     def test_violation_rejected_with_named_inequality(self, tmp_path, capsys):
-        sigma = np.diag([0.7, 0.3]).astype(complex)
+        # sigma = I/2 with B = |0><0| has w = <0|B|0> / lambda_max = 2
+        sigma = np.eye(2) / 2
         with pytest.raises(ConstructionError) as exc:
             build_separable_multi(self.top(sigma, basis_proj(0, 2)))
         assert exc.value.reason == "decay-weight-too-large"
         code, err = engineer_single(tmp_path, capsys, sigma, basis_proj(0, 2))
         assert code == 3
-        assert err["reason"] == "overlap-exceeds-lambda-max"
-        assert "lambda_max" in err["error"]
-        assert err["details"] == pytest.approx({"overlap": 1.0, "lambda_max": 0.7}, abs=1e-12)
+        assert err["reason"] == "decay-weight-too-large"
+        assert "is not in (1e-09, 2 - 1e-09)" in err["error"]
+        assert err["details"] == pytest.approx({"b_weight": 2.0}, abs=1e-12)
 
     def test_valid_pairs_give_cptp_fixed_point(self, rng):
         for dim in (2, 3, 4):
@@ -133,12 +139,12 @@ class TestSingleFixedPoint:
         for _ in range(20):
             sigma = random_density(rng, 2)
             b = random_density(rng, 2)
-            c = build_separable_multi(self.top(sigma, b), validate=False)
+            c = self.top(sigma, b).channel
             rep = chan.is_cptp(c)
             assert rep.cp and rep.tp
 
     def test_report_fields(self, tmp_path, capsys):
-        code, out = engineer_single(tmp_path, capsys, basis_proj(0, 2), basis_proj(1, 2), "--report")
+        code, out = engineer_single(tmp_path, capsys, basis_proj(0, 2), np.eye(2) / 2, "--report")
         assert code == 0
         rep = out["report"]
         assert list(rep) == ["lambda_max", "vmax_overlap", "overlap_margin", "cp_factor_min_eig",
@@ -146,7 +152,61 @@ class TestSingleFixedPoint:
         assert rep["cp"] and rep["tp"]
         assert rep["fixed_point_residual"] < 1e-12
         assert abs(rep["lambda_max"] - 1.0) < 1e-12
-        assert abs(rep["vmax_overlap"]) < 1e-12
+        assert abs(rep["vmax_overlap"] - 0.5) < 1e-12
+
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@st.composite
+def separable_cases(draw):
+    """(sigmas, B, top): one state with its top-eigenvector projector (top),
+    or states on disjoint blocks of a Haar basis with their support
+    projectors; B a random state of random rank."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(SEEDS))
+    b = random_psd(rng, d, int(rng.integers(1, d + 1)))
+    b /= np.trace(b).real
+    if draw(st.booleans()):
+        return [random_density(rng, d)], b, True
+    u = haar_unitary(d, rng)
+    covered = int(rng.integers(1, d + 1))
+    k = int(rng.integers(1, covered + 1))
+    cuts = np.sort(rng.choice(np.arange(1, covered), size=k - 1, replace=False))
+    sigmas = []
+    for cols in np.split(u[:, :covered], cuts, axis=1):
+        w = rng.uniform(0.1, 1.0, cols.shape[1])
+        sigmas.append((cols * (w / w.sum())) @ cols.conj().T)
+    return sigmas, b, False
+
+
+class TestDecayRule:
+    """Off the fixed states a separable channel has the one eigenvalue 1 - w,
+    so it is built exactly when |1 - w| < 1."""
+
+    @given(case=separable_cases())
+    @example(case=([basis_proj(0, 2)], basis_proj(1, 2), True))     # w = 0
+    @example(case=([np.diag([0.7, 0.3])], basis_proj(0, 2), True))  # w = 1/0.7
+    @example(case=([np.eye(2) / 2], basis_proj(0, 2), True))        # w = 2
+    def test_spectrum_is_one_minus_w_off_the_fixed_states(self, case):
+        sigmas, b, top = case
+        if top:
+            spec = SeparableMultiSpec.from_top_eigenvector(sigmas[0], b)
+        else:
+            spec = SeparableMultiSpec.from_states(sigmas, b=b)
+        k, w = len(sigmas), 1.0 - spec.convergence_margin
+        eig = np.linalg.eigvals(spec.channel.superop)
+        expected = np.sort(np.r_[np.ones(k), 1.0 - w, np.zeros(len(eig) - k - 1)])
+        assert np.abs(eig.imag).max() < 1e-6
+        assert np.abs(np.sort(eig.real) - expected).max() < 1e-6
+        off = eig[np.argsort(np.abs(eig - 1.0))][k:]  # all but the k fixed states
+        try:
+            assert build_separable_multi(spec) is spec.channel
+        except ConstructionError as exc:
+            assert np.abs(off).max() > 1.0 - 1e-6
+            assert exc.reason == ("decay-weight-zero" if w < 1.0 else "decay-weight-too-large")
+        else:
+            assert np.abs(off).max() < 1.0 - 1e-6
 
 
 class TestDiscrimination:
@@ -194,7 +254,10 @@ class TestSeparableMulti:
         )
 
     def test_qutrit_matches_direct_expansion(self):
-        c = build_separable_multi(self.qutrit_spec())
+        # B = |2><2| has w = 0: the channel fixes it too and is rejected
+        with pytest.raises(ConstructionError, match="condition 3"):
+            build_separable_multi(self.qutrit_spec())
+        c = self.qutrit_spec().channel
         expected = sum(kron(basis_proj(i, 3), basis_proj(i, 3)) for i in range(3))
         assert np.abs(c.matrix - expected).max() < 1e-12
         for i in (0, 1):
@@ -250,7 +313,7 @@ class TestSeparableMulti:
 
     def test_single_pure_state_reduces_to_closed_form(self):
         sigma = basis_proj(0, 2)
-        b = basis_proj(1, 2)
+        b = np.eye(2) / 2
         spec = SeparableMultiSpec.from_states([sigma], b=b)
         via_multi = build_separable_multi(spec)
         # sigma (x) P^T / lambda_max, P the projector onto the top eigenvector
@@ -280,14 +343,15 @@ class TestSeparableMulti:
         assert exc.value.reason == "zero-detection-overlap"
 
     def test_condition3_error_names_decay_weight(self):
-        # full-kernel projectors in dim 4 put too much decay weight on B
+        # full-kernel projectors in dim 4 put the decay weight w = 2 on a B
+        # inside their common kernel
         v = [np.zeros(4) for _ in range(4)]
         for i in range(4):
             v[i][i] = 1.0
         sigma0, sigma1 = basis_proj(0, 4), basis_proj(1, 4)
         pi0 = basis_proj(0, 4) + basis_proj(2, 4) + basis_proj(3, 4)
         pi1 = basis_proj(1, 4) + basis_proj(2, 4) + basis_proj(3, 4)
-        bad = SeparableMultiSpec.from_parts([sigma0, sigma1], [pi0, pi1], b=np.eye(4) / 4)
+        bad = SeparableMultiSpec.from_parts([sigma0, sigma1], [pi0, pi1], b=basis_proj(2, 4))
         assert not bad.degenerate
         with pytest.raises(ConstructionError) as exc:
             build_separable_multi(bad)
@@ -320,7 +384,7 @@ class TestSeparableMulti:
                 [spec.projectors[0], spec.projectors[1] + eps * basis_proj(0, 3)],
                 b=spec.b,
             )
-            c = build_separable_multi(perturbed, validate=False)
+            c = perturbed.channel
             res = trace_distance(chan.apply(c, spec.sigmas[0]), spec.sigmas[0])
             assert res >= 0.5 * eps
             slopes.append(res / eps)
@@ -386,6 +450,50 @@ class TestBuildViaSdp:
         res = build_via_sdp([random_density(rng, 3)])
         reduced = linops.partial_trace(res.c.matrix, (3, 3), over=1)
         assert np.abs(reduced - np.eye(3)).max() < 1e-9
+
+
+@st.composite
+def density_matrices(draw):
+    """A state of random rank in dimension 2-4."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(SEEDS))
+    sigma = random_psd(rng, d, int(rng.integers(1, d + 1)))
+    return sigma / np.trace(sigma).real
+
+
+@st.composite
+def orthogonal_pairs(draw):
+    """Two states of random spectra on complementary blocks of a Haar basis of C^4."""
+    rng = np.random.default_rng(draw(SEEDS))
+    u = haar_unitary(4, rng)
+    cut = int(rng.integers(1, 4))
+    pair = []
+    for cols in (u[:, :cut], u[:, cut:]):
+        w = rng.uniform(0.05, 1.0, cols.shape[1])
+        pair.append((cols * (w / w.sum())) @ cols.conj().T)
+    return pair
+
+
+class TestSdpOracles:
+    """SDP cores known in closed form (module docstring of engineer)."""
+
+    @given(sigma=density_matrices())
+    @example(sigma=np.diag([0.7, 0.3]))
+    @example(sigma=basis_proj(0, 3))
+    @settings(max_examples=30)
+    def test_one_state_gives_the_closed_form_core(self, sigma):
+        w, v = linops.herm_eig(sigma)
+        assume(w[0] - w[1] >= 1e-2)
+        closed = kron(sigma, linops.ket_projector(v[:, 0]).T) / w[0]
+        assert np.abs(build_via_sdp([sigma]).x.matrix - closed).max() <= 1e-7
+
+    @given(pair=orthogonal_pairs())
+    @example(pair=[np.diag([0.7, 0.3, 0.0, 0.0]), np.diag([0.0, 0.0, 0.6, 0.4])])
+    @settings(max_examples=20)
+    def test_orthogonal_supports_give_the_least_trace(self, pair):
+        # the optimum is not unique here, so only its value is compared
+        least = sum(1.0 / np.linalg.eigvalsh(s).max() for s in pair)
+        assert abs(build_via_sdp(pair).solution.objective_value - least) <= 1e-7
 
 
 class TestFixedPointFace:
