@@ -19,6 +19,15 @@ derived from it: ``superop``, the reshuffle S with S @ vec(rho) =
 vec(Phi(rho)), through which every application of the channel goes, and
 ``cptp``, the CPTP verdict, so a channel is checked once however often it
 is iterated.
+
+``fixed_points`` takes the spectrum and the fixed space from the real
+matrix S_r = Re(conj(F) S F^T) of the channel on the coordinates of the
+orthonormal Hermitian basis ``linops.hermitian_basis`` (F has rows
+vec(E_k)): a Hermiticity-preserving map is real there, and its fixed
+space keeps its *-algebra structure (Wolf, Quantum Channels & Operations,
+2012, ch. 6). The real part is the map of the Hermitian part of C, which
+``is_cptp`` tests, so the Hermitian defect that ChoiMatrix accepts drops
+out.
 """
 
 from __future__ import annotations
@@ -95,15 +104,18 @@ class FixedPointSet:
     states are unit-trace PSD fixed points; eigenvalue_residuals[i] is the
     trace distance between Phi(states[i]) and states[i]; peripheral_spectrum
     lists the superoperator eigenvalues of modulus within tolerance of 1
-    (zero-trace fixed directions show up here but yield no state).
+    (zero-trace fixed directions show up here but yield no state), in
+    exact conjugate pairs, as they are eigenvalues of a real matrix.
 
-    projector is P1 = R (L^dag R)^-1 L^dag, shape (d^2, d^2), with R and L
-    the right and left null vectors of S - I: the spectral projector onto
-    the fixed space (exact, as the eigenvalue 1 of a CPTP map is
-    semisimple). When 1 is the only peripheral eigenvalue, P1 @ vec(rho) is
-    vec of the limit of Phi^n(rho). decay_modulus is the largest eigenvalue
-    modulus off the unit circle (0.0 when there is none): Phi^n(rho)
-    approaches that limit as decay_modulus^n.
+    projector is P1, the complex (d^2, d^2) operator on vec(rho) that is the
+    spectral projector onto the fixed space (exact, as the eigenvalue 1 of a
+    CPTP map is semisimple): F^T N (L^T N)^-1 L^T conj(F), with N and L the
+    real right and left null vectors of S_r - I on Hermitian basis
+    coordinates (see the module docstring). When 1 is the only peripheral
+    eigenvalue, P1 @ vec(rho) is vec of the limit of Phi^n(rho).
+    decay_modulus is the largest eigenvalue modulus off the unit circle (0.0
+    when there is none): Phi^n(rho) approaches that limit as
+    decay_modulus^n.
     """
 
     states: list[np.ndarray]
@@ -223,16 +235,19 @@ def _candidate_key(rho: np.ndarray) -> tuple:
 def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     """Extract fixed states of a CPTP channel.
 
-    The fixed space is the null space of S - I, from its SVD. On the support
-    of a maximal-support fixed state rho = P1 I/d, the limit of the Cesaro
-    means of Phi^k(I/d) with P1 the spectral projector onto the fixed space
-    (returned as ``projector``), every fixed point is rho^1/2 A rho^1/2 with A
-    in a *-algebra (Wolf, Quantum Channels & Operations, 2012, ch. 6). The
-    eigenspaces of rho^-1/2 G rho^-1/2, for one generic Hermitian fixed
-    element G, therefore split that support into sectors, and rho
-    compressed to each sector is one state. When the fixed set is a simplex
-    over distinguishable sectors (the separable case, mixed sectors
-    included) these are exactly its extreme points; for noiseless
+    The spectrum is that of S_r, the real matrix of the channel on Hermitian
+    basis coordinates, and the fixed space is the null space of S_r - I,
+    from its real SVD, spanned by Hermitian fixed elements (see the module
+    docstring). On the support of a maximal-support fixed state
+    rho = P1 I/d, the limit of the Cesaro means of Phi^k(I/d) with P1 the
+    spectral projector onto the fixed space (returned as ``projector``),
+    every fixed point is rho^1/2 A rho^1/2 with A in a *-algebra (Wolf,
+    Quantum Channels & Operations, 2012, ch. 6). The eigenspaces of
+    rho^-1/2 G rho^-1/2, for one generic Hermitian fixed element G (a random
+    real combination of that null space), therefore split that support into
+    sectors, and rho compressed to each sector is one state. When the fixed
+    set is a simplex over distinguishable sectors (the separable case, mixed
+    sectors included) these are exactly its extreme points; for noiseless
     subsystems they are one valid but basis-dependent choice. Candidates
     failing the fixed-point residual are dropped and rho is the fallback,
     so the result is never empty. States are sorted by ``_candidate_key``.
@@ -241,24 +256,29 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
         raise ValueError("fixed_points requires a square channel (d_in == d_out)")
     require_cptp(c, "fixed_points")
     d = c.d_in
-    s = c.superop
-    evals = np.linalg.eigvals(s)
+    frame = linops.hermitian_basis(d).reshape(d * d, d * d)
+    # S on the real coordinates of the Hermitian basis; the real part is the
+    # matrix of the map whose Choi matrix is the Hermitian part of C
+    s_r = (frame.conj() @ c.superop @ frame.T).real
+    evals = np.linalg.eigvals(s_r)
     on_circle = np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)
     peripheral = [complex(z) for z in evals[on_circle]]
     peripheral.sort(key=lambda z: (-abs(z), np.angle(z)))
     decay_modulus = float(np.abs(evals[~on_circle]).max(initial=0.0))
 
-    u, sv, vh = np.linalg.svd(s - np.eye(d * d))
+    u, sv, vt = np.linalg.svd(s_r - np.eye(d * d))
     null_mask = sv <= max(fp_tol, 1e-11)
     if not np.any(null_mask):
         null_mask = sv <= sv.min() * (1 + 1e-9)
-    null_vecs = vh[null_mask].conj().T
-    l_dag = linops.dagger(u[:, null_mask])
-    gram = l_dag @ null_vecs
-    projector = null_vecs @ np.linalg.solve(gram, l_dag)
-    # rho_ref = P1 I/d, evaluated right to left; P1 keeps the trace, as vec(I)
-    # is a left null vector, so dividing by it removes rounding only
-    vec_ref = null_vecs @ np.linalg.solve(gram, l_dag @ np.eye(d, dtype=complex).reshape(-1) / d)
+    null_vecs = vt[null_mask].T
+    left = u[:, null_mask]
+    gram = left.T @ null_vecs
+    fixed_vecs = frame.T @ null_vecs  # vec of the Hermitian fixed elements
+    projector = fixed_vecs @ np.linalg.solve(gram, left.T @ frame.conj())
+    # rho_ref = P1 I/d, whose coordinates are 1/d on the d diagonal units; P1
+    # keeps the trace, as the coordinates of I are a left null vector, so
+    # dividing by it removes rounding only
+    vec_ref = fixed_vecs @ np.linalg.solve(gram, left[:d].sum(axis=0) / d)
     rho_ref = hermitize(vec_ref.reshape(d, d))
     rho_ref = rho_ref / np.trace(rho_ref).real
 
@@ -268,11 +288,10 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     keep = w > fp_tol * w.max()
     support = support[:, keep]
     iso = support / np.sqrt(w[keep])
-    # the fixed space is closed under M -> M^dag, so the Hermitian part of a
-    # random element of it is a generic Hermitian fixed element
+    # a random real combination of the real null vectors is a generic
+    # Hermitian fixed element
     rng = np.random.default_rng(12345)  # fixed seed: extraction is deterministic
-    z = rng.standard_normal(null_vecs.shape[1]) + 1j * rng.standard_normal(null_vecs.shape[1])
-    gen = hermitize((null_vecs @ z).reshape(d, d))
+    gen = (fixed_vecs @ rng.standard_normal(null_vecs.shape[1])).reshape(d, d)
     a, vecs = np.linalg.eigh(hermitize(linops.dagger(iso) @ gen @ iso))
     gap_tol = 1e-7 * max(1.0, float(np.abs(a).max()))
 

@@ -220,7 +220,7 @@ def cmd_engineer_single(args) -> int:
         out["report"] = {
             "lambda_max": lambda_max,
             "vmax_overlap": overlap,
-            "overlap_margin": lambda_max - overlap,
+            **{key: rep[key] for key in ("b_weight", "convergence_margin")},
             "cp_factor_min_eig": float(np.linalg.eigvalsh(linops.hermitize(cp_factor)).min()),
             **{key: rep[key] for key in ("choi_min_eig", "tp_residual", "cp", "tp")},
             "fixed_point_residual": rep["fixed_point_residuals"][0],

@@ -18,6 +18,7 @@ Hermiticity and positivity where the operation requires it.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +113,29 @@ def partial_trace(m, dims: tuple[int, int], over: int) -> np.ndarray:
     if over == 2:
         return np.trace(t, axis1=1, axis2=3)
     raise ValueError("over must be 1 or 2")
+
+
+@cache
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis E_k of the d x d Hermitian matrices, as a
+    read-only (d**2, d, d) stack, built once per d: the diagonal units |j><j|,
+    then for each j < k (row-major) the symmetric (|j><k| + |k><j|)/sqrt 2
+    and the antisymmetric (-i|j><k| + i|k><j|)/sqrt 2.
+
+    With each element flattened, F = hermitian_basis(d).reshape(d**2, d**2)
+    is a unitary frame with rows vec(E_k). A Hermitian X has real coordinates
+    x = conj(F) @ vec(X), x_k = tr[E_k X], and vec(X) = F.T @ x; a linear
+    map with matrix S on vec has the matrix conj(F) @ S @ F.T on these
+    coordinates, real when the map preserves Hermiticity."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    j, k = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(j))
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    basis[sym, j, k] = basis[sym, k, j] = inv_sqrt2
+    basis[sym + 1, j, k], basis[sym + 1, k, j] = -1j * inv_sqrt2, 1j * inv_sqrt2
+    basis.flags.writeable = False
+    return basis
 
 
 def _fix_phase(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -17,6 +17,8 @@ Each cone question is one nonnegative least squares (NNLS): membership
 on the generator matrix, pointedness on the generators scaled to unit
 norm (``is_pointed``). Every norm comes from ``linops.row_norms``, whose
 squares cannot overflow or underflow, so the generators' scale decides no verdict.
+Nor does it decide whether a symbol matrix maps a generator into the cone:
+an image past the float range is tested as a finite positive multiple.
 """
 
 from __future__ import annotations
@@ -201,6 +203,25 @@ def is_pointed(cone: PolyhedralCone, tol: float = CONE_TOL) -> bool:
     return bool(nnls(a, target)[1] > tol)
 
 
+def _image_membership(cone: PolyhedralCone, d: np.ndarray, g: np.ndarray,
+                      tol: float) -> tuple[bool, float]:
+    """(member, residual) of ``cone_membership`` for d @ g. When that product
+    overflows, membership is decided on the finite positive multiple
+    (d / max|d_ij|) @ (g / max|g_i|), divided by its peak entry as
+    ``cone_membership`` divides a vector past the float range, and the
+    residual is scaled back, possibly to inf."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf reads nan
+        image = d @ g
+    if np.isfinite(image).all():
+        return cone_membership(cone, image, tol)[:2]
+    d_peak, g_peak = np.abs(d).max(), np.abs(g).max()
+    image = (d / d_peak) @ (g / g_peak)
+    peak = np.abs(image).max()
+    member, residual, _ = cone_membership(cone, image / peak, tol)
+    with np.errstate(over="ignore"):
+        return member, residual * peak * d_peak * g_peak
+
+
 @dataclass(frozen=True)
 class DharmadhikariReport:
     """The three cone conditions plus pointedness, with worst residuals."""
@@ -236,7 +257,7 @@ def check_dharmadhikari(q: QuasiRealization, cone: PolyhedralCone,
     for u in q.alphabet:
         d = q.d_maps[u]
         for gi, g in enumerate(cone.generators):
-            ok, res, _ = cone_membership(cone, d @ g, tol)
+            ok, res = _image_membership(cone, d, g, tol)
             if res > worst_res:
                 worst_res = res
                 worst_case = (u, gi)

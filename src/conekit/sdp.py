@@ -53,7 +53,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, zheevd
 
 from . import linops
-from .linops import PSD_TOL, hermitize
+from .linops import PSD_TOL, hermitian_basis, hermitize
 
 FEAS_TOL = 1e-7
 MAX_ITER = 200
@@ -116,19 +116,6 @@ class SdpSolution:
     rank: int | None = None
     infeasibility_certificate: np.ndarray | None = None
     message: str = ""
-
-
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of d x d Hermitian matrices as a (d**2, d, d)
-    stack: the diagonal units, then per j < k the symmetric and antisymmetric pair."""
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    j, k = np.triu_indices(d, 1)
-    sym = d + 2 * np.arange(len(j))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    basis[sym, j, k] = basis[sym, k, j] = inv_sqrt2
-    basis[sym + 1, j, k], basis[sym + 1, k, j] = -1j * inv_sqrt2, 1j * inv_sqrt2
-    return basis
 
 
 def assemble_fixed_point_constraints(sigmas) -> SdpProblem:

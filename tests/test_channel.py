@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conekit import channel as chan
 from conekit import linops
 from conekit.channel import ChoiMatrix
+from conekit.conesim import haar_unitary
 from conekit.linops import kron, trace_distance
 
 from conftest import basis_proj, mixed_sector_channel, random_density
@@ -327,6 +328,106 @@ class TestFixedPointsProperties:
         assert trace_distance(chan.apply(c, settled), settled) <= 1e-12
         limit = chan.iterate(c, rho, 2000, stop_tol=1e-13)[-1]
         assert np.abs(settled - limit).max() <= 1e-9
+
+
+def complex_fixed_point_reference(c: ChoiMatrix):
+    """The superoperator's eigenvalues, and its spectral projector onto the
+    fixed space, R (L^dag R)^-1 L^dag with R and L the right and left null
+    vectors of S - I, all from complex LAPACK calls on S itself."""
+    s = c.superop
+    u, sv, vh = np.linalg.svd(s - np.eye(len(s)))
+    right, left_dag = vh[sv <= chan.FP_TOL].conj().T, u[:, sv <= chan.FP_TOL].conj().T
+    return np.linalg.eigvals(s), right @ np.linalg.solve(left_dag @ right, left_dag)
+
+
+def fixed_point_case(family: str, d: int, rng: np.random.Generator):
+    """(channel, its fixed states or None when it has one): a random CPTP
+    channel, a Haar unitary channel (the eigenprojectors of U), or a separable
+    channel of sectors of rank 1-2 with up to d - 2 decaying dimensions."""
+    if family == "cptp":
+        return chan.random_cptp_choi(d, rng), None
+    if family == "unitary":
+        u = haar_unitary(d, rng)
+        _, vecs = np.linalg.eig(u)
+        return chan.unitary_channel(u), [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vecs.T]
+    extra = int(rng.integers(0, d - 1))
+    sectors, left = [], d - extra
+    while left:
+        rank = min(left, int(rng.integers(1, 3)))
+        sectors.append(list(rng.uniform(0.1, 1.0, rank)))
+        left -= rank
+    sigmas, c = mixed_sector_channel(rng, sectors, extra)
+    return c, sigmas
+
+
+def same_multiset(a, b, tol: float) -> bool:
+    """Do a and b pair up one to one within tol, each z of a taking its
+    nearest remaining partner in b?"""
+    rest = list(b)
+    for z in a:
+        if not rest:
+            return False
+        if abs(rest.pop(int(np.argmin(np.abs(np.subtract(rest, z))))) - z) > tol:
+            return False
+    return not rest
+
+
+class TestFixedPointsRealCoordinates:
+    """fixed_points works on the real matrix of S in the Hermitian basis; its
+    spectrum, projector and states agree with a complex computation on S."""
+
+    @given(family=st.sampled_from(["cptp", "unitary", "separable"]), d=st.integers(2, 8),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(family="cptp", d=2, seed=0)
+    @example(family="cptp", d=8, seed=0)
+    @example(family="unitary", d=2, seed=0)
+    @example(family="unitary", d=8, seed=0)
+    @example(family="separable", d=2, seed=0)
+    @example(family="separable", d=8, seed=0)
+    def test_matches_complex_reference(self, family, d, seed):
+        c, expected = fixed_point_case(family, d, np.random.default_rng(seed))
+        fps = chan.fixed_points(c)
+        evals, p_ref = complex_fixed_point_reference(c)
+        on_circle = np.abs(np.abs(evals) - 1) <= chan.FP_TOL
+        assert same_multiset(fps.peripheral_spectrum, evals[on_circle], 1e-12)
+        assert abs(fps.decay_modulus - np.abs(evals[~on_circle]).max(initial=0.0)) <= 1e-12
+        p, s = fps.projector, c.superop
+        assert np.abs(p @ p - p).max() <= 1e-12
+        assert np.abs(p @ s - s @ p).max() <= 1e-12
+        assert np.abs(s @ p - p).max() <= 1e-12
+        assert np.abs(p - p_ref).max() <= 1e-12
+        if expected is None:
+            rho = (p_ref @ np.eye(d).reshape(-1)).reshape(d, d)
+            expected = [rho / np.trace(rho)]
+        assert len(fps.states) == len(expected)
+        for state in expected:
+            assert min(np.abs(got - state).max() for got in fps.states) <= 1e-12
+
+    def test_hermitian_part_of_a_defective_choi(self, rng):
+        # an anti-Hermitian defect of 1e-7 with tr_H1 = 0 keeps the channel
+        # CPTP within tolerance; only the Hermitian part decides the fixed set
+        sigmas, c_h = mixed_sector_channel(rng, [[0.7, 0.3], [1.0]], extra=1)
+        z = np.diag([1.0, -1.0, 0.0, 0.0])
+        m = rng.standard_normal((4, 4))
+        c = ChoiMatrix(4, 4, c_h.matrix + 1e-7j * kron(z, m + m.T))
+        assert linops.herm_defect(c.matrix) > 1e-7
+        fps, ref = chan.fixed_points(c), chan.fixed_points(c_h)
+        assert len(fps.states) == len(ref.states) == 2
+        for got, want in zip(fps.states, ref.states):
+            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(fps.projector - ref.projector).max() <= 1e-12
+        for sigma in sigmas:
+            assert min(np.abs(s - sigma).max() for s in fps.states) <= 1e-9
+
+    def test_unitary_eigenphases_give_exact_conjugate_pairs(self, rng):
+        theta = 0.7
+        v = haar_unitary(3, rng)
+        u = v @ np.diag(np.exp(1j * np.array([0.0, theta, -theta]))) @ v.conj().T
+        spectrum = chan.fixed_points(chan.unitary_channel(u)).peripheral_spectrum
+        assert sorted(spectrum, key=lambda z: (z.real, z.imag)) == sorted(
+            (z.conjugate() for z in spectrum), key=lambda z: (z.real, z.imag))
+        phases = [np.exp(1j * (a - b)) for a in (0, theta, -theta) for b in (0, theta, -theta)]
+        assert same_multiset(spectrum, phases, 1e-12)
 
 
 class TestIterate:

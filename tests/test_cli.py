@@ -247,6 +247,23 @@ class TestEngineerCommands:
         assert c.cptp.cp and c.cptp.tp
         assert np.abs(chan.apply(c, sigma) - sigma).max() < 1e-12
 
+    def test_single_report_gives_the_decay_weight(self, workdir, capsys):
+        # the rule tests w = <v|B|v> / lambda_max = 1/0.7; the channel's
+        # eigenvalue off sigma is 1 - w, the convergence margin
+        _, write = workdir
+        spath = write("s.json", linops.matrix_to_json(np.diag([0.7, 0.3])))
+        bpath = write("b.json", linops.matrix_to_json(basis_proj(0, 2)))
+        code, out, _ = run_cli(capsys, "engineer", "single", "--sigma", spath, "--b", bpath,
+                               "--report")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert "overlap_margin" not in rep
+        assert abs(rep["b_weight"] - 1 / 0.7) < 1e-12
+        assert abs(rep["convergence_margin"] - (1 - 1 / 0.7)) < 1e-12
+        c = chan.choi_from_json(json.loads(out)["channel"])
+        off_sigma = [z for z in np.linalg.eigvals(c.superop) if abs(z - 1) > 1e-9 and abs(z) > 1e-9]
+        assert np.allclose(off_sigma, rep["convergence_margin"], atol=1e-12)
+
     @pytest.mark.parametrize("argv", [
         ["engineer", "separable", "--report"],
         ["engineer", "single", "--report"],
@@ -541,6 +558,21 @@ class TestQuasirealCommands:
         assert (code, err) == (0, "")
         rep = json.loads(out, parse_constant=pytest.fail)
         assert rep["min_dual_value"] is None and rep["pi_in_dual"] is False
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cone_check_with_map_image_past_the_float_range(self, workdir, capsys, sign):
+        # D = diag(sign * 1e200, 1) maps the generator (1e200, 0) to sign * 1e400
+        _, write = workdir
+        qpath = write("q.json", {"dim": 2, "alphabet": ["0"],
+                                 "D": {"0": [[sign * 1e200, 0.0], [0.0, 1.0]]},
+                                 "pi": [1.0, 1.0], "tau": [1.0, 1.0]})
+        cpath = write("cone.json", {"generators": [[1e200, 0.0], [0.0, 1.0]]})
+        code, out, err = run_cli(capsys, "quasireal", "cone-check",
+                                 "--realization", qpath, "--cone", cpath)
+        assert (code, err) == (0, "")
+        rep = json.loads(out, parse_constant=pytest.fail)
+        assert rep["maps_preserve_cone"] is (sign > 0) and rep["all_conditions"] is (sign > 0)
+        assert rep["worst_map_residual"] == (0.0 if sign > 0 else None)
 
     def test_unknown_symbol_exits_2(self, workdir, capsys):
         _, write = workdir

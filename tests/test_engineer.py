@@ -147,12 +147,15 @@ class TestSingleFixedPoint:
         code, out = engineer_single(tmp_path, capsys, basis_proj(0, 2), np.eye(2) / 2, "--report")
         assert code == 0
         rep = out["report"]
-        assert list(rep) == ["lambda_max", "vmax_overlap", "overlap_margin", "cp_factor_min_eig",
-                             "choi_min_eig", "tp_residual", "cp", "tp", "fixed_point_residual"]
+        assert list(rep) == ["lambda_max", "vmax_overlap", "b_weight", "convergence_margin",
+                             "cp_factor_min_eig", "choi_min_eig", "tp_residual", "cp", "tp",
+                             "fixed_point_residual"]
         assert rep["cp"] and rep["tp"]
         assert rep["fixed_point_residual"] < 1e-12
         assert abs(rep["lambda_max"] - 1.0) < 1e-12
         assert abs(rep["vmax_overlap"] - 0.5) < 1e-12
+        assert abs(rep["b_weight"] - 0.5) < 1e-12
+        assert abs(rep["convergence_margin"] - 0.5) < 1e-12
 
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)

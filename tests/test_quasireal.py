@@ -308,6 +308,19 @@ class TestScaleWitnesses:
         q = quasirealization([np.diag([-1e160, 1.0])], [1.0, 1.0], [1.0, 1.0])
         assert not check_dharmadhikari(q, orthant).maps_preserve_cone
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_map_image_past_float_range(self, sign):
+        # D g = (sign * 1e400, 0) for g = (1e200, 0): decided on its direction,
+        # with no overflow warning (an error under this suite's filterwarnings)
+        cone = PolyhedralCone(generators=np.array([[1e200, 0.0], [0.0, 1.0]]))
+        q = quasirealization([np.diag([sign * 1e200, 1.0])], [1.0, 1.0], [1.0, 1.0])
+        rep = check_dharmadhikari(q, cone)
+        assert rep.maps_preserve_cone is (sign > 0) and rep.all_ok is (sign > 0)
+        if sign > 0:
+            assert (rep.worst_map_residual, rep.worst_map_case) == (0.0, None)
+        else:  # the residual of D g itself, 1e400, is past the float range
+            assert (rep.worst_map_residual, rep.worst_map_case) == (np.inf, ("s0", 0))
+
     def test_dual_condition_at_large_scale(self):
         cone = PolyhedralCone(generators=np.array([[1e160, 0.0], [0.0, 1.0]]))
         rep = check_dharmadhikari(quasirealization([np.eye(2)], [-1.0, 2.0], [1.0, 1.0]), cone)
