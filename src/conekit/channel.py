@@ -105,7 +105,8 @@ class FixedPointSet:
     trace distance between Phi(states[i]) and states[i]; peripheral_spectrum
     lists the superoperator eigenvalues of modulus within tolerance of 1
     (zero-trace fixed directions show up here but yield no state), in
-    exact conjugate pairs, as they are eigenvalues of a real matrix.
+    exact conjugate pairs, as they are eigenvalues of a real matrix, and in
+    ascending order of angle.
 
     projector is P1, the complex (d^2, d^2) operator on vec(rho) that is the
     spectral projector onto the fixed space (exact, as the eigenvalue 1 of a
@@ -263,7 +264,7 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     evals = np.linalg.eigvals(s_r)
     on_circle = np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)
     peripheral = [complex(z) for z in evals[on_circle]]
-    peripheral.sort(key=lambda z: (-abs(z), np.angle(z)))
+    peripheral.sort(key=np.angle)  # every |z| is 1 up to rounding
     decay_modulus = float(np.abs(evals[~on_circle]).max(initial=0.0))
 
     u, sv, vt = np.linalg.svd(s_r - np.eye(d * d))

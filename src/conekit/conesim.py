@@ -60,7 +60,6 @@ string is rejected, never coerced.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -368,17 +367,6 @@ _KICK_KEYS = {"policy", "strength", "choi"}
 _ROUND_KEYS = {"round", "symbol", "settle_steps"}
 
 
-def _json_float(obj: dict, key: str, default: float) -> float:
-    """obj[key], or default when the key is absent, as a float. A bool, a
-    string, null and a number that is not finite as a float raise ValueError."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        abs(value) <= sys.float_info.max
-    ):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def config_from_json(obj: dict) -> SimulationConfig:
     if not isinstance(obj, dict):
         raise ValueError("simulation config must be a JSON object")
@@ -396,8 +384,8 @@ def config_from_json(obj: dict) -> SimulationConfig:
         raise ValueError(f"unknown kick keys: {sorted(unknown)}")
     n_iter, n_rounds = linops.json_int(obj, "n_iter"), linops.json_int(obj, "n_rounds")
     seed = linops.json_int(obj, "seed") if "seed" in obj else 0
-    classify_tol = _json_float(obj, "classify_tol", CLASSIFY_TOL)
-    strength = _json_float(kick_obj, "strength", 1.0)
+    classify_tol = linops.json_float(obj, "classify_tol", CLASSIFY_TOL)
+    strength = linops.json_float(kick_obj, "strength", 1.0)
     policy = kick_obj["policy"]
     kick: KickPolicy
     if policy == "haar":

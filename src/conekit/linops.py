@@ -18,6 +18,7 @@ Hermiticity and positivity where the operation requires it.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from typing import Sequence
 
@@ -250,6 +251,18 @@ def json_int(obj: dict, key: str, minimum: int | None = None, nullable: bool = F
     if minimum is not None and value < minimum:
         raise ValueError(f"{key} must be >= {minimum}, got {value}")
     return value
+
+
+def json_float(obj: dict, key: str, default: float | None = None) -> float:
+    """obj[key], or default when the key is absent, as a float. A bool, a
+    string, null (so also an absent key without a default) and a number
+    that is not finite as a float raise ValueError."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def matrix_to_json(m) -> dict:

@@ -12,17 +12,19 @@ step works on. ``solve`` is the single entry point and runs one path:
 1. optionally restrict X to a caller-supplied face X = V X' V^dag
    (facial reduction: when the constraints force X onto a face of the
    PSD cone, the restricted problem regains a strictly feasible point);
-2. reduce the constraint set to full row rank, returning an exact Farkas
-   certificate when it is linearly inconsistent; both tests and the choice
-   of rows to keep see each row and its b divided by the row's norm, so
-   row scale does not decide rank or which rows stay (a quotient past the
-   float range ends the solve as numerical-limit);
-   a consistent set of rank 0 leaves min tr[F0^T X] over X >= 0, which
-   ends there: X = 0 optimal when F0 >= -PSD_TOL, numerical-limit
-   (unbounded below) otherwise;
-3. run a primal-dual path-following method with Nesterov-Todd scaling
-   and Mehrotra-style adaptive centering (an affine predictor step fixes
-   the centering weight of the actual step). Every iteration calls LAPACK
+2. build one scaled, reduced problem: each row and its b are divided by
+   the row's norm (a quotient past the float range ends the solve as
+   numerical-limit), and one column-pivoted QR of the scaled rows gives
+   the rank, the rows kept (its first pivots) and each dropped row as a
+   combination of the kept ones; a dropped row whose b differs from that
+   combination's returns the combination as an exact Farkas certificate
+   (linearly inconsistent). A consistent set of rank 0 leaves
+   min tr[F0^T X] over X >= 0, which ends there: X = 0 optimal when
+   F0 >= -PSD_TOL, numerical-limit (unbounded below) otherwise;
+3. run, on the kept scaled rows and their b, a primal-dual
+   path-following method with Nesterov-Todd scaling and Mehrotra-style
+   adaptive centering (an affine predictor step fixes the centering
+   weight of the actual step). Every iteration calls LAPACK
    directly, since at these sizes the numpy and scipy wrappers around the
    same routines cost more than the arithmetic: dsyevd / zheevd
    (``_eigh``) for the scaling's eigendecompositions of Z and of
@@ -30,10 +32,10 @@ step works on. ``solve`` is the single entry point and runs one path:
    length is one eigenvalue-only solve, and dpotrf / dpotrs for the Schur
    system (``_schur_solver``). An eigensolve of a non-finite matrix raises
    LinAlgError; inside the loop, an iterate or a step that goes non-finite
-   (or rows whose Gram matrix overflows) ends it as numerical-limit;
+   ends it as numerical-limit;
 4. apply one least-norm affine projection onto the constraints, kept only
-   while the iterate stays PSD within PSD_TOL, and map the result back
-   through the face.
+   while the iterate stays PSD within PSD_TOL, map X back through the face
+   and each kept row's multiplier back to the raw row (y_k / |A_k|_F).
 
 The iterates are Hermitian matrices of one dtype, inner products are
 Re tr[A^dag X]: real when the objective and every constraint (after
@@ -98,10 +100,13 @@ class SdpProblem:
         k = int(np.argmax(defects))
         if defects[k] > linops.HERM_TOL:
             raise ValueError(f"constraint {k} is not Hermitian (defect {defects[k]:.3e})")
+        vals = tuple(float(v) for v in self.constraint_vals)
+        if not np.isfinite(vals).all():
+            raise ValueError("constraint values contain non-finite entries")
         ops.flags.writeable = False
         object.__setattr__(self, "objective", f0)
         object.__setattr__(self, "constraint_ops", ops)
-        object.__setattr__(self, "constraint_vals", tuple(float(v) for v in self.constraint_vals))
+        object.__setattr__(self, "constraint_vals", vals)
 
 
 @dataclass
@@ -232,7 +237,9 @@ class _IpmResult:
 def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                          max_iter: int, feas_tol: float) -> _IpmResult:
     """Path following on Hermitian n x n iterates of the dtype of ``ops``
-    (m x n x n); ``cost`` and ``ops`` share it."""
+    (m x n x n); ``cost`` and ``ops`` share it. Each row of ``ops`` must
+    have Frobenius norm at most 1, so that no entry of their Gram matrix
+    exceeds 1 and it cannot overflow."""
     n = cost.shape[0]
     m = ops.shape[0]
     rows = ops.reshape(m, -1)
@@ -259,13 +266,7 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     def inner(p: np.ndarray, q: np.ndarray) -> float:
         return float(np.vdot(p, q).real)
 
-    gram = (rows_h @ rows.T).real
-    if not np.isfinite(gram).all():
-        # rows with entries past ~1e154: an SVD of the overflowed Gram
-        # matrix can loop without end
-        return _IpmResult(x=x, y=y, status=STATUS_NUMERICAL_LIMIT, iterations=0,
-                          dual_residual=np.inf, message="constraint Gram matrix overflowed")
-    gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
+    gram_pinv = np.linalg.pinv((rows_h @ rows.T).real, rcond=1e-12)
 
     b_scale = 1.0 + emb * float(np.abs(b).max(initial=0.0))
     c_scale = 1.0 + _max_entry(cost)
@@ -346,12 +347,6 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
             dx, dy, dz = newton(sigma * mu * zinv - x)
             ap = min(1.0, 0.98 * _max_step(g_x, dx))
             ad = min(1.0, 0.98 * _max_step(g_z, dz))
-            if min(ap, ad) < 0.05:
-                # drifting off the central path: take a centering step instead
-                sigma = max(sigma, 0.5)
-                dx, dy, dz = newton(sigma * mu * zinv - x)
-                ap = min(1.0, 0.98 * _max_step(g_x, dx))
-                ad = min(1.0, 0.98 * _max_step(g_z, dz))
             x = _sym(x + ap * dx)
             y = y + ad * dy
             z = _sym(z + ad * dz)
@@ -432,15 +427,13 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
         data = _sym(linops.dagger(v) @ data @ v)
     if not data.imag.any():
         data = data.real.copy()
-    # the real coordinates of the rows: their dot products are Re tr[A_k^dag A_l]
-    rows = data[1:].reshape(m, -1).view(float)
 
-    # The consistency test, the rank and the rows kept all see each row and
-    # its b divided by the row's norm before the face, so that an
-    # independent but badly scaled row keeps its rank (norms after the face
-    # would inflate rows that vanish on it into unit-norm noise). U must
-    # span all m rows for the left null space; V is never used, so the
-    # reduced SVD suffices unless there are more rows than columns.
+    # One scaled, reduced problem: each row and its b divided by the row's
+    # norm before the face, so that an independent but badly scaled row
+    # keeps its rank (norms after the face would inflate rows that vanish
+    # on it into unit-norm noise). One pivoted QR of the scaled rows gives
+    # the rank, the rows kept (its first pivots) and, for each dropped row,
+    # its combination of the kept rows, against which its b is tested.
     norms = linops.row_norms(ops_c.reshape(m, -1))
     norms[norms == 0.0] = 1.0  # a zero row stays zero
     with np.errstate(over="ignore"):
@@ -453,26 +446,29 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
             status=STATUS_NUMERICAL_LIMIT, iterations=0,
             message="a constraint's scale is past the floating-point range",
         )
-    scaled = rows / norms[:, None]
-    u, sv, _ = np.linalg.svd(scaled, full_matrices=m > rows.shape[1])
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > max(1e-12, 1e-10 * smax)))
+    # the real coordinates of the scaled rows: their dot products are
+    # Re tr[A_k^dag A_l] / (|A_k|_F |A_l|_F)
+    scaled = data[1:].reshape(m, -1).view(float) / norms[:, None]
+    _, r, piv = scipy.linalg.qr(scaled.T, pivoting=True, mode="economic")
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0])))
+    # dropped row piv[rank + j] ~ sum_i comb[i, j] * kept row piv[i]
+    comb = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    mismatch = b_s[piv[rank:]] - b_s[piv[:rank]] @ comb
     if rank < m:
-        null_left = u[:, rank:]
-        mismatch = null_left.T @ b_s
         j = int(np.argmax(np.abs(mismatch)))
         if abs(mismatch[j]) > 1e-9 * (1.0 + float(np.abs(b_s).max())):
+            cert = np.zeros(m)
+            cert[piv[rank + j]] = 1.0
+            cert[piv[:rank]] = -comb[:, j]
             return SdpSolution(
                 x=np.zeros((n, n), dtype=complex), objective_value=np.nan,
                 primal_residual=np.inf, dual_residual=np.inf,
                 status=STATUS_INFEASIBLE, iterations=0,
-                infeasibility_certificate=null_left[:, j] / norms / mismatch[j],
+                infeasibility_certificate=cert / norms / mismatch[j],
                 message="constraints are linearly inconsistent",
             )
-        _, _, piv = scipy.linalg.qr(scaled.T, pivoting=True, mode="economic")
-        keep = np.sort(piv[:rank])
-    else:
-        keep = np.arange(m)
+    keep = np.sort(piv[:rank])
 
     if rank == 0:
         # every constraint reads 0 = 0 (on the face): min tr[C X] over X >= 0
@@ -488,10 +484,11 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
                 f"objective has eigenvalue {lam_min:.3e} < 0"),
         )
     else:
-        res = _solve_hermitian_sdp(data[0], data[1 + keep], b_c[keep], max_iter, feas_tol)
+        res = _solve_hermitian_sdp(data[0], data[1 + keep] / norms[keep, None, None],
+                                   b_s[keep], max_iter, feas_tol)
 
     y_full = np.zeros(m)
-    y_full[keep] = res.y
+    y_full[keep] = res.y / norms[keep]
     x = hermitize(res.x)
     if v is not None:
         x = hermitize(v @ x @ linops.dagger(v))
@@ -547,16 +544,11 @@ def problem_from_json(obj: dict) -> SdpProblem:
         raise ValueError("constraints must be a non-empty list")
     if not all(isinstance(c, dict) and {"a", "b"} <= set(c) for c in cons):
         raise ValueError("each constraint must be an object with keys 'a' and 'b'")
-    n = linops.json_int(obj, "n")
-    try:
-        vals = tuple(float(c["b"]) for c in cons)
-    except TypeError as exc:
-        raise ValueError(f"problem JSON field has the wrong type: {exc}") from exc
     return SdpProblem(
-        n=n,
+        n=linops.json_int(obj, "n"),
         objective=linops.matrix_from_json(obj["objective"]),
         constraint_ops=tuple(linops.matrix_from_json(c["a"]) for c in cons),
-        constraint_vals=vals,
+        constraint_vals=tuple(linops.json_float(c, "b") for c in cons),
     )
 
 

@@ -429,6 +429,14 @@ class TestFixedPointsRealCoordinates:
         phases = [np.exp(1j * (a - b)) for a in (0, theta, -theta) for b in (0, theta, -theta)]
         assert same_multiset(spectrum, phases, 1e-12)
 
+    def test_peripheral_spectrum_is_in_ascending_angle(self):
+        # all nine eigenvalues of a Haar qutrit's conjugation lie on the unit
+        # circle, so their moduli differ by rounding only and must not set the order
+        u = haar_unitary(3, np.random.default_rng(4))
+        angles = np.angle(chan.fixed_points(chan.unitary_channel(u)).peripheral_spectrum)
+        assert len(angles) == 9
+        assert (np.diff(angles) >= 0).all()
+
 
 class TestIterate:
     def test_identity_constant(self, rng):

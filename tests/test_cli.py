@@ -42,6 +42,13 @@ def one_by_one_problem():
     return {"n": 1, "objective": eye, "constraints": [{"a": eye, "b": 1.0}]}
 
 
+def problem_with_b(b_text: str) -> str:
+    """The 1 x 1 problem's JSON text with its one b written as ``b_text``."""
+    obj = dict(one_by_one_problem(), constraints=[{"a": linops.matrix_to_json(np.eye(1)),
+                                                   "b": "B"}])
+    return json.dumps(obj).replace('"b": "B"', '"b": ' + b_text)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -190,6 +197,9 @@ class TestChannelCommands:
         lambda tmp, write: ["engineer", "single", "--sigma", write("s.json", json.dumps(
             linops.matrix_to_json(np.eye(2) / 2))), "--b", write("b.json", json.dumps(
                 linops.matrix_to_json(np.eye(3) / 3)))],
+        *[lambda tmp, write, text=text: ["sdp", "solve", "--problem",
+                                         write("p.json", problem_with_b(text))]
+          for text in ("true", '"2"', "NaN", '"nan"', "1e400")],
     ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
             "constraint-without-a", "n-list", "b-null", "rows-list", "alphabet-int",
             "n-iter-list", "strength-null", "pi-object", "generators-object",
@@ -198,7 +208,8 @@ class TestChannelCommands:
             "fixed-points-tol-nan", "stop-tol-inf", "feas-tol-negative", "max-iter-zero",
             "tol-not-a-number", "check-without-choi", "unknown-command", "rows-fraction",
             "d-in-bool", "n-fraction", "dim-bool", "separable-b-mismatch",
-            "separable-b-one-by-one", "separable-state-mismatch", "single-b-mismatch"])
+            "separable-b-one-by-one", "separable-state-mismatch", "single-b-mismatch",
+            "b-true", "b-string", "b-nan", "b-string-nan", "b-past-float-range"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
         def write(name, text):
             (tmp_path / name).write_text(text)
@@ -378,21 +389,19 @@ class TestSdpCommand:
         assert json.loads(err)["reason"] == "numerical-limit"
 
     @pytest.mark.parametrize("scale", [1e100, 1e152, 1e160])
-    def test_overflow_inside_solve_exits_4(self, workdir, capsys, scale):
-        # finite data whose products overflow, a numerical failure, not bad
-        # input: at 1e152 the Schur matrix turns non-finite after some
-        # iterations, at 1e160 the rows' Gram matrix already is; at 1e100 both rows
-        # are kept, and the IPM on the unscaled rows loses its NT scaling
+    def test_badly_scaled_rows_solve(self, workdir, capsys, scale):
+        # finite rows whose raw products overflow (the Gram matrix past
+        # 1e154): the IPM solves the rows scaled to unit norm, so X = I is found
         _, write = workdir
         obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
             {"a": linops.matrix_to_json(np.diag([scale, 0.0])), "b": scale},
             {"a": linops.matrix_to_json(np.diag([0.0, 1.0])), "b": 1.0}]}
-        code, out, err = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
-        assert code == 4
-        assert json.loads(out)["status"] == "numerical-limit"
-        payload = json.loads(err)
-        assert payload["reason"] == "numerical-limit"
-        assert payload["error"] != "SDP solve hit its numerical limit: "
+        code, out, _ = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
+        assert code == 0
+        sol = json.loads(out)
+        assert sol["status"] == "optimal"
+        assert abs(sol["objective_value"] - 2.0) < 1e-7
+        assert np.abs(linops.matrix_from_json(sol["x"]) - np.eye(2)).max() < 1e-6
 
     @pytest.mark.parametrize("objective, code, status", [
         (np.eye(2), 0, "optimal"), (np.diag([1.0, -1.0]), 4, "numerical-limit"),
@@ -412,8 +421,8 @@ class TestSdpCommand:
             assert "unbounded below" in payload["error"]
 
     def test_non_finite_projection_exits_4_with_a_solution(self, workdir, capsys):
-        # mu overflows after one step and the closing projection overflows
-        # too: stdout still carries the numerical-limit solution
+        # the NT scaling breaks down on the way to X = diag(1, 1e250): stdout
+        # still carries the numerical-limit solution
         _, write = workdir
         obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
             {"a": linops.matrix_to_json(np.diag([1e100, 0.0])), "b": 1e100},
@@ -421,7 +430,7 @@ class TestSdpCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
         assert code == 4
-        assert json.loads(out)["message"] == "iterate became non-finite"
+        assert json.loads(out)["message"] == "scaling matrix became singular"
         assert json.loads(err)["reason"] == "numerical-limit"
 
     @pytest.mark.parametrize("command", ["sdp-solve", "demo-bell"])
@@ -914,6 +923,100 @@ class TestErrorTaxonomy:
                         unmapped.append(f"{path.name}:{node.lineno} raises {ast.unparse(expr)}")
         assert unmapped == []
 
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(lambda tmp, write: ["engineer", "sdp", "--sigma", write(
+            "s.json", linops.matrix_to_json(np.eye(2)))], "state trace is 2", id="state-trace"),
+        pytest.param(lambda tmp, write: ["engineer", "sdp", "--sigma", write(
+            "s.json", linops.matrix_to_json(np.diag([1.5, -0.5])))],
+            "negative eigenvalue", id="state-negative-eigenvalue"),
+        pytest.param(lambda tmp, write: ["engineer", "sdp", "--sigma", write(
+            "s.json", {"rows": 1, "cols": 2, "re": [0.5, 0.5], "im": [0.0, 0.0]})],
+            "expected a square matrix", id="state-not-square"),
+        pytest.param(lambda tmp, write: ["engineer", "sdp", "--sigma", write("s.json", [1.0])],
+                     "matrix JSON must be an object", id="matrix-not-object"),
+        pytest.param(lambda tmp, write: ["engineer", "sdp", "--sigma", write(
+            "s.json", dict(linops.matrix_to_json(np.eye(1)), rows=0))],
+            "matrix dimensions must be positive", id="matrix-rows-zero"),
+        pytest.param(lambda tmp, write: ["engineer", "sdp", "--sigma", write(
+            "s.json", dict(linops.matrix_to_json(np.eye(1)), re=[{}]))],
+            "matrix JSON field has the wrong type", id="matrix-re-object"),
+        pytest.param(lambda tmp, write: [
+            "engineer", "sdp", "--sigma", write("s.json", linops.matrix_to_json(np.eye(2) / 2)),
+            "--b", write("b.json", linops.matrix_to_json(np.eye(3) / 3))],
+            "decay state dimension mismatch", id="sdp-b-mismatch"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, pi=[[1.0]]))], "flat list", id="pi-nested"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, pi=[float("nan")]))],
+            "pi contains non-finite", id="pi-non-finite"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, dim=0))], "dimension must be positive", id="dim-zero"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, alphabet=[]))],
+            "alphabet must be non-empty", id="alphabet-empty"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, alphabet=["0", "0"]))],
+            "alphabet symbols must be unique", id="alphabet-duplicate"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, D={"0": [[1.0, 0.0]]}))],
+            "has shape (1, 2), expected (1, 1)", id="d-shape"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, D={"0": [[float("inf")]]}))],
+            "has non-finite entries", id="d-non-finite"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", {"dim": 1})], "quasi-realization JSON missing keys", id="realization-keys"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, D=[[1.0]]))], "'D' must map", id="d-not-object"),
+        pytest.param(lambda tmp, write: [
+            "quasireal", "cone-check", "--realization", write("q.json", REALIZATION_1),
+            "--cone", write("c.json", {"rays": [[1.0]]})],
+            "cone JSON must contain 'generators'", id="cone-keys"),
+        pytest.param(lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"),
+                                         "--config", write("cfg.json", {"kick": {"policy": "haar"}})],
+                     "config missing keys", id="config-keys"),
+        pytest.param(lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"),
+                                         "--config", write("cfg.json", dict(CONFIG_1, kick={}))],
+                     "'policy' key", id="kick-without-policy"),
+        pytest.param(lambda tmp, write: [
+            "conesim", "run", "--out", str(tmp / "t.jsonl"), "--config",
+            write("cfg.json", dict(CONFIG_1, kick={"policy": "haar", "speed": 1}))],
+            "unknown kick keys", id="kick-unknown-key"),
+        pytest.param(lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"),
+                                         "--config", write("cfg.json", dict(CONFIG_1, classify_tol=0))],
+                     "classify_tol must be positive", id="classify-tol-zero"),
+        pytest.param(lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", [])],
+                     "problem JSON must be an object", id="problem-not-object"),
+        pytest.param(lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", {"n": 1})],
+                     "problem JSON missing keys", id="problem-keys"),
+        pytest.param(lambda tmp, write: ["sdp", "solve", "--problem", write(
+            "p.json", dict(one_by_one_problem(), constraints=[]))],
+            "constraints must be a non-empty list", id="constraints-empty"),
+        pytest.param(lambda tmp, write: ["demo", "bell", "--coeffs", "1,0,0"],
+                     "needs 8 comma-separated numbers, got 3", id="coeffs-count"),
+        pytest.param(lambda tmp, write: ["demo", "bell", "--coeffs", "a,b,c,d,e,f,g,h"],
+                     "must be numeric", id="coeffs-not-numeric"),
+        pytest.param(lambda tmp, write: ["channel", "check", "--choi", str(tmp / "missing.json")],
+                     "cannot read", id="input-unreadable"),
+        pytest.param(lambda tmp, write: ["channel", "check", "--choi", write(
+            "c.json", dict(qutrit_choi_obj(), d_in=0))],
+            "channel dimensions must be positive", id="d-in-zero"),
+        pytest.param(lambda tmp, write: ["channel", "check", "--choi", write(
+            "c.json", dict(qutrit_choi_obj(), d_in=2))],
+            "does not match d_out*d_in = 6", id="choi-shape-mismatch"),
+    ])
+    def test_input_fault_exits_2_with_one_json_line(self, workdir, capsys, argv, message):
+        tmp, write = workdir
+        code, out, err = run_cli(capsys, *argv(tmp, write))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["reason"] == "validation"
+        assert message in payload["error"]
+
+
+REALIZATION_1 = {"dim": 1, "alphabet": ["0"], "D": {"0": [[1.0]]}, "pi": [1.0], "tau": [1.0]}
+CONFIG_1 = {"channel": qutrit_choi_obj(), "kick": {"policy": "haar"}, "n_iter": 5, "n_rounds": 1}
 
 CHOI_1 = '{"rows": 1, "cols": 1, "re": [%s], "im": [0.0], "d_in": 1, "d_out": 1}'
 

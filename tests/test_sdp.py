@@ -169,13 +169,15 @@ class TestSolve:
 
     def test_badly_scaled_independent_row_is_kept(self, monkeypatch):
         # rank is judged on rows scaled to unit norm, so the unit row is not
-        # lost next to the 1e100 one as a rounding remnant
+        # lost next to the 1e100 one as a rounding remnant; the IPM solves
+        # those scaled rows, b_k / |A_k|_F, and y is mapped back to the raw ones
         received = self.record_ipm_b(monkeypatch)
         p = make_problem([np.diag([1e100, 0.0]), np.diag([0.0, 1.0])], [1e100, 1.0])
         sol = sdp.solve(p)
-        assert received == [[1e100, 1.0]]
-        # X = I is the optimum; a solve that misses it must not claim optimal
-        assert sol.status == "numerical-limit" or abs(sol.objective_value - 2.0) < 1e-6
+        assert received == [[1.0, 1.0]]
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-7)
+        assert sol.y == pytest.approx([1e-100, 1.0], rel=1e-6)
 
     def test_kept_rows_are_chosen_on_scaled_rows(self, monkeypatch, rng):
         # A3 = 3 A1 and both dwarf A2: a pivoted QR of the raw rows keeps the
@@ -184,9 +186,12 @@ class TestSolve:
         p0, p1 = np.outer(q[:, 0], q[:, 0]), np.outer(q[:, 1], q[:, 1])
         ops = [1e100 * p0, p1, 3e100 * p0]
         received = self.record_ipm_b(monkeypatch)
-        sdp.solve(make_problem(ops, [1e100, 1.0, 3e100]))  # X = I is feasible
-        assert len(received) == 1 and len(received[0]) == 2
-        assert 1.0 in received[0]
+        sol = sdp.solve(make_problem(ops, [1e100, 1.0, 3e100]))  # X = I is feasible
+        assert len(received) == 1 and received[0] == pytest.approx([1.0, 1.0], rel=1e-12)
+        # the dropped row has multiplier 0, and A2 keeps its multiplier 1
+        assert sorted([sol.y[0] == 0.0, sol.y[2] == 0.0]) == [False, True]
+        assert sol.y[1] == pytest.approx(1.0, rel=1e-6)
+        assert np.dot(sol.y, [1e100, 1.0, 3e100]) == pytest.approx(2.0, rel=1e-6)
 
     def test_badly_scaled_inconsistency_is_certified(self):
         p = make_problem([np.diag([1e100, 0.0]), np.diag([2e100, 0.0])],
@@ -204,10 +209,11 @@ class TestSolve:
         received = self.record_ipm_b(monkeypatch)
         p = make_problem([np.zeros((2, 2)), np.eye(2)], [0.0, 1.0])
         sol = sdp.solve(p)
-        assert received == [[1.0]]
+        assert received == [[1.0 / np.sqrt(2.0)]]  # b / |I|_F
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
         assert sol.y[0] == 0.0
+        assert sol.y[1] == pytest.approx(1.0, rel=1e-6)
 
     def test_zero_row_with_nonzero_b_is_certified(self):
         p = make_problem([np.eye(2), np.zeros((2, 2))], [1.0, 1.0])
@@ -240,30 +246,32 @@ class TestSolve:
         assert sol.message.startswith("objective is unbounded below")
 
     def test_non_finite_projection_returns_a_status(self):
-        # at this scale the iterate's mu overflows after one step, and the
-        # closing projection of x onto the constraints overflows too: the
-        # solve must still return its numerical-limit result
+        # X = diag(1, 1e250) spans 250 orders of magnitude: the NT scaling
+        # loses its positive definiteness on the way, and the solve must
+        # still return its numerical-limit result
         p = make_problem([np.diag([1e100, 0.0]), np.diag([0.0, 1.0])], [1e100, 1e250])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
         assert sol.status == "numerical-limit"
-        assert sol.message == "iterate became non-finite"
+        assert sol.message == "scaling matrix became singular"
 
     def test_tiny_row_with_huge_b_returns_a_status(self):
-        # X = b / a < 0 is infeasible; the row is kept at its scale, and the
-        # centering ratio mu_aff / mu of its iterates overflows when cubed
+        # X = b / a < 0 is infeasible; scaled to unit norm the row reads
+        # X = -1e215, and the centering ratio mu_aff / mu must not overflow
+        # when cubed
         p = make_problem([np.array([[1.2e-105]])], [-1.2e110])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
         assert sol.status in ("infeasible", "numerical-limit")
 
     def test_newton_step_overflow_returns_a_status(self):
-        # X = diag(1e300, -1e200): a Newton step overflows from finite iterates
+        # X = diag(1e300, -1e200): the Schur matrix of a Newton step
+        # overflows from finite iterates
         p = make_problem([np.diag([1e-150, 0.0]), np.diag([0.0, 1e-100])], [1e150, -1e100])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
         assert sol.status == "numerical-limit"
-        assert sol.message == "Newton step became non-finite"
+        assert sol.message == "Schur complement became non-finite"
 
     def test_solution_past_float_range_is_a_numerical_limit(self):
         # |X| >= 1e250 / 1e-200 is past the float range
@@ -272,12 +280,13 @@ class TestSolve:
         assert sol.status == "numerical-limit"
         assert sol.message == "a constraint's scale is past the floating-point range"
 
-    def test_gram_overflow_returns_a_status(self):
+    def test_rows_past_gram_overflow_are_solved(self):
+        # the raw rows' Gram matrix overflows; the IPM sees unit-norm rows
         p = make_problem([np.diag([1e160, 0.0]), np.diag([0.0, 1.0])], [1e160, 1.0])
         sol = sdp.solve(p)
-        assert sol.status == "numerical-limit"
-        assert sol.message == "constraint Gram matrix overflowed"
-        assert sol.iterations == 0
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-7)
+        assert np.abs(sol.x - np.eye(2)).max() < 1e-6
 
     def test_non_finite_ipm_iterate_returns_a_status(self, monkeypatch):
         def overflowed(cost, ops, b, max_iter, feas_tol):
@@ -627,8 +636,10 @@ class TestProblemJson:
         (dict(constraint_ops=(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])),
               constraint_vals=(1.0, 1.0)), r"constraint 1 is not Hermitian \(defect 1"),
         (dict(constraint_ops=(np.diag([1.0, np.inf]),)), "non-finite"),
+        (dict(constraint_vals=(np.nan,)), "constraint values contain non-finite"),
+        (dict(constraint_vals=(-np.inf,)), "constraint values contain non-finite"),
     ], ids=["n-zero", "length-mismatch", "objective-shape", "constraint-shape",
-            "non-hermitian", "non-finite"])
+            "non-hermitian", "non-finite", "nan-value", "infinite-value"])
     def test_malformed_problem_rejected(self, change, message):
         args = dict(n=2, objective=np.eye(2), constraint_ops=(np.eye(2),), constraint_vals=(1.0,))
         with pytest.raises(ValueError, match=message):
