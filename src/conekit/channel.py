@@ -20,19 +20,19 @@ vec(Phi(rho)), through which every application of the channel goes, and
 ``cptp``, the CPTP verdict, so a channel is checked once however often it
 is iterated.
 
-``fixed_points`` takes the spectrum and the fixed space from the real
-matrix S_r = Re(conj(F) S F^T) of the channel on the coordinates of the
-orthonormal Hermitian basis ``linops.hermitian_basis`` (F has rows
-vec(E_k)): a Hermiticity-preserving map is real there, and its fixed
-space keeps its *-algebra structure (Wolf, Quantum Channels & Operations,
-2012, ch. 6). The real part is the map of the Hermitian part of C, which
-``is_cptp`` tests, so the Hermitian defect that ChoiMatrix accepts drops
-out.
+``spectrum`` and ``fixed_points`` take the eigenvalues and the fixed
+space from the real matrix S_r = Re(conj(F) S F^T) of a square channel on
+the coordinates of the orthonormal Hermitian basis
+``linops.hermitian_basis`` (F has rows vec(E_k)): a Hermiticity-preserving
+map is real there, and its fixed space keeps its *-algebra structure
+(Wolf, Quantum Channels & Operations, 2012, ch. 6). The real part is the
+map of the Hermitian part of C, which ``is_cptp`` tests, so the Hermitian
+defect that ChoiMatrix accepts drops out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -97,33 +97,39 @@ class CptpReport:
     tp_residual: float
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """s_r (S_r of the module docstring) and its eigenvalues split at the
+    unit circle: peripheral_spectrum in exact conjugate pairs, as S_r is
+    real, and ascending angle; decay_modulus the largest modulus off the circle
+    (0.0 when there is none), the rate at which Phi^n(rho) approaches its
+    peripheral part, or diverges when above 1."""
+
+    s_r: np.ndarray
+    peripheral_spectrum: list[complex]
+    decay_modulus: float
+
+
 @dataclass
 class FixedPointSet:
-    """Fixed states of a channel plus spectral metadata.
+    """Fixed states of a channel plus its spectrum.
 
     states are unit-trace PSD fixed points; eigenvalue_residuals[i] is the
-    trace distance between Phi(states[i]) and states[i]; peripheral_spectrum
-    lists the superoperator eigenvalues of modulus within tolerance of 1
-    (zero-trace fixed directions show up here but yield no state), in
-    exact conjugate pairs, as they are eigenvalues of a real matrix, and in
-    ascending order of angle.
+    trace distance between Phi(states[i]) and states[i].
 
     projector is P1, the complex (d^2, d^2) operator on vec(rho) that is the
     spectral projector onto the fixed space (exact, as the eigenvalue 1 of a
     CPTP map is semisimple): F^T N (L^T N)^-1 L^T conj(F), with N and L the
     real right and left null vectors of S_r - I on Hermitian basis
     coordinates (see the module docstring). When 1 is the only peripheral
-    eigenvalue, P1 @ vec(rho) is vec of the limit of Phi^n(rho).
-    decay_modulus is the largest eigenvalue modulus off the unit circle (0.0
-    when there is none): Phi^n(rho) approaches that limit as
-    decay_modulus^n.
+    eigenvalue of ``spectrum``, P1 @ vec(rho) is vec of the limit of
+    Phi^n(rho).
     """
 
     states: list[np.ndarray]
     eigenvalue_residuals: list[float]
     projector: np.ndarray
-    decay_modulus: float
-    peripheral_spectrum: list[complex] = field(default_factory=list)
+    spectrum: Spectrum
 
 
 # ----------------------------------------------------------------------
@@ -233,12 +239,29 @@ def _candidate_key(rho: np.ndarray) -> tuple:
     return tuple(np.round(-flat, 9))
 
 
+def spectrum(c: ChoiMatrix, fp_tol: float = FP_TOL) -> Spectrum:
+    """The eigenvalues of S_r (see the module docstring) for a square
+    channel, CPTP or not; one lies on the unit circle when its modulus is
+    within max(fp_tol, 1e-9) of 1."""
+    if c.d_in != c.d_out:
+        raise ValueError("spectrum requires a square channel (d_in == d_out)")
+    d = c.d_in
+    frame = linops.hermitian_basis(d).reshape(d * d, d * d)
+    # S on the real coordinates of the Hermitian basis; the real part is the
+    # matrix of the map whose Choi matrix is the Hermitian part of C
+    s_r = (frame.conj() @ c.superop @ frame.T).real
+    evals = np.linalg.eigvals(s_r)
+    on_circle = np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)
+    peripheral = [complex(z) for z in evals[on_circle]]
+    peripheral.sort(key=np.angle)  # every |z| is 1 up to rounding
+    return Spectrum(s_r, peripheral, float(np.abs(evals[~on_circle]).max(initial=0.0)))
+
+
 def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     """Extract fixed states of a CPTP channel.
 
-    The spectrum is that of S_r, the real matrix of the channel on Hermitian
-    basis coordinates, and the fixed space is the null space of S_r - I,
-    from its real SVD, spanned by Hermitian fixed elements (see the module
+    The fixed space is the null space of S_r - I, from the real SVD of the
+    S_r of ``spectrum``, spanned by Hermitian fixed elements (see the module
     docstring). On the support of a maximal-support fixed state
     rho = P1 I/d, the limit of the Cesaro means of Phi^k(I/d) with P1 the
     spectral projector onto the fixed space (returned as ``projector``),
@@ -258,16 +281,8 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     require_cptp(c, "fixed_points")
     d = c.d_in
     frame = linops.hermitian_basis(d).reshape(d * d, d * d)
-    # S on the real coordinates of the Hermitian basis; the real part is the
-    # matrix of the map whose Choi matrix is the Hermitian part of C
-    s_r = (frame.conj() @ c.superop @ frame.T).real
-    evals = np.linalg.eigvals(s_r)
-    on_circle = np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)
-    peripheral = [complex(z) for z in evals[on_circle]]
-    peripheral.sort(key=np.angle)  # every |z| is 1 up to rounding
-    decay_modulus = float(np.abs(evals[~on_circle]).max(initial=0.0))
-
-    u, sv, vt = np.linalg.svd(s_r - np.eye(d * d))
+    spec = spectrum(c, fp_tol)
+    u, sv, vt = np.linalg.svd(spec.s_r - np.eye(d * d))
     null_mask = sv <= max(fp_tol, 1e-11)
     if not np.any(null_mask):
         null_mask = sv <= sv.min() * (1 + 1e-9)
@@ -320,8 +335,7 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
         states=[st for st, _ in found],
         eigenvalue_residuals=[r for _, r in found],
         projector=projector,
-        decay_modulus=decay_modulus,
-        peripheral_spectrum=peripheral,
+        spectrum=spec,
     )
 
 
@@ -341,3 +355,9 @@ def choi_from_json(obj: dict) -> ChoiMatrix:
         raise ValueError("Choi JSON must contain d_in and d_out")
     return ChoiMatrix(linops.json_int(obj, "d_in"), linops.json_int(obj, "d_out"),
                       matrix_from_json(obj))
+
+
+def spectrum_to_json(s: Spectrum) -> dict:
+    """The two report fields of a spectrum; each peripheral eigenvalue as [re, im]."""
+    return {"decay_modulus": s.decay_modulus,
+            "peripheral_spectrum": [[z.real, z.imag] for z in s.peripheral_spectrum]}

@@ -17,6 +17,11 @@ and ``settle_steps`` from each line, strictly: line i must be round i. A
 line that is not JSON is reported with the file path and its 1-based
 line number in the file.
 
+``channel fixed-points``, ``engineer sdp``, each ``--report`` and both
+paths of ``demo bell`` give a channel's decay as ``channel.spectrum``:
+``decay_modulus``, the largest eigenvalue modulus off the unit circle,
+and ``peripheral_spectrum`` on it as [re, im]; separable ones add ``b_weight``.
+
 Inputs are decoded by orjson (``_parse_json``). What orjson rejects, the
 stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``
 and ``Infinity`` tokens, a lone surrogate, a BOM and malformed JSON get
@@ -181,7 +186,7 @@ def cmd_channel_fixed_points(args) -> int:
     _emit({
         "states": [linops.matrix_to_json(s) for s in fps.states],
         "residuals": fps.eigenvalue_residuals,
-        "peripheral_spectrum": [[z.real, z.imag] for z in fps.peripheral_spectrum],
+        **chan.spectrum_to_json(fps.spectrum),
     }, args.out)
     return EXIT_OK
 
@@ -210,19 +215,17 @@ def cmd_engineer_single(args) -> int:
     sigma = _load_states([args.sigma])[0]
     b = _load_states([args.b])[0] if args.b else None
     spec = engineer.SeparableMultiSpec.from_top_eigenvector(sigma, b)
-    lambda_max = float(spec.cross_overlaps[0, 0])
-    overlap = float(np.trace(spec.projectors[0] @ spec.b).real)
-    c = engineer.build_separable_multi(spec)
-    out = {"channel": chan.choi_to_json(c)}
+    out = {"channel": chan.choi_to_json(engineer.build_separable_multi(spec))}
     if args.report:
         rep = engineer.separable_condition_report(spec)
+        lambda_max = float(spec.cross_overlaps[0, 0])
         cp_factor = spec.sigmas[0] - (1.0 - lambda_max) * spec.b
         out["report"] = {
             "lambda_max": lambda_max,
-            "vmax_overlap": overlap,
-            **{key: rep[key] for key in ("b_weight", "convergence_margin")},
+            "vmax_overlap": float(np.trace(spec.projectors[0] @ spec.b).real),
             "cp_factor_min_eig": float(np.linalg.eigvalsh(linops.hermitize(cp_factor)).min()),
-            **{key: rep[key] for key in ("choi_min_eig", "tp_residual", "cp", "tp")},
+            **{key: rep[key] for key in ("b_weight", "decay_modulus", "peripheral_spectrum",
+                                         "choi_min_eig", "tp_residual", "cp", "tp")},
             "fixed_point_residual": rep["fixed_point_residuals"][0],
         }
     _emit(out, args.out)
@@ -248,8 +251,7 @@ def cmd_engineer_sdp(args) -> int:
     _emit({
         "channel": chan.choi_to_json(res.c),
         "x": chan.choi_to_json(res.x),
-        "contraction": res.contraction,
-        "contraction_warning": res.contraction_warning,
+        **chan.spectrum_to_json(res.spectrum),
         "fixed_point_residuals": res.residuals,
         "cp": res.cptp.cp, "tp": res.cptp.tp,
         "objective_trace": res.solution.objective_value,
@@ -473,23 +475,14 @@ def run_bell_demo(coeffs: list[float], s_weights: list[float], r_weights: list[f
     if disc.feasible:
         c = engineer.build_separable_multi(spec)
         cond = engineer.separable_condition_report(spec)
-        report["path"] = "separable"
-        report["conditions"] = cond
-        report["channel"] = chan.choi_to_json(c)
-        report["fixed_point_residuals"] = cond["fixed_point_residuals"]
+        report.update(path="separable", conditions=cond, channel=chan.choi_to_json(c),
+                      fixed_point_residuals=cond["fixed_point_residuals"])
     else:
         res = engineer.build_via_sdp(states, b=b)
-        report["path"] = "sdp"
-        report["sdp"] = {
-            "objective_trace": res.solution.objective_value,
-            "status": res.solution.status,
-            "contraction": res.contraction,
-            "contraction_warning": res.contraction_warning,
-            "cp": res.cptp.cp,
-            "tp": res.cptp.tp,
-        }
-        report["channel"] = chan.choi_to_json(res.c)
-        report["fixed_point_residuals"] = res.residuals
+        sdp = {"objective_trace": res.solution.objective_value, "status": res.solution.status,
+               **chan.spectrum_to_json(res.spectrum), "cp": res.cptp.cp, "tp": res.cptp.tp}
+        report.update(path="sdp", sdp=sdp, channel=chan.choi_to_json(res.c),
+                      fixed_point_residuals=res.residuals)
     return report
 
 

@@ -203,12 +203,12 @@ def _draw_symbol(weights: np.ndarray, total: float, rng: np.random.Generator) ->
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _settle_steps(fps: chan.FixedPointSet, n_iter: int) -> int:
+def _settle_steps(spec: chan.Spectrum, n_iter: int) -> int:
     """Predicted settle count: the smallest n >= 1 with decay_modulus^n <=
     SETTLE_TOL, infinite when a peripheral eigenvalue other than 1 keeps the
     iterates from settling. Raises ValueError when it exceeds n_iter."""
-    stuck = [z for z in fps.peripheral_spectrum if abs(z - 1.0) > chan.FP_TOL]
-    m = fps.decay_modulus
+    stuck = [z for z in spec.peripheral_spectrum if abs(z - 1.0) > chan.FP_TOL]
+    m = spec.decay_modulus
     if stuck:
         steps, cause = math.inf, f"peripheral eigenvalue {stuck[0]:.6g}"
     else:
@@ -245,7 +245,7 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     if state.shape != (config.channel.d_in,) * 2:
         raise ValueError("initial state dimension does not match the channel")
     fp_set = chan.fixed_points(config.channel)
-    steps = _settle_steps(fp_set, config.n_iter)
+    steps = _settle_steps(fp_set.spectrum, config.n_iter)
     fps, p1 = fp_set.states, fp_set.projector
     columns = np.column_stack([_stack_re_im(fp) for fp in fps])
     rng = np.random.default_rng(config.seed)

@@ -20,17 +20,17 @@ tr sigma = tr X(sigma). The two cores are:
   and the rest onto B);
 * the minimum-trace PSD X fixing every state, from a semidefinite program.
 
-Off the fixed states C decays through the B-weight
-w = tr[X(B)] = tr[tr_H1[X] B^T] (``_decay_weight``). The separable core
-maps B to (1 - w) B plus a combination of the sigma_i and every traceless
-rho with tr[Pi_i rho] = 0 to zero, so C has spectrum {1 (k times), 1 - w,
-0, ...} and decays exactly when 0 < w < 2, the one rule of both cores
-(``_decays``). At w = 0 B is a second fixed point (a pure qubit sigma with
-an orthogonal B gives the dephasing channel); a degenerate core
-(I - tr_H1[X] = 0, B never acts) has w = tr B = 1. The separable
-constructions reject a core that breaks the rule, the SDP core sets
-``contraction_warning``. Reports show ``b_weight``, ``convergence_margin``
-= 1 - b_weight and ``degenerate_residual`` (separable), and ``contraction``.
+Reports give the decay of C as its spectrum (``channel.spectrum``):
+``decay_modulus`` off the unit circle and ``peripheral_spectrum`` on it.
+The separable core fixes it in closed form through the B-weight
+w = tr[X(B)] = tr[tr_H1[X] B^T]: it maps B to (1 - w) B plus a
+combination of the sigma_i and every traceless rho with tr[Pi_i rho] = 0
+to zero, so C has spectrum {1 (k times), 1 - w, 0, ...} and decays
+exactly when 0 < w < 2 (``_decays``), which the separable constructions
+require. At w = 0 B is a second fixed point (a pure qubit sigma with an
+orthogonal B gives the dephasing channel); a core with tr_H1[X] = I has
+w = tr B = 1. No such rule holds for the SDP core (a two-state core at
+d = 3 with w = 0.887 has an eigenvalue of modulus 0.954 off the circle).
 
 Two SDP cores are known exactly: sigma (x) |v_max><v_max|^T / lambda_max
 for one state (1 = tr Phi(sigma) = sum_a tr[sigma K_a^dag K_a] <=
@@ -82,13 +82,8 @@ def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
 DECAY_TOL = 1e-9
 
 
-def _decay_weight(x_out: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """B-weight and degeneracy (max |I - x_out| <= 1e-9) of a core X with tr_H1[X] = x_out."""
-    return float(np.trace(x_out @ b.T).real), linops.max_abs(np.eye(len(b)) - x_out) <= 1e-9
-
-
 def _decays(weight: float) -> bool:
-    """The decay rule of both cores: DECAY_TOL < w < 2 - DECAY_TOL."""
+    """The decay rule of the separable core: DECAY_TOL < w < 2 - DECAY_TOL."""
     return DECAY_TOL < weight < 2.0 - DECAY_TOL
 
 
@@ -171,17 +166,15 @@ class SeparableMultiSpec:
     """States, their annihilating projectors, and the decay state B.
 
     cross_overlaps[i, j] is tr[sigma_i Pi_j]; its diagonal holds the
-    detection overlaps tr[Pi_i sigma_i]. convergence_margin is 1 minus the
-    B-weight, and degenerate the flag, of the core of ``channel`` (see the
-    module docstring).
+    detection overlaps tr[Pi_i sigma_i]. b_weight is the B-weight of the
+    core of ``channel`` (see the module docstring).
     """
 
     sigmas: tuple[np.ndarray, ...]
     projectors: tuple[np.ndarray, ...]
     b: np.ndarray
     cross_overlaps: np.ndarray
-    convergence_margin: float
-    degenerate: bool
+    b_weight: float
 
     @classmethod
     def from_parts(cls, sigmas, projectors, b=None) -> "SeparableMultiSpec":
@@ -201,9 +194,8 @@ class SeparableMultiSpec:
         cross = np.array([[np.trace(p @ s).real for p in projs] for s in states])
         x_out = sum((np.trace(s).real / ov * p.T for s, p, ov in zip(states, projs, np.diag(cross))
                      if abs(ov) > RANK_TOL), np.zeros_like(b))  # tr_H1 of the assembled core
-        weight, degenerate = _decay_weight(x_out, b)
         return cls(sigmas=states, projectors=projs, b=b, cross_overlaps=cross,
-                   convergence_margin=1.0 - weight, degenerate=degenerate)
+                   b_weight=float(np.trace(x_out @ b.T).real))
 
     @classmethod
     def from_top_eigenvector(cls, sigma, b=None) -> "SeparableMultiSpec":
@@ -256,21 +248,18 @@ def _condition_evidence(spec: SeparableMultiSpec) -> dict:
     cross = spec.cross_overlaps
     off_diagonal = np.where(np.eye(len(cross), dtype=bool), 0.0, np.abs(cross))
     return {"cross_overlaps": cross.tolist(), "max_cross_overlap": float(off_diagonal.max()),
-            "overlaps": np.diag(cross).tolist(), "b_weight": 1.0 - spec.convergence_margin}
+            "overlaps": np.diag(cross).tolist(), "b_weight": spec.b_weight}
 
 
 def separable_condition_report(spec: SeparableMultiSpec) -> dict:
     """The evidence for the three separable conditions (``_condition_evidence``),
-    plus the CP/TP data of ``spec.channel``."""
+    plus the spectrum and the CP/TP data of ``spec.channel``."""
     c = spec.channel
     return {
         **_condition_evidence(spec),
-        "convergence_margin": spec.convergence_margin,
-        "degenerate_residual": spec.degenerate,
-        "choi_min_eig": c.cptp.min_eig,
-        "tp_residual": c.cptp.tp_residual,
-        "cp": c.cptp.cp,
-        "tp": c.cptp.tp,
+        **chan.spectrum_to_json(chan.spectrum(c)),
+        "choi_min_eig": c.cptp.min_eig, "tp_residual": c.cptp.tp_residual,
+        "cp": c.cptp.cp, "tp": c.cptp.tp,
         "fixed_point_residuals": [trace_distance(chan.apply(c, s), s) for s in spec.sigmas],
     }
 
@@ -307,9 +296,7 @@ def build_separable_multi(spec: SeparableMultiSpec) -> ChoiMatrix:
 class SdpChannelResult:
     x: ChoiMatrix
     c: ChoiMatrix
-    contraction: float
-    contraction_warning: bool
-    degenerate: bool           # residual operator vanished; B never acts
+    spectrum: chan.Spectrum
     residuals: list[float]
     cptp: CptpReport
     solution: sdpmod.SdpSolution
@@ -415,8 +402,8 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     interior-point method may stall; on the face it regains an interior.
     The face holds every feasible X, so the optimum is unchanged.
 
-    The contraction number is the B-weight of the module docstring; a core
-    that breaks the decay rule there sets contraction_warning.
+    Its decay is the spectrum of C, as the separable rule 1 - w does not
+    hold for this core (module docstring); decay_modulus > 1 diverges.
     """
     states = [linops.check_density(s) for s in sigmas]
     if not states:
@@ -438,13 +425,10 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
 
     x = hermitize(sol.x)
     c = _complete(x, b)
-    contraction, degenerate = _decay_weight(linops.partial_trace(x, (d, d), over=1), b)
     return SdpChannelResult(
         x=ChoiMatrix(d, d, x),
         c=c,
-        contraction=contraction,
-        contraction_warning=not _decays(contraction),
-        degenerate=degenerate,
+        spectrum=chan.spectrum(c),
         residuals=[trace_distance(chan.apply(c, s), s) for s in states],
         cptp=c.cptp,
         solution=sol,

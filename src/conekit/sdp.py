@@ -396,8 +396,8 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
           face: np.ndarray | None = None) -> SdpSolution:
     """Solve ``problem`` by the one path of the module docstring.
 
-    ``max_iter`` caps the interior-point iterations. ``feas_tol`` bounds
-    the absolute constraint violation of a solution reported optimal.
+    ``max_iter`` caps the interior-point iterations. An optimal solution has
+    |tr[A_k X] - b_k| <= feas_tol max(1, |b_k|, |A_k|_F |X|_F) for every k.
     ``face`` optionally restricts the variable to a known support: an
     isometry V (n x n', n' >= 1, orthonormal columns) with X = V X' V^dag.
     Callers use it when the constraints provably force X onto a face of
@@ -434,8 +434,8 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     # on it into unit-norm noise). One pivoted QR of the scaled rows gives
     # the rank, the rows kept (its first pivots) and, for each dropped row,
     # its combination of the kept rows, against which its b is tested.
-    norms = linops.row_norms(ops_c.reshape(m, -1))
-    norms[norms == 0.0] = 1.0  # a zero row stays zero
+    a_norms = linops.row_norms(ops_c.reshape(m, -1))
+    norms = np.where(a_norms == 0.0, 1.0, a_norms)  # a zero row stays zero
     with np.errstate(over="ignore"):
         b_s = b_c / norms
     if not (np.isfinite(norms).all() and np.isfinite(b_s).all()):
@@ -502,13 +502,15 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
         )
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual reads inf
-        primal_res = float(np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c).max())
+        resid = np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c)
+        scale = np.maximum(np.maximum(1.0, np.abs(b_c)), a_norms * np.linalg.norm(x))
+    primal_res = float(resid.max())
     # a non-finite x (the IPM stopped on it) has no spectrum: NaN, rank 0
     eigs = _eigh(x, 0)[0] if np.isfinite(x).all() else np.full(x.shape[0], np.nan)
     x_rank = int(np.sum(eigs > max(PSD_TOL, 1e-8 * float(eigs.max(initial=0.0)))))
     obj = float(np.trace(cost_c @ x).real)
     status, message = res.status, res.message
-    if status == STATUS_OPTIMAL and (primal_res > feas_tol or eigs.min() < -PSD_TOL):
+    if status == STATUS_OPTIMAL and (np.any(resid > feas_tol * scale) or eigs.min() < -PSD_TOL):
         status = STATUS_NUMERICAL_LIMIT
         message = f"off the full problem: residual {primal_res:.3e}, min eig {eigs.min():.3e}"
     return SdpSolution(

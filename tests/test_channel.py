@@ -218,7 +218,7 @@ class TestFixedPoints:
         assert len(fps.states) >= 1
         assert max(fps.eigenvalue_residuals) < 1e-12
         # the whole 4-dim operator space is fixed
-        ones = [z for z in fps.peripheral_spectrum if abs(z - 1) < 1e-9]
+        ones = [z for z in fps.spectrum.peripheral_spectrum if abs(z - 1) < 1e-9]
         assert len(ones) == 4
 
     def test_dephasing(self):
@@ -389,8 +389,8 @@ class TestFixedPointsRealCoordinates:
         fps = chan.fixed_points(c)
         evals, p_ref = complex_fixed_point_reference(c)
         on_circle = np.abs(np.abs(evals) - 1) <= chan.FP_TOL
-        assert same_multiset(fps.peripheral_spectrum, evals[on_circle], 1e-12)
-        assert abs(fps.decay_modulus - np.abs(evals[~on_circle]).max(initial=0.0)) <= 1e-12
+        assert same_multiset(fps.spectrum.peripheral_spectrum, evals[on_circle], 1e-12)
+        assert abs(fps.spectrum.decay_modulus - np.abs(evals[~on_circle]).max(initial=0.0)) <= 1e-12
         p, s = fps.projector, c.superop
         assert np.abs(p @ p - p).max() <= 1e-12
         assert np.abs(p @ s - s @ p).max() <= 1e-12
@@ -423,7 +423,7 @@ class TestFixedPointsRealCoordinates:
         theta = 0.7
         v = haar_unitary(3, rng)
         u = v @ np.diag(np.exp(1j * np.array([0.0, theta, -theta]))) @ v.conj().T
-        spectrum = chan.fixed_points(chan.unitary_channel(u)).peripheral_spectrum
+        spectrum = chan.fixed_points(chan.unitary_channel(u)).spectrum.peripheral_spectrum
         assert sorted(spectrum, key=lambda z: (z.real, z.imag)) == sorted(
             (z.conjugate() for z in spectrum), key=lambda z: (z.real, z.imag))
         phases = [np.exp(1j * (a - b)) for a in (0, theta, -theta) for b in (0, theta, -theta)]
@@ -433,9 +433,32 @@ class TestFixedPointsRealCoordinates:
         # all nine eigenvalues of a Haar qutrit's conjugation lie on the unit
         # circle, so their moduli differ by rounding only and must not set the order
         u = haar_unitary(3, np.random.default_rng(4))
-        angles = np.angle(chan.fixed_points(chan.unitary_channel(u)).peripheral_spectrum)
+        angles = np.angle(chan.fixed_points(chan.unitary_channel(u)).spectrum.peripheral_spectrum)
         assert len(angles) == 9
         assert (np.diff(angles) >= 0).all()
+
+
+class TestSpectrum:
+    def test_needs_no_cptp_channel(self):
+        # Choi matrix -I maps rho to -tr(rho) I: eigenvalue -2 on I, 0 on the
+        # traceless operators, so nothing lies on the unit circle
+        spec = chan.spectrum(ChoiMatrix(2, 2, -np.eye(4)))
+        assert spec.peripheral_spectrum == []
+        assert spec.decay_modulus == pytest.approx(2.0, abs=1e-12)
+
+    def test_rejects_non_square(self, rng):
+        with pytest.raises(ValueError, match="spectrum requires a square channel"):
+            chan.spectrum(random_cptp_rect(rng, 2, 3))
+
+    def test_fixed_points_solves_one_eigenproblem(self, rng, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        c = chan.random_cptp_choi(3, rng)
+        fps = chan.fixed_points(c)
+        assert len(calls) == 1
+        assert fps.spectrum.peripheral_spectrum == chan.spectrum(c).peripheral_spectrum
+        assert fps.spectrum.decay_modulus == chan.spectrum(c).decay_modulus
 
 
 class TestIterate:

@@ -72,6 +72,9 @@ class TestChannelCommands:
         rep = json.loads(out)
         assert len(rep["states"]) == 3
         assert max(rep["residuals"]) < 1e-9
+        # the qutrit dephasing channel: nine eigenvalues, three ones and six zeros
+        assert rep["peripheral_spectrum"] == [[1.0, 0.0]] * 3
+        assert rep["decay_modulus"] == 0.0
         code, out, _ = run_cli(capsys, "channel", "fixed-points", "--choi", path,
                                "--format", "csv")
         assert code == 0
@@ -260,7 +263,7 @@ class TestEngineerCommands:
 
     def test_single_report_gives_the_decay_weight(self, workdir, capsys):
         # the rule tests w = <v|B|v> / lambda_max = 1/0.7; the channel's
-        # eigenvalue off sigma is 1 - w, the convergence margin
+        # eigenvalue off sigma is 1 - w, whose modulus is the decay modulus
         _, write = workdir
         spath = write("s.json", linops.matrix_to_json(np.diag([0.7, 0.3])))
         bpath = write("b.json", linops.matrix_to_json(basis_proj(0, 2)))
@@ -270,10 +273,11 @@ class TestEngineerCommands:
         rep = json.loads(out)["report"]
         assert "overlap_margin" not in rep
         assert abs(rep["b_weight"] - 1 / 0.7) < 1e-12
-        assert abs(rep["convergence_margin"] - (1 - 1 / 0.7)) < 1e-12
+        assert abs(rep["decay_modulus"] - (1 / 0.7 - 1)) < 1e-12
+        assert rep["peripheral_spectrum"] == [[1.0, 0.0]]
         c = chan.choi_from_json(json.loads(out)["channel"])
         off_sigma = [z for z in np.linalg.eigvals(c.superop) if abs(z - 1) > 1e-9 and abs(z) > 1e-9]
-        assert np.allclose(off_sigma, rep["convergence_margin"], atol=1e-12)
+        assert np.allclose(off_sigma, 1 - rep["b_weight"], atol=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ["engineer", "separable", "--report"],
@@ -319,7 +323,7 @@ class TestEngineerCommands:
                                "--report")
         assert code == 0
         rep = json.loads(out)["report"]
-        assert rep["degenerate_residual"]
+        assert abs(rep["b_weight"] - 1.0) <= 1e-12  # tr_H1 of the core is I: B never acts
         assert max(rep["fixed_point_residuals"]) < 1e-12
 
     def test_separable_infeasible_exits_3(self, workdir, capsys):
@@ -952,6 +956,23 @@ class TestErrorTaxonomy:
             "pi contains non-finite", id="pi-non-finite"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, dim=0))], "dimension must be positive", id="dim-zero"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, tau=[1.0, 1.0]))],
+            "pi and tau must have length dim", id="tau-length"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write("q.json", [])],
+                     "quasi-realization JSON must be an object", id="realization-not-object"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, D={"0": {"re": 1.0}}))],
+            "quasi-realization JSON field has the wrong type", id="d-entry-object"),
+        pytest.param(lambda tmp, write: [
+            "quasireal", "cone-check", "--realization", write("q.json", REALIZATION_1),
+            "--cone", write("c.json", {"generators": [[float("inf")]]})],
+            "generators contain non-finite entries", id="cone-generator-infinite"),
+        pytest.param(lambda tmp, write: [
+            "conesim", "run", "--out", str(tmp / "t.jsonl"), "--config", write(
+                "cfg.json", dict(CONFIG_1, channel=chan.choi_to_json(chan.ChoiMatrix(
+                    2, 3, linops.kron(np.diag([1.0, 0.0, 0.0]), np.eye(2))))))],
+            "simulation channel must be square", id="simulation-channel-not-square"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, alphabet=[]))],
             "alphabet must be non-empty", id="alphabet-empty"),

@@ -205,6 +205,25 @@ class TestRun:
             assert min(trace_distance(fp, sigma) for fp in traj.fixed_points) < 1e-9
         assert set(traj.symbols()) == {0, 1}
 
+    def test_sample_mode_leaves_a_state_off_the_simplex_unclassified(self):
+        # the identity channel fixes every state, and fixed_points returns two
+        # orthogonal pure ones: their equal superposition is settled but has
+        # no nonnegative weights over them (NNLS residual 1/sqrt 2)
+        c = chan.identity_channel(2)
+        f0, f1 = chan.fixed_points(c).states
+        u = np.linalg.eigh(f0)[1][:, 1] + np.linalg.eigh(f1)[1][:, 1]
+        rho0 = linops.ket_projector(u / np.linalg.norm(u))
+        cfg = SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=1, n_rounds=1,
+                               classify_mode="sample", seed=7)
+        [r] = run(cfg, rho0).rounds
+        assert r.residual > cfg.classify_tol
+        assert r.symbol is None
+        assert np.abs(r.settled_state - rho0).max() < 1e-12
+        # no uniform is drawn: the kick's unitary is the generator's first draw,
+        # and it acts on the settled state, not on a fixed point
+        v = haar_unitary(2, np.random.default_rng(7))
+        assert np.abs(r.post_kick_state - v @ r.settled_state @ v.conj().T).max() < 1e-12
+
     def test_identity_channel_settles_in_one_step(self, rng):
         cfg = SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
                                n_iter=1, n_rounds=3, seed=0)

@@ -100,11 +100,11 @@ class TestSingleFixedPoint:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_b_equal_to_sigma_gives_the_replacement_channel(self, rng, d, tmp_path, capsys):
-        # b_weight is 1 up to rounding in either direction (margin 0.0 and
+        # b_weight is 1 up to rounding in either direction (1 - w of 0.0 and
         # -2.2e-16 occur at d = 3, 4); DECAY_TOL accepts both
         sigma = random_density(rng, d)
         spec = self.top(sigma, sigma)
-        assert abs(spec.convergence_margin) < 1e-12
+        assert abs(1.0 - spec.b_weight) < 1e-12
         c = build_separable_multi(spec)
         rho = random_density(rng, d)
         assert trace_distance(chan.apply(c, rho), sigma) < 1e-12
@@ -147,15 +147,16 @@ class TestSingleFixedPoint:
         code, out = engineer_single(tmp_path, capsys, basis_proj(0, 2), np.eye(2) / 2, "--report")
         assert code == 0
         rep = out["report"]
-        assert list(rep) == ["lambda_max", "vmax_overlap", "b_weight", "convergence_margin",
-                             "cp_factor_min_eig", "choi_min_eig", "tp_residual", "cp", "tp",
-                             "fixed_point_residual"]
+        assert list(rep) == ["lambda_max", "vmax_overlap", "cp_factor_min_eig", "b_weight",
+                             "decay_modulus", "peripheral_spectrum", "choi_min_eig",
+                             "tp_residual", "cp", "tp", "fixed_point_residual"]
         assert rep["cp"] and rep["tp"]
         assert rep["fixed_point_residual"] < 1e-12
         assert abs(rep["lambda_max"] - 1.0) < 1e-12
         assert abs(rep["vmax_overlap"] - 0.5) < 1e-12
         assert abs(rep["b_weight"] - 0.5) < 1e-12
-        assert abs(rep["convergence_margin"] - 0.5) < 1e-12
+        assert abs(rep["decay_modulus"] - 0.5) < 1e-12
+        assert rep["peripheral_spectrum"] == [[1.0, 0.0]]
 
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -185,19 +186,21 @@ def separable_cases(draw):
 
 class TestDecayRule:
     """Off the fixed states a separable channel has the one eigenvalue 1 - w,
-    so it is built exactly when |1 - w| < 1."""
+    so it is built exactly when |1 - w| < 1, and its reported spectrum
+    shows that eigenvalue."""
 
     @given(case=separable_cases())
     @example(case=([basis_proj(0, 2)], basis_proj(1, 2), True))     # w = 0
     @example(case=([np.diag([0.7, 0.3])], basis_proj(0, 2), True))  # w = 1/0.7
     @example(case=([np.eye(2) / 2], basis_proj(0, 2), True))        # w = 2
+    @example(case=([np.eye(3) / 3], basis_proj(0, 3), True))        # w = 3
     def test_spectrum_is_one_minus_w_off_the_fixed_states(self, case):
         sigmas, b, top = case
         if top:
             spec = SeparableMultiSpec.from_top_eigenvector(sigmas[0], b)
         else:
             spec = SeparableMultiSpec.from_states(sigmas, b=b)
-        k, w = len(sigmas), 1.0 - spec.convergence_margin
+        k, w = len(sigmas), spec.b_weight
         eig = np.linalg.eigvals(spec.channel.superop)
         expected = np.sort(np.r_[np.ones(k), 1.0 - w, np.zeros(len(eig) - k - 1)])
         assert np.abs(eig.imag).max() < 1e-6
@@ -210,6 +213,17 @@ class TestDecayRule:
             assert exc.reason == ("decay-weight-zero" if w < 1.0 else "decay-weight-too-large")
         else:
             assert np.abs(off).max() < 1.0 - 1e-6
+
+        rep = engineer.separable_condition_report(spec)
+        ring = [complex(*z) for z in rep["peripheral_spectrum"]]
+        if engineer._decays(w):
+            assert len(ring) == k and np.abs(np.subtract(ring, 1.0)).max() < 1e-6
+            assert abs(rep["decay_modulus"] - abs(1.0 - w)) < 1e-6
+        elif abs(abs(1.0 - w) - 1.0) < 1e-9:  # w = 0 or 2: 1 - w joins the k ones
+            assert len(ring) == k + 1
+            assert np.abs(np.subtract(ring, 1.0 - w)).min() < 1e-6
+        else:  # w > 2: the iterates diverge as (w - 1)^n
+            assert abs(rep["decay_modulus"] - (w - 1.0)) < 1e-6
 
 
 class TestDiscrimination:
@@ -271,7 +285,8 @@ class TestSeparableMulti:
         states = [basis_proj(0, 2), basis_proj(1, 2)]
         spec_a = SeparableMultiSpec.from_states(states, b=random_density(rng, 2))
         spec_b = SeparableMultiSpec.from_states(states, b=random_density(rng, 2))
-        assert spec_a.degenerate and spec_b.degenerate
+        # tr_H1 of the core is I, so B never acts and w = tr B = 1
+        assert spec_a.b_weight == pytest.approx(1.0) and spec_b.b_weight == pytest.approx(1.0)
         ca = build_separable_multi(spec_a)
         cb = build_separable_multi(spec_b)
         assert np.abs(ca.matrix - cb.matrix).max() < 1e-12
@@ -283,7 +298,7 @@ class TestSeparableMulti:
         # tr_H1[X] = I, so B never acts and both states stay fixed
         states = [np.diag([1 - 5e-8, 0.0]), np.diag([0.0, 1.0])]
         spec = SeparableMultiSpec.from_states(states)
-        assert spec.degenerate
+        assert abs(spec.b_weight - 1.0) <= 1e-12
         c = build_separable_multi(spec)
         for s in states:
             assert trace_distance(chan.apply(c, s), s) < 1e-12
@@ -310,9 +325,9 @@ class TestSeparableMulti:
         core = sum(kron(s, p.T) / ov
                    for s, p, ov in zip(sigmas, projs, np.diag(spec.cross_overlaps)))
         x_out = linops.partial_trace(core, (d, d), over=1)
-        assert abs(1.0 - spec.convergence_margin - np.trace(x_out @ b.T).real) <= 1e-12
-        assert spec.degenerate == engineer._decay_weight(x_out, b)[1]
-        assert spec.degenerate == (covered == d)
+        assert abs(spec.b_weight - np.trace(x_out @ b.T).real) <= 1e-12
+        if covered == d:  # tr_H1 of the core is I, so w = tr B = 1
+            assert abs(spec.b_weight - 1.0) <= 1e-12
 
     def test_single_pure_state_reduces_to_closed_form(self):
         sigma = basis_proj(0, 2)
@@ -355,7 +370,7 @@ class TestSeparableMulti:
         pi0 = basis_proj(0, 4) + basis_proj(2, 4) + basis_proj(3, 4)
         pi1 = basis_proj(1, 4) + basis_proj(2, 4) + basis_proj(3, 4)
         bad = SeparableMultiSpec.from_parts([sigma0, sigma1], [pi0, pi1], b=basis_proj(2, 4))
-        assert not bad.degenerate
+        assert bad.b_weight == pytest.approx(2.0)
         with pytest.raises(ConstructionError) as exc:
             build_separable_multi(bad)
         assert exc.value.reason == "decay-weight-too-large"
@@ -399,7 +414,10 @@ class TestSeparableMulti:
         assert rep["cp"] and rep["tp"]
         assert rep["max_cross_overlap"] < 1e-12
         assert max(rep["fixed_point_residuals"]) < 1e-12
-        assert rep["convergence_margin"] == pytest.approx(1.0)
+        # B = |2><2| is fixed too (w = 0): three ones on the circle, nothing off it
+        assert rep["b_weight"] == pytest.approx(0.0)
+        assert rep["peripheral_spectrum"] == [[1.0, 0.0]] * 3
+        assert rep["decay_modulus"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBuildViaSdp:
@@ -410,22 +428,35 @@ class TestBuildViaSdp:
         assert np.abs(resid_op).max() < 1e-6
         assert res.cptp.cp and res.cptp.tp
         assert max(res.residuals) < 1e-8
-        # residual operator vanished, so the decay sector never acts and the
-        # contraction number is identically tr[B] = 1 without warning
-        assert res.degenerate
-        assert res.contraction == pytest.approx(1.0, abs=1e-6)
-        assert not res.contraction_warning
+        # tr_H1[X] = I, so B never acts: C is the dephasing channel, with
+        # eigenvalues 1, 1, 0, 0
+        assert np.abs(np.array(res.spectrum.peripheral_spectrum) - 1.0).max() < 1e-6
+        assert len(res.spectrum.peripheral_spectrum) == 2
+        assert res.spectrum.decay_modulus < 1e-6
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_decay_state_equal_to_the_fixed_state_is_no_warning(self, d):
-        # B = sigma gives w = 1 up to rounding, which the decay rule of both
-        # cores accepts: no warning, whichever side of 1 rounding lands on
+    def test_decay_state_equal_to_the_fixed_state_gives_the_replacement_channel(self, d):
+        # the core sigma (x) |v><v|^T / lambda_max completed by B = sigma maps
+        # every rho to sigma tr rho: one eigenvalue 1, all others 0
         rng = np.random.default_rng(3)
         for _ in range(20):
             sigma = random_density(rng, d)
             res = build_via_sdp([sigma], b=sigma)
-            assert res.contraction == pytest.approx(1.0, abs=1e-9)
-            assert not res.degenerate and not res.contraction_warning
+            assert len(res.spectrum.peripheral_spectrum) == 1
+            assert abs(res.spectrum.peripheral_spectrum[0] - 1.0) < 1e-9
+            assert res.spectrum.decay_modulus < 1e-6
+
+    def test_two_state_decay_is_the_spectrum_not_one_minus_w(self):
+        # two full-rank qutrit states: the core's B-weight w = tr X / 3 is
+        # 0.81, so the separable rule would give |1 - w| = 0.19, but the
+        # channel has an eigenvalue of modulus 0.98 off the unit circle
+        rng = np.random.default_rng(2)
+        res = build_via_sdp([random_density(rng, 3) for _ in range(2)])
+        w = np.trace(res.x.matrix).real / 3
+        moduli = np.abs(np.linalg.eigvals(res.c.superop))
+        off = moduli[np.abs(moduli - 1.0) > max(chan.FP_TOL, 1e-9)]
+        assert abs(res.spectrum.decay_modulus - off.max()) <= 1e-9
+        assert res.spectrum.decay_modulus - abs(1.0 - w) > 0.5
 
     def test_single_pure_state_recovers_closed_form_term(self):
         sigma = basis_proj(0, 2)

@@ -188,10 +188,26 @@ class TestSolve:
         received = self.record_ipm_b(monkeypatch)
         sol = sdp.solve(make_problem(ops, [1e100, 1.0, 3e100]))  # X = I is feasible
         assert len(received) == 1 and received[0] == pytest.approx([1.0, 1.0], rel=1e-12)
+        # optimal though the raw residual of the 1e100 rows reads about 1e84,
+        # 4e-16 of their scale
+        assert sol.status == "optimal"
         # the dropped row has multiplier 0, and A2 keeps its multiplier 1
         assert sorted([sol.y[0] == 0.0, sol.y[2] == 0.0]) == [False, True]
         assert sol.y[1] == pytest.approx(1.0, rel=1e-6)
         assert np.dot(sol.y, [1e100, 1.0, 3e100]) == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("error, status", [(1e-9, "optimal"), (1e-6, "numerical-limit")])
+    def test_final_feasibility_test_is_relative_to_the_row_scale(self, monkeypatch, error, status):
+        # the IPM returns X = diag(1 + error, 1) for rows 1e100 |0><0| and |1><1|:
+        # the raw residual of the first is error * 1e100, its relative one error
+        def ipm(cost, ops, b, max_iter, feas_tol):
+            return sdp._IpmResult(x=np.diag([1.0 + error, 1.0]), y=np.ones(2),
+                                  status="optimal", iterations=1, dual_residual=0.0)
+
+        monkeypatch.setattr(sdp, "_solve_hermitian_sdp", ipm)
+        sol = sdp.solve(make_problem([np.diag([1e100, 0.0]), np.diag([0.0, 1.0])], [1e100, 1.0]))
+        assert sol.primal_residual == pytest.approx(error * 1e100, rel=1e-6)
+        assert sol.status == status
 
     def test_badly_scaled_inconsistency_is_certified(self):
         p = make_problem([np.diag([1e100, 0.0]), np.diag([2e100, 0.0])],
