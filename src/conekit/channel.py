@@ -50,6 +50,10 @@ from .linops import (
 
 TP_TOL = 1e-9
 FP_TOL = 1e-8
+# the unit-circle tolerance of ``spectrum`` at its default fp_tol; the
+# separable decay rule of conekit.engineer uses the same number, so that a
+# decay it accepts is one the spectrum puts off the circle
+CIRCLE_TOL = max(FP_TOL, 1e-9)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ line number in the file.
 paths of ``demo bell`` give a channel's decay as ``channel.spectrum``:
 ``decay_modulus``, the largest eigenvalue modulus off the unit circle,
 and ``peripheral_spectrum`` on it as [re, im]; separable ones add ``b_weight``.
+``engineer sdp`` also gives ``solver_iterations``, 0 when the fixed states
+force the identity on their support and the channel is the closed form.
 
 Inputs are decoded by orjson (``_parse_json``). What orjson rejects, the
 stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``
@@ -256,6 +258,7 @@ def cmd_engineer_sdp(args) -> int:
         "cp": res.cptp.cp, "tp": res.cptp.tp,
         "objective_trace": res.solution.objective_value,
         "solver_status": res.solution.status,
+        "solver_iterations": res.solution.iterations,
     }, args.out)
     return EXIT_OK
 

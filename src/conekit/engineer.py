@@ -18,7 +18,8 @@ tr sigma = tr X(sigma). The two cores are:
   sigma (x) Pi^T / lambda_max of ``engineer single``) and the support
   projector (``from_states([sigma])``, which maps supp sigma onto sigma
   and the rest onto B);
-* the minimum-trace PSD X fixing every state, from a semidefinite program.
+* the SDP core: a PSD X that fixes every state and preserves the trace on
+  supp rho, rho = sum_i sigma_i / k (``build_via_sdp``).
 
 Reports give the decay of C as its spectrum (``channel.spectrum``):
 ``decay_modulus`` off the unit circle and ``peripheral_spectrum`` on it.
@@ -29,18 +30,28 @@ to zero, so C has spectrum {1 (k times), 1 - w, 0, ...} and decays
 exactly when 0 < w < 2 (``_decays``), which the separable constructions
 require. At w = 0 B is a second fixed point (a pure qubit sigma with an
 orthogonal B gives the dephasing channel); a core with tr_H1[X] = I has
-w = tr B = 1. No such rule holds for the SDP core (a two-state core at
-d = 3 with w = 0.887 has an eigenvalue of modulus 0.954 off the circle).
+w = tr B = 1. No such rule holds for the SDP core: for a full-rank rho
+it has w = 1, yet one qubit state diag(0.7, 0.3) gives a decay modulus
+near 0.138 and two non-commuting qubit states give 0.
 
-Two SDP cores are known exactly: sigma (x) |v_max><v_max|^T / lambda_max
-for one state (1 = tr Phi(sigma) = sum_a tr[sigma K_a^dag K_a] <=
-lambda_max tr X), and the least trace sum_i 1 / lambda_max(sigma_i) on
-orthogonal supports. The solver meets them within 6e-9 (200 states,
-d = 2-4, lambda_max leading by >= 1e-2) and 5e-8 (400 pairs, d = 4).
+The SDP core is CP by construction. It vanishes on inputs outside
+supp rho and preserves the trace on supp rho, so tr_H1[X] = Pi^T, with Pi
+the projector onto supp rho, tr X = rank rho on the whole feasible set,
+and C = X + B (x) (I - Pi)^T is a sum of two PSD terms: B acts only off
+supp rho. The states decide which cores are admissible through their
+forced algebra (``forced_algebra``): every Kraus operator lies in its
+commutant, which is the face the SDP is solved on, and when that
+commutant is C I the one admissible core is the identity on supp rho,
+Choi(Y -> Pi Y Pi), returned without a solve. One pure state is such a
+case, with X = sigma (x) sigma^T. Otherwise every feasible X is optimal,
+and the solver returns one inside the feasible set: a generic admissible
+core, near but not at its analytic centre (for diag(0.7, 0.3), log det X
+is -3.0817 against the centre's -3.0798).
 
-Complete positivity depends on the inputs and is checked on the assembled
-Choi matrix rather than factor by factor (some factors are indefinite by
-design). Validity reports carry every condition with its numeric residual.
+The complete positivity of a separable channel depends on its inputs and
+is checked on the assembled Choi matrix rather than factor by factor
+(some factors are indefinite by design). Validity reports carry every
+condition with its numeric residual.
 """
 
 from __future__ import annotations
@@ -78,8 +89,10 @@ def _complete(x: np.ndarray, b: np.ndarray) -> ChoiMatrix:
 
 
 # Exact inputs reach w = 0 (pure qubit sigma, orthogonal B) and w = 2
-# (sigma = I/2, pure B), so rounding must not decide either end.
-DECAY_TOL = 1e-9
+# (sigma = I/2, pure B), so rounding must not decide either end. The
+# eigenvalue 1 - w lies off the unit circle of ``channel.spectrum`` exactly
+# when DECAY_TOL < w < 2 - DECAY_TOL, so the rule and the spectrum agree.
+DECAY_TOL = chan.CIRCLE_TOL
 
 
 def _decays(weight: float) -> bool:
@@ -302,119 +315,141 @@ class SdpChannelResult:
     solution: sdpmod.SdpSolution
 
 
-# Eigenvalues at or below this count as zero when the face is computed.
-# Treating a small true eigenvalue as zero moves the constraints by about
-# its size, which must stay below the solver's test for linearly
-# inconsistent constraints (1e-9); too small a value only leaves the face
-# larger than needed.
-FACE_TOL = 1e-10
+# Two log-eigenvalue differences of rho closer than this are one modular
+# degree of ``forced_algebra``; merging two degrees only shrinks the
+# generated algebra, which enlarges the face and never excludes a channel.
+MODULAR_GAP_TOL = 1e-8
+# A singular value of the stacked commutators at or below this counts as
+# zero. The generators have norm at most 1, so the test is absolute.
+COMMUTANT_TOL = 1e-8
 
 
-def _support(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero eigenvalues of a PSD operator and their eigenvectors as columns."""
-    w, v = np.linalg.eigh(tau)
-    keep = w > FACE_TOL
-    return w[keep], v[:, keep]
+@dataclass(frozen=True)
+class ForcedAlgebra:
+    """What fixing the states forces on every channel core of ``build_via_sdp``.
 
+    support is an isometry U onto supp rho, rho = sum_i sigma_i / k
+    (eigenvalues above ``sdp.FACE_TOL``); commutant holds an orthonormal
+    basis (Frobenius inner product) of the commutant of the forced algebra,
+    as r x r matrices in that basis, r = rank rho. The commutant is C I,
+    commutant_dim 1, exactly when the forced algebra is all of B(supp rho).
 
-def _boundary_state(tau_i: np.ndarray, support_i, tau_j: np.ndarray) -> np.ndarray | None:
-    """The normalized state tau_i - t* tau_j, with t* the largest t that
-    keeps it PSD, or None when supp tau_j is not inside supp tau_i or the
-    difference vanishes (tau_i == tau_j).
-
-    On supp tau_i, 1/t* is the top eigenvalue of tau_i^-1/2 tau_j tau_i^-1/2.
+    face is an isometry onto the face of the PSD cone that holds every
+    core X, or None when that face is the whole space. Every Kraus
+    operator K of an admissible channel on supp rho lies in the commutant,
+    and X is the sum of |K>><<K| over them, so X lies on the PSD matrices
+    over span{vec(U K U^dag)}: it vanishes on inputs outside supp rho and
+    off that span. This is facial reduction (Borwein & Wolkowicz 1981)
+    with the face read off the algebra. The commutant is block diagonal
+    over the blocks of the algebra, and Kraus operators that replace the
+    state in each block by its own part of rho span it, so a feasible X
+    has full rank on the face: the restricted problem has an interior.
     """
-    w, basis = support_i
-    b = linops.dagger(basis) @ tau_j @ basis
-    if float(np.trace(tau_j).real - np.trace(b).real) > FACE_TOL:
-        return None
-    w_isqrt = 1.0 / np.sqrt(w)
-    top = float(np.linalg.eigvalsh(hermitize(w_isqrt[:, None] * b * w_isqrt[None, :])).max())
-    weight = 1.0 - 1.0 / top
-    if weight <= FACE_TOL:
-        return None
-    return hermitize(tau_i - tau_j / top) / weight
+
+    support: np.ndarray
+    commutant: np.ndarray
+    face: np.ndarray | None
+
+    @property
+    def commutant_dim(self) -> int:
+        return self.commutant.shape[0]
 
 
-def fixed_point_face(sigmas) -> np.ndarray | None:
-    """Isometry onto the face of the PSD cone that holds every Choi matrix
-    X fixing all given states, or None when that face is the whole space.
+def forced_algebra(sigmas) -> ForcedAlgebra:
+    """The support of rho, the commutant of the forced algebra and its face.
 
-    A channel that fixes every sigma_i fixes every PSD tau in
-    span{sigma_i}, so it maps supp tau into itself and its Choi matrix X
-    obeys tr[((I - P_tau) (x) tau^T) X] = 0, with P_tau the projector
-    onto supp tau. These operators are PSD, so X lies in the kernel of
-    their sum. The taus used are the sigma_i and, for every ordered pair
-    with supp tau_j inside supp tau_i, the boundary state tau_i - t* tau_j
-    (see ``_boundary_state``). Rounds over all pairs run until a round
-    yields no new support or leaves the face as it was. This is facial
-    reduction (Borwein & Wolkowicz 1981) with the reducing certificates
-    read off the states; the face is not proven minimal for three or
-    more states.
+    A CPTP map on supp rho that fixes every sigma_i fixes rho, so its
+    fixed space is rho^1/2 N rho^1/2, with N = Fix(Phi^dag) a *-algebra
+    invariant under the modular group Ad rho^it that is the commutant of
+    its Kraus operators (Wolf, Quantum Channels & Operations, 2012, ch. 6;
+    Blume-Kohout, Ng, Poulin & Viola, PRA 82, 062306, 2010). N contains
+    the forced algebra: the smallest such algebra that holds every
+    A_i = rho^-1/2 (sigma_i / k) rho^-1/2. In the eigenbasis of rho
+    (eigenvalues lambda_a), Ad rho^it multiplies entry (a, b) by
+    exp(it (log lambda_a - log lambda_b)), so the forced algebra is
+    generated by the pieces of the A_i of one value of that difference
+    (within MODULAR_GAP_TOL), and every Kraus operator lies in their
+    commutant: the null space of the stacked I (x) G - G^T (x) I over the
+    pieces G, read off one SVD.
     """
-    states = [linops.check_density(s) for s in sigmas]
-    d = states[0].shape[0]
-    taus = [(s, _support(s)) for s in states]
+    states = np.array([linops.check_density(s) for s in sigmas])
+    lam, u = sdpmod.support(states.mean(axis=0))
+    r = lam.size
+    isqrt = 1.0 / np.sqrt(lam)
+    gens = isqrt[:, None] * (linops.dagger(u) @ states @ u) * isqrt / len(states)
+    gaps = np.log(lam)[:, None] - np.log(lam)[None, :]
+    order = np.sort(gaps.ravel())
+    degree = np.searchsorted(order[1:][np.diff(order) > MODULAR_GAP_TOL], gaps, side="right")
+    # every piece, axes (state, degree, a, b)
+    masks = degree == np.arange(degree.max() + 1)[:, None, None]
+    pieces = (gens[:, None] * masks).reshape(-1, r, r)
+    eye = np.eye(r)
+    # vec(G M - M G) on row-major vec(M), axes (piece, i, a, j, b)
+    comm = (pieces[:, :, None, :, None] * eye[None, None, :, None, :]
+            - eye[None, :, None, :, None] * pieces.swapaxes(1, 2)[:, None, :, None, :])
+    # the SVD of the triangular factor: the stack's singular values and
+    # right vectors at a fraction of the cost of a tall SVD
+    _, sv, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, r * r), mode="r"))
+    commutant = vh[sv <= COMMUTANT_TOL].conj().reshape(-1, r, r)
+    c, d = len(commutant), u.shape[0]
+    face = None if c == d * d else (u @ commutant @ linops.dagger(u)).reshape(c, d * d).T
+    return ForcedAlgebra(support=u, commutant=commutant, face=face)
 
-    def projector(support) -> np.ndarray:
-        return support[1] @ linops.dagger(support[1])
 
-    def face_of(taus) -> np.ndarray:
-        k = sum(kron(np.eye(d) - projector(sup), tau.T) for tau, sup in taus)
-        w, v = np.linalg.eigh(hermitize(k))
-        return v[:, w <= FACE_TOL]
+IDENTITY_FORCED = "closed form: the fixed states force the identity on supp rho"
 
-    supports = [projector(sup) for _, sup in taus]
-    face = face_of(taus)
-    done = 0  # pairs among the first `done` taus were tried in an earlier round
-    while True:
-        new = []
-        for i, (tau_i, sup_i) in enumerate(taus):
-            for j, (tau_j, _) in enumerate(taus):
-                if i == j or max(i, j) < done:
-                    continue
-                tau = _boundary_state(tau_i, sup_i, tau_j)
-                if tau is None:
-                    continue
-                sup = _support(tau)
-                proj = projector(sup)
-                if all(linops.max_abs(proj - p) > FACE_TOL for p in supports):
-                    new.append((tau, sup))
-                    supports.append(proj)
-        if not new:
-            break
-        done = len(taus)
-        taus.extend(new)
-        narrower = face_of(taus)
-        if narrower.shape[1] == face.shape[1]:
-            break
-        face = narrower
-    return None if face.shape[1] == d * d else face
+
+def _identity_on_support(support: np.ndarray) -> sdpmod.SdpSolution:
+    """Choi(Y -> Pi Y Pi), Pi = support support^dag, as the SDP's solution:
+    the only feasible X when the forced algebra is all of B(supp rho)."""
+    w = (support @ linops.dagger(support)).reshape(-1)
+    r = support.shape[1]
+    return sdpmod.SdpSolution(
+        x=np.outer(w, w.conj()), objective_value=float(r), primal_residual=0.0,
+        dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=0, rank=1,
+        message=IDENTITY_FORCED,
+    )
 
 
 def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
-    """The minimum-trace PSD core X fixing every given state, completed by B.
+    """A CPTP channel fixing every given state: the SDP core X, completed by B.
 
-    X is restricted to the face of the PSD cone forced by the supports of
-    PSD elements of span{sigma_i} (``fixed_point_face``). When one of them
-    is singular, such as a rank-deficient state, no feasible X is positive
-    definite, so the full SDP has no strictly feasible point and the
-    interior-point method may stall; on the face it regains an interior.
-    The face holds every feasible X, so the optimum is unchanged.
+    X ranges over the Choi matrices (``sdp.assemble_fixed_point_constraints``)
+    that fix every sigma_i and preserve the trace on supp rho,
+    rho = sum_i sigma_i / k, restricted to the face spanned by the
+    commutant of the forced algebra (``forced_algebra``), where X also
+    vanishes on inputs outside supp rho. So tr_H1[X] = Pi^T, with Pi the
+    projector onto supp rho, and the completion is C = X + B (x) (I - Pi)^T:
+    CP whenever X is PSD, B entering only off supp rho. The objective tr X
+    equals rank rho on the whole feasible set, which has an interior on
+    the face, so the interior-point method returns a point inside it, a
+    generic admissible channel.
 
-    Its decay is the spectrum of C, as the separable rule 1 - w does not
-    hold for this core (module docstring); decay_modulus > 1 diverges.
+    When that commutant is C I, the face is one ray and the only feasible
+    X is Choi(Y -> Pi Y Pi). It is returned without assembly or solve, as
+    a solution of status optimal, 0 iterations, objective rank rho and the
+    message IDENTITY_FORCED. That choice is safe even when wrong, since
+    the identity on supp rho is always feasible.
+
+    Its decay is the spectrum of C (module docstring); decay_modulus > 1
+    diverges.
     """
     states = [linops.check_density(s) for s in sigmas]
     if not states:
         raise ValueError("need at least one state")
     d = states[0].shape[0]
+    if any(s.shape != (d, d) for s in states):
+        raise ValueError("states must share one dimension")
     b = np.eye(d, dtype=complex) / d if b is None else linops.check_density(b)
     if b.shape != (d, d):
         raise ValueError("decay state dimension mismatch")
 
-    problem = sdpmod.assemble_fixed_point_constraints(states)
-    sol = sdpmod.solve(problem, feas_tol=feas_tol, face=fixed_point_face(states))
+    algebra = forced_algebra(states)
+    if algebra.commutant_dim == 1:
+        sol = _identity_on_support(algebra.support)
+    else:
+        problem = sdpmod.assemble_fixed_point_constraints(states)
+        sol = sdpmod.solve(problem, feas_tol=feas_tol, face=algebra.face)
     if sol.status != sdpmod.STATUS_OPTIMAL:
         # the identity channel fixes every state, so the constraints are
         # always feasible and an "infeasible" verdict is numerical as well

@@ -123,10 +123,37 @@ class SdpSolution:
     message: str = ""
 
 
+# Eigenvalues at or below this count as zero in a state's support
+# (``support``): the support of the trace-preservation rows here and of the
+# forced algebra and its face in :mod:`conekit.engineer`, which must agree.
+# Treating a small true eigenvalue as zero moves the constraints by about
+# its size, which must stay below the test for linearly inconsistent
+# constraints in ``solve`` (1e-9); too small a value only leaves the
+# support and the face larger than needed.
+FACE_TOL = 1e-10
+
+
+def support(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a PSD operator above FACE_TOL and their eigenvectors as columns."""
+    w, v = np.linalg.eigh(tau)
+    keep = w > FACE_TOL
+    return w[keep], v[:, keep]
+
+
 def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
-    """Build the minimum-trace SDP whose PSD variable leaves every given
-    state invariant: tr[(E (x) sigma^T) X] = tr[E sigma] over a Hermitian
-    basis E of the output space, objective F0 = I.
+    """The SDP over Choi matrices X (output (x) input) of maps that fix every
+    given state and preserve the trace on supp rho, rho = sum_i sigma_i / k:
+
+    * tr[(E (x) sigma_i^T) X] = tr[E sigma_i] over a Hermitian basis E of
+      the output space (the first k d^2 rows, state by state);
+    * tr[(I (x) F) X] = tr F over a Hermitian basis F of the operators on
+      supp conj(rho) (the last r^2 rows, r = rank rho): the input leg of X
+      carries a transpose, so these read Pi^T tr_H1[X] Pi^T = Pi^T, with Pi
+      the projector onto supp rho.
+
+    The objective is F0 = I. Once X also vanishes on inputs outside supp
+    rho (``engineer.ForcedAlgebra.face``), tr_H1[X] = Pi^T, so tr X = r on
+    the whole feasible set, and every feasible X is optimal.
     """
     states = [linops.check_density(s) for s in sigmas]
     if not states:
@@ -137,12 +164,20 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     basis = hermitian_basis(d)
     sig = np.array(states)
     # every E (x) sigma^T in one broadcast product, axes (state, E, i, a, j, b)
-    ops = basis[None, :, :, None, :, None] * sig.swapaxes(1, 2)[:, None, None, :, None, :]
+    fixing = basis[None, :, :, None, :, None] * sig.swapaxes(1, 2)[:, None, None, :, None, :]
+    _, u = support(sig.mean(axis=0))
+    r = u.shape[1]
+    tp_basis = hermitian_basis(r)
+    f = u.conj() @ tp_basis @ u.T
+    # every I (x) F, axes (F, i, a, j, b)
+    preserving = np.eye(d)[None, :, None, :, None] * f[:, None, :, None, :]
     n = d * d
     return SdpProblem(
         n=n, objective=np.eye(n, dtype=complex),
-        constraint_ops=ops.reshape(-1, n, n),
-        constraint_vals=np.trace(basis @ sig[:, None], axis1=2, axis2=3).real.ravel(),
+        constraint_ops=np.concatenate([fixing.reshape(-1, n, n), preserving.reshape(-1, n, n)]),
+        constraint_vals=np.concatenate([
+            np.trace(basis @ sig[:, None], axis1=2, axis2=3).real.ravel(),
+            np.trace(tp_basis, axis1=1, axis2=2).real]),
     )
 
 

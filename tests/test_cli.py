@@ -359,7 +359,7 @@ class TestSdpCommand:
         assert payload["solution"]["status"] == "optimal"
         assert abs(payload["solution"]["objective_value"] - 2.0) < 1e-6
         assert payload["solution"]["maximized_value"] == -payload["solution"]["objective_value"]
-        assert len(payload["problem"]["constraints"]) == 8
+        assert len(payload["problem"]["constraints"]) == 12  # 8 fixing rows, 4 trace rows
 
     def test_solve_infeasible_exits_3(self, workdir, capsys):
         _, write = workdir
@@ -483,7 +483,8 @@ class TestSdpCommand:
 
         monkeypatch.setattr(sdpmod, "solve", infeasible)
         _, write = workdir
-        s0 = write("s0.json", linops.matrix_to_json(basis_proj(0, 2)))
+        # a pure state takes the closed form; this one reaches the solver
+        s0 = write("s0.json", linops.matrix_to_json(np.diag([0.7, 0.3])))
         code, _, err = run_cli(capsys, "engineer", "sdp", "--sigma", s0)
         assert code == 4
         payload = json.loads(err)
@@ -823,6 +824,20 @@ class TestDemoBell:
         assert abs(rep["discrimination"]["detection_overlaps"][1]) <= 1e-10
         assert max(rep["fixed_point_residuals"]) <= 1e-7
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--coeffs", "0.8,0.6,-0.6,0.8,0.6,0.8,-0.8,0.6", "--s", "0.3,0.4,0.3", "--r", "0.2,0.5,0.3"],
+    ], ids=["default", "generic"])
+    def test_sdp_channel_is_cptp(self, capsys, argv):
+        # the forced algebras are C + C + C and M_2 + C on supp rho: the
+        # channel is CP by construction and fixes exactly 3 and 5 directions
+        code, out, _ = run_cli(capsys, "demo", "bell", *argv)
+        assert code == 0
+        sdp = json.loads(out)["sdp"]
+        assert sdp["status"] == "optimal"
+        assert sdp["cp"] is True and sdp["tp"] is True
+        assert len(sdp["peripheral_spectrum"]) == (5 if argv else 3)
+        assert sdp["decay_modulus"] < 1.0 - 1e-6
+
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "demo.json"
         code, _, _ = run_cli(capsys, "demo", "bell", "--out", str(out_path))
@@ -1156,8 +1171,8 @@ class TestToleranceOptions:
             sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])))],
          ["--feas-tol", "1e-2"], lambda out: out["iterations"] > 5, True, False),
         (lambda w: ["engineer", "sdp", "--sigma",
-                    w("s.json", linops.matrix_to_json(basis_proj(0, 2)))],
-         ["--feas-tol", "1e-2"], lambda out: abs(out["objective_trace"] - 1.0) < 1e-6, True, False),
+                    w("s.json", linops.matrix_to_json(np.diag([0.7, 0.3])))],
+         ["--feas-tol", "1e-2"], lambda out: out["solver_iterations"] > 5, True, False),
     ], ids=["psd-tol", "tp-tol", "fixed-points-tol", "stop-tol", "quasireal-check-tol",
             "cone-check-tol", "sdp-solve-feas-tol", "engineer-sdp-feas-tol"])
     def test_valid_value_changes_output(self, workdir, capsys, argv, option, read, default, loose):

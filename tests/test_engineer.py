@@ -14,7 +14,6 @@ from conekit.engineer import (
     build_separable_multi,
     build_via_sdp,
     find_discrimination_projectors,
-    fixed_point_face,
 )
 from conekit.linops import kron, trace_distance
 
@@ -112,6 +111,19 @@ class TestSingleFixedPoint:
         assert code == 0
         assert np.abs(chan.choi_from_json(out["channel"]).matrix - c.matrix).max() == 0
 
+    def test_weight_inside_the_circle_tolerance_is_rejected(self, tmp_path, capsys):
+        # w = 5e-9: 1 - w is on the unit circle of channel.spectrum, which
+        # would count B as a second fixed state, so the rule rejects it too
+        spec = self.top(np.diag([1.0, 0.0]), np.diag([5e-9, 1.0 - 5e-9]))
+        assert spec.b_weight == pytest.approx(5e-9, abs=1e-15)
+        assert len(chan.spectrum(spec.channel).peripheral_spectrum) == 2
+        with pytest.raises(ConstructionError) as exc:
+            build_separable_multi(spec)
+        assert exc.value.reason == "decay-weight-zero"
+        code, err = engineer_single(tmp_path, capsys, np.diag([1.0, 0.0]), np.diag([5e-9, 1.0 - 5e-9]))
+        assert code == 3
+        assert err["reason"] == "decay-weight-zero"
+
     def test_violation_rejected_with_named_inequality(self, tmp_path, capsys):
         # sigma = I/2 with B = |0><0| has w = <0|B|0> / lambda_max = 2
         sigma = np.eye(2) / 2
@@ -121,7 +133,7 @@ class TestSingleFixedPoint:
         code, err = engineer_single(tmp_path, capsys, sigma, basis_proj(0, 2))
         assert code == 3
         assert err["reason"] == "decay-weight-too-large"
-        assert "is not in (1e-09, 2 - 1e-09)" in err["error"]
+        assert "is not in (1e-08, 2 - 1e-08)" in err["error"]
         assert err["details"] == pytest.approx({"b_weight": 2.0}, abs=1e-12)
 
     def test_valid_pairs_give_cptp_fixed_point(self, rng):
@@ -436,29 +448,30 @@ class TestBuildViaSdp:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_decay_state_equal_to_the_fixed_state_is_no_warning(self, d):
-        # the core sigma (x) |v><v|^T / lambda_max completed by B = sigma maps
-        # every rho to sigma tr rho: one eigenvalue 1, all others 0. The
+        # a full-rank sigma leaves no input for B: tr_H1[X] = I, so C is the
+        # core itself whatever B is, with sigma its one fixed state. The
         # build emits no warning (any warning is an error under this suite's
-        # filterwarnings), whichever side of 1 rounding puts the B-weight on
+        # filterwarnings)
         rng = np.random.default_rng(3)
         for _ in range(20):
             sigma = random_density(rng, d)
             res = build_via_sdp([sigma], b=sigma)
             assert len(res.spectrum.peripheral_spectrum) == 1
             assert abs(res.spectrum.peripheral_spectrum[0] - 1.0) < 1e-9
-            assert res.spectrum.decay_modulus < 1e-6
+            assert res.spectrum.decay_modulus < 1.0 - 1e-6
+            assert np.abs(res.c.matrix - build_via_sdp([sigma]).c.matrix).max() <= 1e-12
 
     def test_two_state_decay_is_the_spectrum_not_one_minus_w(self):
-        # two full-rank qutrit states: the core's B-weight w = tr X / 3 is
-        # 0.81, so the separable rule would give |1 - w| = 0.19, but the
-        # channel has an eigenvalue of modulus 0.98 off the unit circle
+        # two full-rank qutrit states force the identity channel: every
+        # eigenvalue lies on the unit circle, so nothing decays
         rng = np.random.default_rng(2)
         res = build_via_sdp([random_density(rng, 3) for _ in range(2)])
-        w = np.trace(res.x.matrix).real / 3
+        assert res.solution.iterations == 0
+        assert np.abs(res.c.matrix - chan.identity_channel(3).matrix).max() <= 1e-12
         moduli = np.abs(np.linalg.eigvals(res.c.superop))
-        off = moduli[np.abs(moduli - 1.0) > max(chan.FP_TOL, 1e-9)]
-        assert abs(res.spectrum.decay_modulus - off.max()) <= 1e-9
-        assert res.spectrum.decay_modulus - abs(1.0 - w) > 0.5
+        assert np.abs(moduli - 1.0).max() <= 1e-12
+        assert len(res.spectrum.peripheral_spectrum) == 9
+        assert res.spectrum.decay_modulus == 0.0
 
     def test_single_pure_state_recovers_closed_form_term(self):
         sigma = basis_proj(0, 2)
@@ -518,24 +531,32 @@ class TestSdpOracles:
     @example(sigma=basis_proj(0, 3))
     @settings(max_examples=30)
     def test_one_state_gives_the_closed_form_core(self, sigma):
-        w, v = linops.herm_eig(sigma)
-        assume(w[0] - w[1] >= 1e-2)
-        closed = kron(sigma, linops.ket_projector(v[:, 0]).T) / w[0]
-        assert np.abs(build_via_sdp([sigma]).x.matrix - closed).max() <= 1e-7
+        # tr X = tr tr_H1[X] = rank sigma on the whole feasible set; a pure
+        # sigma leaves one channel on its support, X = sigma (x) sigma^T
+        rank = int(np.sum(np.linalg.eigvalsh(sigma) > 1e-10))
+        res = build_via_sdp([sigma])
+        assert abs(res.solution.objective_value - rank) <= 1e-7
+        assert res.cptp.cp and res.cptp.tp
+        assert res.residuals[0] <= 1e-7
+        if rank == 1:
+            assert res.solution.iterations == 0
+            assert np.abs(res.x.matrix - kron(sigma, sigma.T)).max() <= 1e-12
 
     @given(pair=orthogonal_pairs())
     @example(pair=[np.diag([0.7, 0.3, 0.0, 0.0]), np.diag([0.0, 0.0, 0.6, 0.4])])
     @settings(max_examples=20)
     def test_orthogonal_supports_give_the_least_trace(self, pair):
-        # the optimum is not unique here, so only its value is compared
-        least = sum(1.0 / np.linalg.eigvalsh(s).max() for s in pair)
+        # every feasible X has tr X = rank rho, here 4; the optimum is not
+        # unique, so only its value is compared
+        least = sum(int(np.sum(np.linalg.eigvalsh(s) > 1e-10)) for s in pair)
+        assert least == 4
         assert abs(build_via_sdp(pair).solution.objective_value - least) <= 1e-7
 
 
 class TestFixedPointFace:
     """The face for the generic ``demo bell`` states: sigma0 has rank 3,
-    sigma1 rank 2 with supp sigma1 inside supp sigma0, so no feasible
-    Choi matrix is positive definite."""
+    sigma1 rank 2 with supp sigma1 inside supp sigma0, and their forced
+    algebra is M_2 + C on supp rho, whose commutant is two-dimensional."""
 
     def bell_states(self):
         return list(cli.build_bell_demo_states(
@@ -543,17 +564,23 @@ class TestFixedPointFace:
             np.array([0.3, 0.4, 0.3]), np.array([0.2, 0.5, 0.3]),
         ))
 
-    def test_isometry_has_nine_orthonormal_columns(self):
-        v = fixed_point_face(self.bell_states())
-        assert v.shape == (16, 9)
-        assert np.abs(v.conj().T @ v - np.eye(9)).max() < 1e-12
+    def test_isometry_has_two_orthonormal_columns(self):
+        v = engineer.forced_algebra(self.bell_states()).face
+        assert v.shape == (16, 2)
+        assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-12
 
     def test_identity_channel_lies_in_face(self):
-        # every feasible X lies in the face, and the identity channel fixes every state
-        v = fixed_point_face(self.bell_states())
-        x = chan.identity_channel(4).matrix
+        # every feasible X lies in the face, and the identity on supp rho
+        # fixes every state; the identity on all inputs does not, as its
+        # core would act on the input outside supp rho
+        algebra = engineer.forced_algebra(self.bell_states())
+        v, u = algebra.face, algebra.support
+        w = (u @ u.conj().T).reshape(-1)
         proj = v @ v.conj().T
+        x = np.outer(w, w.conj())
         assert np.abs(proj @ x @ proj - x).max() < 1e-12
+        x = chan.identity_channel(4).matrix
+        assert np.abs(proj @ x @ proj - x).max() > 0.1
 
     def test_solves_optimal_on_face(self):
         states = self.bell_states()
@@ -564,7 +591,7 @@ class TestFixedPointFace:
         assert max(res.residuals) <= 1e-9
 
     def test_full_rank_single_state_needs_no_face(self, rng):
-        assert fixed_point_face([random_density(rng, 3)]) is None
+        assert engineer.forced_algebra([random_density(rng, 3)]).face is None
 
     def test_small_eigenvalue_is_not_cut(self, rng):
         # an eigenvalue of 5e-8 is real support: cutting it would move the
@@ -573,8 +600,134 @@ class TestFixedPointFace:
         u, _ = np.linalg.qr(g)
         states = [u @ np.diag(w) @ u.conj().T
                   for w in ([0.6, 0.4 - 5e-8, 5e-8], [0.3, 0.7 - 5e-8, 5e-8])]
-        assert fixed_point_face(states).shape[1] == 5
+        assert engineer.forced_algebra(states).support.shape[1] == 3
+        # diagonal in one basis with distinct ratios: the commutant is the diagonal
+        assert engineer.forced_algebra(states).face.shape[1] == 3
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
         assert max(res.residuals) <= 1e-9
 
+
+
+def sweep_set(seed: int, index: int) -> list[np.ndarray]:
+    """Set ``index`` of the sweep that draws, from default_rng(seed), d in
+    2..4, k in 1..4 states and each state's rank in 1..d, a state being
+    g g^dag / tr for a complex Gaussian d x rank matrix g."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        d, k = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        states = []
+        for _ in range(k):
+            s = random_psd(rng, d, int(rng.integers(1, d + 1)))
+            states.append(s / np.trace(s).real)
+    return states
+
+
+def rank(state: np.ndarray) -> int:
+    return int(np.sum(np.linalg.eigvalsh(state) > 1e-10))
+
+
+PLUS = linops.ket_projector(np.array([1.0, 1.0]) / np.sqrt(2))
+# states on the first two of three levels: two that commute, and two that
+# force the identity on their support
+COMMUTING_ON_A_PLANE = [np.diag([0.6, 0.4, 0.0]), np.diag([0.2, 0.8, 0.0])]
+FORCING_ON_A_PLANE = [np.diag([0.6, 0.4, 0.0]), np.pad(PLUS, ((0, 1), (0, 1)))]
+BELL_DEFAULT = list(cli.build_bell_demo_states(cli.DEFAULT_COEFFS, np.ones(3) / 3, np.ones(3) / 3))
+
+
+class TestForcedAlgebra:
+    """The commutant of the forced algebra: the face of the SDP, and the
+    closed form when it is C I."""
+
+    @pytest.mark.parametrize("states, dim", [
+        ([np.diag([0.5, 0.3, 0.2])], 9),
+        ([basis_proj(0, 3)], 1),
+        ([basis_proj(0, 2), basis_proj(1, 2)], 2),
+        ([np.diag([0.7, 0.3]), PLUS], 1),
+        (COMMUTING_ON_A_PLANE, 2),
+        (FORCING_ON_A_PLANE, 1),
+        (BELL_DEFAULT, 3),
+        (TestFixedPointFace().bell_states(), 2),
+    ], ids=["one-full-rank", "one-pure", "orthogonal-pure", "non-commuting-pair",
+            "commuting-on-a-plane", "forcing-on-a-plane", "bell-default", "bell-generic"])
+    def test_commutant_dimension(self, states, dim):
+        algebra = engineer.forced_algebra(states)
+        assert algebra.commutant_dim == dim
+        k = algebra.commutant
+        assert np.abs(np.einsum("kab,lab->kl", k.conj(), k) - np.eye(dim)).max() < 1e-12
+        # a *-algebra: closed under adjoints and products
+        span = k.reshape(dim, -1).T
+        for m in [*k.conj().swapaxes(1, 2), *(k[:, None] @ k[None, :]).reshape(-1, *k.shape[1:])]:
+            coef = np.linalg.lstsq(span, m.ravel(), rcond=None)[0]
+            assert np.abs(span @ coef - m.ravel()).max() < 1e-10
+
+    def test_identity_forced_on_a_plane_is_the_closed_form(self):
+        # C(Y) = Pi Y Pi + tr[(I - Pi) Y] B: the identity on supp rho, and B
+        # for the input outside it
+        b = np.diag([0.1, 0.2, 0.7])
+        res = build_via_sdp(FORCING_ON_A_PLANE, b=b)
+        sol = res.solution
+        assert (sol.status, sol.iterations, sol.message) == ("optimal", 0, engineer.IDENTITY_FORCED)
+        assert sol.objective_value == 2.0
+        pi = np.diag([1.0, 1.0, 0.0])
+        expected = np.outer(pi.ravel(), pi.ravel()) + kron(b, np.eye(3) - pi)
+        assert np.abs(res.c.matrix - expected).max() <= 1e-12
+        assert res.cptp.cp and res.cptp.tp
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_rank_qubit_pairs_give_the_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        res = build_via_sdp([random_density(rng, 2) for _ in range(2)])
+        assert res.solution.iterations == 0
+        assert np.abs(res.c.matrix - chan.identity_channel(2).matrix).max() <= 1e-12
+        assert res.spectrum.decay_modulus == 0.0
+        assert len(res.spectrum.peripheral_spectrum) == 4
+
+    @pytest.mark.parametrize("index, d, ranks", [(83, 4, [4, 1, 2, 3]), (176, 4, [1, 1, 3])])
+    def test_sweep_sets_that_failed_solve(self, index, d, ranks):
+        # 83 was "linearly inconsistent" on a face 1.1e-8 off the feasible
+        # set, 176 stalled
+        states = sweep_set(11, index)
+        assert states[0].shape == (d, d) and [rank(s) for s in states] == ranks
+        res = build_via_sdp(states)
+        assert res.solution.status == "optimal"
+        assert res.cptp.cp and res.cptp.tp
+        assert max(res.residuals) <= 1e-7
+
+    def test_three_states_of_ranks_two_two_three_give_a_cptp_channel(self):
+        rng = np.random.default_rng(1)
+        ranks = rng.integers(1, 4, size=3)
+        states = [random_psd(rng, 4, int(r)) for r in ranks]
+        states = [s / np.trace(s).real for s in states]
+        assert [rank(s) for s in states] == [2, 2, 3]
+        res = build_via_sdp(states)
+        assert res.solution.status == "optimal"
+        assert res.cptp.cp and res.cptp.tp
+        assert max(res.residuals) <= 1e-7
+
+
+@st.composite
+def state_sets(draw):
+    """One to three states of random ranks in dimension 2-4."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    states = [random_psd(rng, d, int(rng.integers(1, d + 1))) for _ in range(k)]
+    return [s / np.trace(s).real for s in states]
+
+
+class TestBuildViaSdpProperties:
+    @given(states=state_sets())
+    @example(states=COMMUTING_ON_A_PLANE)              # rank-deficient pair
+    @example(states=[np.diag([0.7, 0.3]), PLUS])        # identity forced
+    @example(states=[basis_proj(0, 2), basis_proj(1, 2)])  # commutant dimension 2
+    @example(states=BELL_DEFAULT)
+    @settings(max_examples=40)
+    def test_cptp_fixing_and_closed_form_exactly_when_forced(self, states):
+        res = build_via_sdp(states)
+        assert res.solution.status == "optimal"
+        assert res.cptp.cp and res.cptp.tp
+        assert max(res.residuals) <= 1e-7
+        forced = engineer.forced_algebra(states).commutant_dim == 1
+        assert (res.solution.message == engineer.IDENTITY_FORCED) == forced
+        assert (res.solution.iterations == 0) == forced

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conekit import linops, sdp
-from conekit.engineer import fixed_point_face
+from conekit.engineer import forced_algebra
 from conekit.linops import kron
 
 from conftest import basis_proj, random_density, random_hermitian
@@ -71,17 +71,22 @@ class TestAssemble:
         basis = sdp.hermitian_basis(d)
         assert basis.tobytes() == loop_hermitian_basis(d).tobytes()
         p = sdp.assemble_fixed_point_constraints(states)
-        assert p.constraint_ops.shape == (2 * d * d, d * d, d * d)
+        # full-rank states: d^2 trace-preservation rows follow the 2 d^2 fixing rows
+        assert p.constraint_ops.shape == (3 * d * d, d * d, d * d)
         assert not p.constraint_ops.flags.writeable
-        expected = np.array([np.kron(e, s.T) for s in states for e in basis])
+        _, u = sdp.support(np.array(states).mean(axis=0))
+        tp_basis = u.conj() @ basis @ u.T
+        expected = np.array([np.kron(e, s.T) for s in states for e in basis]
+                            + [np.kron(np.eye(d), f) for f in tp_basis])
         assert p.constraint_ops.tobytes() == expected.tobytes()
-        assert p.constraint_vals == tuple(float(np.trace(e @ s).real)
-                                          for s in states for e in basis)
+        assert p.constraint_vals == tuple([float(np.trace(e @ s).real)
+                                           for s in states for e in basis]
+                                          + [float(np.trace(e).real) for e in basis])
 
     def test_single_state_constraint_count_and_witness(self):
         sigma = basis_proj(0, 2)
         p = sdp.assemble_fixed_point_constraints([sigma])
-        assert len(p.constraint_ops) == 4
+        assert len(p.constraint_ops) == 5  # 4 fixing rows, 1 trace row on supp sigma
         x = kron(sigma, sigma)  # sigma real: sigma^T == sigma
         for a, b in zip(p.constraint_ops, p.constraint_vals):
             assert abs(np.trace(a @ x).real - b) < 1e-12
@@ -89,7 +94,7 @@ class TestAssemble:
     def test_two_states_witness(self):
         s0, s1 = basis_proj(0, 2), basis_proj(1, 2)
         p = sdp.assemble_fixed_point_constraints([s0, s1])
-        assert len(p.constraint_ops) == 8
+        assert len(p.constraint_ops) == 12  # 8 fixing rows, 4 trace rows
         x = kron(s0, s0) + kron(s1, s1)
         for a, b in zip(p.constraint_ops, p.constraint_vals):
             assert abs(np.trace(a @ x).real - b) < 1e-12
@@ -582,7 +587,7 @@ class TestComplexHermitianHandling:
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
         sigma = linops.ket_projector(psi)
         p = sdp.assemble_fixed_point_constraints([sigma])
-        v = fixed_point_face([sigma])
+        v = forced_algebra([sigma]).face
         assert np.abs(v.imag).max() > 0.1
         full = sdp.solve(p)
         on_face = sdp.solve(p, face=v)
