@@ -38,7 +38,6 @@ from .engineer import (
     find_discrimination_projectors,
 )
 from .linops import (
-    herm_eig,
     kernel_projector,
     kron,
     matrix_from_json,

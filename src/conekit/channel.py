@@ -319,19 +319,16 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
         return trace_distance(hermitize(apply(c, rho)), rho)
 
     found = []
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[j + 1] - a[j] <= gap_tol:
-            j += 1
-        q = support @ vecs[:, i : j + 1]
+    sectors = linops.tolerance_groups(a, gap_tol)  # a ascends: sectors are runs of columns
+    bounds = np.searchsorted(sectors, np.arange(sectors[-1] + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        q = support @ vecs[:, lo:hi]
         proj = q @ linops.dagger(q)
         cand = hermitize(proj @ rho_ref @ proj)
         cand = cand / np.trace(cand).real
         r = residual(cand)
         if r <= fp_tol:
             found.append((cand, r))
-        i = j + 1
     if not found:
         found.append((rho_ref, residual(rho_ref)))
     found.sort(key=lambda pair: _candidate_key(pair[0]))

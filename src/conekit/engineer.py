@@ -174,6 +174,9 @@ def find_discrimination_projectors(sigmas) -> DiscriminationReport:
 # Separable multi-fixed-point construction
 # ----------------------------------------------------------------------
 
+TOP_TOL = 1e-10  # eigenvalue and axis ties of SeparableMultiSpec.from_top_eigenvector
+
+
 @dataclass(frozen=True)
 class SeparableMultiSpec:
     """States, their annihilating projectors, and the decay state B.
@@ -212,11 +215,19 @@ class SeparableMultiSpec:
 
     @classmethod
     def from_top_eigenvector(cls, sigma, b=None) -> "SeparableMultiSpec":
-        """One state with Pi = |v_max><v_max|, the top eigenvector of sigma
-        (deterministic tie-break from linops.herm_eig): the closed form
-        sigma (x) Pi^T / lambda_max of ``engineer single``."""
-        _, v = linops.herm_eig(linops.check_density(sigma))
-        return cls.from_parts([sigma], [linops.ket_projector(v[:, 0])], b)
+        """One state with Pi = |v_max><v_max|, a top eigenvector of sigma: the
+        closed form sigma (x) Pi^T / lambda_max of ``engineer single``. With P
+        the projector onto the top eigenspace (``linops.tolerance_groups`` at
+        TOP_TOL), Pi = P e_j e_j^T P / P_jj for the first axis j with P_jj
+        within TOP_TOL of the largest, so Pi depends on that eigenspace, not
+        on the basis an eigensolver returns for it; sigma = I/2 gives |0><0|."""
+        w, v = np.linalg.eigh(hermitize(linops.check_density(sigma)))
+        levels = linops.tolerance_groups(w, TOP_TOL)
+        top = v[:, levels == levels[-1]]
+        p = top @ linops.dagger(top)
+        weights = p.diagonal().real  # P_jj = |P e_j|^2
+        j = int(np.flatnonzero(weights >= weights.max() - TOP_TOL)[0])
+        return cls.from_parts([sigma], [linops.ket_projector(p[:, j]) / weights[j]], b)
 
     @classmethod
     def from_states(cls, sigmas, b=None) -> "SeparableMultiSpec":
@@ -370,27 +381,30 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
     generated by the pieces of the A_i of one value of that difference
     (within MODULAR_GAP_TOL), and every Kraus operator lies in their
     commutant: the null space of the stacked I (x) G - G^T (x) I over the
-    pieces G, read off one SVD.
+    pieces G, read off one SVD. For one state A = I, so the commutant is all of
+    M_r, the matrix units: the stack's rounding would grow as 1 / lambda_min.
     """
     states = np.array([linops.check_density(s) for s in sigmas])
     lam, u = sdpmod.support(states.mean(axis=0))
     r = lam.size
-    isqrt = 1.0 / np.sqrt(lam)
-    gens = isqrt[:, None] * (linops.dagger(u) @ states @ u) * isqrt / len(states)
-    gaps = np.log(lam)[:, None] - np.log(lam)[None, :]
-    order = np.sort(gaps.ravel())
-    degree = np.searchsorted(order[1:][np.diff(order) > MODULAR_GAP_TOL], gaps, side="right")
-    # every piece, axes (state, degree, a, b)
-    masks = degree == np.arange(degree.max() + 1)[:, None, None]
-    pieces = (gens[:, None] * masks).reshape(-1, r, r)
-    eye = np.eye(r)
-    # vec(G M - M G) on row-major vec(M), axes (piece, i, a, j, b)
-    comm = (pieces[:, :, None, :, None] * eye[None, None, :, None, :]
-            - eye[None, :, None, :, None] * pieces.swapaxes(1, 2)[:, None, :, None, :])
-    # the SVD of the triangular factor: the stack's singular values and
-    # right vectors at a fraction of the cost of a tall SVD
-    _, sv, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, r * r), mode="r"))
-    commutant = vh[sv <= COMMUTANT_TOL].conj().reshape(-1, r, r)
+    if len(states) == 1:
+        commutant = np.eye(r * r, dtype=complex).reshape(-1, r, r)
+    else:
+        isqrt = 1.0 / np.sqrt(lam)
+        gens = isqrt[:, None] * (linops.dagger(u) @ states @ u) * isqrt / len(states)
+        gaps = np.log(lam)[:, None] - np.log(lam)[None, :]
+        degree = linops.tolerance_groups(gaps, MODULAR_GAP_TOL)
+        # every piece, axes (state, degree, a, b)
+        masks = degree == np.arange(degree.max() + 1)[:, None, None]
+        pieces = (gens[:, None] * masks).reshape(-1, r, r)
+        eye = np.eye(r)
+        # vec(G M - M G) on row-major vec(M), axes (piece, i, a, j, b)
+        comm = (pieces[:, :, None, :, None] * eye[None, None, :, None, :]
+                - eye[None, :, None, :, None] * pieces.swapaxes(1, 2)[:, None, :, None, :])
+        # the SVD of the triangular factor: the stack's singular values and
+        # right vectors at a fraction of the cost of a tall SVD
+        _, sv, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, r * r), mode="r"))
+        commutant = vh[sv <= COMMUTANT_TOL].conj().reshape(-1, r, r)
     c, d = len(commutant), u.shape[0]
     face = None if c == d * d else (u @ commutant @ linops.dagger(u)).reshape(c, d * d).T
     return ForcedAlgebra(support=u, commutant=commutant, face=face)

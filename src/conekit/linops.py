@@ -8,9 +8,9 @@ conventions are fixed in exactly one place:
   (fastest-varying) index: basis vector ``|i, k>`` sits at flat index
   ``i * d2 + k``.
 * ``vec`` means row-major flattening (``ndarray.reshape(-1)``).
-* Eigenvectors of Hermitian operators are returned in descending
-  eigenvalue order with a deterministic tie-break and a fixed global
-  phase, so degenerate spectra still give reproducible results.
+* Spectra split into groups by one rule, ``tolerance_groups``: sorted
+  neighbours at most a tolerance apart are one group. What depends on a
+  degenerate eigenspace is built from its projector, not from a basis.
 
 Matrices are plain complex ndarrays; the helpers here validate shape,
 Hermiticity and positivity where the operation requires it.
@@ -139,68 +139,28 @@ def hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _fix_phase(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible entry is real positive."""
-    for x in v:
-        if abs(x) > tol:
-            return v * (np.conj(x) / abs(x))
-    return v
-
-
-def herm_eig(a, herm_tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator, deterministically ordered.
-
-    Returns (eigenvalues, eigenvectors): eigenvalues real and descending,
-    eigenvectors as orthonormal columns. Within a degenerate eigenvalue
-    group columns are ordered by descending entry magnitudes (lexicographic
-    from the first component) and each column's phase is fixed so its
-    first nonzero entry is real positive.
-    """
-    m = check_hermitian(a, herm_tol)
-    w, v = np.linalg.eigh(hermitize(m))
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    tie_tol = 1e-10 * scale
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i
-        while j + 1 < n and abs(w[j + 1] - w[i]) <= tie_tol:
-            j += 1
-        if j > i:
-            block = v[:, i : j + 1]
-            order = sorted(
-                range(block.shape[1]),
-                key=lambda k: tuple(-np.round(np.abs(block[:, k]), 12)),
-            )
-            v[:, i : j + 1] = block[:, order]
-        i = j + 1
-    for k in range(n):
-        v[:, k] = _fix_phase(v[:, k])
-    return w, v
-
-
-def _check_psd_for(a, tol: float, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w, v = herm_eig(a)
-    if w.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"{what} requires a PSD operator (min eigenvalue {w.min():.3e})"
-        )
-    return np.asarray(a, dtype=complex), w, v
+def tolerance_groups(values, tol: float) -> np.ndarray:
+    """Integer labels of the shape of values: sorted neighbours at most tol apart
+    share one, so a chain of close values is one group; labels grow from 0 with the value."""
+    values = np.asarray(values, dtype=float)
+    order = np.sort(values, axis=None)
+    rest = order[1:]
+    return rest[rest - order[:-1] > tol].searchsorted(values, side="right")
 
 
 def support_projector(a, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue > RANK_TOL."""
-    _, w, v = _check_psd_for(a, psd_tol, "support_projector")
+    w, v = np.linalg.eigh(hermitize(check_hermitian(a)))
+    if w.min(initial=0.0) < -psd_tol:
+        raise ValueError(f"support_projector requires a PSD operator (min eigenvalue {w.min():.3e})")
     cols = v[:, w > RANK_TOL]
     return hermitize(cols @ dagger(cols))
 
 
 def kernel_projector(a, psd_tol: float = PSD_TOL) -> np.ndarray:
     """I minus the support projector: projector onto the (numerical) kernel."""
-    m = check_hermitian(a)
-    return hermitize(np.eye(m.shape[0], dtype=complex) - support_projector(a, psd_tol))
+    p = support_projector(a, psd_tol)
+    return np.eye(p.shape[0], dtype=complex) - p  # Hermitian, as p is
 
 
 def trace_distance(a, b) -> float:

@@ -964,6 +964,10 @@ class TestErrorTaxonomy:
             "engineer", "sdp", "--sigma", write("s.json", linops.matrix_to_json(np.eye(2) / 2)),
             "--b", write("b.json", linops.matrix_to_json(np.eye(3) / 3))],
             "decay state dimension mismatch", id="sdp-b-mismatch"),
+        pytest.param(lambda tmp, write: [
+            "engineer", "sdp", "--sigma", write("s0.json", linops.matrix_to_json(np.eye(2) / 2)),
+            "--sigma", write("s1.json", linops.matrix_to_json(np.eye(3) / 3))],
+            "states must share one dimension", id="sdp-state-dimensions"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, pi=[[1.0]]))], "flat list", id="pi-nested"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conekit import channel as chan
-from conekit import conesim, engineer, linops, quasireal
+from conekit import cli, conesim, engineer, linops, quasireal
 from conekit.channel import ChoiMatrix
 from conekit.conesim import (
     DepolarizingKick,
@@ -266,6 +266,45 @@ class TestRun:
         with pytest.raises(ValueError):
             SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
                              n_iter=5, n_rounds=5, classify_mode="argmax")
+
+
+def design_bank() -> list[list[np.ndarray]]:
+    """The 30 state sets of the benchmark's design workload, by its recipe:
+    from default_rng(2307), for d in 2, 3, 4, k in 1, 2 states and rank d
+    or ceil(d/2), 3 sets at d = 2, 4 (k = 1) or 2 (k = 2) at d = 3, and 2
+    (k = 1) or 1 (k = 2) at d = 4, each state g g^dag / tr for a complex
+    Gaussian d x rank matrix g."""
+    rng = np.random.default_rng(2307)
+    bank = []
+    for d in (2, 3, 4):
+        for k in (1, 2):
+            for rank in (d, -(-d // 2)):
+                for _ in range({2: 3, 3: 4 if k == 1 else 2, 4: 2 if k == 1 else 1}[d]):
+                    states = []
+                    for _ in range(k):
+                        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                        m = g @ g.conj().T
+                        states.append(m / np.trace(m).real)
+                    bank.append(states)
+    return bank
+
+
+class TestEngineeredChannelsSettle:
+    def test_every_channel_settles_within_2000_steps(self):
+        # the engineer sdp channel of every design-bank set and both demo
+        # bell channels; the largest predicted settle count is 34
+        bells = [cli.run_bell_demo(list(cli.DEFAULT_COEFFS), list(cli.DEFAULT_WEIGHTS),
+                                   list(cli.DEFAULT_WEIGHTS)),
+                 cli.run_bell_demo([0.8, 0.6, -0.6, 0.8, 0.6, 0.8, -0.8, 0.6],
+                                   [0.3, 0.4, 0.3], [0.2, 0.5, 0.3])]
+        channels = ([engineer.build_via_sdp(states).c for states in design_bank()]
+                    + [chan.choi_from_json(report["channel"]) for report in bells])
+        assert len(channels) == 32
+        for c in channels:
+            cfg = SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=2000, n_rounds=3,
+                                   classify_mode="sample", seed=0)
+            traj = run(cfg, np.eye(c.d_in) / c.d_in)
+            assert all(r.settle_steps <= 2000 for r in traj.rounds)
 
 
 class TestEstimateProcess:

@@ -91,6 +91,30 @@ class TestSingleFixedPoint:
         assert np.abs(c.matrix - expected).max() < 1e-12
         assert trace_distance(chan.apply(c, np.eye(2) / 2), np.eye(2) / 2) < 1e-12
 
+    @pytest.mark.parametrize("weights, axis", [
+        ([0.5, 0.5], 0), ([0.4, 0.4, 0.2], 0), ([0.2, 0.4, 0.4], 1), ([0.25] * 4, 0),
+        ([0.1, 0.2, 0.7], 2),
+    ])
+    def test_diagonal_sigma_projects_onto_the_first_top_axis(self, weights, axis):
+        spec = self.top(np.diag(weights))
+        assert np.abs(spec.projectors[0] - basis_proj(axis, len(weights))).max() <= 1e-15
+
+    def test_degenerate_top_eigenspace_is_not_split_by_rounding(self, tmp_path, capsys):
+        # a 1e-16 change of sigma moved the channel by 0.12 when Pi was the
+        # first eigenvector LAPACK returned for the double eigenvalue 0.4
+        u = haar_unitary(3, np.random.default_rng(4))
+        sigma = u @ np.diag([0.4, 0.4, 0.2]) @ u.conj().T
+        nudged = sigma + np.diag([1e-16, -1e-16, 0.0])
+        channels = []
+        for s in (sigma, nudged):
+            code, out = engineer_single(tmp_path, capsys, s, np.eye(3) / 3)
+            assert code == 0
+            channels.append(chan.choi_from_json(out["channel"]).matrix)
+        assert np.abs(channels[0] - channels[1]).max() <= 1e-12
+        pi = self.top(sigma).projectors[0]
+        assert abs(np.trace(pi @ sigma).real - 0.4) <= 1e-12
+        assert np.abs(pi @ pi - pi).max() <= 1e-12
+
     def test_boundary_overlap_accepted(self):
         c = build_separable_multi(self.top(basis_proj(0, 2), basis_proj(0, 2)))
         rep = chan.is_cptp(c)
@@ -347,8 +371,8 @@ class TestSeparableMulti:
         spec = SeparableMultiSpec.from_states([sigma], b=b)
         via_multi = build_separable_multi(spec)
         # sigma (x) P^T / lambda_max, P the projector onto the top eigenvector
-        w, v = linops.herm_eig(sigma)
-        closed_form = engineer._complete(kron(sigma, linops.ket_projector(v[:, 0]).T) / w[0], b)
+        w, v = np.linalg.eigh(sigma)
+        closed_form = engineer._complete(kron(sigma, linops.ket_projector(v[:, -1]).T) / w[-1], b)
         assert np.abs(via_multi.matrix - closed_form.matrix).max() < 1e-12
 
     def test_condition1_error_names_annihilation(self):
@@ -635,9 +659,43 @@ FORCING_ON_A_PLANE = [np.diag([0.6, 0.4, 0.0]), np.pad(PLUS, ((0, 1), (0, 1)))]
 BELL_DEFAULT = list(cli.build_bell_demo_states(cli.DEFAULT_COEFFS, np.ones(3) / 3, np.ones(3) / 3))
 
 
+def with_tiny_tail(u: np.ndarray, weights) -> np.ndarray:
+    """U diag(weights, 1e-9, 1e-9) U^dag, normalized."""
+    s = (u * np.r_[weights, 1e-9, 1e-9]) @ u.conj().T
+    return s / np.trace(s).real
+
+
+@st.composite
+def tiny_tail_states(draw):
+    """A state in dimension 3-5 in a Haar basis, with weights in [0.1, 1)
+    and two of 1e-9 before normalization."""
+    d = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    return with_tiny_tail(haar_unitary(d, rng), rng.uniform(0.1, 1.0, d - 2))
+
+
+# rho^-1/2 amplifies rounding here by 1e9: a commutator stack built from it
+# gave a commutant of dimension 5, and engineer sdp a singular scaling
+TINY_TAIL = with_tiny_tail(haar_unitary(4, np.random.default_rng(1)), [0.5, 0.5])
+
+
 class TestForcedAlgebra:
     """The commutant of the forced algebra: the face of the SDP, and the
     closed form when it is C I."""
+
+    @given(sigma=tiny_tail_states())
+    @example(sigma=TINY_TAIL)
+    @settings(max_examples=20)
+    def test_one_state_forces_only_the_scalars(self, sigma):
+        # A = rho^-1/2 sigma rho^-1/2 = I, so the commutant is all of M_r,
+        # however small the least eigenvalue of sigma
+        algebra = engineer.forced_algebra([sigma])
+        d = sigma.shape[0]
+        assert algebra.support.shape[1] == d and algebra.commutant_dim == d * d
+        res = build_via_sdp([sigma])
+        assert res.solution.status == "optimal"
+        assert res.cptp.cp and res.cptp.tp
+        assert res.residuals[0] <= 1e-7
 
     @pytest.mark.parametrize("states, dim", [
         ([np.diag([0.5, 0.3, 0.2])], 9),

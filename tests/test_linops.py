@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from conekit import linops
 from conekit.linops import (
-    herm_eig,
     kernel_projector,
     kron,
     matrix_from_json,
@@ -99,42 +98,28 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 2), over=3)
 
 
-class TestHermEig:
-    def test_identity(self):
-        w, v = herm_eig(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.abs(v @ v.conj().T - np.eye(2)).max() < 1e-12
+def chained_groups(values, tol):
+    """Reference for ``tolerance_groups``: walk the sorted values, opening a
+    new group wherever the gap to the previous one exceeds tol."""
+    order = sorted(values)
+    group, label = {order[0]: 0}, 0
+    for prev, cur in zip(order, order[1:]):
+        label += cur - prev > tol
+        group[cur] = label
+    return [group[v] for v in values]
 
-    def test_diagonal(self):
-        w, v = herm_eig(np.diag([0.7, 0.3]))
-        assert np.allclose(w, [0.7, 0.3])
-        assert np.abs(np.abs(v[0, 0]) - 1.0) < 1e-12
-        assert np.abs(np.abs(v[1, 1]) - 1.0) < 1e-12
 
-    def test_degenerate_tiebreak_prefers_first_axis(self):
-        # maximally mixed: deterministic choice must put e0 first
-        w, v = herm_eig(np.eye(2) / 2)
-        assert np.allclose(v[:, 0], [1.0, 0.0])
+class TestToleranceGroups:
+    @given(values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+           tol=st.sampled_from([0.0, 1e-10, 0.05, 0.3]))
+    @example(values=[0.0, 0.2, 0.4, 1.0], tol=0.25)  # a chain is one group
+    @example(values=[0.5, 0.5, -0.5], tol=0.0)
+    def test_matches_the_chained_walk(self, values, tol):
+        assert linops.tolerance_groups(values, tol).tolist() == chained_groups(values, tol)
 
-    def test_reconstruction(self, rng):
-        for dim in (2, 3, 5, 8, 16):
-            a = random_hermitian(rng, dim)
-            w, v = herm_eig(a)
-            recon = v @ np.diag(w) @ v.conj().T
-            assert np.abs(recon - a).max() < 1e-10
-            assert np.all(np.diff(w) <= 1e-10)  # descending
-            assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-8
-
-    def test_phase_fix(self, rng):
-        a = random_hermitian(rng, 4)
-        _, v = herm_eig(a)
-        for k in range(4):
-            first = next(x for x in v[:, k] if abs(x) > 1e-10)
-            assert abs(first.imag) < 1e-10 and first.real > 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_keeps_the_shape_and_counts_up_with_the_value(self):
+        labels = linops.tolerance_groups(np.array([[0.3, 0.1], [0.1 + 1e-12, -2.0]]), 1e-9)
+        assert labels.tolist() == [[2, 1], [1, 0]]
 
 
 class TestProjectors:
@@ -182,8 +167,14 @@ class TestProjectors:
         assert np.abs(p @ rho - rho).max() < 1e-8
 
     def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="support_projector requires a PSD operator"):
             support_projector(np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="support_projector requires a PSD operator"):
+            kernel_projector(np.diag([1.0, -1.0]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            support_projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTraceDistance:
