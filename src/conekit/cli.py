@@ -255,7 +255,7 @@ def cmd_engineer_sdp(args) -> int:
         "x": chan.choi_to_json(res.x),
         **chan.spectrum_to_json(res.spectrum),
         "fixed_point_residuals": res.residuals,
-        "cp": res.cptp.cp, "tp": res.cptp.tp,
+        "cp": res.c.cptp.cp, "tp": res.c.cptp.tp,
         "objective_trace": res.solution.objective_value,
         "solver_status": res.solution.status,
         "solver_iterations": res.solution.iterations,
@@ -449,7 +449,7 @@ def run_bell_demo(coeffs: list[float], s_weights: list[float], r_weights: list[f
     """Build the two Bell-mixture states, test whether they can be
     unambiguously discriminated, and engineer a channel fixing both:
     directly from the projectors when the test passes, otherwise through
-    the minimum-trace SDP completion."""
+    the SDP construction (``engineer.build_via_sdp``)."""
     s = _check_weights(s_weights, "state-0 weights")
     r = _check_weights(r_weights, "state-1 weights")
     sigma0, sigma1 = build_bell_demo_states(coeffs, s, r)
@@ -483,7 +483,7 @@ def run_bell_demo(coeffs: list[float], s_weights: list[float], r_weights: list[f
     else:
         res = engineer.build_via_sdp(states, b=b)
         sdp = {"objective_trace": res.solution.objective_value, "status": res.solution.status,
-               **chan.spectrum_to_json(res.spectrum), "cp": res.cptp.cp, "tp": res.cptp.tp}
+               **chan.spectrum_to_json(res.spectrum), "cp": res.c.cptp.cp, "tp": res.c.cptp.tp}
         report.update(path="sdp", sdp=sdp, channel=chan.choi_to_json(res.c),
                       fixed_point_residuals=res.residuals)
     return report
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_engineer_separable)
-    p = gs.add_parser("sdp", help="minimum-trace SDP construction")
+    p = gs.add_parser("sdp", help="SDP construction: a core that fixes every state, completed by B")
     p.add_argument("--sigma", action="append", required=True)
     p.add_argument("--b")
     p.add_argument("--feas-tol", type=_tolerance, default=sdpmod.FEAS_TOL)

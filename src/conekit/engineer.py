@@ -19,7 +19,8 @@ tr sigma = tr X(sigma). The two cores are:
   projector (``from_states([sigma])``, which maps supp sigma onto sigma
   and the rest onto B);
 * the SDP core: a PSD X that fixes every state and preserves the trace on
-  supp rho, rho = sum_i sigma_i / k (``build_via_sdp``).
+  supp rho, rho = sum_i sigma_i / k, solved for on supp rho
+  (``build_via_sdp``).
 
 Reports give the decay of C as its spectrum (``channel.spectrum``):
 ``decay_modulus`` off the unit circle and ``peripheral_spectrum`` on it.
@@ -34,19 +35,23 @@ w = tr B = 1. No such rule holds for the SDP core: for a full-rank rho
 it has w = 1, yet one qubit state diag(0.7, 0.3) gives a decay modulus
 near 0.138 and two non-commuting qubit states give 0.
 
-The SDP core is CP by construction. It vanishes on inputs outside
-supp rho and preserves the trace on supp rho, so tr_H1[X] = Pi^T, with Pi
-the projector onto supp rho, tr X = rank rho on the whole feasible set,
+The SDP core is CP by construction. ``build_via_sdp`` compresses the
+states to supp rho once, sigma_i -> U^dag sigma_i U with U an isometry
+onto it (r = rank rho), solves for a PSD core Y on C^r (x) C^r that fixes
+them and preserves the trace, and lifts it once,
+X = (U (x) conj U) Y (U (x) conj U)^dag; ``SdpChannelResult.solution.x``
+is that r^2 x r^2 Y. So X vanishes on inputs outside supp rho,
+tr_H1[X] = Pi^T with Pi = U U^dag, tr X = r on the whole feasible set,
 and C = X + B (x) (I - Pi)^T is a sum of two PSD terms: B acts only off
 supp rho. The states decide which cores are admissible through their
 forced algebra (``forced_algebra``): every Kraus operator lies in its
 commutant, which is the face the SDP is solved on, and when that
-commutant is C I the one admissible core is the identity on supp rho,
-Choi(Y -> Pi Y Pi), returned without a solve. One pure state is such a
-case, with X = sigma (x) sigma^T. Otherwise every feasible X is optimal,
-and the solver returns one inside the feasible set: a generic admissible
-core, near but not at its analytic centre (for diag(0.7, 0.3), log det X
-is -3.0817 against the centre's -3.0798).
+commutant is C I the one admissible core is Y = |I_r>><<I_r|, which lifts
+to the identity on supp rho, Choi(Y -> Pi Y Pi), without a solve. One
+pure state is such a case, with X = sigma (x) sigma^T. Otherwise every
+feasible Y is optimal, and the solver returns one inside the feasible
+set: a generic admissible core, near but not at its analytic centre
+(for diag(0.7, 0.3), log det X is -3.0817 against the centre's -3.0798).
 
 The complete positivity of a separable channel depends on its inputs and
 is checked on the assembled Choi matrix rather than factor by factor
@@ -64,7 +69,7 @@ import numpy as np
 from . import channel as chan
 from . import linops
 from . import sdp as sdpmod
-from .channel import ChoiMatrix, CptpReport
+from .channel import ChoiMatrix
 from .linops import RANK_TOL, hermitize, kron, trace_distance
 
 
@@ -136,13 +141,10 @@ def _kernel_intersection(states: list[np.ndarray], skip: int) -> np.ndarray:
 def find_discrimination_projectors(sigmas) -> DiscriminationReport:
     """Search for PSD operators Pi_i with tr[Pi_i sigma_j] = 0 for j != i
     and tr[Pi_i sigma_i] > 0 (zero-error detection of each state)."""
-    states = [linops.check_density(s) for s in sigmas]
+    states = linops.check_states(sigmas)
     if len(states) < 2:
         raise ValueError("need at least two states to discriminate")
-    d = states[0].shape[0]
-    for s in states:
-        if s.shape != (d, d):
-            raise ValueError("states must share one dimension")
+    d = states.shape[1]
 
     projectors, overlaps, kernel_overlaps, kernel_ranks = [], [], [], []
     failing = None
@@ -194,16 +196,13 @@ class SeparableMultiSpec:
 
     @classmethod
     def from_parts(cls, sigmas, projectors, b=None) -> "SeparableMultiSpec":
-        states = tuple(linops.check_density(s) for s in sigmas)
-        if not states:
-            raise ValueError("need at least one state")
+        states = tuple(linops.check_states(sigmas))
         d = states[0].shape[0]
         projs = tuple(linops.check_hermitian(p) for p in projectors)
         if len(projs) != len(states):
             raise ValueError("one projector per state required")
         b = np.eye(d, dtype=complex) / d if b is None else linops.check_density(b)
-        shapes = {f"state {i}": s.shape for i, s in enumerate(states)}
-        shapes.update({f"projector {i}": p.shape for i, p in enumerate(projs)}, B=b.shape)
+        shapes = {f"projector {i}": p.shape for i, p in enumerate(projs)} | {"B": b.shape}
         for name, shape in shapes.items():
             if shape != (d, d):
                 raise ValueError(f"{name} is {shape[0]}x{shape[1]}, but state 0 is {d}x{d}")
@@ -232,7 +231,7 @@ class SeparableMultiSpec:
     @classmethod
     def from_states(cls, sigmas, b=None) -> "SeparableMultiSpec":
         """Derive projectors via the kernel-intersection search."""
-        states = [linops.check_density(s) for s in sigmas]
+        states = linops.check_states(sigmas)
         if len(states) == 1:
             return cls.from_parts(states, [linops.support_projector(states[0])], b=b)
         report = find_discrimination_projectors(states)
@@ -322,10 +321,16 @@ class SdpChannelResult:
     c: ChoiMatrix
     spectrum: chan.Spectrum
     residuals: list[float]
-    cptp: CptpReport
     solution: sdpmod.SdpSolution
 
 
+# Eigenvalues of rho at or below this count as zero: the support that
+# ``build_via_sdp`` compresses the states to. The compressed problem is
+# consistent whatever is cut, as the identity on the support is feasible;
+# a cut eigenvalue lambda leaves each state fixed only to about
+# sqrt(k lambda) in trace distance (lambda for one state), and too small a
+# value only leaves the support larger than needed.
+FACE_TOL = 1e-10
 # Two log-eigenvalue differences of rho closer than this are one modular
 # degree of ``forced_algebra``; merging two degrees only shrinks the
 # generated algebra, which enlarges the face and never excludes a channel.
@@ -340,21 +345,25 @@ class ForcedAlgebra:
     """What fixing the states forces on every channel core of ``build_via_sdp``.
 
     support is an isometry U onto supp rho, rho = sum_i sigma_i / k
-    (eigenvalues above ``sdp.FACE_TOL``); commutant holds an orthonormal
-    basis (Frobenius inner product) of the commutant of the forced algebra,
-    as r x r matrices in that basis, r = rank rho. The commutant is C I,
+    (eigenvalues above FACE_TOL), r = rank rho: ``build_via_sdp``
+    compresses the states to it, solves for the r^2 x r^2 core Y on face
+    (``SdpChannelResult.solution.x``) and lifts Y back through U once, so
+    the rest is given in these r coordinates. commutant holds an
+    orthonormal basis (Frobenius inner product) of the commutant of the
+    forced algebra, as r x r matrices. The commutant is C I,
     commutant_dim 1, exactly when the forced algebra is all of B(supp rho).
 
     face is an isometry onto the face of the PSD cone that holds every
-    core X, or None when that face is the whole space. Every Kraus
-    operator K of an admissible channel on supp rho lies in the commutant,
-    and X is the sum of |K>><<K| over them, so X lies on the PSD matrices
-    over span{vec(U K U^dag)}: it vanishes on inputs outside supp rho and
-    off that span. This is facial reduction (Borwein & Wolkowicz 1981)
-    with the face read off the algebra. The commutant is block diagonal
-    over the blocks of the algebra, and Kraus operators that replace the
-    state in each block by its own part of rho span it, so a feasible X
-    has full rank on the face: the restricted problem has an interior.
+    compressed core Y, its columns the vec K over that basis (r^2 x
+    commutant_dim), or None when that face is the whole space. Every
+    Kraus operator K of an admissible channel on supp rho lies in the
+    commutant, and Y is the sum of |K>><<K| over them, so Y lies on the PSD
+    matrices over span{vec K}. This is facial reduction (Borwein &
+    Wolkowicz 1981) with the face read off the algebra. The commutant is
+    block diagonal over the blocks of the algebra, and Kraus operators
+    that replace the state in each block by its own part of rho span it,
+    so a feasible Y has full rank on the face: the restricted problem has
+    an interior.
     """
 
     support: np.ndarray
@@ -384,8 +393,10 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
     pieces G, read off one SVD. For one state A = I, so the commutant is all of
     M_r, the matrix units: the stack's rounding would grow as 1 / lambda_min.
     """
-    states = np.array([linops.check_density(s) for s in sigmas])
-    lam, u = sdpmod.support(states.mean(axis=0))
+    states = linops.check_states(sigmas)
+    lam, u = np.linalg.eigh(states.mean(axis=0))
+    keep = lam > FACE_TOL
+    lam, u = lam[keep], u[:, keep]
     r = lam.size
     if len(states) == 1:
         commutant = np.eye(r * r, dtype=complex).reshape(-1, r, r)
@@ -405,21 +416,21 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
         # right vectors at a fraction of the cost of a tall SVD
         _, sv, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, r * r), mode="r"))
         commutant = vh[sv <= COMMUTANT_TOL].conj().reshape(-1, r, r)
-    c, d = len(commutant), u.shape[0]
-    face = None if c == d * d else (u @ commutant @ linops.dagger(u)).reshape(c, d * d).T
+    c = len(commutant)
+    face = None if c == r * r else commutant.reshape(c, r * r).T
     return ForcedAlgebra(support=u, commutant=commutant, face=face)
 
 
 IDENTITY_FORCED = "closed form: the fixed states force the identity on supp rho"
 
 
-def _identity_on_support(support: np.ndarray) -> sdpmod.SdpSolution:
-    """Choi(Y -> Pi Y Pi), Pi = support support^dag, as the SDP's solution:
-    the only feasible X when the forced algebra is all of B(supp rho)."""
-    w = (support @ linops.dagger(support)).reshape(-1)
-    r = support.shape[1]
+def _identity_core(r: int) -> sdpmod.SdpSolution:
+    """|I_r>><<I_r|, the Choi matrix of the identity on C^r, as the SDP's
+    solution: the only feasible core when the forced algebra is all of
+    B(supp rho)."""
+    w = np.eye(r, dtype=complex).reshape(-1)
     return sdpmod.SdpSolution(
-        x=np.outer(w, w.conj()), objective_value=float(r), primal_residual=0.0,
+        x=np.outer(w, w), objective_value=float(r), primal_residual=0.0,
         dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=0, rank=1,
         message=IDENTITY_FORCED,
     )
@@ -428,41 +439,43 @@ def _identity_on_support(support: np.ndarray) -> sdpmod.SdpSolution:
 def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
     """A CPTP channel fixing every given state: the SDP core X, completed by B.
 
-    X ranges over the Choi matrices (``sdp.assemble_fixed_point_constraints``)
-    that fix every sigma_i and preserve the trace on supp rho,
-    rho = sum_i sigma_i / k, restricted to the face spanned by the
-    commutant of the forced algebra (``forced_algebra``), where X also
-    vanishes on inputs outside supp rho. So tr_H1[X] = Pi^T, with Pi the
-    projector onto supp rho, and the completion is C = X + B (x) (I - Pi)^T:
-    CP whenever X is PSD, B entering only off supp rho. The objective tr X
-    equals rank rho on the whole feasible set, which has an interior on
-    the face, so the interior-point method returns a point inside it, a
-    generic admissible channel.
+    Compress, solve, lift. U = ``forced_algebra(sigmas).support`` is the
+    isometry onto supp rho, rho = sum_i sigma_i / k, r = rank rho.
+    Compress: the states U^dag sigma_i U have a mean of full rank r.
+    Solve: the core Y on C^r (x) C^r ranges over the Choi matrices that fix
+    them and preserve the trace (``sdp.assemble_fixed_point_constraints``),
+    on the face of the commutant of the forced algebra
+    (``ForcedAlgebra.face``); ``solution.x`` is this r^2 x r^2 core. Lift:
+    X = (U (x) conj U) Y (U (x) conj U)^dag vanishes on inputs outside
+    supp rho and has tr_H1[X] = Pi^T, with Pi = U U^dag the projector onto
+    supp rho. So the completion is C = X + B (x) (I - Pi)^T: CP whenever Y
+    is PSD, B entering only off supp rho. The objective tr Y equals r on
+    the whole feasible set, which has an interior on the face, so the
+    interior-point method returns a point inside it, a generic admissible
+    channel.
 
     When that commutant is C I, the face is one ray and the only feasible
-    X is Choi(Y -> Pi Y Pi). It is returned without assembly or solve, as
-    a solution of status optimal, 0 iterations, objective rank rho and the
-    message IDENTITY_FORCED. That choice is safe even when wrong, since
-    the identity on supp rho is always feasible.
+    core is |I_r>><<I_r|, which lifts to Choi(Y -> Pi Y Pi). It is
+    returned without assembly or solve, as a solution of status optimal,
+    0 iterations, objective r and the message IDENTITY_FORCED, and lifted
+    like any other core. That choice is safe even when wrong, since the
+    identity on supp rho is always feasible.
 
     Its decay is the spectrum of C (module docstring); decay_modulus > 1
     diverges.
     """
-    states = [linops.check_density(s) for s in sigmas]
-    if not states:
-        raise ValueError("need at least one state")
-    d = states[0].shape[0]
-    if any(s.shape != (d, d) for s in states):
-        raise ValueError("states must share one dimension")
+    states = linops.check_states(sigmas)
+    d = states.shape[1]
     b = np.eye(d, dtype=complex) / d if b is None else linops.check_density(b)
     if b.shape != (d, d):
         raise ValueError("decay state dimension mismatch")
 
     algebra = forced_algebra(states)
+    u = algebra.support
     if algebra.commutant_dim == 1:
-        sol = _identity_on_support(algebra.support)
+        sol = _identity_core(u.shape[1])
     else:
-        problem = sdpmod.assemble_fixed_point_constraints(states)
+        problem = sdpmod.assemble_fixed_point_constraints(linops.dagger(u) @ states @ u)
         sol = sdpmod.solve(problem, feas_tol=feas_tol, face=algebra.face)
     if sol.status != sdpmod.STATUS_OPTIMAL:
         # the identity channel fixes every state, so the constraints are
@@ -472,13 +485,13 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
             f"{sol.message or 'no convergence'}"
         )
 
-    x = hermitize(sol.x)
+    lift = np.kron(u, u.conj())
+    x = hermitize(lift @ sol.x @ linops.dagger(lift))
     c = _complete(x, b)
     return SdpChannelResult(
         x=ChoiMatrix(d, d, x),
         c=c,
         spectrum=chan.spectrum(c),
         residuals=[trace_distance(chan.apply(c, s), s) for s in states],
-        cptp=c.cptp,
         solution=sol,
     )

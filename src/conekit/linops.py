@@ -78,16 +78,24 @@ def check_density(rho, tol: float = 1e-7) -> np.ndarray:
     return m
 
 
+def check_states(sigmas) -> np.ndarray:
+    """Validate a non-empty set of density matrices of one dimension
+    (``check_density`` each) and return them as one (k, d, d) stack."""
+    states = [check_density(s) for s in sigmas]
+    if not states:
+        raise ValueError("need at least one state")
+    d = states[0].shape[0]
+    for i, s in enumerate(states):
+        if s.shape != (d, d):
+            raise ValueError(f"states must share one dimension: state {i} is "
+                             f"{s.shape[0]}x{s.shape[1]}, but state 0 is {d}x{d}")
+    return np.array(states)
+
+
 def ket_projector(v) -> np.ndarray:
     """|v><v| for a (not necessarily normalized) column vector."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     return np.outer(v, np.conj(v))
-
-
-def basis_state(i: int, dim: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[i] = 1.0
-    return e
 
 
 def kron(a, b) -> np.ndarray:

@@ -123,61 +123,34 @@ class SdpSolution:
     message: str = ""
 
 
-# Eigenvalues at or below this count as zero in a state's support
-# (``support``): the support of the trace-preservation rows here and of the
-# forced algebra and its face in :mod:`conekit.engineer`, which must agree.
-# Treating a small true eigenvalue as zero moves the constraints by about
-# its size, which must stay below the test for linearly inconsistent
-# constraints in ``solve`` (1e-9); too small a value only leaves the
-# support and the face larger than needed.
-FACE_TOL = 1e-10
-
-
-def support(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a PSD operator above FACE_TOL and their eigenvectors as columns."""
-    w, v = np.linalg.eigh(tau)
-    keep = w > FACE_TOL
-    return w[keep], v[:, keep]
-
-
 def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     """The SDP over Choi matrices X (output (x) input) of maps that fix every
-    given state and preserve the trace on supp rho, rho = sum_i sigma_i / k:
+    given state and preserve the trace, E over ``hermitian_basis(d)``:
 
-    * tr[(E (x) sigma_i^T) X] = tr[E sigma_i] over a Hermitian basis E of
-      the output space (the first k d^2 rows, state by state);
-    * tr[(I (x) F) X] = tr F over a Hermitian basis F of the operators on
-      supp conj(rho) (the last r^2 rows, r = rank rho): the input leg of X
-      carries a transpose, so these read Pi^T tr_H1[X] Pi^T = Pi^T, with Pi
-      the projector onto supp rho.
+    * tr[(E (x) sigma_i^T) X] = tr[E sigma_i] (the first k d^2 rows, state
+      by state);
+    * tr[(I (x) E) X] = tr E (the last d^2 rows), that is tr_H1[X] = I.
 
-    The objective is F0 = I. Once X also vanishes on inputs outside supp
-    rho (``engineer.ForcedAlgebra.face``), tr_H1[X] = Pi^T, so tr X = r on
-    the whole feasible set, and every feasible X is optimal.
+    The objective is F0 = I, and tr X = tr tr_H1[X] = d on the whole
+    feasible set, so every feasible X is optimal. ``engineer.build_via_sdp``
+    compresses its states first, so that their mean has full rank, solves
+    this problem on them, and lifts the core it returns
+    (``SdpChannelResult.solution.x``) back once.
     """
-    states = [linops.check_density(s) for s in sigmas]
-    if not states:
-        raise ValueError("need at least one state")
-    d = states[0].shape[0]
-    if any(s.shape != (d, d) for s in states):
-        raise ValueError("states must share one dimension")
+    sig = linops.check_states(sigmas)
+    d = sig.shape[1]
     basis = hermitian_basis(d)
-    sig = np.array(states)
     # every E (x) sigma^T in one broadcast product, axes (state, E, i, a, j, b)
     fixing = basis[None, :, :, None, :, None] * sig.swapaxes(1, 2)[:, None, None, :, None, :]
-    _, u = support(sig.mean(axis=0))
-    r = u.shape[1]
-    tp_basis = hermitian_basis(r)
-    f = u.conj() @ tp_basis @ u.T
-    # every I (x) F, axes (F, i, a, j, b)
-    preserving = np.eye(d)[None, :, None, :, None] * f[:, None, :, None, :]
+    # every I (x) E, axes (E, i, a, j, b)
+    preserving = np.eye(d)[None, :, None, :, None] * basis[:, None, :, None, :]
     n = d * d
     return SdpProblem(
         n=n, objective=np.eye(n, dtype=complex),
         constraint_ops=np.concatenate([fixing.reshape(-1, n, n), preserving.reshape(-1, n, n)]),
         constraint_vals=np.concatenate([
             np.trace(basis @ sig[:, None], axis1=2, axis2=3).real.ravel(),
-            np.trace(tp_basis, axis1=1, axis2=2).real]),
+            np.trace(basis, axis1=1, axis2=2).real]),
     )
 
 
@@ -433,7 +406,7 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
 
     ``max_iter`` caps the interior-point iterations. An optimal solution has
     |tr[A_k X] - b_k| <= feas_tol max(1, |b_k|, |A_k|_F |X|_F) for every k.
-    ``face`` optionally restricts the variable to a known support: an
+    ``face`` optionally restricts the variable to a known subspace: an
     isometry V (n x n', n' >= 1, orthonormal columns) with X = V X' V^dag.
     Callers use it when the constraints provably force X onto a face of
     the PSD cone (no strictly feasible point exists there, which starves

@@ -28,7 +28,9 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def basis_proj(i: int, dim: int) -> np.ndarray:
-    return linops.ket_projector(linops.basis_state(i, dim))
+    p = np.zeros((dim, dim), dtype=complex)
+    p[i, i] = 1.0
+    return p
 
 
 def sample_valid_single_pair(rng: np.random.Generator, dim: int):

@@ -462,7 +462,7 @@ class TestBuildViaSdp:
         assert abs(np.trace(res.x.matrix).real - 2.0) < 1e-6
         resid_op = np.eye(2) - linops.partial_trace(res.x.matrix, (2, 2), over=1)
         assert np.abs(resid_op).max() < 1e-6
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
         assert max(res.residuals) < 1e-8
         # tr_H1[X] = I, so B never acts: C is the dephasing channel, with
         # eigenvalues 1, 1, 0, 0
@@ -516,7 +516,7 @@ class TestBuildViaSdp:
     def test_mixed_states_fixed(self, rng):
         states = [random_density(rng, 2)]
         res = build_via_sdp(states)
-        assert res.cptp.tp
+        assert res.c.cptp.tp
         assert max(res.residuals) < 1e-7
 
     def test_tp_by_construction(self, rng):
@@ -560,7 +560,7 @@ class TestSdpOracles:
         rank = int(np.sum(np.linalg.eigvalsh(sigma) > 1e-10))
         res = build_via_sdp([sigma])
         assert abs(res.solution.objective_value - rank) <= 1e-7
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
         assert res.residuals[0] <= 1e-7
         if rank == 1:
             assert res.solution.iterations == 0
@@ -589,20 +589,24 @@ class TestFixedPointFace:
         ))
 
     def test_isometry_has_two_orthonormal_columns(self):
+        # in the r^2 = 9 coordinates of supp rho, rank rho = 3
         v = engineer.forced_algebra(self.bell_states()).face
-        assert v.shape == (16, 2)
+        assert v.shape == (9, 2)
         assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-12
 
     def test_identity_channel_lies_in_face(self):
-        # every feasible X lies in the face, and the identity on supp rho
-        # fixes every state; the identity on all inputs does not, as its
-        # core would act on the input outside supp rho
+        # every feasible core lies in the face, and the identity on supp rho,
+        # |I_r>><<I_r| in its coordinates, fixes every state; lifted, the
+        # face does not hold the identity on all inputs, as its core would
+        # act on the input outside supp rho
         algebra = engineer.forced_algebra(self.bell_states())
         v, u = algebra.face, algebra.support
-        w = (u @ u.conj().T).reshape(-1)
         proj = v @ v.conj().T
-        x = np.outer(w, w.conj())
-        assert np.abs(proj @ x @ proj - x).max() < 1e-12
+        w = np.eye(3).reshape(-1)
+        y = np.outer(w, w)
+        assert np.abs(proj @ y @ proj - y).max() < 1e-12
+        lifted = np.kron(u, u.conj()) @ v
+        proj = lifted @ lifted.conj().T
         x = chan.identity_channel(4).matrix
         assert np.abs(proj @ x @ proj - x).max() > 0.1
 
@@ -694,7 +698,7 @@ class TestForcedAlgebra:
         assert algebra.support.shape[1] == d and algebra.commutant_dim == d * d
         res = build_via_sdp([sigma])
         assert res.solution.status == "optimal"
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
         assert res.residuals[0] <= 1e-7
 
     @pytest.mark.parametrize("states, dim", [
@@ -730,7 +734,7 @@ class TestForcedAlgebra:
         pi = np.diag([1.0, 1.0, 0.0])
         expected = np.outer(pi.ravel(), pi.ravel()) + kron(b, np.eye(3) - pi)
         assert np.abs(res.c.matrix - expected).max() <= 1e-12
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
 
     @pytest.mark.parametrize("seed", range(8))
     def test_full_rank_qubit_pairs_give_the_identity(self, seed):
@@ -749,7 +753,7 @@ class TestForcedAlgebra:
         assert states[0].shape == (d, d) and [rank(s) for s in states] == ranks
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
         assert max(res.residuals) <= 1e-7
 
     def test_three_states_of_ranks_two_two_three_give_a_cptp_channel(self):
@@ -760,7 +764,7 @@ class TestForcedAlgebra:
         assert [rank(s) for s in states] == [2, 2, 3]
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
         assert max(res.residuals) <= 1e-7
 
 
@@ -784,8 +788,68 @@ class TestBuildViaSdpProperties:
     def test_cptp_fixing_and_closed_form_exactly_when_forced(self, states):
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
-        assert res.cptp.cp and res.cptp.tp
+        assert res.c.cptp.cp and res.c.cptp.tp
         assert max(res.residuals) <= 1e-7
         forced = engineer.forced_algebra(states).commutant_dim == 1
         assert (res.solution.message == engineer.IDENTITY_FORCED) == forced
         assert (res.solution.iterations == 0) == forced
+
+
+@st.composite
+def shared_support_sets(draw):
+    """One to three states of random ranks on one Haar-random r-dimensional
+    subspace of C^d, d in 2..5 and r < d."""
+    d = draw(st.integers(2, 5))
+    r = draw(st.integers(1, d - 1))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    cols = haar_unitary(d, rng)[:, :r]
+    states = [cols @ random_psd(rng, r, int(rng.integers(1, r + 1))) @ cols.conj().T
+              for _ in range(k)]
+    return [s / np.trace(s).real for s in states]
+
+
+# an eigenvalue of 1e-11, below FACE_TOL: cut from the support
+_U = haar_unitary(3, np.random.default_rng(5))
+BELOW_FACE_TOL = (_U * [0.6, 0.4 - 1e-11, 1e-11]) @ _U.conj().T
+
+
+class TestCompressedSolve:
+    """build_via_sdp compresses the states to supp rho, solves there and
+    lifts the core once."""
+
+    def test_solver_sees_only_the_support(self, monkeypatch):
+        # rank rho = 2 in C^3: every operator the solver receives is
+        # r^2 x r^2 = 4 x 4, 2 states x 4 fixing rows and 4 trace rows
+        seen = []
+        solve = engineer.sdpmod.solve
+
+        def spy(problem, **kwargs):
+            seen.append((problem.constraint_ops.shape, kwargs["face"].shape))
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(engineer.sdpmod, "solve", spy)
+        res = build_via_sdp(COMMUTING_ON_A_PLANE)
+        assert seen == [((12, 4, 4), (4, 2))]
+        assert res.solution.x.shape == (4, 4)
+        assert res.x.matrix.shape == (9, 9)
+
+    @given(states=shared_support_sets())
+    @example(states=[basis_proj(0, 3)])
+    @example(states=[np.diag([0.7, 0.3, 0.0, 0.0]), np.diag([0.2, 0.8, 0.0, 0.0])])
+    @example(states=BELL_DEFAULT)                       # r = 3
+    @example(states=[BELOW_FACE_TOL])
+    @settings(max_examples=40)
+    def test_cptp_fixing_and_zero_off_the_support(self, states):
+        w, v = np.linalg.eigh(np.mean(states, axis=0))
+        cols = v[:, w > engineer.FACE_TOL]
+        r, d = cols.shape[1], len(w)
+        assert r < d
+        res = build_via_sdp(states)
+        assert res.c.cptp.cp and res.c.cptp.tp
+        assert max(res.residuals) <= 1e-9
+        assert res.solution.x.shape == (r * r, r * r)
+        pi = cols @ cols.conj().T
+        lift = kron(pi, pi.conj())
+        x = res.x.matrix
+        assert np.abs(lift @ x @ lift - x).max() <= 1e-12

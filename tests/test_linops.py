@@ -44,6 +44,24 @@ def partial_trace_oracle_over2(m, d1, d2):
     return out
 
 
+class TestCheckStates:
+    def test_returns_one_stack(self, rng):
+        states = [random_density(rng, 3) for _ in range(2)]
+        stack = linops.check_states(iter(states))
+        assert stack.shape == (2, 3, 3)
+        assert stack.tobytes() == np.array(states).tobytes()
+
+    @pytest.mark.parametrize("sigmas, message", [
+        ([], "need at least one state"),
+        ([np.eye(2) / 2, np.eye(3) / 3],
+         "states must share one dimension: state 1 is 3x3, but state 0 is 2x2"),
+        ([np.eye(2) / 2, np.eye(2)], "state trace is 2"),
+    ], ids=["empty", "dimensions", "not-a-state"])
+    def test_rejects(self, sigmas, message):
+        with pytest.raises(ValueError, match=message):
+            linops.check_states(sigmas)
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))

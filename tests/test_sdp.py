@@ -71,23 +71,24 @@ class TestAssemble:
         basis = sdp.hermitian_basis(d)
         assert basis.tobytes() == loop_hermitian_basis(d).tobytes()
         p = sdp.assemble_fixed_point_constraints(states)
-        # full-rank states: d^2 trace-preservation rows follow the 2 d^2 fixing rows
+        # d^2 trace-preservation rows follow the 2 d^2 fixing rows
         assert p.constraint_ops.shape == (3 * d * d, d * d, d * d)
         assert not p.constraint_ops.flags.writeable
-        _, u = sdp.support(np.array(states).mean(axis=0))
-        tp_basis = u.conj() @ basis @ u.T
         expected = np.array([np.kron(e, s.T) for s in states for e in basis]
-                            + [np.kron(np.eye(d), f) for f in tp_basis])
+                            + [np.kron(np.eye(d), e) for e in basis])
         assert p.constraint_ops.tobytes() == expected.tobytes()
         assert p.constraint_vals == tuple([float(np.trace(e @ s).real)
                                            for s in states for e in basis]
                                           + [float(np.trace(e).real) for e in basis])
 
     def test_single_state_constraint_count_and_witness(self):
-        sigma = basis_proj(0, 2)
+        # compressed to its support, a pure state is the 1 x 1 state [1]:
+        # one fixing row, one trace row, and sigma (x) sigma^T its witness
+        u = forced_algebra([basis_proj(0, 2)]).support
+        sigma = u.conj().T @ basis_proj(0, 2) @ u
         p = sdp.assemble_fixed_point_constraints([sigma])
-        assert len(p.constraint_ops) == 5  # 4 fixing rows, 1 trace row on supp sigma
-        x = kron(sigma, sigma)  # sigma real: sigma^T == sigma
+        assert len(p.constraint_ops) == 2
+        x = kron(sigma, sigma.T)
         for a, b in zip(p.constraint_ops, p.constraint_vals):
             assert abs(np.trace(a @ x).real - b) < 1e-12
 
@@ -572,23 +573,30 @@ class TestComplexHermitianHandling:
     """Solves on complex Hermitian data must reproduce known complex optima."""
 
     def test_pure_complex_state_fixed_point(self):
+        # every channel that fixes sigma has tr X = tr tr_H1[X] = 2: the
+        # optimum value, reached at a point that fixes the complex sigma
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
         sigma = linops.ket_projector(psi)
         p = sdp.assemble_fixed_point_constraints([sigma])
         sol = sdp.solve(p)
         assert sol.status == "optimal"
-        assert abs(sol.objective_value - 1.0) < 1e-6
-        expected = kron(sigma, sigma.T)
-        assert np.abs(sol.x - expected).max() < 1e-5
+        assert abs(sol.objective_value - 2.0) < 1e-6
+        assert np.abs(linops.partial_trace(sol.x, (2, 2), over=1) - np.eye(2)).max() < 1e-6
+        image = linops.partial_trace(sol.x @ kron(np.eye(2), sigma.T), (2, 2), over=2)
+        assert np.abs(image - sigma).max() < 1e-6
 
     def test_pure_complex_state_on_face_matches_full_solve(self):
-        # the face isometry is complex: exercises the conjugation by V and
-        # the embedding X = V X' V^dag
-        psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-        sigma = linops.ket_projector(psi)
-        p = sdp.assemble_fixed_point_constraints([sigma])
-        v = forced_algebra([sigma]).face
-        assert np.abs(v.imag).max() > 0.1
+        # two orthogonal pure states along a complex psi: rho = I/2 is
+        # diagonal, so its eigenbasis is the standard one, and the commutant
+        # span{P, I - P} is two-dimensional and not closed under complex
+        # conjugation. Exercises the conjugation by V and the embedding
+        # X = V X' V^dag with a genuinely complex V
+        psi = np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)])
+        pair = [linops.ket_projector(psi), np.eye(2) - linops.ket_projector(psi)]
+        v = forced_algebra(pair).face
+        assert v.shape == (4, 2)
+        assert np.linalg.matrix_rank(np.hstack([v, v.conj()]), tol=1e-8) == 3
+        p = sdp.assemble_fixed_point_constraints(pair)
         full = sdp.solve(p)
         on_face = sdp.solve(p, face=v)
         assert full.status == on_face.status == "optimal"
