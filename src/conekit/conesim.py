@@ -35,12 +35,16 @@ from one version to the next: a classified "sample"-mode round draws one
 uniform for its symbol, before the kick draws anything; an unclassified
 round and every "nearest"-mode round draw none; a Haar kick then draws
 2*d**2 standard normals, a fixed or depolarizing kick none. Whether a
-round draws depends on its state, so the draws of a run cannot be
-batched ahead of it without changing the trajectory.
+round draws depends on its state. "sample" mode still runs in blocks of
+rounds whose draws are taken ahead, in this order and as if every round
+were classified; when a round turns out unclassified, the generator is
+rewound and the draws of the rounds kept are taken again, so seeded
+trajectories are the same as one round at a time (see ``run``).
 
 Both modes resolve every settled state into its barycentric weights over
-the fixed points (one NNLS solve, which draws nothing from the
-generator) and keep them, with the decomposition residual, on the Round.
+the fixed points (least squares, or NNLS when a least-squares weight is
+negative; neither draws from the generator) and keep them, with the
+decomposition residual, on the Round.
 A trajectory is written as JSONL, one line per round carrying the
 process, not the states:
 
@@ -76,6 +80,8 @@ from .quasireal import QuasiRealization
 CLASSIFY_TOL = 1e-3
 SETTLE_TOL = 1e-10
 TIE_TOL = 1e-9  # nearest-mode ties: above the settle error, about 1e-10
+BLOCK = 256     # most sample-mode rounds evaluated together (see run)
+MIN_BLOCK = 8   # fewest: a shorter block costs more than its rounds one at a time
 CLASSIFY_MODES = ("nearest", "sample")
 
 
@@ -157,8 +163,8 @@ class SimulationConfig:
             raise ValueError("n_iter and n_rounds must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.classify_tol <= 0:
-            raise ValueError("classify_tol must be positive")
+        if not (math.isfinite(self.classify_tol) and self.classify_tol > 0):
+            raise ValueError(f"classify_tol must be positive and finite, got {self.classify_tol}")
         if self.classify_mode not in CLASSIFY_MODES:
             raise ValueError(f"classify_mode must be one of {CLASSIFY_MODES}")
 
@@ -183,24 +189,84 @@ class Trajectory:
 
 
 def _stack_re_im(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
+    """Each complex matrix of a contiguous stack as one real row, a view:
+    the real and imaginary part of each entry in turn, in row-major
+    order."""
+    n, d = m.shape[:2]
+    return m.reshape(n, d * d).view(np.float64)
 
 
-def _fixed_point_weights(settled: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nonnegative barycentric weights of a state over the fixed points,
-    via NNLS on the stacked real and imaginary parts; column j of
-    ``columns`` is fixed point j stacked the same way."""
-    coeffs, residual = nnls(columns, _stack_re_im(settled))
-    return coeffs, float(residual)
+def _herm(m: np.ndarray) -> np.ndarray:
+    """``hermitize`` of each matrix of a stack."""
+    h = m + m.conj().swapaxes(-1, -2)
+    h *= 0.5
+    return h
+
+
+@dataclass(frozen=True)
+class _Readout:
+    """The fixed points as the basis every settled state is resolved in.
+
+    Column j of ``columns`` is fixed point j stacked by ``_stack_re_im``;
+    ``pinv`` is its pseudo-inverse, and ``independent`` says whether the
+    columns are linearly independent, the case in which a least-squares
+    solution with no negative weight is also the NNLS solution.
+    """
+
+    states: np.ndarray     # (k, d, d): the canonical fixed points
+    settle_map: np.ndarray  # P1^T, contiguous: row vec(rho) @ P1^T is vec of its settled limit
+    columns: np.ndarray    # (2 d^2, k)
+    pinv: np.ndarray       # (k, 2 d^2)
+    independent: bool
+
+    @classmethod
+    def of(cls, fp_set: chan.FixedPointSet) -> "_Readout":
+        states = np.array(fp_set.states, dtype=complex)
+        columns = _stack_re_im(states).T
+        return cls(states, np.ascontiguousarray(fp_set.projector.T), columns, np.linalg.pinv(columns),
+                   bool(np.linalg.matrix_rank(columns) == len(states)))
+
+    def settle(self, rho: np.ndarray) -> np.ndarray:
+        """P1 rho, the settled limit, of each state of a stack."""
+        n, d = rho.shape[:2]
+        return _herm((rho.reshape(n, d * d) @ self.settle_map).reshape(n, d, d))
+
+
+def _fixed_point_weights(settled: np.ndarray, readout: _Readout) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative barycentric weights of each state of a stack over the
+    fixed points, one row per state, and the 2-norm residual of each
+    decomposition.
+
+    A row is its least-squares solution when the fixed points are linearly
+    independent and no weight is negative, since that solution then also
+    solves the NNLS problem; every other row is solved by NNLS.
+    """
+    b = _stack_re_im(settled)
+    weights = b @ readout.pinv.T
+    r = weights @ readout.columns.T - b
+    residuals = np.sqrt((r * r).sum(axis=1))
+    negative = weights < 0
+    if readout.independent and not negative.any():
+        return weights, residuals
+    for i in np.flatnonzero(negative.any(axis=1) | (not readout.independent)):
+        weights[i], residuals[i] = nnls(readout.columns, b[i])
+    return weights, residuals
+
+
+def _inverse_cdf(p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """For each row of probabilities p, the index ``rng.choice(len(p), p=p)``
+    returns when the uniform it draws is that row's entry of ``uniforms``:
+    the inverse-CDF step that choice itself runs, without its validation
+    of p."""
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= uniforms[..., None]).sum(axis=-1)
 
 
 def _draw_symbol(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
-    """``rng.choice(len(weights), p=weights / total)``, by the inverse-CDF
-    step that choice itself runs, without its validation of p: one
-    uniform drawn, the same index returned."""
-    cdf = (weights / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    """``rng.choice(len(weights), p=weights / total)``: one uniform drawn,
+    the same index returned."""
+    return int(_inverse_cdf(weights / total, np.float64(rng.random())))
 
 
 def _settle_steps(spec: chan.Spectrum, n_iter: int) -> int:
@@ -222,6 +288,148 @@ def _settle_steps(spec: chan.Spectrum, n_iter: int) -> int:
     return steps
 
 
+def _classify(config: SimulationConfig, readout: _Readout, state: np.ndarray,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float, int | None]:
+    """Settle a state and classify it: the settled state, its weights and
+    residual, and the symbol (None when unclassified)."""
+    settled = readout.settle(state[None])
+    weights, resid = _fixed_point_weights(settled, readout)
+    settled, weights, resid = settled[0], weights[0], float(resid[0])
+    if config.classify_mode == "sample":
+        total = weights.sum()
+        if resid <= config.classify_tol and total > 0:
+            return settled, weights, resid, _draw_symbol(weights, total, rng)
+        return settled, weights, resid, None
+    dists = np.array([trace_distance(settled, fp) for fp in readout.states])
+    best = int(np.flatnonzero(dists <= dists.min() + TIE_TOL)[0])
+    return settled, weights, resid, (best if dists[best] <= config.classify_tol else None)
+
+
+@dataclass(frozen=True)
+class _WeightTable:
+    """The least-squares weights of the state a classified sample-mode round
+    leaves, for each symbol it may draw, without forming those states.
+
+    A round that draws symbol j leaves U T_j U^dag: T_j is fixed point j
+    (kicked once, for a fixed or depolarizing kick) and U the round's
+    Haar unitary (the identity for the other kicks). The weights are
+    real-linear in that state, w_l(X) = tr(H_l X) with H_l Hermitian: the
+    pseudo-inverse composed with the settle map. So with T_j = sum_a
+    lam_a v_a v_a^dag and y_a = U v_a, w_l(U T_j U^dag) = sum_a lam_a
+    y_a^dag H_l y_a, two matrix products per block of rounds.
+    """
+
+    targets: np.ndarray     # (k, d, d): T_j
+    haar: bool
+    h: np.ndarray           # (k d, d): H_0, ..., H_{k-1} stacked
+    vecs: np.ndarray        # (d, m): the eigenvectors v_a of T_0, T_1, ...
+    lam_groups: np.ndarray  # (m, k): lam_a in the column of the T_j it belongs to
+
+    @classmethod
+    def of(cls, config: SimulationConfig, readout: _Readout,
+           rng: np.random.Generator) -> "_WeightTable":
+        fps = readout.states
+        k, d = fps.shape[:2]
+        haar = isinstance(config.kick, HaarUnitaryKick)
+        # a fixed or depolarizing kick draws nothing from rng
+        targets = fps if haar else np.array([hermitize(config.kick.apply(fp, rng)) for fp in fps])
+        g = (readout.pinv[:, 0::2] - 1j * readout.pinv[:, 1::2]).reshape(k, d, d)
+        c = (_herm(g).reshape(k, d * d) @ readout.settle_map.T).reshape(k, d, d)
+        lams, vecs = np.linalg.eigh(targets)
+        # the table only predicts, so eigenvalues below 1e-15 may go
+        j, a = np.nonzero(np.abs(lams) > 1e-15)
+        lam_groups = np.zeros((len(j), k))
+        lam_groups[np.arange(len(j)), j] = lams[j, a]
+        return cls(targets, haar, ((c.swapaxes(1, 2) + c.conj()) / 2.0).reshape(k * d, d),
+                   vecs[j, :, a].T, lam_groups)
+
+    def weights(self, unitaries: np.ndarray | None) -> np.ndarray:
+        """(n, k, k): entry [b, j, l] is the weight l of the state settled
+        from U_b T_j U_b^dag, for each U_b of a stack of n (n = 1 and U = I
+        when ``unitaries`` is None)."""
+        y = self.vecs[None] if unitaries is None else unitaries @ self.vecs
+        n, d, m = y.shape
+        k = len(self.targets)
+        y = y.transpose(1, 0, 2).reshape(d, n * m)
+        q = (y.conj() * (self.h @ y).reshape(k, d, n * m)).sum(axis=1).real
+        return (q.reshape(k * n, m) @ self.lam_groups).reshape(k, n, k).transpose(1, 2, 0)
+
+
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """``haar_unitary`` of each round's 2 d^2 normals, by one stacked QR."""
+    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0))
+    diag = r.diagonal(axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _sample_block(config: SimulationConfig, readout: _Readout, table: _WeightTable, first: tuple,
+                  steps: int, rng: np.random.Generator, length: int) -> list[Round]:
+    """The rounds of a sample-mode run from a classified one, up to
+    ``length`` of them, the same as run one at a time.
+
+    ``first`` is what ``_classify`` gave for the first round: its settled
+    state, weights, residual and symbol. The draws of every round are
+    taken ahead, in the draw contract's order and as if every round were
+    classified. The weight table predicts the symbol path; then only that
+    path's states are formed and resolved by ``_fixed_point_weights``,
+    and each symbol is drawn again from the weights so found. The rounds
+    kept are those before the first that is unclassified or whose symbol
+    differs from the prediction. When that cuts the block short, the
+    generator is rewound and the kept rounds' draws are taken again, so
+    it stands where one round at a time would leave it.
+    """
+    settled, weights, resid, symbol = first
+    d = settled.shape[0]
+    snapshot = rng.bit_generator.state
+    uniforms = np.empty(length)  # the first round drew its uniform already
+    normals = np.empty((length, 2, d, d)) if table.haar else None
+    for b in range(length):
+        if b:
+            uniforms[b] = rng.random()
+        if table.haar:
+            rng.standard_normal(out=normals[b])
+    unitaries = _haar_unitaries(normals) if table.haar else None
+
+    # the predicted path: next_symbol[b][j] is round b + 1's symbol when
+    # round b draws j, or -1 when its predicted weights are all <= 0
+    predicted = np.maximum(table.weights(unitaries[:-1] if table.haar else None), 0.0)
+    totals = predicted.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        drawn = _inverse_cdf(predicted / totals, uniforms[1:, None])
+    next_symbol = np.where(totals[..., 0] > 0, drawn, -1).tolist()
+    path = [symbol]
+    for row in next_symbol:
+        if row[path[-1]] < 0:
+            break
+        path.append(row[path[-1]])
+
+    # the path's states and weights, and its symbols drawn from those
+    n = len(path)
+    symbols = np.array(path)
+    post = table.targets[symbols]
+    if table.haar:
+        post = _herm(unitaries[:n] @ post @ unitaries[:n].conj().swapaxes(1, 2))
+    settled = np.concatenate([settled[None], readout.settle(post[:-1])])
+    more_weights, more_resid = _fixed_point_weights(settled[1:], readout)
+    totals = more_weights.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        redrawn = _inverse_cdf(more_weights / totals, uniforms[1:n])
+    ok = (more_resid <= config.classify_tol) & (totals[:, 0] > 0) & (redrawn == symbols[1:])
+    kept = n if ok.all() else 1 + int(np.argmin(ok))
+    if kept < length:
+        rng.bit_generator.state = snapshot
+        for b in range(kept):
+            if b:
+                rng.random()
+            if table.haar:
+                rng.standard_normal((2, d, d))
+    weights = np.concatenate([weights[None], more_weights])
+    resid = [resid, *more_resid.tolist()]
+    return [Round(settled_state=settled[b], symbol=path[b], settle_steps=steps,
+                  post_kick_state=post[b], weights=weights[b], residual=resid[b])
+            for b in range(kept)]
+
+
 def run(config: SimulationConfig, rho0) -> Trajectory:
     """Settle / classify / kick for n_rounds, deterministically under the seed.
 
@@ -240,35 +448,52 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     points (None when the decomposition residual exceeds classify_tol),
     the state collapses onto the drawn fixed point, and the kick acts on
     that. Unclassified rounds are recorded, never fatal.
+
+    A "nearest"-mode round, and an unclassified one, runs alone. From a
+    classified "sample"-mode round on, rounds run in blocks of up to BLOCK
+    (``_sample_block``): such a round leaves one of k states, given its
+    kick, so the next round's weights are tabulated ahead for all k and
+    the symbol path is read off the table. The block ends before the first
+    round the table cannot stand for, an unclassified one or one whose
+    symbol it predicted wrongly, and that round runs alone. The draws are
+    the contract's, in its order, so the trajectory is the one that
+    running every round alone gives.
+
+    A block runs for twice the current or the last run of classified
+    rounds, at most BLOCK: the draws a block takes ahead past the end of
+    its run are wasted. A block shorter than MIN_BLOCK costs more than its
+    rounds run alone, so when classified runs are that short, every round
+    runs alone.
     """
     state = linops.check_density(rho0, tol=1e-7)
     if state.shape != (config.channel.d_in,) * 2:
         raise ValueError("initial state dimension does not match the channel")
     fp_set = chan.fixed_points(config.channel)
     steps = _settle_steps(fp_set.spectrum, config.n_iter)
-    fps, p1 = fp_set.states, fp_set.projector
-    columns = np.column_stack([_stack_re_im(fp) for fp in fps])
+    readout = _Readout.of(fp_set)
     rng = np.random.default_rng(config.seed)
+    table = _WeightTable.of(config, readout, rng) if config.classify_mode == "sample" else None
     rounds: list[Round] = []
-    for _ in range(config.n_rounds):
-        settled = hermitize((p1 @ state.reshape(-1)).reshape(state.shape))
-        weights, resid = _fixed_point_weights(settled, columns)
-        if config.classify_mode == "sample":
-            total = weights.sum()
-            if resid <= config.classify_tol and total > 0:
-                symbol = _draw_symbol(weights, total, rng)
-            else:
-                symbol = None
+    streak, last_streak = 0, BLOCK  # runs of classified sample-mode rounds
+    while len(rounds) < config.n_rounds:
+        settled, weights, resid, symbol = _classify(config, readout, state, rng)
+        length = min(BLOCK, 2 * max(streak, last_streak), config.n_rounds - len(rounds))
+        if table is not None and symbol is not None and length >= MIN_BLOCK:
+            kept = _sample_block(config, readout, table, (settled, weights, resid, symbol), steps,
+                                 rng, length)
+            streak += len(kept)
+            rounds += kept
         else:
-            dists = np.array([trace_distance(settled, fp) for fp in fps])
-            best = int(np.flatnonzero(dists <= dists.min() + TIE_TOL)[0])
-            symbol = best if dists[best] <= config.classify_tol else None
-        kick_input = fps[symbol] if (config.classify_mode == "sample" and symbol is not None) else settled
-        post = hermitize(config.kick.apply(kick_input, rng))
-        rounds.append(Round(settled_state=settled, symbol=symbol, settle_steps=steps,
-                            post_kick_state=post, weights=weights, residual=resid))
-        state = post
-    return Trajectory(rounds=rounds, fixed_points=fps)
+            collapse = table is not None and symbol is not None
+            post = hermitize(config.kick.apply(readout.states[symbol] if collapse else settled, rng))
+            rounds.append(Round(settled_state=settled, symbol=symbol, settle_steps=steps,
+                                post_kick_state=post, weights=weights, residual=resid))
+            if symbol is not None:
+                streak += 1
+            elif streak:
+                streak, last_streak = 0, streak
+        state = rounds[-1].post_kick_state
+    return Trajectory(rounds=rounds, fixed_points=fp_set.states)
 
 
 # ----------------------------------------------------------------------

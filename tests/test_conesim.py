@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.stats import chi2
 
 from conekit import channel as chan
@@ -22,6 +23,7 @@ from conekit.conesim import (
 from conekit.linops import kron, trace_distance
 
 from conftest import basis_proj, mixed_sector_channel, random_density
+from test_conesim_golden import basis_channel
 
 
 def qutrit_channel() -> ChoiMatrix:
@@ -267,6 +269,13 @@ class TestRun:
             SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
                              n_iter=5, n_rounds=5, classify_mode="argmax")
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+    def test_classify_tol_must_be_positive_and_finite(self, tol):
+        # a nan tolerance would leave every round unclassified, silently
+        with pytest.raises(ValueError, match="classify_tol must be positive and finite"):
+            SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
+                             n_iter=5, n_rounds=5, classify_tol=tol)
+
 
 def design_bank() -> list[list[np.ndarray]]:
     """The 30 state sets of the benchmark's design workload, by its recipe:
@@ -495,3 +504,169 @@ class TestRoundWeightsProperties:
             assert (r.weights >= 0).all()
             assert abs(r.weights.sum() - 1.0) <= 1e-10
             assert np.linalg.norm(np.tensordot(r.weights, fps, axes=1) - r.settled_state) <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# Sample mode in blocks against the rounds run one at a time
+# ----------------------------------------------------------------------
+
+def _stack_re_im_one(m: np.ndarray) -> np.ndarray:
+    return np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
+
+
+def run_one_round_at_a_time(config: SimulationConfig, rho0) -> conesim.Trajectory:
+    """``conesim.run`` as it was before sample-mode rounds ran in blocks:
+    every round settled, resolved by NNLS, classified and kicked in turn.
+    The body is kept verbatim, with its weights and symbol-draw helpers
+    inlined as they were and its stacking helper copied."""
+    state = linops.check_density(rho0, tol=1e-7)
+    if state.shape != (config.channel.d_in,) * 2:
+        raise ValueError("initial state dimension does not match the channel")
+    fp_set = chan.fixed_points(config.channel)
+    steps = conesim._settle_steps(fp_set.spectrum, config.n_iter)
+    fps, p1 = fp_set.states, fp_set.projector
+    columns = np.column_stack([_stack_re_im_one(fp) for fp in fps])
+    rng = np.random.default_rng(config.seed)
+    rounds: list[conesim.Round] = []
+    for _ in range(config.n_rounds):
+        settled = linops.hermitize((p1 @ state.reshape(-1)).reshape(state.shape))
+        weights, resid = nnls(columns, _stack_re_im_one(settled))
+        resid = float(resid)
+        if config.classify_mode == "sample":
+            total = weights.sum()
+            if resid <= config.classify_tol and total > 0:
+                cdf = (weights / total).cumsum()
+                cdf /= cdf[-1]
+                symbol = int(cdf.searchsorted(rng.random(), side="right"))
+            else:
+                symbol = None
+        else:
+            dists = np.array([trace_distance(settled, fp) for fp in fps])
+            best = int(np.flatnonzero(dists <= dists.min() + conesim.TIE_TOL)[0])
+            symbol = best if dists[best] <= config.classify_tol else None
+        kick_input = fps[symbol] if (config.classify_mode == "sample" and symbol is not None) else settled
+        post = linops.hermitize(config.kick.apply(kick_input, rng))
+        rounds.append(conesim.Round(settled_state=settled, symbol=symbol, settle_steps=steps,
+                                    post_kick_state=post, weights=weights, residual=resid))
+        state = post
+    return conesim.Trajectory(rounds=rounds, fixed_points=fps)
+
+
+def assert_same_trajectory(traj: conesim.Trajectory, ref: conesim.Trajectory) -> None:
+    assert traj.symbols() == ref.symbols()
+    assert [r.settle_steps for r in traj.rounds] == [r.settle_steps for r in ref.rounds]
+    for r, q in zip(traj.rounds, ref.rounds):
+        assert np.abs(r.weights - q.weights).max() <= 1e-12
+        assert abs(r.residual - q.residual) <= 1e-12
+        assert np.abs(r.settled_state - q.settled_state).max() <= 1e-12
+        assert np.abs(r.post_kick_state - q.post_kick_state).max() <= 1e-12
+
+
+def sample_config(d: int, kick: str, channel: str, classify_tol: float, n_rounds: int,
+                  seed: int) -> SimulationConfig:
+    rng = np.random.default_rng(seed)
+    if channel == "identity":
+        c = chan.identity_channel(d)
+    elif channel == "sectors":  # a rank-2 sector, then pure ones, then one decaying dimension
+        c = mixed_sector_channel(rng, [[0.7, 0.3]] + [[1.0]] * (d - 3), extra=1)[1] if d > 2 \
+            else mixed_sector_channel(rng, [[1.0], [1.0]])[1]
+    else:
+        c = basis_channel(d)
+    policy = {"haar": HaarUnitaryKick(), "depolarizing": DepolarizingKick(0.3),
+              "fixed": FixedKick(choi=chan.unitary_channel(haar_unitary(d, rng)))}[kick]
+    return SimulationConfig(channel=c, kick=policy, n_iter=2000, n_rounds=n_rounds,
+                            classify_tol=classify_tol, classify_mode="sample", seed=seed)
+
+
+class TestSampleBlocks:
+    """Sample-mode rounds run in blocks of up to BLOCK, with their draws
+    taken ahead and replayed after a block is cut; the trajectory must be
+    the one the rounds give run one at a time: the same symbols, and
+    weights, residuals and states to 1e-12."""
+
+    @given(d=st.integers(2, 5),
+           kick=st.sampled_from(["haar", "depolarizing", "fixed"]),
+           channel=st.sampled_from(["basis", "sectors", "identity"]),
+           classify_tol=st.sampled_from([conesim.CLASSIFY_TOL, 0.05, 0.3, 0.7]),
+           n_rounds=st.sampled_from([1, conesim.MIN_BLOCK - 1, conesim.MIN_BLOCK,
+                                     conesim.BLOCK + 1, 600]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    # qubit and qutrit identity channels: classified and unclassified rounds
+    # mix, so blocks are cut and their draws replayed (at 0.7 after runs of
+    # several classified rounds)
+    @example(d=2, kick="haar", channel="identity", classify_tol=0.05, n_rounds=600, seed=0)
+    @example(d=2, kick="haar", channel="identity", classify_tol=0.3, n_rounds=600, seed=0)
+    @example(d=3, kick="haar", channel="identity", classify_tol=0.05, n_rounds=600, seed=0)
+    @example(d=3, kick="haar", channel="identity", classify_tol=0.3, n_rounds=600, seed=0)
+    @example(d=2, kick="haar", channel="identity", classify_tol=0.7, n_rounds=600, seed=0)
+    @example(d=3, kick="haar", channel="identity", classify_tol=0.7, n_rounds=600, seed=0)
+    @example(d=2, kick="fixed", channel="identity", classify_tol=0.3, n_rounds=600, seed=2)
+    @example(d=3, kick="depolarizing", channel="identity", classify_tol=0.05, n_rounds=600, seed=0)
+    # every kick at d = 2..5, every round classified, more rounds than a block
+    @example(d=2, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=3, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=4, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=5, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=2, kick="depolarizing", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=3, kick="depolarizing", channel="sectors", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=4, kick="fixed", channel="sectors", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=5, kick="fixed", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=4, kick="haar", channel="sectors", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
+    @example(d=5, kick="depolarizing", channel="sectors", classify_tol=0.3, n_rounds=600, seed=1)
+    # a block of one round, blocks too short to run, one round past a block
+    @example(d=2, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=1, seed=3)
+    @example(d=2, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL,
+             n_rounds=conesim.MIN_BLOCK - 1, seed=3)
+    @example(d=2, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL,
+             n_rounds=conesim.MIN_BLOCK, seed=3)
+    @example(d=3, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL,
+             n_rounds=conesim.BLOCK + 1, seed=3)
+    def test_matches_rounds_run_one_at_a_time(self, d, kick, channel, classify_tol, n_rounds, seed):
+        cfg = sample_config(d, kick, channel, classify_tol, n_rounds, seed)
+        rho0 = random_density(np.random.default_rng(seed + 1), d)
+        assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
+
+    @pytest.mark.parametrize("kick", ["haar", "depolarizing"])
+    def test_the_resolved_weights_decide_not_the_table(self, monkeypatch, kick):
+        # a table that predicts the symbols wrongly, often, only cuts blocks
+        # short: each round's symbol is drawn again from its resolved weights
+        table_weights = conesim._WeightTable.weights
+        monkeypatch.setattr(conesim._WeightTable, "weights",
+                            lambda self, u: np.roll(table_weights(self, u), 1, axis=-1))
+        cfg = sample_config(3, kick, "basis", conesim.CLASSIFY_TOL, 600, seed=4)
+        rho0 = np.eye(3) / 3
+        assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
+
+    def test_negative_least_squares_weights_fall_back_to_nnls(self, monkeypatch):
+        # an identity kick leaves the collapsed fixed point in place, so the
+        # weights on the other fixed points are 0 and their least-squares
+        # values round to either side of it: the negative ones go to NNLS,
+        # called through the module's own ``nnls`` binding
+        calls = []
+
+        def counted_nnls(a, b):
+            calls.append(1)
+            return nnls(a, b)
+
+        cfg = SimulationConfig(channel=mixed_sector_channel(np.random.default_rng(5),
+                                                            [[0.6, 0.4], [1.0], [1.0]])[1],
+                               kick=FixedKick(choi=chan.identity_channel(4)), n_iter=2000,
+                               n_rounds=600, classify_mode="sample", seed=5)
+        rho0 = np.eye(4) / 4
+        monkeypatch.setattr(conesim, "nnls", counted_nnls)
+        traj = run(cfg, rho0)
+        assert len(calls) > 0
+        assert_same_trajectory(traj, run_one_round_at_a_time(cfg, rho0))
+
+    def test_dependent_fixed_points_use_nnls_for_every_row(self):
+        # least squares over dependent columns picks the minimum-norm
+        # solution, which need not be the NNLS one
+        fps = np.array([basis_proj(0, 2), basis_proj(1, 2), np.eye(2, dtype=complex) / 2])
+        columns = conesim._stack_re_im(fps).T
+        readout = conesim._Readout(fps, np.eye(4, dtype=complex), columns, np.linalg.pinv(columns),
+                                   independent=False)
+        settled = np.array([np.diag([0.7, 0.3]), np.eye(2) / 2], dtype=complex)
+        weights, residuals = conesim._fixed_point_weights(settled, readout)
+        for w, r, s in zip(weights, residuals, settled):
+            expected, expected_r = nnls(columns, conesim._stack_re_im(s[None])[0])
+            assert np.array_equal(w, expected) and r == expected_r
