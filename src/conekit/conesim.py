@@ -42,9 +42,8 @@ rewound and the draws of the rounds kept are taken again, so seeded
 trajectories are the same as one round at a time (see ``run``).
 
 Both modes resolve every settled state into its barycentric weights over
-the fixed points (least squares, or NNLS when a least-squares weight is
-negative; neither draws from the generator) and keep them, with the
-decomposition residual, on the Round.
+the fixed points (NNLS, which draws nothing from the generator) and keep
+them, with the decomposition residual, on the Round.
 A trajectory is written as JSONL, one line per round carrying the
 process, not the states:
 
@@ -196,60 +195,35 @@ def _stack_re_im(m: np.ndarray) -> np.ndarray:
     return m.reshape(n, d * d).view(np.float64)
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    """``hermitize`` of each matrix of a stack."""
-    h = m + m.conj().swapaxes(-1, -2)
-    h *= 0.5
-    return h
-
-
 @dataclass(frozen=True)
 class _Readout:
-    """The fixed points as the basis every settled state is resolved in.
-
-    Column j of ``columns`` is fixed point j stacked by ``_stack_re_im``;
-    ``pinv`` is its pseudo-inverse, and ``independent`` says whether the
-    columns are linearly independent, the case in which a least-squares
-    solution with no negative weight is also the NNLS solution.
-    """
+    """The fixed points as the basis every settled state is resolved in:
+    column j of ``columns`` is fixed point j stacked by ``_stack_re_im``."""
 
     states: np.ndarray     # (k, d, d): the canonical fixed points
     settle_map: np.ndarray  # P1^T, contiguous: row vec(rho) @ P1^T is vec of its settled limit
-    columns: np.ndarray    # (2 d^2, k)
-    pinv: np.ndarray       # (k, 2 d^2)
-    independent: bool
+    columns: np.ndarray    # (2 d^2, k), contiguous as ``nnls`` takes it
 
     @classmethod
     def of(cls, fp_set: chan.FixedPointSet) -> "_Readout":
         states = np.array(fp_set.states, dtype=complex)
-        columns = _stack_re_im(states).T
-        return cls(states, np.ascontiguousarray(fp_set.projector.T), columns, np.linalg.pinv(columns),
-                   bool(np.linalg.matrix_rank(columns) == len(states)))
+        return cls(states, np.ascontiguousarray(fp_set.projector.T),
+                   np.ascontiguousarray(_stack_re_im(states).T))
 
     def settle(self, rho: np.ndarray) -> np.ndarray:
         """P1 rho, the settled limit, of each state of a stack."""
         n, d = rho.shape[:2]
-        return _herm((rho.reshape(n, d * d) @ self.settle_map).reshape(n, d, d))
+        return hermitize((rho.reshape(n, d * d) @ self.settle_map).reshape(n, d, d))
 
 
 def _fixed_point_weights(settled: np.ndarray, readout: _Readout) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative barycentric weights of each state of a stack over the
     fixed points, one row per state, and the 2-norm residual of each
-    decomposition.
-
-    A row is its least-squares solution when the fixed points are linearly
-    independent and no weight is negative, since that solution then also
-    solves the NNLS problem; every other row is solved by NNLS.
-    """
+    decomposition: NNLS through the module-level ``nnls``, row by row."""
     b = _stack_re_im(settled)
-    weights = b @ readout.pinv.T
-    r = weights @ readout.columns.T - b
-    residuals = np.sqrt((r * r).sum(axis=1))
-    negative = weights < 0
-    if readout.independent and not negative.any():
-        return weights, residuals
-    for i in np.flatnonzero(negative.any(axis=1) | (not readout.independent)):
-        weights[i], residuals[i] = nnls(readout.columns, b[i])
+    weights, residuals = np.empty((len(b), readout.columns.shape[1])), np.empty(len(b))
+    for i, row in enumerate(b):
+        weights[i], residuals[i] = nnls(readout.columns, row)
     return weights, residuals
 
 
@@ -308,7 +282,9 @@ def _classify(config: SimulationConfig, readout: _Readout, state: np.ndarray,
 @dataclass(frozen=True)
 class _WeightTable:
     """The least-squares weights of the state a classified sample-mode round
-    leaves, for each symbol it may draw, without forming those states.
+    leaves, for each symbol it may draw, without forming those states:
+    a prediction of its NNLS weights, which are the same wherever the
+    least-squares ones are nonnegative and the fixed points independent.
 
     A round that draws symbol j leaves U T_j U^dag: T_j is fixed point j
     (kicked once, for a fixed or depolarizing kick) and U the round's
@@ -333,8 +309,9 @@ class _WeightTable:
         haar = isinstance(config.kick, HaarUnitaryKick)
         # a fixed or depolarizing kick draws nothing from rng
         targets = fps if haar else np.array([hermitize(config.kick.apply(fp, rng)) for fp in fps])
-        g = (readout.pinv[:, 0::2] - 1j * readout.pinv[:, 1::2]).reshape(k, d, d)
-        c = (_herm(g).reshape(k, d * d) @ readout.settle_map.T).reshape(k, d, d)
+        pinv = np.linalg.pinv(readout.columns)
+        g = (pinv[:, 0::2] - 1j * pinv[:, 1::2]).reshape(k, d, d)
+        c = (hermitize(g).reshape(k, d * d) @ readout.settle_map.T).reshape(k, d, d)
         lams, vecs = np.linalg.eigh(targets)
         # the table only predicts, so eigenvalues below 1e-15 may go
         j, a = np.nonzero(np.abs(lams) > 1e-15)
@@ -408,7 +385,7 @@ def _sample_block(config: SimulationConfig, readout: _Readout, table: _WeightTab
     symbols = np.array(path)
     post = table.targets[symbols]
     if table.haar:
-        post = _herm(unitaries[:n] @ post @ unitaries[:n].conj().swapaxes(1, 2))
+        post = hermitize(unitaries[:n] @ post @ linops.dagger(unitaries[:n]))
     settled = np.concatenate([settled[None], readout.settle(post[:-1])])
     more_weights, more_resid = _fixed_point_weights(settled[1:], readout)
     totals = more_weights.sum(axis=1, keepdims=True)
@@ -462,8 +439,10 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     A block runs for twice the current or the last run of classified
     rounds, at most BLOCK: the draws a block takes ahead past the end of
     its run are wasted. A block shorter than MIN_BLOCK costs more than its
-    rounds run alone, so when classified runs are that short, every round
-    runs alone.
+    rounds run alone and is not run. So a run starts with MIN_BLOCK / 2
+    rounds alone, and while every round is classified its blocks grow
+    from there (8, 24, 72, 216 rounds, then BLOCK); when classified runs
+    stay shorter than MIN_BLOCK / 2, every round runs alone.
     """
     state = linops.check_density(rho0, tol=1e-7)
     if state.shape != (config.channel.d_in,) * 2:
@@ -474,7 +453,7 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     rng = np.random.default_rng(config.seed)
     table = _WeightTable.of(config, readout, rng) if config.classify_mode == "sample" else None
     rounds: list[Round] = []
-    streak, last_streak = 0, BLOCK  # runs of classified sample-mode rounds
+    streak, last_streak = 0, 0  # runs of classified sample-mode rounds
     while len(rounds) < config.n_rounds:
         settled, weights, resid, symbol = _classify(config, readout, state, rng)
         length = min(BLOCK, 2 * max(streak, last_streak), config.n_rounds - len(rounds))

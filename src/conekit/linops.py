@@ -41,11 +41,13 @@ def as_matrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (A + A^dag)/2."""
+    """Project onto the Hermitian part, (A + A^dag)/2, of a matrix or of
+    each matrix of a stack."""
     a = np.asarray(a, dtype=complex)
     return (a + dagger(a)) / 2.0
 

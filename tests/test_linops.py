@@ -62,6 +62,16 @@ class TestCheckStates:
             linops.check_states(sigmas)
 
 
+class TestStacks:
+    def test_dagger_and_hermitize_act_on_each_matrix(self, rng):
+        stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+        for i in range(3):
+            for j in range(4):
+                m = stack[i, j]
+                assert np.array_equal(linops.dagger(stack)[i, j], m.conj().T)
+                assert np.array_equal(linops.hermitize(stack)[i, j], (m + m.conj().T) / 2.0)
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
