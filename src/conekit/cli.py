@@ -23,6 +23,8 @@ paths of ``demo bell`` give a channel's decay as ``channel.spectrum``:
 and ``peripheral_spectrum`` on it as [re, im]; separable ones add ``b_weight``.
 ``engineer sdp`` also gives ``solver_iterations``, 0 when the fixed states
 force the identity on their support and the channel is the closed form.
+It exits 4 (``numerical-limit``) when the cut of ``linops.support`` leaves
+a state unfixed, its residual above ``channel.FP_TOL``.
 
 Inputs are decoded by orjson (``_parse_json``). What orjson rejects, the
 stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``

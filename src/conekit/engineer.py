@@ -128,33 +128,19 @@ class DiscriminationReport:
     failing_index: int | None = None
 
 
-def _kernel_intersection(states: list[np.ndarray], skip: int) -> np.ndarray:
-    """Projector onto the intersection of ker(sigma_j) over j != skip.
-
-    For PSD operators the intersection of kernels equals the kernel of the
-    sum; the caller passes at least two states.
-    """
-    others = [s for j, s in enumerate(states) if j != skip]
-    return linops.kernel_projector(sum(others) / len(others))
-
-
 def find_discrimination_projectors(sigmas) -> DiscriminationReport:
     """Search for PSD operators Pi_i with tr[Pi_i sigma_j] = 0 for j != i
     and tr[Pi_i sigma_i] > 0 (zero-error detection of each state)."""
     states = linops.check_states(sigmas)
     if len(states) < 2:
         raise ValueError("need at least two states to discriminate")
-    d = states.shape[1]
 
     projectors, overlaps, kernel_overlaps, kernel_ranks = [], [], [], []
     failing = None
     for i, sigma in enumerate(states):
-        k = _kernel_intersection(states, i)
-        compressed = hermitize(k @ sigma @ k)
-        if linops.max_abs(compressed) > RANK_TOL:
-            pi = linops.support_projector(compressed, psd_tol=1e-7)
-        else:
-            pi = np.zeros((d, d), dtype=complex)
+        # the kernels of PSD operators intersect in the kernel of their mean
+        k = linops.kernel_projector(np.delete(states, i, axis=0).mean(axis=0))
+        pi = linops.support_projector(k @ sigma @ k)
         ov = float(np.trace(pi @ sigma).real)
         projectors.append(pi)
         overlaps.append(ov)
@@ -324,20 +310,10 @@ class SdpChannelResult:
     solution: sdpmod.SdpSolution
 
 
-# Eigenvalues of rho at or below this count as zero: the support that
-# ``build_via_sdp`` compresses the states to. The compressed problem is
-# consistent whatever is cut, as the identity on the support is feasible;
-# a cut eigenvalue lambda leaves each state fixed only to about
-# sqrt(k lambda) in trace distance (lambda for one state), and too small a
-# value only leaves the support larger than needed.
-FACE_TOL = 1e-10
 # Two log-eigenvalue differences of rho closer than this are one modular
 # degree of ``forced_algebra``; merging two degrees only shrinks the
 # generated algebra, which enlarges the face and never excludes a channel.
 MODULAR_GAP_TOL = 1e-8
-# A singular value of the stacked commutators at or below this counts as
-# zero. The generators have norm at most 1, so the test is absolute.
-COMMUTANT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -345,7 +321,7 @@ class ForcedAlgebra:
     """What fixing the states forces on every channel core of ``build_via_sdp``.
 
     support is an isometry U onto supp rho, rho = sum_i sigma_i / k
-    (eigenvalues above FACE_TOL), r = rank rho: ``build_via_sdp``
+    (``linops.support``), r = rank rho: ``build_via_sdp``
     compresses the states to it, solves for the r^2 x r^2 core Y on face
     (``SdpChannelResult.solution.x``) and lifts Y back through U once, so
     the rest is given in these r coordinates. commutant holds an
@@ -390,14 +366,15 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
     generated by the pieces of the A_i of one value of that difference
     (within MODULAR_GAP_TOL), and every Kraus operator lies in their
     commutant: the null space of the stacked I (x) G - G^T (x) I over the
-    pieces G, read off one SVD. For one state A = I, so the commutant is all of
-    M_r, the matrix units: the stack's rounding would grow as 1 / lambda_min.
+    pieces G, read off one SVD: singular values at most RANK_TOL, the rank
+    rule of ``linops``, as the generators have norm at most 1. For one state
+    A = I, so the commutant is all of M_r, the matrix units: the stack's
+    rounding would grow as 1 / lambda_min.
     """
     states = linops.check_states(sigmas)
-    lam, u = np.linalg.eigh(states.mean(axis=0))
-    keep = lam > FACE_TOL
-    lam, u = lam[keep], u[:, keep]
-    r = lam.size
+    lam, u = linops.support(states.mean(axis=0))
+    r = u.shape[1]
+    lam = lam[lam.size - r:]
     if len(states) == 1:
         commutant = np.eye(r * r, dtype=complex).reshape(-1, r, r)
     else:
@@ -415,7 +392,7 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
         # the SVD of the triangular factor: the stack's singular values and
         # right vectors at a fraction of the cost of a tall SVD
         _, sv, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, r * r), mode="r"))
-        commutant = vh[sv <= COMMUTANT_TOL].conj().reshape(-1, r, r)
+        commutant = vh[sv <= RANK_TOL].conj().reshape(-1, r, r)
     c = len(commutant)
     face = None if c == r * r else commutant.reshape(c, r * r).T
     return ForcedAlgebra(support=u, commutant=commutant, face=face)
@@ -461,6 +438,11 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     like any other core. That choice is safe even when wrong, since the
     identity on supp rho is always feasible.
 
+    An eigenvalue lambda of rho cut by ``linops.support`` leaves a state
+    fixed only to about sqrt(k lambda) in trace distance, so a residual above
+    ``channel.FP_TOL`` raises NumericalLimitError with the largest eigenvalue
+    cut: no channel is returned that leaves a given state unfixed.
+
     Its decay is the spectrum of C (module docstring); decay_modulus > 1
     diverges.
     """
@@ -488,10 +470,11 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     lift = np.kron(u, u.conj())
     x = hermitize(lift @ sol.x @ linops.dagger(lift))
     c = _complete(x, b)
-    return SdpChannelResult(
-        x=ChoiMatrix(d, d, x),
-        c=c,
-        spectrum=chan.spectrum(c),
-        residuals=[trace_distance(chan.apply(c, s), s) for s in states],
-        solution=sol,
-    )
+    residuals = [trace_distance(chan.apply(c, s), s) for s in states]
+    if max(residuals) > chan.FP_TOL:
+        lam, _ = linops.support(states.mean(axis=0))
+        raise sdpmod.NumericalLimitError(
+            f"the channel fixes the states only to {max(residuals):.3e} (> FP_TOL); the largest "
+            f"eigenvalue of rho cut from its support is {lam[:d - u.shape[1]].max(initial=0.0):.3e}")
+    return SdpChannelResult(x=ChoiMatrix(d, d, x), c=c, spectrum=chan.spectrum(c),
+                            residuals=residuals, solution=sol)

@@ -11,6 +11,11 @@ conventions are fixed in exactly one place:
 * Spectra split into groups by one rule, ``tolerance_groups``: sorted
   neighbours at most a tolerance apart are one group. What depends on a
   degenerate eigenspace is built from its projector, not from a basis.
+* Ranks of the given states follow one rule: an eigenvalue at or below
+  RANK_TOL is zero (``support``), as is a singular value of the commutators
+  of ``engineer.forced_algebra``. Each matrix cut is a state, a mean or
+  compression of states, or built from generators of norm at most 1, so the
+  absolute cut is relative to the data's scale (Golub & Van Loan, sec. 5.4).
 
 Matrices are plain complex ndarrays; the helpers here validate shape,
 Hermiticity and positivity where the operation requires it.
@@ -27,7 +32,7 @@ import numpy as np
 # Default tolerances, chosen for double precision at dimensions <= 64.
 HERM_TOL = 1e-9
 PSD_TOL = 1e-9
-RANK_TOL = 1e-7
+RANK_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -158,18 +163,26 @@ def tolerance_groups(values, tol: float) -> np.ndarray:
     return rest[rest - order[:-1] > tol].searchsorted(values, side="right")
 
 
-def support_projector(a, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue > RANK_TOL."""
-    w, v = np.linalg.eigh(hermitize(check_hermitian(a)))
-    if w.min(initial=0.0) < -psd_tol:
+def support(a) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of a Hermitian matrix (read from its lower triangle),
+    ascending, and an isometry onto its support: the eigenvectors of the
+    last ones, those above RANK_TOL."""
+    w, v = np.linalg.eigh(a)
+    return w, v[:, w > RANK_TOL]
+
+
+def support_projector(a) -> np.ndarray:
+    """U U^dag, the orthogonal projector onto the support U of a PSD matrix
+    (``support``)."""
+    w, u = support(hermitize(check_hermitian(a)))
+    if w.min(initial=0.0) < -PSD_TOL:
         raise ValueError(f"support_projector requires a PSD operator (min eigenvalue {w.min():.3e})")
-    cols = v[:, w > RANK_TOL]
-    return hermitize(cols @ dagger(cols))
+    return hermitize(u @ dagger(u))
 
 
-def kernel_projector(a, psd_tol: float = PSD_TOL) -> np.ndarray:
+def kernel_projector(a) -> np.ndarray:
     """I minus the support projector: projector onto the (numerical) kernel."""
-    p = support_projector(a, psd_tol)
+    p = support_projector(a)
     return np.eye(p.shape[0], dtype=complex) - p  # Hermitian, as p is
 
 

@@ -809,9 +809,9 @@ def shared_support_sets(draw):
     return [s / np.trace(s).real for s in states]
 
 
-# an eigenvalue of 1e-11, below FACE_TOL: cut from the support
+# an eigenvalue of 1e-14, below linops.RANK_TOL: cut from the support
 _U = haar_unitary(3, np.random.default_rng(5))
-BELOW_FACE_TOL = (_U * [0.6, 0.4 - 1e-11, 1e-11]) @ _U.conj().T
+BELOW_RANK_TOL = (_U * [0.6, 0.4 - 1e-14, 1e-14]) @ _U.conj().T
 
 
 class TestCompressedSolve:
@@ -838,11 +838,10 @@ class TestCompressedSolve:
     @example(states=[basis_proj(0, 3)])
     @example(states=[np.diag([0.7, 0.3, 0.0, 0.0]), np.diag([0.2, 0.8, 0.0, 0.0])])
     @example(states=BELL_DEFAULT)                       # r = 3
-    @example(states=[BELOW_FACE_TOL])
+    @example(states=[BELOW_RANK_TOL])
     @settings(max_examples=40)
     def test_cptp_fixing_and_zero_off_the_support(self, states):
-        w, v = np.linalg.eigh(np.mean(states, axis=0))
-        cols = v[:, w > engineer.FACE_TOL]
+        w, cols = linops.support(np.mean(states, axis=0))
         r, d = cols.shape[1], len(w)
         assert r < d
         res = build_via_sdp(states)
@@ -853,3 +852,75 @@ class TestCompressedSolve:
         lift = kron(pi, pi.conj())
         x = res.x.matrix
         assert np.abs(lift @ x @ lift - x).max() <= 1e-12
+
+
+def pure_pair(eps: float) -> list[np.ndarray]:
+    """The pure states along (1, 0, eps) and (1, 0, -eps) of C^3: their mean
+    is diag(1, 0, eps^2) / (1 + eps^2) exactly, as the cross terms cancel."""
+    return [linops.ket_projector(np.array([1.0, 0.0, s * eps]) / np.hypot(1.0, eps)) for s in (1, -1)]
+
+
+def near_degenerate_pair(d: int, seed: int) -> list[np.ndarray]:
+    """sigma_1 = U diag(e) U^dag with U Haar and e = 1/d + 1e-10 N(0, 1),
+    normalized, and sigma_2 = 0.999 sigma_1 + 0.001 tau, tau = g g^dag / tr
+    for a complex Gaussian d x d matrix g drawn next, all from
+    default_rng(seed): a pair that commutes only up to about 1e-10."""
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(d, rng)
+    e = 1 / d + 1e-10 * rng.standard_normal(d)
+    sigma = (u * (e / e.sum())) @ u.conj().T
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    tau = g @ g.conj().T
+    return [sigma, 0.999 * sigma + 0.001 * tau / np.trace(tau).real]
+
+
+class TestRankRule:
+    """Every support and commutant is decided by ``linops.support``'s cut at
+    RANK_TOL, and ``build_via_sdp`` never returns a channel that leaves a
+    state unfixed."""
+
+    @given(eps=st.floats(1e-7, 1e-4))
+    @example(eps=7e-6)  # rho's eigenvalue 4.9e-11 is kept: the identity on a plane
+    @example(eps=1e-6)  # rho's eigenvalue 1e-12 is cut: the states stay 1e-6 unfixed
+    @settings(max_examples=20)
+    def test_pure_pair_is_fixed_exactly_or_refused(self, eps):
+        states = pure_pair(eps)
+        if eps ** 2 / (1 + eps ** 2) > linops.RANK_TOL:
+            assert engineer.forced_algebra(states).support.shape[1] == 2
+            res = build_via_sdp(states)
+            assert res.c.cptp.cp and res.c.cptp.tp
+            assert max(res.residuals) <= 1e-12
+        else:
+            with pytest.raises(engineer.sdpmod.NumericalLimitError, match="cut from its support"):
+                build_via_sdp(states)
+
+    def test_cli_exits_numerical_limit_on_an_unfixed_state(self, tmp_path, capsys):
+        argv = ["engineer", "sdp"]
+        for i, s in enumerate(pure_pair(1e-6)):
+            (tmp_path / f"s{i}.json").write_text(json.dumps(linops.matrix_to_json(s)))
+            argv += ["--sigma", str(tmp_path / f"s{i}.json")]
+        assert cli.main(argv) == 4
+        assert json.loads(capsys.readouterr().err)["reason"] == "numerical-limit"
+
+    @given(d=st.integers(3, 6), seed=st.integers(0, 9))
+    @example(d=4, seed=1)
+    @example(d=6, seed=0)
+    @settings(max_examples=10)
+    def test_near_degenerate_pair_forces_the_identity(self, d, seed):
+        # the states fail to commute by about 1e-10, far above the cut, so
+        # the forced algebra is all of B(supp rho)
+        states = near_degenerate_pair(d, seed)
+        assert engineer.forced_algebra(states).commutant_dim == 1
+        res = build_via_sdp(states)
+        assert res.solution.message == engineer.IDENTITY_FORCED
+        assert max(res.residuals) <= 1e-12
+
+    @given(delta=st.floats(1e-11, 0.5))
+    @example(delta=5e-8)
+    @settings(max_examples=20)
+    def test_partner_whose_support_holds_the_state_is_not_discriminable(self, delta):
+        # supp sigma_1 holds |0>, so no projector detects sigma_0 with zero error
+        states = [basis_proj(0, 3), np.diag([delta, 1 - delta, 0.0])]
+        with pytest.raises(ConstructionError) as info:
+            SeparableMultiSpec.from_states(states)
+        assert info.value.reason == "not-unambiguously-discriminable"

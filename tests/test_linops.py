@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conekit import linops
+from conekit.conesim import haar_unitary
 from conekit.linops import (
     kernel_projector,
     kron,
@@ -193,6 +194,25 @@ class TestProjectors:
         p = support_projector(rho)
         assert np.abs(p @ p - p).max() < 1e-10
         assert np.abs(p @ rho - rho).max() < 1e-8
+
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+           tail=st.sampled_from([1e-9, 1e-11, 1e-13, 1e-15, 0.0]))
+    @example(d=3, seed=5, tail=1e-11)  # above RANK_TOL: kept
+    @example(d=3, seed=5, tail=1e-13)  # below RANK_TOL: cut
+    def test_support_keeps_exactly_the_eigenvalues_above_rank_tol(self, d, seed, tail):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 1.0, d)
+        weights[-1] = 0.0
+        weights *= (1.0 - tail) / weights.sum()
+        weights[-1] = tail
+        u = haar_unitary(d, rng)
+        state = (u * weights) @ u.conj().T
+        lam, iso = linops.support(state)
+        r = d if tail > linops.RANK_TOL else d - 1
+        assert iso.shape == (d, r)
+        assert np.abs(iso.conj().T @ iso - np.eye(r)).max() <= 1e-12
+        assert (lam[d - r:] > linops.RANK_TOL).all() and (lam[:d - r] <= linops.RANK_TOL).all()
+        assert np.abs(iso @ iso.conj().T @ state - state).max() <= 1e-12
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="support_projector requires a PSD operator"):
