@@ -39,7 +39,9 @@ step works on. ``solve`` is the single entry point and runs one path:
 
 The iterates are Hermitian matrices of one dtype, inner products are
 Re tr[A^dag X]: real when the objective and every constraint (after
-conjugation by the face) are real, complex otherwise. Residuals,
+conjugation by the face) are real, complex otherwise. The start point and
+exit tests use the Hermitian iterates' own norms, so a unitary change of
+basis, real or complex, leaves the path unchanged up to rounding. Residuals,
 eigenvalues, rank and status always refer to the full problem, and y
 holds the dual multipliers of the full constraint list. Instances here
 are tiny (n <= ~25, m <= ~60), so the implementation uses dense
@@ -162,11 +164,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _max_entry(m: np.ndarray) -> float:
-    """Largest |Re| or |Im| over the entries of m."""
-    return max(float(np.abs(m.real).max(initial=0.0)), float(np.abs(m.imag).max(initial=0.0)))
-
-
 class _NonFiniteError(np.linalg.LinAlgError):
     """An eigensolve was asked of a matrix with a non-finite entry."""
 
@@ -247,20 +244,16 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     """Path following on Hermitian n x n iterates of the dtype of ``ops``
     (m x n x n); ``cost`` and ``ops`` share it. Each row of ``ops`` must
     have Frobenius norm at most 1, so that no entry of their Gram matrix
-    exceeds 1 and it cannot overflow."""
+    exceeds 1 and it cannot overflow. The start point and exit tests use
+    the Hermitian iterates' own norms, so a unitary change of basis, real
+    or complex, leaves the path unchanged up to rounding."""
     n = cost.shape[0]
     m = ops.shape[0]
     rows = ops.reshape(m, -1)
     rows_h = rows.conj()
-    # Start point and exit tests keep the scale of the real embedding
-    # [Re, -Im; Im, Re] they were tuned on (dimension, inner products and b
-    # doubled): several engineered channels have min eig C within 1e-8 of PSD_TOL.
-    emb = 2.0 if np.iscomplexobj(rows) else 1.0
-    dim = emb * n
-    a_norms = np.sqrt(emb) * np.linalg.norm(rows, axis=1)
-    xi_p = max(1.0, np.sqrt(dim), np.sqrt(dim) * float(np.max(emb * np.abs(b) / (1.0 + a_norms))))
-    xi_d = max(1.0, np.sqrt(dim),
-               (np.sqrt(emb) * float(np.linalg.norm(cost)) + float(a_norms.max())) / np.sqrt(dim))
+    a_norms = np.linalg.norm(rows, axis=1)
+    xi_p = max(1.0, np.sqrt(n), np.sqrt(n) * float(np.max(np.abs(b) / (1.0 + a_norms))))
+    xi_d = max(1.0, np.sqrt(n), (float(np.linalg.norm(cost)) + float(a_norms.max())) / np.sqrt(n))
     x = xi_p * np.eye(n, dtype=rows.dtype)
     z = xi_d * np.eye(n, dtype=rows.dtype)
     y = np.zeros(m)
@@ -276,15 +269,15 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
 
     gram_pinv = np.linalg.pinv((rows_h @ rows.T).real, rcond=1e-12)
 
-    b_scale = 1.0 + emb * float(np.abs(b).max(initial=0.0))
-    c_scale = 1.0 + _max_entry(cost)
+    b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    c_scale = 1.0 + linops.max_abs(cost)
     target = 0.1 * feas_tol
 
     def converged(rp, rd, pobj, dobj, tol):
-        pinf_abs = emb * float(np.abs(rp).max(initial=0.0))
+        pinf_abs = float(np.abs(rp).max(initial=0.0))
         pinf = pinf_abs / b_scale
-        dinf = _max_entry(rd) / c_scale
-        gap = emb * abs(pobj - dobj) / (1.0 + emb * (abs(pobj) + abs(dobj)))
+        dinf = linops.max_abs(rd) / c_scale
+        gap = abs(pobj - dobj) / (1.0 + (abs(pobj) + abs(dobj)))
         ok = (pinf <= tol and dinf <= tol and gap <= tol
               and pinf_abs <= 0.5 * feas_tol)
         return ok, pinf, dinf, gap
@@ -314,10 +307,10 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         try:
             # Farkas-style test for a dual improving ray (primal infeasibility).
             ynorm = float(np.linalg.norm(y))
-            if emb * dobj > 1.0 and ynorm > 1e4 * b_scale:
+            if dobj > 1.0 and ynorm > 1e4 * b_scale:
                 ray = y / dobj
                 lam_max = float(_eigh(_sym(op_at(ray)), 0)[0][-1])
-                if lam_max <= emb * 1e-7 * (1.0 + float(a_norms.max())):
+                if lam_max <= 1e-7 * (1.0 + float(a_norms.max())):
                     return _IpmResult(x=x, y=ray, status=STATUS_INFEASIBLE, iterations=it,
                                       dual_residual=dinf,
                                       message="dual improving ray found (primal infeasible)")
@@ -405,7 +398,8 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     """Solve ``problem`` by the one path of the module docstring.
 
     ``max_iter`` caps the interior-point iterations. An optimal solution has
-    |tr[A_k X] - b_k| <= feas_tol max(1, |b_k|, |A_k|_F |X|_F) for every k.
+    |tr[A_k X] - b_k| <= feas_tol max(1, |b_k|, sum_ij |(A_k)_ij| |X_ij|)
+    for every k.
     ``face`` optionally restricts the variable to a known subspace: an
     isometry V (n x n', n' >= 1, orthonormal columns) with X = V X' V^dag.
     Callers use it when the constraints provably force X onto a face of
@@ -486,7 +480,7 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
         res = _IpmResult(
             x=np.zeros_like(data[0]), y=np.zeros(0),
             status=STATUS_OPTIMAL if bounded else STATUS_NUMERICAL_LIMIT, iterations=0,
-            dual_residual=max(0.0, -lam_min) / (1.0 + _max_entry(data[0])),
+            dual_residual=max(0.0, -lam_min) / (1.0 + linops.max_abs(data[0])),
             message="" if bounded else (
                 "objective is unbounded below: every constraint vanishes and the "
                 f"objective has eigenvalue {lam_min:.3e} < 0"),
@@ -511,7 +505,10 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual reads inf
         resid = np.abs((ops_c.reshape(m, -1).conj() @ x.ravel()).real - b_c)
-        scale = np.maximum(np.maximum(1.0, np.abs(b_c)), a_norms * np.linalg.norm(x))
+        # tr[A_k X] rounds within its terms' moduli, sum |A_k| o |X| (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 3.1)
+        scale = np.maximum(np.maximum(1.0, np.abs(b_c)),
+                           np.abs(ops_c).reshape(m, -1) @ np.abs(x).ravel())
     primal_res = float(resid.max())
     # a non-finite x (the IPM stopped on it) has no spectrum: NaN, rank 0
     eigs = _eigh(x, 0)[0] if np.isfinite(x).all() else np.full(x.shape[0], np.nan)

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conekit import linops, sdp
+from conekit.conesim import haar_unitary
 from conekit.engineer import forced_algebra
 from conekit.linops import kron
 
@@ -215,6 +216,22 @@ class TestSolve:
         assert sol.primal_residual == pytest.approx(error * 1e100, rel=1e-6)
         assert sol.status == status
 
+    def test_final_feasibility_test_ignores_x_where_the_row_vanishes(self, monkeypatch):
+        # rows diag(1e-150, 0) and diag(0, 1e-100) with b = (1e150, -1e100)
+        # need X_22 = -1e200: infeasible. At X = diag(1e300, 0) the second
+        # row misses b by 1e100, far above the rounding of its terms,
+        # though 1e-7 |A_2|_F |X|_F is 1e193
+        def ipm(cost, ops, b, max_iter, feas_tol):
+            return sdp._IpmResult(x=np.diag([1e300, 0.0]), y=np.zeros(2),
+                                  status="optimal", iterations=1, dual_residual=0.0)
+
+        monkeypatch.setattr(sdp, "_solve_hermitian_sdp", ipm)
+        p = make_problem([np.diag([1e-150, 0.0]), np.diag([0.0, 1e-100])], [1e150, -1e100])
+        sol = sdp.solve(p)
+        assert sol.primal_residual == 1e100
+        assert sol.status == "numerical-limit"
+        assert sol.message.startswith("off the full problem")
+
     def test_badly_scaled_inconsistency_is_certified(self):
         p = make_problem([np.diag([1e100, 0.0]), np.diag([2e100, 0.0])],
                          [1e100, 2e100 * (1.0 + 1e-6)])
@@ -294,6 +311,27 @@ class TestSolve:
             sol = sdp.solve(p)
         assert sol.status == "numerical-limit"
         assert sol.message == "Schur complement became non-finite"
+
+    def test_non_finite_newton_step_returns_a_status(self, monkeypatch):
+        # a Schur solve that returns NaN makes every direction NaN, which the
+        # step length's eigensolve refuses
+        monkeypatch.setattr(sdp, "_schur_solver",
+                            lambda schur: lambda rhs: np.full_like(rhs, np.nan))
+        sol = sdp.solve(make_problem([np.eye(2)], [1.0]))
+        assert sol.status == "numerical-limit"
+        assert sol.message == "Newton step became non-finite"
+
+    def test_non_finite_iterate_returns_a_status(self, monkeypatch):
+        # the row -1 (X = 1e10) with dy = 1e300 from every Schur solve: the
+        # dual direction rd + 1e300 is PSD, so z takes the full step to
+        # about 1e300, while the primal step stays short; the next mu = x z
+        # overflows although x, y and z are finite
+        monkeypatch.setattr(sdp, "_schur_solver",
+                            lambda schur: lambda rhs: np.full_like(rhs, 1e300))
+        sol = sdp.solve(make_problem([-np.eye(1)], [-1e10], objective=100.0 * np.eye(1)))
+        assert sol.status == "numerical-limit"
+        assert sol.message == "iterate became non-finite"
+        assert sol.iterations == 2
 
     def test_solution_past_float_range_is_a_numerical_limit(self):
         # |X| >= 1e250 / 1e-200 is past the float range
@@ -620,6 +658,43 @@ class TestComplexHermitianHandling:
         assert sol.status == "optimal"
         assert abs(sol.objective_value - 1.0) < 1e-7
         assert np.abs(sol.x - (0.6 * plus + 0.4 * minus)).max() < 1e-5
+
+
+def real_problem_and_rotation(seed):
+    """A random feasible SDP with real symmetric data, and the same problem
+    written in the basis of a Haar unitary U: X -> U X U^dag maps the rows
+    to U A_k U^dag and, the cost being tr[F0^T X], F0 to conj(U) F0 U^T."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, n * (n + 1) // 2))
+    ops = [(g + g.T) / 2 for g in (rng.standard_normal((n, n)) for _ in range(m))]
+    g = rng.standard_normal((n, n))
+    x0 = g @ g.T + np.eye(n)
+    vals = [float(np.trace(a @ x0)) for a in ops]
+    g = rng.standard_normal((n, n))
+    f0 = g @ g.T
+    u = haar_unitary(n, rng)
+    rotated = make_problem([u @ a @ u.conj().T for a in ops], vals,
+                           objective=np.conj(u) @ f0 @ u.T)
+    return make_problem(ops, vals, objective=f0), rotated
+
+
+class TestUnitaryChangeOfBasis:
+    """The NT direction is invariant under X -> U X U^dag, and the start point
+    and exit tests read the Hermitian iterates' own norms, so a complex
+    change of basis leaves the path unchanged up to rounding."""
+
+    # 27 and 72 read numerical-limit after 17 and 31 iterations, and 37 took
+    # 15 iterations against 8, while the exit tests scaled complex data as
+    # its real embedding
+    @pytest.mark.parametrize("seed", [27, 72, 37])
+    def test_rotated_problem_runs_the_same_path(self, seed):
+        real, rotated = real_problem_and_rotation(seed)
+        assert not real.constraint_ops.imag.any() and rotated.constraint_ops.imag.any()
+        a, b = sdp.solve(real), sdp.solve(rotated)
+        assert a.status == b.status == "optimal"
+        assert abs(a.iterations - b.iterations) <= 1
+        assert b.objective_value == pytest.approx(a.objective_value, rel=1e-9)
 
 
 class TestAgainstCvxpy:
