@@ -352,54 +352,51 @@ def _sample_block(config: SimulationConfig, readout: _Readout, table: _WeightTab
     and each symbol is drawn again from the weights so found. The rounds
     kept are those before the first that is unclassified or whose symbol
     differs from the prediction. When that cuts the block short, the
-    generator is rewound and the kept rounds' draws are taken again, so
-    it stands where one round at a time would leave it.
+    generator is rewound and ``draw`` takes the kept rounds' draws again,
+    so it stands where one round at a time would leave it.
     """
     settled, weights, resid, symbol = first
     d = settled.shape[0]
     snapshot = rng.bit_generator.state
     uniforms = np.empty(length)  # the first round drew its uniform already
     normals = np.empty((length, 2, d, d)) if table.haar else None
-    for b in range(length):
-        if b:
-            uniforms[b] = rng.random()
-        if table.haar:
-            rng.standard_normal(out=normals[b])
+
+    def draw(rounds: int) -> None:  # the first rounds' draws, in the contract's order
+        for b in range(rounds):
+            if b:
+                uniforms[b] = rng.random()
+            if table.haar:
+                rng.standard_normal(out=normals[b])
+
+    draw(length)
     unitaries = _haar_unitaries(normals) if table.haar else None
 
-    # the predicted path: next_symbol[b][j] is round b + 1's symbol when
-    # round b draws j, or -1 when its predicted weights are all <= 0
+    # the predicted path: next_symbol[b][j] is round b + 1's symbol when round b
+    # draws j, 0 when its predicted weights are all <= 0: the resolved weights
+    # check that guess like any other
     predicted = np.maximum(table.weights(unitaries[:-1] if table.haar else None), 0.0)
-    totals = predicted.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        drawn = _inverse_cdf(predicted / totals, uniforms[1:, None])
-    next_symbol = np.where(totals[..., 0] > 0, drawn, -1).tolist()
+        next_symbol = _inverse_cdf(predicted / predicted.sum(axis=-1, keepdims=True),
+                                   uniforms[1:, None]).tolist()
     path = [symbol]
     for row in next_symbol:
-        if row[path[-1]] < 0:
-            break
         path.append(row[path[-1]])
 
     # the path's states and weights, and its symbols drawn from those
-    n = len(path)
     symbols = np.array(path)
     post = table.targets[symbols]
     if table.haar:
-        post = hermitize(unitaries[:n] @ post @ linops.dagger(unitaries[:n]))
+        post = hermitize(unitaries @ post @ linops.dagger(unitaries))
     settled = np.concatenate([settled[None], readout.settle(post[:-1])])
     more_weights, more_resid = _fixed_point_weights(settled[1:], readout)
     totals = more_weights.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        redrawn = _inverse_cdf(more_weights / totals, uniforms[1:n])
+        redrawn = _inverse_cdf(more_weights / totals, uniforms[1:])
     ok = (more_resid <= config.classify_tol) & (totals[:, 0] > 0) & (redrawn == symbols[1:])
-    kept = n if ok.all() else 1 + int(np.argmin(ok))
+    kept = length if ok.all() else 1 + int(np.argmin(ok))
     if kept < length:
         rng.bit_generator.state = snapshot
-        for b in range(kept):
-            if b:
-                rng.random()
-            if table.haar:
-                rng.standard_normal((2, d, d))
+        draw(kept)
     weights = np.concatenate([weights[None], more_weights])
     resid = [resid, *more_resid.tolist()]
     return [Round(settled_state=settled[b], symbol=path[b], settle_steps=steps,
@@ -436,13 +433,14 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     the contract's, in its order, so the trajectory is the one that
     running every round alone gives.
 
-    A block runs for twice the current or the last run of classified
-    rounds, at most BLOCK: the draws a block takes ahead past the end of
-    its run are wasted. A block shorter than MIN_BLOCK costs more than its
-    rounds run alone and is not run. So a run starts with MIN_BLOCK / 2
-    rounds alone, and while every round is classified its blocks grow
-    from there (8, 24, 72, 216 rounds, then BLOCK); when classified runs
-    stay shorter than MIN_BLOCK / 2, every round runs alone.
+    A block runs for twice the current run of classified rounds, at most
+    BLOCK: the draws a block takes ahead past the end of its run are
+    wasted. A block shorter than MIN_BLOCK costs more than its rounds run
+    alone and is not run. So a run starts with MIN_BLOCK / 2 rounds alone,
+    and while every round is classified its blocks grow from there (8, 24,
+    72, 216 rounds, then BLOCK). An unclassified round ends the run, so
+    the next block again waits for MIN_BLOCK / 2 classified rounds; when
+    classified runs stay shorter than that, every round runs alone.
     """
     state = linops.check_density(rho0, tol=1e-7)
     if state.shape != (config.channel.d_in,) * 2:
@@ -453,10 +451,10 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     rng = np.random.default_rng(config.seed)
     table = _WeightTable.of(config, readout, rng) if config.classify_mode == "sample" else None
     rounds: list[Round] = []
-    streak, last_streak = 0, 0  # runs of classified sample-mode rounds
+    streak = 0  # the current run of classified rounds
     while len(rounds) < config.n_rounds:
         settled, weights, resid, symbol = _classify(config, readout, state, rng)
-        length = min(BLOCK, 2 * max(streak, last_streak), config.n_rounds - len(rounds))
+        length = min(BLOCK, 2 * streak, config.n_rounds - len(rounds))
         if table is not None and symbol is not None and length >= MIN_BLOCK:
             kept = _sample_block(config, readout, table, (settled, weights, resid, symbol), steps,
                                  rng, length)
@@ -467,10 +465,7 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
             post = hermitize(config.kick.apply(readout.states[symbol] if collapse else settled, rng))
             rounds.append(Round(settled_state=settled, symbol=symbol, settle_steps=steps,
                                 post_kick_state=post, weights=weights, residual=resid))
-            if symbol is not None:
-                streak += 1
-            elif streak:
-                streak, last_streak = 0, streak
+            streak = streak + 1 if symbol is not None else 0
         state = rounds[-1].post_kick_state
     return Trajectory(rounds=rounds, fixed_points=fp_set.states)
 

@@ -82,6 +82,10 @@ class TestApply:
         with pytest.raises(ValueError):
             chan.apply(chan.identity_channel(2), random_density(rng, 3))
 
+    def test_unitary_channel_rejects_a_non_unitary_matrix(self):
+        with pytest.raises(ValueError, match="unitary_channel requires a unitary matrix"):
+            chan.unitary_channel(np.diag([1.0, 0.5]))
+
     def test_linearity(self, rng):
         c = chan.random_cptp_choi(2, rng)
         for _ in range(10):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import csv
 import importlib
 import json
 import re
@@ -81,6 +82,21 @@ class TestChannelCommands:
         lines = out.strip().splitlines()
         assert lines[0].startswith("state,re0,im0")
         assert len(lines) == 4
+
+    def test_fixed_points_csv_to_a_file(self, workdir, capsys):
+        tmp, write = workdir
+        path = write("c.json", qutrit_choi_obj())
+        out_path = tmp / "fps.csv"
+        code, out, _ = run_cli(capsys, "channel", "fixed-points", "--choi", path,
+                               "--format", "csv", "--out", str(out_path))
+        assert code == 0 and out == ""
+        rows = list(csv.reader(out_path.read_text().splitlines()))
+        assert rows[0] == ["state"] + [f"{p}{i}" for i in range(9) for p in ("re", "im")]
+        # the qutrit dephasing channel fixes the three basis projectors, row by row
+        assert [int(r[0]) for r in rows[1:]] == [0, 1, 2]
+        states = [np.array(r[1::2], dtype=float) + 1j * np.array(r[2::2], dtype=float)
+                  for r in rows[1:]]
+        assert sorted(np.flatnonzero(np.abs(s) > 1e-9).tolist() for s in states) == [[0], [4], [8]]
 
     def test_iterate(self, workdir, capsys):
         _, write = workdir
@@ -702,11 +718,14 @@ class TestConesimCommands:
     def test_estimate_reads_minimal_lines(self, workdir, capsys):
         tmp, _ = workdir
         path = tmp / "t.jsonl"
-        path.write_text("".join(json.dumps({"round": i, "symbol": s, "settle_steps": 1}) + "\n"
-                                for i, s in enumerate([0, 1, 0, 1])))
-        code, out, _ = run_cli(capsys, "conesim", "estimate", str(path))
-        assert code == 0
-        assert json.loads(out)["counts"] == [[0, 2], [1, 0]]
+        # a null symbol (an unclassified round) breaks the pairs on either side of it
+        for symbols, counts in (([0, 1, 0, 1], [[0, 2], [1, 0]]),
+                                ([0, None, 1, 0, 1], [[0, 1], [1, 0]])):
+            path.write_text("".join(json.dumps({"round": i, "symbol": s, "settle_steps": 1}) + "\n"
+                                    for i, s in enumerate(symbols)))
+            code, out, _ = run_cli(capsys, "conesim", "estimate", str(path))
+            assert code == 0
+            assert json.loads(out)["counts"] == counts
 
     @pytest.mark.parametrize("edit", [
         lambda t: t[1].update(symbol=1.7),

@@ -464,17 +464,21 @@ class TestConfigJson:
             conesim.config_from_json(obj)
 
     def test_round_record_roundtrip(self):
-        cfg = SimulationConfig(channel=qutrit_channel(), kick=HaarUnitaryKick(), n_iter=20,
-                               n_rounds=6, classify_tol=0.67, classify_mode="sample", seed=4)
-        traj = run(cfg, np.eye(3) / 3)
-        back = [json.loads(json.dumps(rec)) for rec in conesim.trajectory_to_json(traj)]
-        assert conesim.symbols_from_json(back) == traj.symbols()
-        for rec, r in zip(back, traj.rounds):
-            # repr of a float reads back to the same bits, signed zeros included
-            assert np.asarray(rec["weights"], dtype=float).tobytes() == r.weights.tobytes()
-            assert np.float64(rec["residual"]).tobytes() == np.float64(r.residual).tobytes()
-        fps = [linops.matrix_from_json(m) for m in back[0]["fixed_points"]]
-        assert all(np.array_equal(a, b) for a, b in zip(fps, traj.fixed_points))
+        # every round classified, and 37 of 40 rounds unclassified (written as null)
+        for c, classify_tol, n_rounds, unclassified in ((qutrit_channel(), 0.67, 6, 0),
+                                                        (chan.identity_channel(2), 0.3, 40, 37)):
+            cfg = SimulationConfig(channel=c, kick=HaarUnitaryKick(), n_iter=20, n_rounds=n_rounds,
+                                   classify_tol=classify_tol, classify_mode="sample", seed=4)
+            traj = run(cfg, np.eye(c.d_in) / c.d_in)
+            back = [json.loads(json.dumps(rec)) for rec in conesim.trajectory_to_json(traj)]
+            assert traj.symbols().count(None) == unclassified
+            assert conesim.symbols_from_json(back) == traj.symbols()
+            for rec, r in zip(back, traj.rounds):
+                # repr of a float reads back to the same bits, signed zeros included
+                assert np.asarray(rec["weights"], dtype=float).tobytes() == r.weights.tobytes()
+                assert np.float64(rec["residual"]).tobytes() == np.float64(r.residual).tobytes()
+            fps = [linops.matrix_from_json(m) for m in back[0]["fixed_points"]]
+            assert all(np.array_equal(a, b) for a, b in zip(fps, traj.fixed_points))
 
 
 class TestRoundWeightsProperties:
@@ -602,6 +606,9 @@ class TestSampleBlocks:
     @example(d=3, kick="haar", channel="identity", classify_tol=0.7, n_rounds=600, seed=0)
     @example(d=2, kick="fixed", channel="identity", classify_tol=0.3, n_rounds=600, seed=2)
     @example(d=3, kick="depolarizing", channel="identity", classify_tol=0.05, n_rounds=600, seed=0)
+    # many cuts, and blocks that start right after an unclassified round
+    @example(d=4, kick="haar", channel="identity", classify_tol=0.8, n_rounds=600, seed=0)
+    @example(d=8, kick="haar", channel="identity", classify_tol=0.9, n_rounds=600, seed=0)
     # every kick at d = 2..5, every round classified, more rounds than a block
     @example(d=2, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
     @example(d=3, kick="haar", channel="basis", classify_tol=conesim.CLASSIFY_TOL, n_rounds=600, seed=1)
@@ -626,13 +633,19 @@ class TestSampleBlocks:
         rho0 = random_density(np.random.default_rng(seed + 1), d)
         assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
 
-    @pytest.mark.parametrize("kick", ["haar", "depolarizing"])
-    def test_the_resolved_weights_decide_not_the_table(self, monkeypatch, kick):
-        # a table that predicts the symbols wrongly, often, only cuts blocks
-        # short: each round's symbol is drawn again from its resolved weights
+    @pytest.mark.parametrize("kick, fake", [
+        pytest.param(kick, fake, id=kick if fake == "rolled" else f"{fake}-{kick}")
+        for fake in ("rolled", "all-negative", "all-zero") for kick in ("haar", "depolarizing")])
+    def test_the_resolved_weights_decide_not_the_table(self, monkeypatch, kick, fake):
+        # a table that predicts the symbols wrongly, often, or whose predicted
+        # weights are all <= 0, only cuts blocks short: each round's symbol is
+        # drawn again from its resolved weights
+        fake_weights = {"rolled": lambda w: np.roll(w, 1, axis=-1),
+                        "all-negative": lambda w: np.full_like(w, -1.0),
+                        "all-zero": np.zeros_like}[fake]
         table_weights = conesim._WeightTable.weights
         monkeypatch.setattr(conesim._WeightTable, "weights",
-                            lambda self, u: np.roll(table_weights(self, u), 1, axis=-1))
+                            lambda self, u: fake_weights(table_weights(self, u)))
         cfg = sample_config(3, kick, "basis", conesim.CLASSIFY_TOL, 600, seed=4)
         rho0 = np.eye(3) / 3
         assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))

@@ -417,7 +417,9 @@ class TestSeparableMulti:
         ([np.eye(2) / 2, np.eye(3) / 3], [np.eye(2), np.eye(3)], None,
          "state 1 is 3x3, but state 0 is 2x2"),
         ([np.eye(2) / 2], [np.eye(3)], None, "projector 0 is 3x3, but state 0 is 2x2"),
-    ], ids=["b-larger", "b-one-by-one", "state", "projector"])
+        ([basis_proj(0, 2), basis_proj(1, 2)], [basis_proj(0, 2)], None,
+         "one projector per state required"),
+    ], ids=["b-larger", "b-one-by-one", "state", "projector", "too-few-projectors"])
     def test_dimension_mismatch_is_named(self, sigmas, projectors, b, message):
         with pytest.raises(ValueError, match=message):
             SeparableMultiSpec.from_parts(sigmas, projectors, b=b)
@@ -523,6 +525,22 @@ class TestBuildViaSdp:
         res = build_via_sdp([random_density(rng, 3)])
         reduced = linops.partial_trace(res.c.matrix, (3, 3), over=1)
         assert np.abs(reduced - np.eye(3)).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(1, 10))
+    def test_an_eigenvalue_of_1e_7_is_solved(self, seed):
+        # the interior-point loop itself stops with a singular scaling
+        # matrix, its relative primal residual near 1e-7; the least-norm
+        # projection after the loop brings that residual to rounding while
+        # x stays positive definite, and the final check accepts the point
+        rng = np.random.default_rng(seed)
+        e = rng.random(5) + 0.1
+        e[0] = 1e-7
+        e[1:] = e[1:] / e[1:].sum() * (1 - 1e-7)
+        u = haar_unitary(5, rng)
+        res = build_via_sdp([u @ np.diag(e) @ u.conj().T])
+        assert res.solution.status == "optimal"
+        assert res.c.cptp.cp
+        assert max(res.residuals) <= chan.FP_TOL
 
 
 @st.composite

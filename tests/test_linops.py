@@ -63,6 +63,12 @@ class TestCheckStates:
             linops.check_states(sigmas)
 
 
+class TestAsMatrix:
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"expected a matrix, got array of shape \(2, 2, 2\)"):
+            linops.as_matrix(np.zeros((2, 2, 2)))
+
+
 class TestStacks:
     def test_dagger_and_hermitize_act_on_each_matrix(self, rng):
         stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))

@@ -152,6 +152,10 @@ class TestWordProbability:
         with pytest.raises(ValueError):
             word_distribution(q, 21)  # 2**21 > 10**6
 
+    def test_negative_length(self):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            word_distribution(markov_realization(), -1)
+
 
 class TestCauseMatrix:
     def test_coin_gives_identity(self):
@@ -197,6 +201,10 @@ class TestCones:
         assert ok and res < 1e-12 and np.allclose(coeffs, [0.3, 0.7])
         ok, res, _ = cone_membership(orthant, [-0.5, 1.0])
         assert not ok and res > 0.1
+
+    def test_membership_needs_the_cone_dimension(self):
+        with pytest.raises(ValueError, match="vector dimension 3 != cone dimension 2"):
+            cone_membership(PolyhedralCone(generators=np.eye(2)), [0.3, 0.7, 0.0])
 
     def test_pointedness(self):
         assert is_pointed(PolyhedralCone(generators=np.eye(2)))
