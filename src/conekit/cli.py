@@ -411,9 +411,12 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"{what} must be numeric: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{what} must be finite, got {text}")
+    return vals
 
 
 def _check_weights(w: list[float], what: str) -> np.ndarray:

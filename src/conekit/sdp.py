@@ -24,7 +24,11 @@ step works on. ``solve`` is the single entry point and runs one path:
 3. run, on the kept scaled rows and their b, a primal-dual
    path-following method with Nesterov-Todd scaling and Mehrotra-style
    adaptive centering (an affine predictor step fixes the centering
-   weight of the actual step). Every iteration calls LAPACK
+   weight of the actual step). Both Newton directions are kept on the
+   constraints, A dx = b - A x, by one least-norm correction through the
+   pseudo-inverse of the rows' Gram matrix, so each step shrinks the
+   primal residual by exactly (1 - alpha) up to rounding (Kojima, Megiddo
+   & Mizuno, Math. Programming 61, 1993). Every iteration calls LAPACK
    directly, since at these sizes the numpy and scipy wrappers around the
    same routines cost more than the arithmetic: dsyevd / zheevd
    (``_eigh``) for the scaling's eigendecompositions of Z and of
@@ -33,9 +37,8 @@ step works on. ``solve`` is the single entry point and runs one path:
    system (``_schur_solver``). An eigensolve of a non-finite matrix raises
    LinAlgError; inside the loop, an iterate or a step that goes non-finite
    ends it as numerical-limit;
-4. apply one least-norm affine projection onto the constraints, kept only
-   while the iterate stays PSD within PSD_TOL, map X back through the face
-   and each kept row's multiplier back to the raw row (y_k / |A_k|_F).
+4. map X back through the face and each kept row's multiplier back to
+   the raw row (y_k / |A_k|_F).
 
 The iterates are Hermitian matrices of one dtype, inner products are
 Re tr[A^dag X]: real when the objective and every constraint (after
@@ -246,7 +249,13 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     have Frobenius norm at most 1, so that no entry of their Gram matrix
     exceeds 1 and it cannot overflow. The start point and exit tests use
     the Hermitian iterates' own norms, so a unitary change of basis, real
-    or complex, leaves the path unchanged up to rounding."""
+    or complex, leaves the path unchanged up to rounding.
+
+    The status is optimal only when the convergence test at the top of an
+    iteration passes, and infeasible only on a dual improving ray, which
+    is returned as y; every other exit is numerical-limit. Otherwise the
+    returned x, y and dual_residual describe one iterate, the last one the
+    loop reached."""
     n = cost.shape[0]
     m = ops.shape[0]
     rows = ops.reshape(m, -1)
@@ -273,18 +282,8 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     c_scale = 1.0 + linops.max_abs(cost)
     target = 0.1 * feas_tol
 
-    def converged(rp, rd, pobj, dobj, tol):
-        pinf_abs = float(np.abs(rp).max(initial=0.0))
-        pinf = pinf_abs / b_scale
-        dinf = linops.max_abs(rd) / c_scale
-        gap = abs(pobj - dobj) / (1.0 + (abs(pobj) + abs(dobj)))
-        ok = (pinf <= tol and dinf <= tol and gap <= tol
-              and pinf_abs <= 0.5 * feas_tol)
-        return ok, pinf, dinf, gap
-
     status = STATUS_NUMERICAL_LIMIT
     message = ""
-    dinf = np.inf
     it = 0
     stalls = 0
     best_mu = np.inf
@@ -299,8 +298,11 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
         if not (np.isfinite(mu) and np.isfinite(dobj)):
             message = "iterate became non-finite"
             break
-        done, pinf, dinf, gap = converged(rp, rd, pobj, dobj, target)
-        if done:
+        pinf_abs = float(np.abs(rp).max(initial=0.0))
+        dinf = linops.max_abs(rd) / c_scale
+        gap = abs(pobj - dobj) / (1.0 + (abs(pobj) + abs(dobj)))
+        if (pinf_abs / b_scale <= target and dinf <= target and gap <= target
+                and pinf_abs <= 0.5 * feas_tol):
             status = STATUS_OPTIMAL
             break
 
@@ -333,7 +335,10 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                 rhs = rp - op_a(rc) + op_a(w_rd_w)
                 dy = schur_solve(rhs)
                 dz = rd - op_at(dy)
-                dx = _sym(rc - w @ dz @ w)
+                # A dx = rp holds in exact arithmetic; the correction
+                # removes the Schur solve's rounding from it
+                dx = rc - w @ dz @ w
+                dx = _sym(dx + op_at(gram_pinv @ (rp - op_a(dx))))
                 return dx, dy, dz
 
             # predictor: affine step fixes the centering weight
@@ -365,26 +370,10 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                 break
         best_mu = min(best_mu, mu)
         best_gap = min(best_gap, gap)
-        if mu < 1e-15:
-            break
-    # One least-norm affine projection onto the constraints: on the edge
-    # of the cone the path-following residual bottoms out, and its product
-    # with the large dual multipliers would otherwise poison the gap.
-    # A projection that overflows is not taken.
-    cand = _sym(x + op_at(gram_pinv @ (b - op_a(x))))
-    if np.isfinite(cand).all() and float(_eigh(cand, 0)[0][0]) >= -PSD_TOL:
-        x = cand
 
     if status != STATUS_OPTIMAL:
         message = message or "iteration limit reached"
-    rp = b - op_a(x)
-    rd = cost - z - op_at(y)
-    pobj = inner(cost, x)
-    dobj = float(b @ y)
-    done, pinf, dinf, gap = converged(rp, rd, pobj, dobj, feas_tol)
-    if done:
-        status = STATUS_OPTIMAL
-        message = ""
+        dinf = linops.max_abs(cost - z - op_at(y)) / c_scale
     return _IpmResult(x=x, y=y, status=status, iterations=it, dual_residual=dinf,
                       message=message)
 

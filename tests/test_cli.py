@@ -1055,6 +1055,10 @@ class TestErrorTaxonomy:
                      "needs 8 comma-separated numbers, got 3", id="coeffs-count"),
         pytest.param(lambda tmp, write: ["demo", "bell", "--coeffs", "a,b,c,d,e,f,g,h"],
                      "must be numeric", id="coeffs-not-numeric"),
+        pytest.param(lambda tmp, write: ["demo", "bell", "--coeffs", "inf,0,0,1,1,0,0,1"],
+                     "--coeffs must be finite", id="coeffs-not-finite"),
+        pytest.param(lambda tmp, write: ["demo", "bell", "--s", "nan,0.5,0.5"],
+                     "--s must be finite", id="weights-not-finite"),
         pytest.param(lambda tmp, write: ["channel", "check", "--choi", str(tmp / "missing.json")],
                      "cannot read", id="input-unreadable"),
         pytest.param(lambda tmp, write: ["channel", "check", "--choi", write(

@@ -526,12 +526,14 @@ class TestBuildViaSdp:
         reduced = linops.partial_trace(res.c.matrix, (3, 3), over=1)
         assert np.abs(reduced - np.eye(3)).max() < 1e-9
 
-    @pytest.mark.parametrize("seed", range(1, 10))
+    @pytest.mark.parametrize("seed", range(0, 10))
     def test_an_eigenvalue_of_1e_7_is_solved(self, seed):
-        # the interior-point loop itself stops with a singular scaling
-        # matrix, its relative primal residual near 1e-7; the least-norm
-        # projection after the loop brings that residual to rounding while
-        # x stays positive definite, and the final check accepts the point
+        # with the Newton directions kept on the constraints, the primal
+        # residual does not drift up as x nears the boundary: the
+        # interior-point loop converges by itself in 9-28 iterations, and
+        # no projection runs after it. While the residual drifted, seed 0
+        # ended on a singular scaling matrix and seeds 1-9 needed a
+        # least-norm projection after the loop
         rng = np.random.default_rng(seed)
         e = rng.random(5) + 0.1
         e[0] = 1e-7

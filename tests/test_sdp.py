@@ -686,8 +686,10 @@ class TestUnitaryChangeOfBasis:
 
     # 27 and 72 read numerical-limit after 17 and 31 iterations, and 37 took
     # 15 iterations against 8, while the exit tests scaled complex data as
-    # its real embedding
-    @pytest.mark.parametrize("seed", [27, 72, 37])
+    # its real embedding. 40 (both sides) and the rotation of 100 read
+    # numerical-limit while rounding in the Newton direction let the
+    # iterates drift off the constraints
+    @pytest.mark.parametrize("seed", [27, 72, 37, 40, 100])
     def test_rotated_problem_runs_the_same_path(self, seed):
         real, rotated = real_problem_and_rotation(seed)
         assert not real.constraint_ops.imag.any() and rotated.constraint_ops.imag.any()
