@@ -430,17 +430,15 @@ def _check_weights(w: list[float], what: str) -> np.ndarray:
 
 def build_bell_demo_states(coeffs: list[float], s: np.ndarray, r: np.ndarray):
     v = _bell_basis()
-    a0, b0, d0, e0, a1, b1, d1, e1_ = coeffs
-    kets = {
-        "v1_0": a0 * v[1] + b0 * v[2],
-        "v2_0": d0 * v[1] + e0 * v[2],
-        "v1_1": a1 * v[1] + b1 * v[2],
-        "v2_1": d1 * v[1] + e1_ * v[2],
-    }
-    for name, ket in kets.items():
-        norm = float(np.linalg.norm(ket))
+    # each ket combines the orthonormal V1 and V2, so its norm is the hypot
+    # of its two coefficients, which does not overflow where squares would
+    pairs = {"v1_0": coeffs[0:2], "v2_0": coeffs[2:4], "v1_1": coeffs[4:6], "v2_1": coeffs[6:8]}
+    kets = {}
+    for name, (a, b) in pairs.items():
+        norm = math.hypot(a, b)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"superposition ket {name} is not normalized (norm {norm:.6g})")
+        kets[name] = a * v[1] + b * v[2]
     sigma0 = (s[0] * linops.ket_projector(v[0])
               + s[1] * linops.ket_projector(kets["v1_0"])
               + s[2] * linops.ket_projector(kets["v2_0"]))

@@ -17,7 +17,7 @@ Two classification modes. "nearest" deterministically picks the closest
 canonical fixed point by trace distance, with None beyond classify_tol.
 "sample" treats the settled state as a classical mixture over the fixed
 points: it resolves the state into nonnegative barycentric weights
-(nonnegative least squares over the fixed-point set), draws the symbol
+(least squares over the fixed-point set, nonnegative), draws the symbol
 from those weights, and collapses the state onto the drawn fixed point
 before kicking — the readout a classical observer of the fixed-point
 sectors would perform. A channel whose fixed set is a simplex never
@@ -42,8 +42,17 @@ rewound and the draws of the rounds kept are taken again, so seeded
 trajectories are the same as one round at a time (see ``run``).
 
 Both modes resolve every settled state into its barycentric weights over
-the fixed points (NNLS, which draws nothing from the generator) and keep
-them, with the decomposition residual, on the Round.
+the fixed points, which draws nothing from the generator, and keep them,
+with the decomposition residual, on the Round. How is decided once per
+run, from the fixed points alone (``_Readout``). When the readout is
+linear, the least-squares weights of every state are nonnegative, so
+they are its NNLS weights, and one matrix product gives them for a
+whole stack of states; the fixed points of ``channel.fixed_points``
+have orthogonal supports, which makes their readout linear. Any other
+readout is resolved by NNLS, row by row. A linear readout whose fixed
+points also span the fixed space is classical: {H_l} is then a POVM,
+no round goes unclassified, and sample mode is the Markov chain that
+``exact_process`` returns, so its blocks run whole (see ``run``).
 A trajectory is written as JSONL, one line per round carrying the
 process, not the states:
 
@@ -174,7 +183,7 @@ class Round:
     symbol: int | None          # index into the canonical fixed points, None if unclassified
     settle_steps: int
     post_kick_state: np.ndarray
-    weights: np.ndarray         # settled state's NNLS weights over the fixed points
+    weights: np.ndarray         # settled state's nonnegative weights over the fixed points
     residual: float             # 2-norm residual of that decomposition
 
 
@@ -198,11 +207,41 @@ def _stack_re_im(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Readout:
     """The fixed points as the basis every settled state is resolved in:
-    column j of ``columns`` is fixed point j stacked by ``_stack_re_im``."""
+    column j of ``columns`` is fixed point j stacked by ``_stack_re_im``.
+
+    The least-squares weights of a settled state are real-linear in the
+    state X before settling, w_l(X) = tr(H_l X) with H_l Hermitian: the
+    pseudo-inverse of ``columns`` composed with the settle map. The readout
+    is linear when the fixed points are independent and every H_l is
+    positive semidefinite (least eigenvalue >= -RANK_TOL): then the
+    least-squares weights of every state are nonnegative, so they are its
+    NNLS weights. It is classical when it is linear and the k fixed points
+    also span the fixed space (k = rank P1 = tr P1): then every settled
+    state is their convex combination, {H_l} is a POVM, and sample mode is
+    the Markov chain of ``exact_process``.
+    """
 
     states: np.ndarray     # (k, d, d): the canonical fixed points
     settle_map: np.ndarray  # P1^T, contiguous: row vec(rho) @ P1^T is vec of its settled limit
     columns: np.ndarray    # (2 d^2, k), contiguous as ``nnls`` takes it
+    h: np.ndarray = field(init=False)              # (k, d, d): H_0, ..., H_{k-1}
+    least_squares: np.ndarray = field(init=False)  # (2 d^2, k): pinv(columns)^T; b @ it weighs rows b
+    linear: bool = field(init=False)
+    classical: bool = field(init=False)
+
+    def __post_init__(self):
+        k, d = self.states.shape[:2]
+        pinv = np.linalg.pinv(self.columns)
+        g = (pinv[:, 0::2] - 1j * pinv[:, 1::2]).reshape(k, d, d)
+        c = (hermitize(g).reshape(k, d * d) @ self.settle_map.T).reshape(k, d, d)
+        h = (c.swapaxes(1, 2) + c.conj()) / 2.0
+        linear = bool(np.linalg.matrix_rank(self.columns) == k
+                      and np.linalg.eigvalsh(h).min() >= -linops.RANK_TOL)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "least_squares", np.ascontiguousarray(pinv.T))
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "classical",
+                           linear and k == round(np.trace(self.settle_map).real))
 
     @classmethod
     def of(cls, fp_set: chan.FixedPointSet) -> "_Readout":
@@ -219,8 +258,13 @@ class _Readout:
 def _fixed_point_weights(settled: np.ndarray, readout: _Readout) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative barycentric weights of each state of a stack over the
     fixed points, one row per state, and the 2-norm residual of each
-    decomposition: NNLS through the module-level ``nnls``, row by row."""
+    decomposition. On a linear readout they are the least-squares weights,
+    one product for the whole stack, with rounding below 0 clipped; on any
+    other, NNLS through the module-level ``nnls``, row by row."""
     b = _stack_re_im(settled)
+    if readout.linear:
+        weights = np.maximum(b @ readout.least_squares, 0.0)
+        return weights, np.linalg.norm(b - weights @ readout.columns.T, axis=1)
     weights, residuals = np.empty((len(b), readout.columns.shape[1])), np.empty(len(b))
     for i, row in enumerate(b):
         weights[i], residuals[i] = nnls(readout.columns, row)
@@ -282,17 +326,18 @@ def _classify(config: SimulationConfig, readout: _Readout, state: np.ndarray,
 @dataclass(frozen=True)
 class _WeightTable:
     """The least-squares weights of the state a classified sample-mode round
-    leaves, for each symbol it may draw, without forming those states:
-    a prediction of its NNLS weights, which are the same wherever the
-    least-squares ones are nonnegative and the fixed points independent.
+    leaves, for each symbol it may draw, without forming those states. On a
+    linear readout (``_Readout``) they are the weights
+    ``_fixed_point_weights`` resolves, up to rounding; on any other they
+    predict its NNLS weights, which are the same wherever the
+    least-squares ones are nonnegative.
 
     A round that draws symbol j leaves U T_j U^dag: T_j is fixed point j
     (kicked once, for a fixed or depolarizing kick) and U the round's
-    Haar unitary (the identity for the other kicks). The weights are
-    real-linear in that state, w_l(X) = tr(H_l X) with H_l Hermitian: the
-    pseudo-inverse composed with the settle map. So with T_j = sum_a
-    lam_a v_a v_a^dag and y_a = U v_a, w_l(U T_j U^dag) = sum_a lam_a
-    y_a^dag H_l y_a, two matrix products per block of rounds.
+    Haar unitary (the identity for the other kicks). Its weights are
+    w_l(U T_j U^dag) = tr(H_l U T_j U^dag), H_l the readout's. So with
+    T_j = sum_a lam_a v_a v_a^dag and y_a = U v_a, w_l(U T_j U^dag) =
+    sum_a lam_a y_a^dag H_l y_a, two matrix products per block of rounds.
     """
 
     targets: np.ndarray     # (k, d, d): T_j
@@ -309,16 +354,12 @@ class _WeightTable:
         haar = isinstance(config.kick, HaarUnitaryKick)
         # a fixed or depolarizing kick draws nothing from rng
         targets = fps if haar else np.array([hermitize(config.kick.apply(fp, rng)) for fp in fps])
-        pinv = np.linalg.pinv(readout.columns)
-        g = (pinv[:, 0::2] - 1j * pinv[:, 1::2]).reshape(k, d, d)
-        c = (hermitize(g).reshape(k, d * d) @ readout.settle_map.T).reshape(k, d, d)
         lams, vecs = np.linalg.eigh(targets)
         # the table only predicts, so eigenvalues below 1e-15 may go
         j, a = np.nonzero(np.abs(lams) > 1e-15)
         lam_groups = np.zeros((len(j), k))
         lam_groups[np.arange(len(j)), j] = lams[j, a]
-        return cls(targets, haar, ((c.swapaxes(1, 2) + c.conj()) / 2.0).reshape(k * d, d),
-                   vecs[j, :, a].T, lam_groups)
+        return cls(targets, haar, readout.h.reshape(k * d, d), vecs[j, :, a].T, lam_groups)
 
     def weights(self, unitaries: np.ndarray | None) -> np.ndarray:
         """(n, k, k): entry [b, j, l] is the weight l of the state settled
@@ -404,6 +445,17 @@ def _sample_block(config: SimulationConfig, readout: _Readout, table: _WeightTab
             for b in range(kept)]
 
 
+def _start(config: SimulationConfig, rho0) -> tuple[np.ndarray, chan.FixedPointSet, int, _Readout]:
+    """What a run starts from: the checked initial state, the channel's
+    fixed points, the predicted settle count and the readout."""
+    state = linops.check_density(rho0, tol=1e-7)
+    if state.shape != (config.channel.d_in,) * 2:
+        raise ValueError("initial state dimension does not match the channel")
+    fp_set = chan.fixed_points(config.channel)
+    steps = _settle_steps(fp_set.spectrum, config.n_iter)
+    return state, fp_set, steps, _Readout.of(fp_set)
+
+
 def run(config: SimulationConfig, rho0) -> Trajectory:
     """Settle / classify / kick for n_rounds, deterministically under the seed.
 
@@ -412,7 +464,9 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     ``_settle_steps``; each Round records its predicted count as
     settle_steps. Every round, in either mode, also records the settled
     state's barycentric weights over the fixed points and the residual of
-    that decomposition.
+    that decomposition: on a linear readout (``_Readout``) the
+    least-squares ones, which are the NNLS ones, from one product; on any
+    other, NNLS.
 
     In "nearest" mode classification picks the nearest canonical fixed
     point by trace distance (ties within TIE_TOL to the lowest index),
@@ -431,31 +485,33 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     round the table cannot stand for, an unclassified one or one whose
     symbol it predicted wrongly, and that round runs alone. The draws are
     the contract's, in its order, so the trajectory is the one that
-    running every round alone gives.
+    running every round alone gives, whichever way blocks are cut.
 
-    A block runs for twice the current run of classified rounds, at most
-    BLOCK: the draws a block takes ahead past the end of its run are
-    wasted. A block shorter than MIN_BLOCK costs more than its rounds run
-    alone and is not run. So a run starts with MIN_BLOCK / 2 rounds alone,
-    and while every round is classified its blocks grow from there (8, 24,
-    72, 216 rounds, then BLOCK). An unclassified round ends the run, so
-    the next block again waits for MIN_BLOCK / 2 classified rounds; when
-    classified runs stay shorter than that, every round runs alone.
+    On a classical readout the table is exact and every settled state a
+    convex combination of the fixed points, so no round goes unclassified
+    at a classify_tol above the residuals' rounding: each classified round
+    that runs alone starts a block of BLOCK rounds, or of all that remain.
+    On any other readout a block runs for twice the current run of
+    classified rounds, at most BLOCK: the draws a block takes ahead past
+    the end of its run are wasted. A block shorter than MIN_BLOCK costs
+    more than its rounds run alone and is not run. So a run starts with
+    MIN_BLOCK / 2 rounds alone, and while every round is classified its
+    blocks grow from there (8, 24, 72, 216 rounds, then BLOCK). An
+    unclassified round ends the run, so the next block again waits for
+    MIN_BLOCK / 2 classified rounds; when classified runs stay shorter
+    than that, every round runs alone.
     """
-    state = linops.check_density(rho0, tol=1e-7)
-    if state.shape != (config.channel.d_in,) * 2:
-        raise ValueError("initial state dimension does not match the channel")
-    fp_set = chan.fixed_points(config.channel)
-    steps = _settle_steps(fp_set.spectrum, config.n_iter)
-    readout = _Readout.of(fp_set)
+    state, fp_set, steps, readout = _start(config, rho0)
     rng = np.random.default_rng(config.seed)
     table = _WeightTable.of(config, readout, rng) if config.classify_mode == "sample" else None
     rounds: list[Round] = []
     streak = 0  # the current run of classified rounds
     while len(rounds) < config.n_rounds:
         settled, weights, resid, symbol = _classify(config, readout, state, rng)
-        length = min(BLOCK, 2 * streak, config.n_rounds - len(rounds))
-        if table is not None and symbol is not None and length >= MIN_BLOCK:
+        length = min(BLOCK, config.n_rounds - len(rounds))
+        if not readout.classical:
+            length = min(length, 2 * streak)
+        if table is not None and symbol is not None and (readout.classical or length >= MIN_BLOCK):
             kept = _sample_block(config, readout, table, (settled, weights, resid, symbol), steps,
                                  rng, length)
             streak += len(kept)
@@ -468,6 +524,43 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
             streak = streak + 1 if symbol is not None else 0
         state = rounds[-1].post_kick_state
     return Trajectory(rounds=rounds, fixed_points=fp_set.states)
+
+
+def exact_process(config: SimulationConfig, rho0) -> QuasiRealization:
+    """The symbol process of a sample-mode ``run`` on a classical readout,
+    exactly, as a realization over the symbols "0", ..., "k-1".
+
+    There a round measures the POVM {H_l} of ``_Readout`` on the state the
+    last kick left, emits l and collapses onto fixed point l. So the
+    symbols are a Markov chain, T[j, l] = tr[H_l K(sigma_j)] with K the
+    mean kick (X -> I/d for a Haar kick, the kick itself otherwise), whose
+    first symbol is drawn from pi_l = tr[H_l rho0]. D_u keeps row u of T
+    and tau is all ones, so pi D_u1 ... D_un tau is the probability that a
+    run's symbols start u1 ... un. That is the process ``run`` emits while
+    every round is classified, which on a classical readout holds at any
+    classify_tol above the rounding of the residuals. Raises ValueError on
+    a readout that is not classical, or on a "nearest"-mode config.
+    """
+    if config.classify_mode != "sample":
+        raise ValueError("exact_process describes sample mode, not nearest")
+    state, _, _, readout = _start(config, rho0)
+    if not readout.classical:
+        raise ValueError("the fixed points are not a classical readout: their weights are not "
+                         "a POVM over a simplex that spans the fixed space")
+    k, d = readout.states.shape[:2]
+    if isinstance(config.kick, HaarUnitaryKick):
+        kicked = np.broadcast_to(np.eye(d) / d, (k, d, d))
+    else:  # a fixed or depolarizing kick draws nothing
+        kicked = np.array([config.kick.apply(fp, None) for fp in readout.states])
+    t = np.einsum("lab,jba->jl", readout.h, kicked).real
+    alphabet = tuple(str(u) for u in range(k))
+    d_maps = {}
+    for u, symbol in enumerate(alphabet):
+        m = np.zeros((k, k))
+        m[u] = t[u]
+        d_maps[symbol] = m
+    return QuasiRealization(dim=k, alphabet=alphabet, d_maps=d_maps,
+                            pi=np.einsum("lab,ba->l", readout.h, state).real, tau=np.ones(k))
 
 
 # ----------------------------------------------------------------------

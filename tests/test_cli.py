@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -440,7 +441,7 @@ class TestSdpCommand:
             assert payload["reason"] == "numerical-limit"
             assert "unbounded below" in payload["error"]
 
-    def test_non_finite_projection_exits_4_with_a_solution(self, workdir, capsys):
+    def test_nt_scaling_breakdown_exits_4_with_a_solution(self, workdir, capsys):
         # the NT scaling breaks down on the way to X = diag(1, 1e250): stdout
         # still carries the numerical-limit solution
         _, write = workdir
@@ -830,6 +831,18 @@ class TestDemoBell:
         code, _, err = run_cli(capsys, "demo", "bell", "--coeffs", "2,0,0,1,1,0,0,1")
         assert code == 2
         assert "not normalized" in json.loads(err)["error"]
+
+    def test_huge_coeffs_are_a_validation_error_without_warnings(self, capsys):
+        # each ket's norm is the hypot of its two coefficients, so 1e200 is
+        # reported as unnormalized with no overflow warning before the line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "demo", "bell", "--coeffs", "1e200,0,0,1,1,0,0,1")
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["reason"] == "validation"
+        assert "ket v1_0 is not normalized (norm 1e+200)" in payload["error"]
 
     def test_generic_coeffs_still_infeasible(self, capsys):
         # rotated superpositions keep sigma1 inside span{V1, V2}: the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -383,10 +384,14 @@ class TestToQuasiRealization:
 
 
 class TestExactProcess:
-    """Sample mode on the qutrit dephasing channel with a depolarizing kick
-    of strength s emits an exact Markov chain: the kick takes the collapsed
-    vertex |i><i| to (1 - s)|i><i| + s I/3, whose weights over the three
-    fixed points give T = (1 - s) I + (s/3) J."""
+    """Sample mode on a classical readout emits an exact Markov chain. On
+    the qutrit dephasing channel with a depolarizing kick of strength s the
+    kick takes the collapsed vertex |i><i| to (1 - s)|i><i| + s I/3, whose
+    weights over the three fixed points give T = (1 - s) I + (s/3) J.
+    ``exact_process`` gives T in general; it is checked on the simulate
+    benchmark's channels (``basis_channel``: k = 2, 3, 7 fixed basis
+    projectors at d = 2, 4, 8), with a Haar kick (T uniform), a
+    depolarizing kick of 0.4 and a random CPTP fixed kick (T not uniform)."""
 
     @pytest.mark.parametrize("seed", [9, 1, 2])
     def test_bigram_rows_match_transition_matrix(self, seed):
@@ -403,6 +408,56 @@ class TestExactProcess:
         # Pearson chi-square over the rows, k(k - 1) = 6 degrees of freedom;
         # the threshold is exceeded by a correct simulation with probability 1e-6
         assert stat <= chi2.isf(1e-6, 6)
+
+    @pytest.mark.parametrize("kick", ["haar", "depolarizing", "fixed"])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_bigram_rows_match_the_exact_chain(self, d, kick):
+        rng = np.random.default_rng(d)
+        policy = {"haar": HaarUnitaryKick(), "depolarizing": DepolarizingKick(0.4),
+                  "fixed": FixedKick(choi=chan.random_cptp_choi(d, rng))}[kick]
+        cfg = SimulationConfig(channel=basis_channel(d), kick=policy, n_iter=2000, n_rounds=5000,
+                               classify_mode="sample", seed=3)
+        rho0 = random_density(rng, d)
+        t = sum(conesim.exact_process(cfg, rho0).d_maps.values())
+        k = len(t)
+        symbols = run(cfg, rho0).symbols()
+        assert None not in symbols
+        counts = np.zeros((k, k))
+        np.add.at(counts, (symbols[:-1], symbols[1:]), 1)
+        expected = counts.sum(axis=1, keepdims=True) * t
+        # at least 5 expected in every cell, where the chi-square law holds
+        assert expected.min() >= 5
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        # Pearson chi-square over the rows, k(k - 1) degrees of freedom: a
+        # correct simulation exceeds the threshold with probability 1e-6, so
+        # the nine cases fail falsely with probability below 1e-5 (each seed
+        # gives the same verdict on every run)
+        assert stat <= chi2.isf(1e-6, k * (k - 1))
+
+    def test_closed_form_on_the_qutrit_dephasing_channel(self):
+        # H_l = |l><l|, so pi is the diagonal of rho0 and T = (1 - s) I + (s/3) J
+        s = 0.5
+        rho0 = random_density(np.random.default_rng(1), 3)
+        cfg = SimulationConfig(channel=qutrit_channel(), kick=DepolarizingKick(s), n_iter=20,
+                               n_rounds=1, classify_mode="sample")
+        q = conesim.exact_process(cfg, rho0)
+        assert q.alphabet == ("0", "1", "2")
+        assert np.abs(q.pi - np.diag(rho0).real).max() <= 1e-15
+        assert np.abs(sum(q.d_maps.values()) - ((1 - s) * np.eye(3) + s / 3)).max() <= 1e-15
+        assert np.array_equal(q.tau, np.ones(3))
+        # a run starts 0, 1 with probability rho0[0, 0] T[0, 1]
+        assert quasireal.word_probability(q, "01") == pytest.approx(rho0[0, 0].real * s / 3)
+
+    def test_rejects_a_readout_that_is_not_classical(self):
+        # the qubit identity channel fixes every state: its two fixed points
+        # do not span the fixed space, so rounds may go unclassified
+        cfg = SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(), n_iter=1,
+                               n_rounds=1, classify_mode="sample")
+        with pytest.raises(ValueError, match="not a classical readout"):
+            conesim.exact_process(cfg, np.eye(2) / 2)
+        cfg = dataclasses.replace(cfg, channel=basis_channel(2), classify_mode="nearest")
+        with pytest.raises(ValueError, match="describes sample mode"):
+            conesim.exact_process(cfg, np.eye(2) / 2)
 
 
 class TestConfigJson:
@@ -482,7 +537,7 @@ class TestConfigJson:
 
 
 class TestRoundWeightsProperties:
-    """Every round of either mode records NNLS weights over the fixed
+    """Every round of either mode records nonnegative weights over the fixed
     points that are a convex decomposition of its settled state, on
     random separable channels (1-3 sectors of rank 1-2, optional decay
     dimensions)."""
@@ -650,28 +705,86 @@ class TestSampleBlocks:
         rho0 = np.eye(3) / 3
         assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
 
-    def test_negative_least_squares_predictions_are_resolved_by_nnls(self, monkeypatch):
+    def test_linear_readouts_skip_nnls_and_others_resolve_every_row_by_it(self, monkeypatch):
         # an identity kick leaves the collapsed fixed point in place, so the
-        # weights on the other fixed points are 0 and the table's
-        # least-squares values round to either side of it; every round's
-        # recorded weights are NNLS's, called through the module's own
-        # ``nnls`` binding, and none is negative
+        # weights on the other fixed points are 0 and their least-squares
+        # values round to either side of it. The readout is linear (and
+        # classical): those values clipped at 0 are the NNLS weights, and the
+        # module's own ``nnls`` binding is never called
         calls = []
 
         def counted_nnls(a, b):
             calls.append(1)
             return nnls(a, b)
 
+        monkeypatch.setattr(conesim, "nnls", counted_nnls)
         cfg = SimulationConfig(channel=mixed_sector_channel(np.random.default_rng(5),
                                                             [[0.6, 0.4], [1.0], [1.0]])[1],
                                kick=FixedKick(choi=chan.identity_channel(4)), n_iter=2000,
                                n_rounds=600, classify_mode="sample", seed=5)
         rho0 = np.eye(4) / 4
-        monkeypatch.setattr(conesim, "nnls", counted_nnls)
         traj = run(cfg, rho0)
-        assert len(calls) >= cfg.n_rounds
-        assert all((r.weights >= 0).all() for r in traj.rounds)
+        assert not calls
+        columns = conesim._stack_re_im(np.array(traj.fixed_points)).T
+        for r in traj.rounds:
+            assert (r.weights >= 0).all()
+            expected, _ = nnls(columns, conesim._stack_re_im(r.settled_state[None])[0])
+            assert np.abs(r.weights - expected).max() <= 1e-15
         assert_same_trajectory(traj, run_one_round_at_a_time(cfg, rho0))
+
+        # the qubit identity channel fixes every state; with the
+        # non-orthogonal pair |0><0|, |+><+| as its fixed points, H_0 has a
+        # negative eigenvalue, and every row the run resolves goes through NNLS
+        identity = chan.identity_channel(2)
+        fp_set = chan.fixed_points(identity)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        monkeypatch.setattr(conesim.chan, "fixed_points", lambda c: dataclasses.replace(
+            fp_set, states=[basis_proj(0, 2), plus], eigenvalue_residuals=[0.0, 0.0]))
+        rows = []
+        fixed_point_weights = conesim._fixed_point_weights
+
+        def counted_rows(settled, readout):
+            rows.append(len(settled))
+            return fixed_point_weights(settled, readout)
+
+        monkeypatch.setattr(conesim, "_fixed_point_weights", counted_rows)
+        cfg = SimulationConfig(channel=identity, kick=HaarUnitaryKick(), n_iter=1, n_rounds=600,
+                               classify_tol=0.7, classify_mode="sample", seed=5)
+        calls.clear()
+        traj = run(cfg, np.eye(2) / 2)
+        assert not conesim._Readout.of(conesim.chan.fixed_points(identity)).linear
+        assert sum(rows) >= cfg.n_rounds and len(calls) == sum(rows)
+        assert 0 < traj.symbols().count(None) < cfg.n_rounds
+
+    @given(sectors=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=2),
+                            min_size=1, max_size=3),
+           extra=st.integers(0, 2),
+           kick=st.sampled_from(["haar", "depolarizing", "fixed"]),
+           classify_tol=st.sampled_from([conesim.CLASSIFY_TOL, 0.3]),
+           n_rounds=st.sampled_from([1, 2, conesim.BLOCK + 1]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(sectors=[[0.7, 0.3], [1.0]], extra=1, kick="haar", classify_tol=conesim.CLASSIFY_TOL,
+             n_rounds=conesim.BLOCK + 1, seed=0)
+    @example(sectors=[[0.6, 0.4], [1.0], [1.0]], extra=0, kick="fixed",
+             classify_tol=conesim.CLASSIFY_TOL, n_rounds=conesim.BLOCK + 1, seed=1)
+    @example(sectors=[[0.6, 0.4]], extra=2, kick="depolarizing", classify_tol=0.3, n_rounds=2, seed=2)
+    # a classify_tol below the residuals' rounding: on these rotated sectors
+    # no residual is exactly 0, so every round is unclassified and runs alone
+    @example(sectors=[[0.7, 0.3], [1.0]], extra=1, kick="haar", classify_tol=1e-300,
+             n_rounds=conesim.BLOCK + 1, seed=0)
+    def test_classical_readouts_match_rounds_run_one_at_a_time(self, sectors, extra, kick,
+                                                               classify_tol, n_rounds, seed):
+        # mixed-sector fixed sets are classical: every classified round that
+        # runs alone starts a block of all the rounds left, up to BLOCK
+        rng = np.random.default_rng(seed)
+        _, c = mixed_sector_channel(rng, sectors, extra)
+        policy = {"haar": HaarUnitaryKick(), "depolarizing": DepolarizingKick(0.4),
+                  "fixed": FixedKick(choi=chan.random_cptp_choi(c.d_in, rng))}[kick]
+        cfg = SimulationConfig(channel=c, kick=policy, n_iter=2000, n_rounds=n_rounds,
+                               classify_tol=classify_tol, classify_mode="sample", seed=seed)
+        rho0 = random_density(rng, c.d_in)
+        assert conesim._Readout.of(chan.fixed_points(c)).classical
+        assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
 
     def test_dependent_fixed_points_use_nnls_for_every_row(self):
         # least squares over dependent columns picks the minimum-norm

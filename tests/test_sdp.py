@@ -284,7 +284,7 @@ class TestSolve:
         assert sol.status == "numerical-limit"
         assert sol.message.startswith("objective is unbounded below")
 
-    def test_non_finite_projection_returns_a_status(self):
+    def test_nt_scaling_breakdown_returns_a_status(self):
         # X = diag(1, 1e250) spans 250 orders of magnitude: the NT scaling
         # loses its positive definiteness on the way, and the solve must
         # still return its numerical-limit result
