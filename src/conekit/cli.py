@@ -31,9 +31,11 @@ stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``
 and ``Infinity`` tokens, a lone surrogate, a BOM and malformed JSON get
 the stdlib's value or its error message. An integer literal outside
 [-2**63, 2**64) comes back as a float, which the integer fields of a
-conesim config or trajectory reject from 2**53 up. Output is compact
-JSON on one line (``json.dumps`` without ``indent``, which takes the C
-encoder; floats print by ``repr`` either way). The
+conesim config or trajectory reject from 2**53 up. Output, the error
+lines and the ``conesim run`` trajectory lines included, is compact JSON
+on one line written by orjson (``_dumps``): no spaces after separators,
+each float in its shortest form that reads back to the same value, and a
+non-finite float as ``null``. The
 argument parser is built once per process, on the first ``main`` call,
 and reused by every later call; the command handlers are bound to it at
 that first build. Tolerance options must be finite and > 0, and
@@ -55,6 +57,9 @@ option value) is a ``validation`` error like any other malformed input:
     zero-detection-overlap            3     ConstructionError (separable)
     decay-weight-zero                 3     ConstructionError (separable, single)
     decay-weight-too-large            3     ConstructionError (separable, single)
+    not-completely-positive           3     ConstructionError (separable, single):
+                                            the channel is not CP; details
+                                            give choi_min_eig
     construction-error                3     ConstructionError without a tag
 
 A numerical failure never counts as a validation error.
@@ -123,8 +128,14 @@ def _open_out(path: str, newline: str | None = None):
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
+def _dumps(obj) -> str:
+    """Compact JSON text of ``obj``, encoded by orjson: numpy scalars and
+    arrays as numbers and lists, a non-finite float as null."""
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+
+
 def _emit(obj, out_path: str | None = None):
-    text = json.dumps(obj)
+    text = _dumps(obj)
     if out_path:
         with _open_out(out_path) as fh:
             fh.write(text + "\n")
@@ -136,7 +147,7 @@ def _emit_error(message: str, reason: str, details: dict | None = None):
     payload = {"error": message, "reason": reason}
     if details:
         payload["details"] = details
-    print(json.dumps(payload), file=sys.stderr)
+    print(_dumps(payload), file=sys.stderr)
 
 
 def _interleaved_row(m: np.ndarray) -> list[float]:
@@ -319,7 +330,7 @@ def cmd_quasireal_cone_check(args) -> int:
     q = quasireal.quasireal_from_json(_load_json(args.realization))
     cone = quasireal.cone_from_json(_load_json(args.cone))
     rep = quasireal.check_dharmadhikari(q, cone, tol=args.tol)
-    out = {
+    _emit({
         "tau_in_cone": rep.tau_in_cone,
         "maps_preserve_cone": rep.maps_preserve_cone,
         "pi_in_dual": rep.pi_in_dual,
@@ -329,10 +340,7 @@ def cmd_quasireal_cone_check(args) -> int:
         "worst_map_case": list(rep.worst_map_case) if rep.worst_map_case else None,
         "min_dual_value": rep.min_dual_value,
         "all_conditions": rep.all_ok,
-    }
-    # a value past the float range prints as null, as in ``sdp solve``
-    _emit({k: None if isinstance(x, float) and not math.isfinite(x) else x for k, x in out.items()},
-          args.out)
+    }, args.out)
     return EXIT_OK
 
 
@@ -352,7 +360,7 @@ def cmd_conesim_run(args) -> int:
     traj = conesim.run(cfg, rho0)
     with _open_out(args.out) as fh:
         for rec in conesim.trajectory_to_json(traj):
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(_dumps(rec) + "\n")
     unclassified = [[i, r.residual] for i, r in enumerate(traj.rounds) if r.symbol is None]
     _emit({
         "rounds": len(traj.rounds),

@@ -55,8 +55,9 @@ set: a generic admissible core, near but not at its analytic centre
 
 The complete positivity of a separable channel depends on its inputs and
 is checked on the assembled Choi matrix rather than factor by factor
-(some factors are indefinite by design). Validity reports carry every
-condition with its numeric residual.
+(some factors are indefinite by design): ``build_separable_multi`` refuses
+a channel that is not CP. Validity reports carry every condition with its
+numeric residual.
 """
 
 from __future__ import annotations
@@ -275,7 +276,9 @@ def separable_condition_report(spec: SeparableMultiSpec) -> dict:
 
 def build_separable_multi(spec: SeparableMultiSpec) -> ChoiMatrix:
     """``spec.channel``, once the spec meets the three conditions of
-    ``_condition_evidence``; otherwise the error names the first that failed."""
+    ``_condition_evidence`` and the channel is CP; otherwise the error names
+    the first that failed (reason not-completely-positive, with choi_min_eig,
+    for a channel that meets the three but is not CP)."""
     evidence = _condition_evidence(spec)
     cross, weight = evidence["max_cross_overlap"], evidence["b_weight"]
     i = int(np.argmin(evidence["overlaps"]))
@@ -294,6 +297,12 @@ def build_separable_multi(spec: SeparableMultiSpec) -> ChoiMatrix:
             f"is not in ({DECAY_TOL:g}, 2 - {DECAY_TOL:g})",
             reason="decay-weight-zero" if weight <= DECAY_TOL else "decay-weight-too-large",
             details={"b_weight": weight})
+    cptp = spec.channel.cptp
+    if not cptp.cp:
+        raise ConstructionError(
+            f"the channel is not completely positive: its Choi matrix has eigenvalue "
+            f"{cptp.min_eig:.3e}", reason="not-completely-positive",
+            details={"choi_min_eig": cptp.min_eig})
     return spec.channel
 
 
@@ -321,7 +330,9 @@ class ForcedAlgebra:
     """What fixing the states forces on every channel core of ``build_via_sdp``.
 
     support is an isometry U onto supp rho, rho = sum_i sigma_i / k
-    (``linops.support``), r = rank rho: ``build_via_sdp``
+    (``linops.support``), r = rank rho, and eigenvalues the spectrum of rho
+    it was cut from, ascending, so that U^dag rho U = diag(eigenvalues[-r:])
+    up to rounding: ``build_via_sdp``
     compresses the states to it, solves for the r^2 x r^2 core Y on face
     (``SdpChannelResult.solution.x``) and lifts Y back through U once, so
     the rest is given in these r coordinates. commutant holds an
@@ -343,6 +354,7 @@ class ForcedAlgebra:
     """
 
     support: np.ndarray
+    eigenvalues: np.ndarray
     commutant: np.ndarray
     face: np.ndarray | None
 
@@ -372,9 +384,9 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
     rounding would grow as 1 / lambda_min.
     """
     states = linops.check_states(sigmas)
-    lam, u = linops.support(states.mean(axis=0))
+    eigenvalues, u = linops.support(states.mean(axis=0))
     r = u.shape[1]
-    lam = lam[lam.size - r:]
+    lam = eigenvalues[eigenvalues.size - r:]
     if len(states) == 1:
         commutant = np.eye(r * r, dtype=complex).reshape(-1, r, r)
     else:
@@ -395,7 +407,7 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
         commutant = vh[sv <= RANK_TOL].conj().reshape(-1, r, r)
     c = len(commutant)
     face = None if c == r * r else commutant.reshape(c, r * r).T
-    return ForcedAlgebra(support=u, commutant=commutant, face=face)
+    return ForcedAlgebra(support=u, eigenvalues=eigenvalues, commutant=commutant, face=face)
 
 
 IDENTITY_FORCED = "closed form: the fixed states force the identity on supp rho"
@@ -418,7 +430,13 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
 
     Compress, solve, lift. U = ``forced_algebra(sigmas).support`` is the
     isometry onto supp rho, rho = sum_i sigma_i / k, r = rank rho.
-    Compress: the states U^dag sigma_i U have a mean of full rank r.
+    Compress: the states U^dag sigma_i U have a mean of full rank r. A
+    single state is rho itself, so it is compressed to diag(lambda), its
+    eigenvalues above the cut (``ForcedAlgebra.eigenvalues``), not to the
+    rounded U^dag sigma U: a real state, whose SDP is solved in real
+    arithmetic (``sdp.assemble_fixed_point_constraints``). A set of real
+    states with the real face their forced algebra gives takes that path
+    too.
     Solve: the core Y on C^r (x) C^r ranges over the Choi matrices that fix
     them and preserve the trace (``sdp.assemble_fixed_point_constraints``),
     on the face of the commutant of the forced algebra
@@ -454,10 +472,14 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
 
     algebra = forced_algebra(states)
     u = algebra.support
+    r = u.shape[1]
     if algebra.commutant_dim == 1:
-        sol = _identity_core(u.shape[1])
+        sol = _identity_core(r)
     else:
-        problem = sdpmod.assemble_fixed_point_constraints(linops.dagger(u) @ states @ u)
+        # one state is rho, diagonal on its own eigenvectors: exactly real
+        compressed = ([np.diag(algebra.eigenvalues[d - r:])] if len(states) == 1
+                      else linops.dagger(u) @ states @ u)
+        problem = sdpmod.assemble_fixed_point_constraints(compressed)
         sol = sdpmod.solve(problem, feas_tol=feas_tol, face=algebra.face)
     if sol.status != sdpmod.STATUS_OPTIMAL:
         # the identity channel fixes every state, so the constraints are
@@ -472,9 +494,9 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     c = _complete(x, b)
     residuals = [trace_distance(chan.apply(c, s), s) for s in states]
     if max(residuals) > chan.FP_TOL:
-        lam, _ = linops.support(states.mean(axis=0))
         raise sdpmod.NumericalLimitError(
             f"the channel fixes the states only to {max(residuals):.3e} (> FP_TOL); the largest "
-            f"eigenvalue of rho cut from its support is {lam[:d - u.shape[1]].max(initial=0.0):.3e}")
+            f"eigenvalue of rho cut from its support is "
+            f"{algebra.eigenvalues[:d - r].max(initial=0.0):.3e}")
     return SdpChannelResult(x=ChoiMatrix(d, d, x), c=c, spectrum=chan.spectrum(c),
                             residuals=residuals, solution=sol)

@@ -130,21 +130,43 @@ class SdpSolution:
 
 def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     """The SDP over Choi matrices X (output (x) input) of maps that fix every
-    given state and preserve the trace, E over ``hermitian_basis(d)``:
+    given state and preserve the trace, E over the d^2 elements of
+    ``hermitian_basis(d)`` (over its real symmetric ones for real states,
+    below):
 
-    * tr[(E (x) sigma_i^T) X] = tr[E sigma_i] (the first k d^2 rows, state
-      by state);
-    * tr[(I (x) E) X] = tr E (the last d^2 rows), that is tr_H1[X] = I.
+    * tr[(E (x) sigma_i^T) X] = tr[E sigma_i] (the first k blocks of rows,
+      state by state);
+    * tr[(I (x) E) X] = tr E (the last block), that is tr_H1[X] = I.
 
     The objective is F0 = I, and tr X = tr tr_H1[X] = d on the whole
     feasible set, so every feasible X is optimal. ``engineer.build_via_sdp``
     compresses its states first, so that their mean has full rank, solves
     this problem on them, and lifts the core it returns
     (``SdpChannelResult.solution.x``) back once.
+
+    When every state is exactly real, E runs over the d(d+1)/2 real
+    symmetric elements of the basis only: (k + 1) d(d+1)/2 real rows in
+    place of (k + 1) d^2 complex ones, so ``solve`` runs in real
+    arithmetic. Real states make the problem invariant under X -> conj X:
+    conj X is the Choi matrix of the map rho -> conj Phi(conj rho), which is
+    CP, preserves the trace and fixes every conj sigma_i = sigma_i, and
+    tr conj X = tr X. The feasible set is convex, so (X + conj X)/2 = Re X
+    is feasible with the cost of X, and the optimum over real symmetric X
+    equals the complex one (the conjugation case of symmetry reduction,
+    Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004). On a real
+    symmetric X the rows left out, those of an imaginary antisymmetric E,
+    read 0 = 0: E (x) sigma_i^T and I (x) E are i times a real
+    antisymmetric matrix, and tr[E sigma_i] = tr E = 0. A face passed to
+    ``solve`` with these rows must be real as well, as the face of
+    ``engineer.forced_algebra`` is for real states (LAPACK keeps real data
+    real); on a complex face the solve would run over complex X without
+    the rows left out.
     """
     sig = linops.check_states(sigmas)
     d = sig.shape[1]
     basis = hermitian_basis(d)
+    if not sig.imag.any():
+        basis = basis[~basis.imag.any(axis=(1, 2))]
     # every E (x) sigma^T in one broadcast product, axes (state, E, i, a, j, b)
     fixing = basis[None, :, :, None, :, None] * sig.swapaxes(1, 2)[:, None, None, :, None, :]
     # every I (x) E, axes (E, i, a, j, b)

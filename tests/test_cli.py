@@ -353,6 +353,27 @@ class TestEngineerCommands:
         assert payload["reason"] == "not-unambiguously-discriminable"
         assert payload["details"]["failing_index"] == 0
 
+    def test_channel_that_is_not_cp_exits_3(self, workdir, capsys):
+        # both meet the three separable conditions, yet the channel's Choi
+        # matrix has a negative eigenvalue: two real pure qutrit states, and
+        # sigma = diag(0.5, 0.3, 0.2) with B = diag(0.5, 0, 0.5), whose
+        # Choi block on input |0> is 2 sigma - B = diag(0.5, 0.6, -0.1)
+        _, write = workdir
+        kets = np.random.default_rng(0).standard_normal((2, 3))
+        pure = [write(f"p{i}.json", linops.matrix_to_json(linops.ket_projector(v / np.linalg.norm(v))))
+                for i, v in enumerate(kets)]
+        sigma = write("s.json", linops.matrix_to_json(np.diag([0.5, 0.3, 0.2])))
+        b = write("b.json", linops.matrix_to_json(np.diag([0.5, 0.0, 0.5])))
+        for argv, min_eig, tol in ((["separable", "--sigma", pure[0], "--sigma", pure[1]], -0.873, 5e-4),
+                                   (["single", "--sigma", sigma, "--b", b], -0.1, 1e-12)):
+            for report in ([], ["--report"]):
+                code, out, err = run_cli(capsys, "engineer", *argv, *report)
+                assert code == 3 and out == ""
+                payload = json.loads(err)
+                assert payload["reason"] == "not-completely-positive"
+                assert list(payload["details"]) == ["choi_min_eig"]
+                assert abs(payload["details"]["choi_min_eig"] - min_eig) <= tol
+
     def test_sdp_build(self, workdir, capsys):
         _, write = workdir
         s0 = write("s0.json", linops.matrix_to_json(basis_proj(0, 2)))
@@ -376,7 +397,8 @@ class TestSdpCommand:
         assert payload["solution"]["status"] == "optimal"
         assert abs(payload["solution"]["objective_value"] - 2.0) < 1e-6
         assert payload["solution"]["maximized_value"] == -payload["solution"]["objective_value"]
-        assert len(payload["problem"]["constraints"]) == 12  # 8 fixing rows, 4 trace rows
+        # real states: 6 real symmetric fixing rows, 3 trace rows
+        assert len(payload["problem"]["constraints"]) == 9
 
     def test_solve_infeasible_exits_3(self, workdir, capsys):
         _, write = workdir
@@ -702,14 +724,14 @@ class TestConesimCommands:
 
     def test_estimate_reads_trajectory_with_states(self, capsys):
         # written by the earlier format, whose lines also held settled_state
-        # and post_kick_state; its estimate must not change
+        # and post_kick_state; its estimate must not change (compact orjson text)
         path = str(DATA / "trajectory_with_states.jsonl")
         code, out, _ = run_cli(capsys, "conesim", "estimate", path)
         assert code == 0
         assert out == (
-            '{"symbols": [0, 1, 2], "counts": [[4, 0, 1], [1, 0, 0], [0, 2, 3]], '
-            '"transition": [[0.8, 0.0, 0.2], [1.0, 0.0, 0.0], [0.0, 0.4, 0.6]], '
-            '"stationary": [0.5882352941176471, 0.11764705882352937, 0.2941176470588235]}\n'
+            '{"symbols":[0,1,2],"counts":[[4,0,1],[1,0,0],[0,2,3]],'
+            '"transition":[[0.8,0.0,0.2],[1.0,0.0,0.0],[0.0,0.4,0.6]],'
+            '"stationary":[0.5882352941176471,0.11764705882352937,0.2941176470588235]}\n'
         )
         code, out, _ = run_cli(capsys, "conesim", "estimate", path, "--format", "csv")
         assert code == 0

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -245,10 +246,17 @@ class TestDecayRule:
         try:
             assert build_separable_multi(spec) is spec.channel
         except ConstructionError as exc:
-            assert np.abs(off).max() > 1.0 - 1e-6
-            assert exc.reason == ("decay-weight-zero" if w < 1.0 else "decay-weight-too-large")
+            if exc.reason == "not-completely-positive":
+                # it decays, but a channel that is not CP is refused as well
+                assert np.abs(off).max() < 1.0 - 1e-6
+                assert not spec.channel.cptp.cp
+                assert exc.details == {"choi_min_eig": spec.channel.cptp.min_eig}
+            else:
+                assert np.abs(off).max() > 1.0 - 1e-6
+                assert exc.reason == ("decay-weight-zero" if w < 1.0 else "decay-weight-too-large")
         else:
             assert np.abs(off).max() < 1.0 - 1e-6
+            assert spec.channel.cptp.cp
 
         rep = engineer.separable_condition_report(spec)
         ring = [complex(*z) for z in rep["peripheral_spectrum"]]
@@ -816,6 +824,75 @@ class TestBuildViaSdpProperties:
 
 
 @st.composite
+def real_state_sets(draw):
+    """Real states in dimension 2-4, in a random real orthogonal basis: one
+    state of random rank, or two or three of full rank, block diagonal over
+    one split of that basis, so that their forced algebra has a commutant
+    larger than C I and the solve runs on a face."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(SEEDS))
+    o = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    if draw(st.booleans()):
+        g = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+        blocks = [g @ g.T]
+    else:
+        cut = int(rng.integers(1, d))
+        blocks = []
+        for _ in range(draw(st.integers(2, 3))):
+            g, h = rng.standard_normal((cut, cut)), rng.standard_normal((d - cut, d - cut))
+            blocks.append(scipy.linalg.block_diag(g @ g.T, h @ h.T) + 0.1 * np.eye(d))
+    return [o @ b @ o.T / np.trace(b) for b in blocks]
+
+
+# a real pair on two blocks of C^4, 2 + 2, that do not commute inside the first
+REAL_BLOCK_PAIR = [scipy.linalg.block_diag([[0.3, 0.1], [0.1, 0.2]], np.diag([0.3, 0.2])),
+                   scipy.linalg.block_diag([[0.2, -0.05], [-0.05, 0.4]], np.diag([0.1, 0.3]))]
+
+
+class TestRealArithmetic:
+    """Real states are solved over real symmetric matrices
+    (``sdp.assemble_fixed_point_constraints``), and one state over diag(lambda)
+    whatever its basis: the channel does not depend on which path ran."""
+
+    @given(states=real_state_sets(), seed=SEEDS)
+    @example(states=BELL_DEFAULT, seed=0)
+    @example(states=TestFixedPointFace().bell_states(), seed=0)
+    @example(states=COMMUTING_ON_A_PLANE, seed=0)
+    @example(states=REAL_BLOCK_PAIR, seed=0)
+    @settings(max_examples=30)
+    def test_one_path_in_any_basis(self, states, seed):
+        # a Haar unitary V makes the states complex; rotated back, the
+        # channel is the one the real states give
+        v = haar_unitary(len(states[0]), np.random.default_rng(seed))
+        real = build_via_sdp(states)
+        rotated = build_via_sdp([v @ s @ v.conj().T for s in states])
+        lift = np.kron(v, v.conj())
+        back = lift.conj().T @ rotated.c.matrix @ lift
+        assert rotated.solution.status == real.solution.status == "optimal"
+        assert rotated.solution.iterations == real.solution.iterations
+        assert np.abs(back - real.c.matrix).max() <= 1e-7
+
+    def test_one_complex_state_reaches_the_solver_real(self, monkeypatch):
+        # rank 3 in C^4: r (r + 1) = 12 real rows on 9 x 9 operators, where
+        # the complex compression gave 2 r^2 = 18 complex ones
+        seen = []
+        solve = engineer.sdpmod.solve
+
+        def spy(problem, **kwargs):
+            seen.append((problem.constraint_ops.shape, bool(problem.constraint_ops.imag.any())))
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(engineer.sdpmod, "solve", spy)
+        u = haar_unitary(4, np.random.default_rng(3))
+        sigma = (u * [0.5, 0.3, 0.2, 0.0]) @ u.conj().T
+        assert np.abs(sigma.imag).max() > 0.05
+        res = build_via_sdp([sigma])
+        assert seen == [((12, 9, 9), False)]
+        assert res.solution.status == "optimal"
+        assert res.residuals[0] <= 1e-9
+
+
+@st.composite
 def shared_support_sets(draw):
     """One to three states of random ranks on one Haar-random r-dimensional
     subspace of C^d, d in 2..5 and r < d."""
@@ -840,7 +917,8 @@ class TestCompressedSolve:
 
     def test_solver_sees_only_the_support(self, monkeypatch):
         # rank rho = 2 in C^3: every operator the solver receives is
-        # r^2 x r^2 = 4 x 4, 2 states x 4 fixing rows and 4 trace rows
+        # r^2 x r^2 = 4 x 4; the states are real, so the rows are 2 states
+        # x 3 real symmetric fixing rows and 3 trace rows
         seen = []
         solve = engineer.sdpmod.solve
 
@@ -850,7 +928,7 @@ class TestCompressedSolve:
 
         monkeypatch.setattr(engineer.sdpmod, "solve", spy)
         res = build_via_sdp(COMMUTING_ON_A_PLANE)
-        assert seen == [((12, 4, 4), (4, 2))]
+        assert seen == [((9, 4, 4), (4, 2))]
         assert res.solution.x.shape == (4, 4)
         assert res.x.matrix.shape == (9, 9)
 

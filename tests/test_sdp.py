@@ -82,6 +82,28 @@ class TestAssemble:
                                            for s in states for e in basis]
                                           + [float(np.trace(e).real) for e in basis])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_real_states_keep_the_real_symmetric_rows(self, rng, d):
+        # the kron loop over the d (d + 1) / 2 real elements, bit for bit;
+        # every row left out vanishes on a real symmetric X, as does its b
+        states = [random_density(rng, d).real.astype(complex) for _ in range(2)]
+        real = [e for e in loop_hermitian_basis(d) if not e.imag.any()]
+        dropped = [e for e in loop_hermitian_basis(d) if e.imag.any()]
+        assert len(real) == d * (d + 1) // 2
+        p = sdp.assemble_fixed_point_constraints(states)
+        expected = np.array([np.kron(e, s.T) for s in states for e in real]
+                            + [np.kron(np.eye(d), e) for e in real])
+        assert p.constraint_ops.tobytes() == expected.tobytes()
+        assert p.constraint_vals == tuple([float(np.trace(e @ s).real)
+                                           for s in states for e in real]
+                                          + [float(np.trace(e).real) for e in real])
+        g = rng.standard_normal((d * d, d * d))
+        x = g @ g.T
+        for a in [np.kron(e, s.T) for s in states for e in dropped] + [
+                np.kron(np.eye(d), e) for e in dropped]:
+            assert abs(np.trace(a @ x)) < 1e-12 * np.abs(x).sum()
+        assert all(abs(np.trace(e @ s)) < 1e-15 for s in states for e in dropped)
+
     def test_single_state_constraint_count_and_witness(self):
         # compressed to its support, a pure state is the 1 x 1 state [1]:
         # one fixing row, one trace row, and sigma (x) sigma^T its witness
@@ -96,7 +118,7 @@ class TestAssemble:
     def test_two_states_witness(self):
         s0, s1 = basis_proj(0, 2), basis_proj(1, 2)
         p = sdp.assemble_fixed_point_constraints([s0, s1])
-        assert len(p.constraint_ops) == 12  # 8 fixing rows, 4 trace rows
+        assert len(p.constraint_ops) == 9  # real states: 6 fixing rows, 3 trace rows
         x = kron(s0, s0) + kron(s1, s1)
         for a, b in zip(p.constraint_ops, p.constraint_vals):
             assert abs(np.trace(a @ x).real - b) < 1e-12
