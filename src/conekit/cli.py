@@ -26,6 +26,14 @@ force the identity on their support and the channel is the closed form.
 It exits 4 (``numerical-limit``) when the cut of ``linops.support`` leaves
 a state unfixed, its residual above ``channel.FP_TOL``.
 
+The three verdict commands print the fields of their report, in its
+order, then the keys they add: ``channel check`` those of
+``channel.CptpReport`` and ``d_in``, ``d_out``; ``quasireal check`` those
+of ``quasireal.PositiveRealizationReport`` and ``positive_realization``;
+``quasireal cone-check`` those of ``quasireal.DharmadhikariReport``
+(``worst_map_case`` as a [symbol, generator] pair or null) and
+``all_conditions``.
+
 Inputs are decoded by orjson (``_parse_json``). What orjson rejects, the
 stdlib ``json`` decides on the text a text-mode ``open`` gives: ``NaN``
 and ``Infinity`` tokens, a lone surrogate, a BOM and malformed JSON get
@@ -35,7 +43,9 @@ conesim config or trajectory reject from 2**53 up. Output, the error
 lines and the ``conesim run`` trajectory lines included, is compact JSON
 on one line written by orjson (``_dumps``): no spaces after separators,
 each float in its shortest form that reads back to the same value, and a
-non-finite float as ``null``. The
+non-finite float as ``null``. A string orjson refuses to write, one with
+a lone surrogate from the stdlib decoder or from argv bytes that are not
+UTF-8, is written by the stdlib encoder as its ``\\uXXXX`` escape. The
 argument parser is built once per process, on the first ``main`` call,
 and reused by every later call; the command handlers are bound to it at
 that first build. Tolerance options must be finite and > 0, and
@@ -128,10 +138,31 @@ def _open_out(path: str, newline: str | None = None):
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
+def _plain(obj):
+    """``obj`` as ``json.dumps`` must see it to write what orjson writes:
+    numpy scalars and arrays as Python numbers and lists, and a non-finite
+    float as None."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _dumps(obj) -> str:
     """Compact JSON text of ``obj``, encoded by orjson: numpy scalars and
-    arrays as numbers and lists, a non-finite float as null."""
-    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    arrays as numbers and lists, a non-finite float as null. orjson refuses
+    a string with a lone surrogate (see the module docstring); ``json.dumps``
+    writes that ``obj``, the surrogate as its \\uXXXX escape, which
+    ``_parse_json`` reads back."""
+    try:
+        return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    except orjson.JSONEncodeError:
+        return json.dumps(_plain(obj), separators=(",", ":"))
 
 
 def _emit(obj, out_path: str | None = None):
@@ -183,11 +214,7 @@ def _csv_header(label: str, dim_sq: int) -> list[str]:
 def cmd_channel_check(args) -> int:
     c = chan.choi_from_json(_load_json(args.choi))
     rep = chan.is_cptp(c, psd_tol=args.psd_tol, tp_tol=args.tp_tol)
-    _emit({
-        "cp": rep.cp, "tp": rep.tp,
-        "min_eig": rep.min_eig, "tp_residual": rep.tp_residual,
-        "d_in": c.d_in, "d_out": c.d_out,
-    }, args.out)
+    _emit({**vars(rep), "d_in": c.d_in, "d_out": c.d_out}, args.out)
     return EXIT_OK
 
 
@@ -316,13 +343,7 @@ def cmd_quasireal_prob(args) -> int:
 def cmd_quasireal_check(args) -> int:
     q = quasireal.quasireal_from_json(_load_json(args.realization))
     rep = quasireal.is_positive_realization(q, tol=args.tol)
-    _emit({
-        "nonneg": rep.nonneg, "stochastic": rep.stochastic,
-        "stationary": rep.stationary, "tau_ones": rep.tau_ones,
-        "min_entry": rep.min_entry, "row_sum_residual": rep.row_sum_residual,
-        "stationary_residual": rep.stationary_residual, "tau_residual": rep.tau_residual,
-        "positive_realization": rep.all_ok,
-    }, args.out)
+    _emit({**vars(rep), "positive_realization": rep.all_ok}, args.out)
     return EXIT_OK
 
 
@@ -330,17 +351,7 @@ def cmd_quasireal_cone_check(args) -> int:
     q = quasireal.quasireal_from_json(_load_json(args.realization))
     cone = quasireal.cone_from_json(_load_json(args.cone))
     rep = quasireal.check_dharmadhikari(q, cone, tol=args.tol)
-    _emit({
-        "tau_in_cone": rep.tau_in_cone,
-        "maps_preserve_cone": rep.maps_preserve_cone,
-        "pi_in_dual": rep.pi_in_dual,
-        "pointed": rep.pointed,
-        "tau_residual": rep.tau_residual,
-        "worst_map_residual": rep.worst_map_residual,
-        "worst_map_case": list(rep.worst_map_case) if rep.worst_map_case else None,
-        "min_dual_value": rep.min_dual_value,
-        "all_conditions": rep.all_ok,
-    }, args.out)
+    _emit({**vars(rep), "all_conditions": rep.all_ok}, args.out)
     return EXIT_OK
 
 

@@ -151,6 +151,17 @@ KickPolicy = Union[FixedKick, HaarUnitaryKick, DepolarizingKick]
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """A settle / classify / kick run (see ``run``).
+
+    classify_tol is at least ``linops.RANK_TOL``, the rank cut below which
+    a number is rounding. A decomposition residual that should be 0 comes
+    out at up to about 1e-15, and its value depends on how the weights were
+    computed: by one product for a block of rounds or one round at a time.
+    Below that floor, classification would be a property of that rounding,
+    and a blocked run and the same rounds run alone could differ; from it
+    up, it is a property of the settled state.
+    """
+
     channel: ChoiMatrix
     kick: KickPolicy
     n_iter: int
@@ -171,8 +182,9 @@ class SimulationConfig:
             raise ValueError("n_iter and n_rounds must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.classify_tol) and self.classify_tol > 0):
-            raise ValueError(f"classify_tol must be positive and finite, got {self.classify_tol}")
+        if not (math.isfinite(self.classify_tol) and self.classify_tol >= linops.RANK_TOL):
+            raise ValueError(f"classify_tol must be positive and finite, at least "
+                             f"linops.RANK_TOL = {linops.RANK_TOL:g}, got {self.classify_tol}")
         if self.classify_mode not in CLASSIFY_MODES:
             raise ValueError(f"classify_mode must be one of {CLASSIFY_MODES}")
 
@@ -488,9 +500,12 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     running every round alone gives, whichever way blocks are cut.
 
     On a classical readout the table is exact and every settled state a
-    convex combination of the fixed points, so no round goes unclassified
-    at a classify_tol above the residuals' rounding: each classified round
-    that runs alone starts a block of BLOCK rounds, or of all that remain.
+    convex combination of the fixed points, so no round goes unclassified:
+    each classified round that runs alone starts a block of BLOCK rounds,
+    or of all that remain. That holds because classify_tol is at least
+    ``linops.RANK_TOL`` (``SimulationConfig``): whether a round is
+    classified never hangs on the rounding of its residual, which a block
+    and a round run alone compute differently.
     On any other readout a block runs for twice the current run of
     classified rounds, at most BLOCK: the draws a block takes ahead past
     the end of its run are wasted. A block shorter than MIN_BLOCK costs
@@ -536,9 +551,8 @@ def exact_process(config: SimulationConfig, rho0) -> QuasiRealization:
     mean kick (X -> I/d for a Haar kick, the kick itself otherwise), whose
     first symbol is drawn from pi_l = tr[H_l rho0]. D_u keeps row u of T
     and tau is all ones, so pi D_u1 ... D_un tau is the probability that a
-    run's symbols start u1 ... un. That is the process ``run`` emits while
-    every round is classified, which on a classical readout holds at any
-    classify_tol above the rounding of the residuals. Raises ValueError on
+    run's symbols start u1 ... un. That is the process ``run`` emits, as on
+    a classical readout every round is classified. Raises ValueError on
     a readout that is not classical, or on a "nearest"-mode config.
     """
     if config.classify_mode != "sample":

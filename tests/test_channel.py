@@ -289,6 +289,23 @@ class TestFixedPoints:
             assert min(trace_distance(s, basis_proj(i, 2)) for s in fps.states) < 1e-12
         assert max(fps.eigenvalue_residuals) < 1e-12
 
+    def test_fallbacks_take_the_least_singular_values_then_rho(self):
+        # (1 - 1e-10) times the dephasing: at fp_tol 1e-12 no singular value
+        # of S_r - I is within tolerance, so the least ones (1e-10) span the
+        # fixed space; neither basis state is then fixed within fp_tol, so the
+        # one state left is rho = P1 I/d, with its residual 5e-11
+        c = chan.choi_from_map(lambda r: (1 - 1e-10) * np.diag(np.diag(r)), 2, 2)
+        fps = chan.fixed_points(c, fp_tol=1e-12)
+        assert np.linalg.svd(fps.spectrum.s_r - np.eye(4), compute_uv=False).min() > 1e-11
+        assert len(fps.states) == 1
+        assert np.abs(fps.states[0] - np.eye(2) / 2).max() <= 1e-15
+        assert fps.eigenvalue_residuals[0] == pytest.approx(5e-11, rel=1e-6)
+        # at the default tolerance both basis states are fixed
+        fps = chan.fixed_points(c)
+        assert len(fps.states) == 2
+        for i, state in enumerate(fps.states):
+            assert np.abs(state - basis_proj(i, 2)).max() <= 1e-15
+
     def test_two_mixed_sectors(self, rng):
         # d = 4, two rank-2 mixed states on orthogonal supports in a Haar basis
         sigmas, c = mixed_sector_channel(rng, [[0.7, 0.3], [0.4, 0.6]])

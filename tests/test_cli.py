@@ -1,8 +1,10 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import importlib
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conekit import channel as chan
-from conekit import cli, engineer, linops, sdp as sdpmod
+from conekit import cli, engineer, linops, quasireal, sdp as sdpmod
 from conekit.cli import main
 
 from conftest import basis_proj
@@ -1079,6 +1081,9 @@ class TestErrorTaxonomy:
         pytest.param(lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"),
                                          "--config", write("cfg.json", dict(CONFIG_1, classify_tol=0))],
                      "classify_tol must be positive", id="classify-tol-zero"),
+        pytest.param(lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"),
+                                         "--config", write("cfg.json", dict(CONFIG_1, classify_tol=1e-13))],
+                     "at least linops.RANK_TOL = 1e-12", id="classify-tol-below-rank-tol"),
         pytest.param(lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", [])],
                      "problem JSON must be an object", id="problem-not-object"),
         pytest.param(lambda tmp, write: ["sdp", "solve", "--problem", write("p.json", {"n": 1})],
@@ -1174,6 +1179,46 @@ class TestJsonInput:
         outs = [run_cli(capsys, "channel", "check", "--choi", str(p)) for p in paths]
         assert outs[0] == outs[1] and outs[0][0] == 0
 
+    @pytest.mark.parametrize("content", [None, b"{"], ids=["missing", "malformed"])
+    def test_undecodable_argv_path_in_an_error_is_one_json_line(self, tmp_path, capsys, content):
+        # argv bytes that are not UTF-8 reach Python as lone surrogates, which
+        # orjson refuses to write; the stdlib writes the error line instead
+        path = tmp_path / os.fsdecode(b"bad\xff.json")
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run_cli(capsys, "channel", "check", "--choi", str(path))
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert "\\udcff" in line
+        payload = json.loads(line)
+        assert payload["reason"] == "validation" and str(path) in payload["error"]
+
+    def test_undecodable_argv_out_path_is_reported(self, workdir, capsys):
+        tmp, write = workdir
+        path = tmp / os.fsdecode(b"t\xff.jsonl")
+        code, out, err = run_cli(capsys, "conesim", "run", "--config", write("cfg.json", CONFIG_1),
+                                 "--out", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["out"] == str(path)
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_lone_surrogate_symbol_is_written_back(self, workdir, capsys):
+        _, write = workdir
+        qpath = write("q.json", {"dim": 1, "alphabet": ["\ud800"], "D": {"\ud800": [[-1.5]]},
+                                 "pi": [1.0], "tau": [1.0]})
+        code, out, err = run_cli(capsys, "quasireal", "cone-check", "--realization", qpath,
+                                 "--cone", write("cone.json", {"generators": [[1.0]]}))
+        assert (code, err) == (0, "") and '"worst_map_case":["\\ud800",0]' in out
+        assert cli._parse_json(out, None)["worst_map_case"] == ["\ud800", 0]
+
+    def test_stdlib_fallback_writes_what_orjson_writes(self):
+        # numpy values as numbers and lists, a non-finite float as null
+        obj = {"key": "k", "x": [float("inf"), float("nan"), np.float64(0.5), np.bool_(True)],
+               "a": np.array([1.0, -np.inf]), "t": ("u", np.int64(2))}
+        text = cli._dumps(obj)
+        assert text == '{"key":"k","x":[null,null,0.5,true],"a":[1.0,null],"t":["u",2]}'
+        assert cli._dumps(dict(obj, key="\ud800")) == text.replace('"k"', '"\\ud800"')
+
     @pytest.mark.parametrize("last, error", [
         ('{"round": 2, "symbol": NaN, "settle_steps": 1}', "symbol must be an integer, got nan"),
         # line 4 of the file: a blank line counts
@@ -1246,3 +1291,83 @@ class TestToleranceOptions:
         code, out, _ = run_cli(capsys, *base, *option)
         assert code == 0
         assert read(json.loads(out)) == loose
+
+
+# a Markov realization whose entries and residuals are exact in binary
+_EXACT_MARKOV = {
+    "dim": 2, "alphabet": ["0", "1"],
+    "D": {"0": [[0.5, 0.0], [0.5, 0.0]], "1": [[0.0, 0.5], [0.0, 0.5]]},
+    "pi": [0.5, 0.5], "tau": [1.0, 1.0],
+}
+_SWAP = {"dim": 2, "alphabet": ["a"], "D": {"a": [[0.0, 1.0], [1.0, 0.0]]},
+         "pi": [1.0, 1.0], "tau": [1.0, 1.0]}
+_NEGATIVE_1 = {"dim": 1, "alphabet": ["a"], "D": {"a": [[-1.5]]}, "pi": [1.0], "tau": [1.0]}
+
+
+class TestVerdictPayloads:
+    """``channel check``, ``quasireal check`` and ``quasireal cone-check``
+    print their report's fields, in order, then the keys the CLI adds."""
+
+    @staticmethod
+    def assert_payload(out: str, report, **extra):
+        # the stdlib's round trip writes the tuple of worst_map_case as a list
+        want = json.loads(json.dumps({**dataclasses.asdict(report), **extra}))
+        assert list(json.loads(out).items()) == list(want.items())
+
+    @pytest.mark.parametrize("obj", [qutrit_choi_obj(), qubit_choi_obj(_NOT_TP)],
+                             ids=["cptp", "not-tp"])
+    def test_channel_check(self, workdir, capsys, obj):
+        _, write = workdir
+        code, out, _ = run_cli(capsys, "channel", "check", "--choi", write("c.json", obj))
+        c = chan.choi_from_json(obj)
+        assert code == 0
+        self.assert_payload(out, chan.is_cptp(c), d_in=c.d_in, d_out=c.d_out)
+
+    def test_channel_check_text(self, workdir, capsys):
+        _, write = workdir
+        code, out, _ = run_cli(capsys, "channel", "check", "--choi",
+                               write("c.json", qubit_choi_obj(_NOT_TP)))
+        assert (code, out) == (0, '{"cp":true,"tp":false,"min_eig":0.0,'
+                                  '"tp_residual":9.999999999177334e-7,"d_in":2,"d_out":2}\n')
+
+    @pytest.mark.parametrize("obj", [_EXACT_MARKOV, _NEAR_POSITIVE], ids=["positive", "not"])
+    def test_quasireal_check(self, workdir, capsys, obj):
+        _, write = workdir
+        code, out, _ = run_cli(capsys, "quasireal", "check", "--realization", write("q.json", obj))
+        rep = quasireal.is_positive_realization(quasireal.quasireal_from_json(obj))
+        assert code == 0
+        self.assert_payload(out, rep, positive_realization=rep.all_ok)
+
+    def test_quasireal_check_text(self, workdir, capsys):
+        _, write = workdir
+        code, out, _ = run_cli(capsys, "quasireal", "check", "--realization",
+                               write("q.json", _EXACT_MARKOV))
+        assert (code, out) == (0, '{"nonneg":true,"stochastic":true,"stationary":true,'
+                                  '"tau_ones":true,"min_entry":0.0,"row_sum_residual":0.0,'
+                                  '"stationary_residual":0.0,"tau_residual":0.0,'
+                                  '"positive_realization":true}\n')
+
+    @pytest.mark.parametrize("obj, generators, case", [
+        (_EXACT_MARKOV, [[1.0, 0.0], [0.0, 1.0]], None),
+        (_SWAP, [[1.0, 1.0], [1.0, 0.0]], ["a", 1]),
+        (_NEGATIVE_1, [[1.0]], ["a", 0]),
+    ], ids=["case-null", "case-a-1", "case-a-0"])
+    def test_quasireal_cone_check(self, workdir, capsys, obj, generators, case):
+        _, write = workdir
+        cone = {"generators": generators}
+        code, out, _ = run_cli(capsys, "quasireal", "cone-check", "--realization",
+                               write("q.json", obj), "--cone", write("cone.json", cone))
+        rep = quasireal.check_dharmadhikari(quasireal.quasireal_from_json(obj),
+                                            quasireal.cone_from_json(cone))
+        assert code == 0 and json.loads(out)["worst_map_case"] == case
+        self.assert_payload(out, rep, all_conditions=rep.all_ok)
+
+    def test_quasireal_cone_check_text(self, workdir, capsys):
+        _, write = workdir
+        code, out, _ = run_cli(capsys, "quasireal", "cone-check", "--realization",
+                               write("q.json", _NEGATIVE_1),
+                               "--cone", write("cone.json", {"generators": [[1.0]]}))
+        assert (code, out) == (0, '{"tau_in_cone":true,"maps_preserve_cone":false,'
+                                  '"pi_in_dual":true,"pointed":true,"tau_residual":0.0,'
+                                  '"worst_map_residual":1.5,"worst_map_case":["a",0],'
+                                  '"min_dual_value":1.0,"all_conditions":false}\n')

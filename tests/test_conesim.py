@@ -270,10 +270,14 @@ class TestRun:
             SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
                              n_iter=5, n_rounds=5, classify_mode="argmax")
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1,
+                                     1e-300, 1e-15, 1e-13])
     def test_classify_tol_must_be_positive_and_finite(self, tol):
-        # a nan tolerance would leave every round unclassified, silently
-        with pytest.raises(ValueError, match="classify_tol must be positive and finite"):
+        # a nan tolerance would leave every round unclassified, silently; one
+        # below linops.RANK_TOL would classify by the rounding of a residual
+        # that is 0, so a blocked run and its rounds run alone could differ
+        with pytest.raises(ValueError, match="classify_tol must be positive and finite, "
+                                             "at least linops.RANK_TOL = 1e-12"):
             SimulationConfig(channel=chan.identity_channel(2), kick=HaarUnitaryKick(),
                              n_iter=5, n_rounds=5, classify_tol=tol)
 
@@ -768,9 +772,8 @@ class TestSampleBlocks:
     @example(sectors=[[0.6, 0.4], [1.0], [1.0]], extra=0, kick="fixed",
              classify_tol=conesim.CLASSIFY_TOL, n_rounds=conesim.BLOCK + 1, seed=1)
     @example(sectors=[[0.6, 0.4]], extra=2, kick="depolarizing", classify_tol=0.3, n_rounds=2, seed=2)
-    # a classify_tol below the residuals' rounding: on these rotated sectors
-    # no residual is exactly 0, so every round is unclassified and runs alone
-    @example(sectors=[[0.7, 0.3], [1.0]], extra=1, kick="haar", classify_tol=1e-300,
+    # the least classify_tol allowed: every round is classified all the same
+    @example(sectors=[[0.7, 0.3], [1.0]], extra=1, kick="haar", classify_tol=linops.RANK_TOL,
              n_rounds=conesim.BLOCK + 1, seed=0)
     def test_classical_readouts_match_rounds_run_one_at_a_time(self, sectors, extra, kick,
                                                                classify_tol, n_rounds, seed):
