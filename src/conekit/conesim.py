@@ -43,16 +43,17 @@ trajectories are the same as one round at a time (see ``run``).
 
 Both modes resolve every settled state into its barycentric weights over
 the fixed points, which draws nothing from the generator, and keep them,
-with the decomposition residual, on the Round. How is decided once per
-run, from the fixed points alone (``_Readout``). When the readout is
-linear, the least-squares weights of every state are nonnegative, so
-they are its NNLS weights, and one matrix product gives them for a
-whole stack of states; the fixed points of ``channel.fixed_points``
-have orthogonal supports, which makes their readout linear. Any other
-readout is resolved by NNLS, row by row. A linear readout whose fixed
-points also span the fixed space is classical: {H_l} is then a POVM,
-no round goes unclassified, and sample mode is the Markov chain that
-``exact_process`` returns, so its blocks run whole (see ``run``).
+with the decomposition residual, on the Round. The readout is built once
+per run, from the fixed points alone (``_Readout``): every readout is the
+linear one, w_l(X) = tr(H_l X) with every H_l positive semidefinite, so
+the least-squares weights of every state are nonnegative and one matrix
+product gives them for a whole stack of states. The fixed points of
+``channel.fixed_points`` have orthogonal supports, which makes their
+readout linear; fixed points that are dependent, or that give an H_l
+with an eigenvalue below -RANK_TOL, raise LinAlgError. A readout whose
+fixed points also span the fixed space is classical: {H_l} is then a
+POVM, no round goes unclassified, and sample mode is the Markov chain
+that ``exact_process`` returns, so its blocks run whole (see ``run``).
 A trajectory is written as JSONL, one line per round carrying the
 process, not the states:
 
@@ -77,7 +78,8 @@ from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
-from scipy.optimize import nnls
+# never called here: kept because perfbench/tracing.py patches conesim.nnls by name
+from scipy.optimize import nnls  # noqa: F401
 
 from . import channel as chan
 from . import linops
@@ -223,22 +225,22 @@ class _Readout:
 
     The least-squares weights of a settled state are real-linear in the
     state X before settling, w_l(X) = tr(H_l X) with H_l Hermitian: the
-    pseudo-inverse of ``columns`` composed with the settle map. The readout
-    is linear when the fixed points are independent and every H_l is
-    positive semidefinite (least eigenvalue >= -RANK_TOL): then the
-    least-squares weights of every state are nonnegative, so they are its
-    NNLS weights. It is classical when it is linear and the k fixed points
-    also span the fixed space (k = rank P1 = tr P1): then every settled
-    state is their convex combination, {H_l} is a POVM, and sample mode is
-    the Markov chain of ``exact_process``.
+    pseudo-inverse of ``columns`` composed with the settle map. The k fixed
+    points must be independent (``columns`` of rank k) and every H_l
+    positive semidefinite (least eigenvalue >= -RANK_TOL), so that the
+    least-squares weights of every state are nonnegative; otherwise
+    LinAlgError names the rank and the least eigenvalue. The readout is
+    classical when the k fixed points also span the fixed space (k = rank
+    P1 = tr P1): then every settled state is their convex combination,
+    {H_l} is a POVM, and sample mode is the Markov chain of
+    ``exact_process``.
     """
 
     states: np.ndarray     # (k, d, d): the canonical fixed points
     settle_map: np.ndarray  # P1^T, contiguous: row vec(rho) @ P1^T is vec of its settled limit
-    columns: np.ndarray    # (2 d^2, k), contiguous as ``nnls`` takes it
+    columns: np.ndarray    # (2 d^2, k), contiguous
     h: np.ndarray = field(init=False)              # (k, d, d): H_0, ..., H_{k-1}
     least_squares: np.ndarray = field(init=False)  # (2 d^2, k): pinv(columns)^T; b @ it weighs rows b
-    linear: bool = field(init=False)
     classical: bool = field(init=False)
 
     def __post_init__(self):
@@ -247,13 +249,15 @@ class _Readout:
         g = (pinv[:, 0::2] - 1j * pinv[:, 1::2]).reshape(k, d, d)
         c = (hermitize(g).reshape(k, d * d) @ self.settle_map.T).reshape(k, d, d)
         h = (c.swapaxes(1, 2) + c.conj()) / 2.0
-        linear = bool(np.linalg.matrix_rank(self.columns) == k
-                      and np.linalg.eigvalsh(h).min() >= -linops.RANK_TOL)
+        rank, least = int(np.linalg.matrix_rank(self.columns)), float(np.linalg.eigvalsh(h).min())
+        if rank != k or least < -linops.RANK_TOL:
+            raise np.linalg.LinAlgError(
+                f"the {k} fixed points are not a POVM readout: their rank is {rank} (needs {k}) "
+                f"and the least eigenvalue of their H_l is {least:.3g} "
+                f"(needs at least -linops.RANK_TOL = {-linops.RANK_TOL:g})")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "least_squares", np.ascontiguousarray(pinv.T))
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "classical",
-                           linear and k == round(np.trace(self.settle_map).real))
+        object.__setattr__(self, "classical", k == round(np.trace(self.settle_map).real))
 
     @classmethod
     def of(cls, fp_set: chan.FixedPointSet) -> "_Readout":
@@ -270,17 +274,11 @@ class _Readout:
 def _fixed_point_weights(settled: np.ndarray, readout: _Readout) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative barycentric weights of each state of a stack over the
     fixed points, one row per state, and the 2-norm residual of each
-    decomposition. On a linear readout they are the least-squares weights,
-    one product for the whole stack, with rounding below 0 clipped; on any
-    other, NNLS through the module-level ``nnls``, row by row."""
+    decomposition: the least-squares weights (``_Readout``), one product
+    for the whole stack, with rounding below 0 clipped."""
     b = _stack_re_im(settled)
-    if readout.linear:
-        weights = np.maximum(b @ readout.least_squares, 0.0)
-        return weights, np.linalg.norm(b - weights @ readout.columns.T, axis=1)
-    weights, residuals = np.empty((len(b), readout.columns.shape[1])), np.empty(len(b))
-    for i, row in enumerate(b):
-        weights[i], residuals[i] = nnls(readout.columns, row)
-    return weights, residuals
+    weights = np.maximum(b @ readout.least_squares, 0.0)
+    return weights, np.linalg.norm(b - weights @ readout.columns.T, axis=1)
 
 
 def _inverse_cdf(p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -338,11 +336,8 @@ def _classify(config: SimulationConfig, readout: _Readout, state: np.ndarray,
 @dataclass(frozen=True)
 class _WeightTable:
     """The least-squares weights of the state a classified sample-mode round
-    leaves, for each symbol it may draw, without forming those states. On a
-    linear readout (``_Readout``) they are the weights
-    ``_fixed_point_weights`` resolves, up to rounding; on any other they
-    predict its NNLS weights, which are the same wherever the
-    least-squares ones are nonnegative.
+    leaves, for each symbol it may draw, without forming those states: the
+    weights ``_fixed_point_weights`` resolves, up to rounding.
 
     A round that draws symbol j leaves U T_j U^dag: T_j is fixed point j
     (kicked once, for a fixed or depolarizing kick) and U the round's
@@ -476,9 +471,8 @@ def run(config: SimulationConfig, rho0) -> Trajectory:
     ``_settle_steps``; each Round records its predicted count as
     settle_steps. Every round, in either mode, also records the settled
     state's barycentric weights over the fixed points and the residual of
-    that decomposition: on a linear readout (``_Readout``) the
-    least-squares ones, which are the NNLS ones, from one product; on any
-    other, NNLS.
+    that decomposition, the least-squares ones of the linear readout. Fixed
+    points that are not a POVM readout raise LinAlgError (``_Readout``).
 
     In "nearest" mode classification picks the nearest canonical fixed
     point by trace distance (ties within TIE_TOL to the lowest index),

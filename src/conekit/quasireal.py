@@ -45,11 +45,12 @@ class QuasiRealization:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        if not self.alphabet:
+        alphabet = tuple(str(u) for u in self.alphabet)
+        if not alphabet:
             raise ValueError("alphabet must be non-empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet symbols must be unique")
-        object.__setattr__(self, "alphabet", tuple(str(u) for u in self.alphabet))
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"alphabet symbols must be unique as strings, got {list(alphabet)}")
+        object.__setattr__(self, "alphabet", alphabet)
         maps = {}
         for u in self.alphabet:
             if u not in self.d_maps:
@@ -60,6 +61,9 @@ class QuasiRealization:
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"matrix for symbol {u!r} has non-finite entries")
             maps[u] = m
+        stray = [u for u in self.d_maps if u not in maps]
+        if stray:
+            raise ValueError(f"transition matrices for symbols not in the alphabet: {stray}")
         object.__setattr__(self, "d_maps", maps)
         pi = np.asarray(self.pi, dtype=float).reshape(-1)
         tau = np.asarray(self.tau, dtype=float).reshape(-1)
@@ -81,24 +85,25 @@ def word_probability(q: QuasiRealization, word) -> float:
 
 
 def word_distribution(q: QuasiRealization, length: int) -> dict[tuple[str, ...], float]:
-    """Probabilities of every word of the given length."""
+    """Probabilities of every word of the given length, in lexicographic
+    order of the alphabet. The words are walked depth first on an explicit
+    stack, not by recursion, so any length within the cap is walked."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    total = len(q.alphabet) ** length
-    if total > WORD_ENUMERATION_CAP:
+    n = len(q.alphabet)
+    # n ** length is exact below the cap's bit length; from there on, any n >= 2 is past the cap
+    if n ** min(length, WORD_ENUMERATION_CAP.bit_length()) > WORD_ENUMERATION_CAP:
         raise ValueError(
-            f"{total} words of length {length} exceed the enumeration cap {WORD_ENUMERATION_CAP}"
+            f"{n}**{length} words of length {length} exceed the enumeration cap {WORD_ENUMERATION_CAP}"
         )
     out: dict[tuple[str, ...], float] = {}
-
-    def walk(prefix: tuple[str, ...], vec: np.ndarray):
+    stack = [((), q.pi)]
+    while stack:
+        prefix, vec = stack.pop()
         if len(prefix) == length:
             out[prefix] = float(vec @ q.tau)
-            return
-        for u in q.alphabet:
-            walk(prefix + (u,), vec @ q.d_maps[u])
-
-    walk((), q.pi.copy())
+        else:  # pushed last symbol first, so the first is walked first
+            stack.extend((prefix + (u,), vec @ q.d_maps[u]) for u in reversed(q.alphabet))
     return out
 
 
@@ -310,7 +315,7 @@ def quasireal_from_json(obj: dict) -> QuasiRealization:
         raise ValueError("'D' must map each symbol to a matrix")
     dim = linops.json_int(obj, "dim")
     try:
-        d_maps = {u: np.asarray(d_obj[u], dtype=float) for u in alphabet if u in d_obj}
+        d_maps = {u: np.asarray(m, dtype=float) for u, m in d_obj.items()}
     except TypeError as exc:
         raise ValueError(f"quasi-realization JSON field has the wrong type: {exc}") from exc
     return QuasiRealization(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from conekit import channel as chan
 from conekit import linops
 from conekit.channel import ChoiMatrix
 from conekit.conesim import haar_unitary
@@ -91,3 +92,36 @@ def mixed_sector_channel(rng: np.random.Generator, sectors, extra: int = 0):
         rest -= proj
     choi += linops.kron(np.eye(d) / d, rest.T)
     return sigmas, ChoiMatrix(d, d, linops.hermitize(choi))
+
+
+def block_channel(rng: np.random.Generator, blocks, decay: int = 0, scaled: bool = False):
+    """Block channel X -> sum_k tr_{m_k}(Z_k X Z_k) (x) omega_k + tr(R X) tau.
+
+    ``blocks`` lists the (n_k, m_k) of each block: Z_k is the isometry onto
+    the block's n_k m_k columns of a Haar unitary, read as C^{n_k} (x)
+    C^{m_k}, so the fixed space is the direct sum of M_{n_k} (x) omega_k.
+    ``decay`` columns are left to R = I - sum_k Z_k Z_k^dag, sent to a
+    random state tau. omega_k is a random state; ``scaled`` multiplies its
+    least eigenvalue by 1e-6 before it is normalized again."""
+    d = sum(n * m for n, m in blocks) + decay
+    u = haar_unitary(d, rng)
+    isometries, omegas = [], []
+    start = 0
+    for n, m in blocks:
+        isometries.append(u[:, start : start + n * m])
+        start += n * m
+        w, v = np.linalg.eigh(random_density(rng, m))
+        if scaled:
+            w[0] *= 1e-6
+        omegas.append((v * (w / w.sum())) @ v.conj().T)
+    rest = u[:, start:]
+    tau = random_density(rng, d)
+
+    def phi(x):
+        out = np.trace(rest.conj().T @ x @ rest) * tau
+        for z, omega, (n, m) in zip(isometries, omegas, blocks):
+            y = (z.conj().T @ x @ z).reshape(n, m, n, m)
+            out = out + z @ linops.kron(np.einsum("iaja->ij", y), omega) @ z.conj().T
+        return out
+
+    return chan.choi_from_map(phi, d, d)

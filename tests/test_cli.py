@@ -1055,6 +1055,15 @@ class TestErrorTaxonomy:
             "q.json", dict(REALIZATION_1, alphabet=["0", "0"]))],
             "alphabet symbols must be unique", id="alphabet-duplicate"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, alphabet=[0, "0"]))],
+            "alphabet symbols must be unique", id="alphabet-duplicate-as-strings"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, D={"0": [[0.5]], "1": [[0.5]]}))],
+            "symbols not in the alphabet: ['1']", id="d-stray-symbol-check"),
+        pytest.param(lambda tmp, write: ["quasireal", "prob", "--word", "0", "--realization", write(
+            "q.json", dict(REALIZATION_1, D={"0": [[0.5]], "1": [[0.5]]}))],
+            "symbols not in the alphabet: ['1']", id="d-stray-symbol-prob"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, D={"0": [[1.0, 0.0]]}))],
             "has shape (1, 2), expected (1, 1)", id="d-shape"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.stats import chi2
@@ -23,7 +23,7 @@ from conekit.conesim import (
 )
 from conekit.linops import kron, trace_distance
 
-from conftest import basis_proj, mixed_sector_channel, random_density
+from conftest import basis_proj, block_channel, mixed_sector_channel, random_density
 from test_conesim_golden import basis_channel
 
 
@@ -709,26 +709,17 @@ class TestSampleBlocks:
         rho0 = np.eye(3) / 3
         assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
 
-    def test_linear_readouts_skip_nnls_and_others_resolve_every_row_by_it(self, monkeypatch):
+    def test_weights_are_nnls_and_a_readout_not_a_povm_raises(self, monkeypatch, tmp_path, capsys):
         # an identity kick leaves the collapsed fixed point in place, so the
         # weights on the other fixed points are 0 and their least-squares
-        # values round to either side of it. The readout is linear (and
-        # classical): those values clipped at 0 are the NNLS weights, and the
-        # module's own ``nnls`` binding is never called
-        calls = []
-
-        def counted_nnls(a, b):
-            calls.append(1)
-            return nnls(a, b)
-
-        monkeypatch.setattr(conesim, "nnls", counted_nnls)
+        # values round to either side of it: clipped at 0, they are the NNLS
+        # weights
         cfg = SimulationConfig(channel=mixed_sector_channel(np.random.default_rng(5),
                                                             [[0.6, 0.4], [1.0], [1.0]])[1],
                                kick=FixedKick(choi=chan.identity_channel(4)), n_iter=2000,
                                n_rounds=600, classify_mode="sample", seed=5)
         rho0 = np.eye(4) / 4
         traj = run(cfg, rho0)
-        assert not calls
         columns = conesim._stack_re_im(np.array(traj.fixed_points)).T
         for r in traj.rounds:
             assert (r.weights >= 0).all()
@@ -738,27 +729,57 @@ class TestSampleBlocks:
 
         # the qubit identity channel fixes every state; with the
         # non-orthogonal pair |0><0|, |+><+| as its fixed points, H_0 has a
-        # negative eigenvalue, and every row the run resolves goes through NNLS
+        # negative eigenvalue, so the run raises before its first round, and
+        # the CLI reports it as numerical-limit, exit 4
         identity = chan.identity_channel(2)
         fp_set = chan.fixed_points(identity)
         plus = np.full((2, 2), 0.5, dtype=complex)
         monkeypatch.setattr(conesim.chan, "fixed_points", lambda c: dataclasses.replace(
             fp_set, states=[basis_proj(0, 2), plus], eigenvalue_residuals=[0.0, 0.0]))
-        rows = []
-        fixed_point_weights = conesim._fixed_point_weights
-
-        def counted_rows(settled, readout):
-            rows.append(len(settled))
-            return fixed_point_weights(settled, readout)
-
-        monkeypatch.setattr(conesim, "_fixed_point_weights", counted_rows)
         cfg = SimulationConfig(channel=identity, kick=HaarUnitaryKick(), n_iter=1, n_rounds=600,
                                classify_tol=0.7, classify_mode="sample", seed=5)
-        calls.clear()
-        traj = run(cfg, np.eye(2) / 2)
-        assert not conesim._Readout.of(conesim.chan.fixed_points(identity)).linear
-        assert sum(rows) >= cfg.n_rounds and len(calls) == sum(rows)
-        assert 0 < traj.symbols().count(None) < cfg.n_rounds
+        message = r"their rank is 2 \(needs 2\) and the least eigenvalue of their H_l is -0\.412"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            run(cfg, np.eye(2) / 2)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"channel": chan.choi_to_json(identity), "kick": {"policy": "haar"},
+                                      "n_iter": 1, "n_rounds": 600, "classify_tol": 0.7,
+                                      "classify": "sample", "seed": 5}))
+        assert cli.main(["conesim", "run", "--config", str(config),
+                         "--out", str(tmp_path / "t.jsonl")]) == 4
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and json.loads(line)["reason"] == "numerical-limit"
+        assert "least eigenvalue of their H_l is -0.412" in json.loads(line)["error"]
+
+    @given(blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+           decay=st.integers(0, 2), scaled=st.booleans(), random_d=st.none() | st.integers(2, 6),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    # M_2 (the qubit identity), M_2 + C with a decay dimension, M_2 (x) C^2,
+    # and C + C (x) C^2 with omega's least eigenvalue at 1e-6 of its share
+    @example(blocks=[(2, 1)], decay=0, scaled=False, random_d=None, seed=0)
+    @example(blocks=[(2, 1), (1, 1)], decay=1, scaled=False, random_d=None, seed=0)
+    @example(blocks=[(2, 2)], decay=0, scaled=False, random_d=None, seed=0)
+    @example(blocks=[(1, 1), (1, 2)], decay=0, scaled=True, random_d=None, seed=0)
+    @example(blocks=[(1, 1)], decay=0, scaled=False, random_d=6, seed=0)
+    def test_every_fixed_set_is_a_povm_readout(self, blocks, decay, scaled, random_d, seed):
+        # ``_Readout`` raises on fixed points that are not a POVM readout, and
+        # the sample-mode weights are least squares only; this is the
+        # invariant that makes both sound: block channels of
+        # sum_k M_{n_k} (x) omega_k, and random channels (random_d set, read as
+        # one block n = 1), give independent fixed points whose H_l are
+        # positive semidefinite, one per n_k, classical exactly when every
+        # n_k is 1
+        rng = np.random.default_rng(seed)
+        if random_d is not None:
+            c, ns = chan.random_cptp_choi(random_d, rng), [1]
+        else:
+            assume(sum(n * m for n, m in blocks) + decay <= 7)
+            c, ns = block_channel(rng, blocks, decay, scaled), [n for n, _ in blocks]
+        fp_set = chan.fixed_points(c)
+        readout = conesim._Readout.of(fp_set)
+        assert len(fp_set.states) == sum(ns)
+        assert readout.classical == all(n == 1 for n in ns)
 
     @given(sectors=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=2),
                             min_size=1, max_size=3),
@@ -789,16 +810,16 @@ class TestSampleBlocks:
         assert conesim._Readout.of(chan.fixed_points(c)).classical
         assert_same_trajectory(run(cfg, rho0), run_one_round_at_a_time(cfg, rho0))
 
-    def test_dependent_fixed_points_use_nnls_for_every_row(self):
+    def test_dependent_fixed_points_raise(self):
         # least squares over dependent columns picks the minimum-norm
-        # solution, which need not be the NNLS one
+        # solution, which need not be the NNLS one: such fixed points are
+        # not a readout
         fps = np.array([basis_proj(0, 2), basis_proj(1, 2), np.eye(2, dtype=complex) / 2])
-        columns = conesim._stack_re_im(fps).T
-        readout = conesim._Readout(fps, np.eye(4, dtype=complex), columns)
-        settled = np.array([np.diag([0.7, 0.3]), np.eye(2) / 2], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match=r"their rank is 2 \(needs 3\)"):
+            conesim._Readout(fps, np.eye(4, dtype=complex), conesim._stack_re_im(fps).T)
+
+    def test_an_empty_stack_has_no_weights(self):
+        readout = conesim._Readout.of(chan.fixed_points(basis_channel(3)))
+        settled = np.empty((0, 3, 3), dtype=complex)
         weights, residuals = conesim._fixed_point_weights(settled, readout)
-        for w, r, s in zip(weights, residuals, settled):
-            expected, expected_r = nnls(columns, conesim._stack_re_im(s[None])[0])
-            assert np.array_equal(w, expected) and r == expected_r
-        weights, residuals = conesim._fixed_point_weights(settled[:0], readout)
-        assert weights.shape == (0, 3) and residuals.shape == (0,)
+        assert weights.shape == (0, 2) and residuals.shape == (0,)

@@ -1,7 +1,7 @@
 """Seeded conesim trajectories pinned against stored reference runs.
 
 ``tests/data/golden_trajectories.json`` holds, for each case below, the
-symbols, NNLS weights and residuals of a run. A change to the per-round
+symbols, weights and residuals of a run. A change to the per-round
 arithmetic of ``conesim.run`` (the settle product, the weights, the
 symbol draw, the kicks) must leave them unchanged: the symbols exactly,
 the weights and residuals to GOLDEN_TOL, since BLAS builds round

@@ -151,6 +151,32 @@ class TestWordProbability:
         q = markov_realization()
         with pytest.raises(ValueError):
             word_distribution(q, 21)  # 2**21 > 10**6
+        # 2**20000 has more digits than Python formats; the cap is stated without them
+        with pytest.raises(ValueError, match=r"^2\*\*20000 words of length 20000 exceed the "
+                                             r"enumeration cap 1000000$"):
+            word_distribution(q, 20000)
+
+    def test_long_words_over_one_symbol(self):
+        # one symbol passes the cap at any length: one word, walked without recursion
+        q = QuasiRealization(dim=2, alphabet=("0",), d_maps={"0": np.eye(2)},
+                             pi=np.array([0.25, 0.5]), tau=np.array([1.0, 2.0]))
+        assert word_distribution(q, 5000) == {("0",) * 5000: float(q.pi @ q.tau)}
+
+    def test_matches_the_recursive_walk(self, rng):
+        # the stack walk takes the words in the recursion's order, with the same products
+        q = random_positive_realization(rng, 3, 3)
+        expected = {}
+
+        def walk(prefix, vec):
+            if len(prefix) == 4:
+                expected[prefix] = float(vec @ q.tau)
+                return
+            for u in q.alphabet:
+                walk(prefix + (u,), vec @ q.d_maps[u])
+
+        walk((), q.pi.copy())
+        dist = word_distribution(q, 4)
+        assert list(dist) == list(expected) and list(dist.values()) == list(expected.values())
 
     def test_negative_length(self):
         with pytest.raises(ValueError, match="length must be >= 0"):
@@ -439,6 +465,20 @@ class TestJson:
         del obj["D"]["1"]
         with pytest.raises(ValueError):
             quasireal.quasireal_from_json(obj)
+
+    def test_stray_maps_rejected(self):
+        # a map for a symbol outside the alphabet would be dropped, and the
+        # realization read as another process
+        obj = {"dim": 1, "alphabet": ["0"], "D": {"0": [[0.5]], "1": [[0.5]], "2": [[0.0]]},
+               "pi": [1.0], "tau": [1.0]}
+        with pytest.raises(ValueError, match=r"symbols not in the alphabet: \['1', '2'\]"):
+            quasireal.quasireal_from_json(obj)
+
+    def test_symbols_unique_as_strings(self):
+        # (0, "0") reads as ("0", "0"): one symbol's map would count twice
+        with pytest.raises(ValueError, match=r"unique as strings, got \['0', '0'\]"):
+            QuasiRealization(dim=1, alphabet=(0, "0"), d_maps={"0": [[0.5]]},
+                             pi=np.array([1.0]), tau=np.array([1.0]))
 
     def test_cone_roundtrip(self):
         cone = PolyhedralCone(generators=np.array([[1.0, 2.0], [0.0, 1.0]]))
