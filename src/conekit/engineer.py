@@ -436,7 +436,10 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     rounded U^dag sigma U: a real state, whose SDP is solved in real
     arithmetic (``sdp.assemble_fixed_point_constraints``). A set of real
     states with the real face their forced algebra gives takes that path
-    too.
+    too. The one-state data are moreover diagonal, so that core is a
+    classical channel, a column-stochastic P with stationary lambda on the
+    diagonal of Y, found as an LP: ``sdp.solve`` runs its loop on diagonal
+    iterates and returns Y exactly diagonal.
     Solve: the core Y on C^r (x) C^r ranges over the Choi matrices that fix
     them and preserve the trace (``sdp.assemble_fixed_point_constraints``),
     on the face of the commutant of the forced algebra

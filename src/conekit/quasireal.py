@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 from scipy.optimize import nnls
 
 from . import linops
@@ -307,9 +308,14 @@ def quasireal_from_json(obj: dict) -> QuasiRealization:
     missing = {"dim", "alphabet", "D", "pi", "tau"} - set(obj)
     if missing:
         raise ValueError(f"quasi-realization JSON missing keys: {sorted(missing)}")
-    if not isinstance(obj["alphabet"], list):
+    alphabet = obj["alphabet"]
+    if not isinstance(alphabet, list):
         raise ValueError("'alphabet' must be a list of symbols")
-    alphabet = [str(u) for u in obj["alphabet"]]
+    # a symbol is a JSON string, as the keys of 'D' are; str() would rename
+    # null, true or 1.0 to the Python spellings 'None', 'True' and '1.0'
+    for i, u in enumerate(alphabet):
+        if not isinstance(u, str):
+            raise ValueError(f"alphabet entry {i} is {orjson.dumps(u).decode()}, not a string")
     d_obj = obj["D"]
     if not isinstance(d_obj, dict):
         raise ValueError("'D' must map each symbol to a matrix")

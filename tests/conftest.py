@@ -28,6 +28,11 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+def rotation(theta: float) -> np.ndarray:
+    """The real 2 x 2 rotation by theta."""
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
 def basis_proj(i: int, dim: int) -> np.ndarray:
     p = np.zeros((dim, dim), dtype=complex)
     p[i, i] = 1.0

@@ -18,7 +18,7 @@ from conekit import channel as chan
 from conekit import cli, engineer, linops, quasireal, sdp as sdpmod
 from conekit.cli import main
 
-from conftest import basis_proj
+from conftest import basis_proj, rotation
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +51,19 @@ def problem_with_b(b_text: str) -> str:
     obj = dict(one_by_one_problem(), constraints=[{"a": linops.matrix_to_json(np.eye(1)),
                                                    "b": "B"}])
     return json.dumps(obj).replace('"b": "B"', '"b": ' + b_text)
+
+
+def orthogonal_pair_problem(rotated):
+    """The fixed-point SDP of |0><0| and |1><1|, diagonal data that the solver
+    runs on diagonal iterates; rotated by Q (x) Q, the same problem runs the
+    dense loop."""
+    prob = sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])
+    if not rotated:
+        return prob
+    q = np.kron(rotation(0.3), rotation(0.3))
+    return sdpmod.SdpProblem(n=prob.n, objective=q @ prob.objective @ q.T,
+                             constraint_ops=q @ prob.constraint_ops @ q.T,
+                             constraint_vals=prob.constraint_vals)
 
 
 def run_cli(capsys, *argv):
@@ -478,34 +491,50 @@ class TestSdpCommand:
         assert json.loads(out)["message"] == "scaling matrix became singular"
         assert json.loads(err)["reason"] == "numerical-limit"
 
-    @pytest.mark.parametrize("command", ["sdp-solve", "demo-bell"])
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
+    def test_nt_scaling_breakdown_on_rotated_rows_exits_4(self, workdir, capsys, theta):
+        # the same witness in a rotated basis breaks down in the dense loop
+        _, write = workdir
+        q = rotation(theta)
+        obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [
+            {"a": linops.matrix_to_json(q @ np.diag([1e100, 0.0]) @ q.T), "b": 1e100},
+            {"a": linops.matrix_to_json(q @ np.diag([0.0, 1.0]) @ q.T), "b": 1e250}]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "sdp", "solve", "--problem", write("p.json", obj))
+        assert code == 4
+        sol = json.loads(out)
+        assert sol["message"] == "scaling matrix became singular"
+        assert sol["iterations"] == 11
+        assert json.loads(err)["reason"] == "numerical-limit"
+
+    @pytest.mark.parametrize("command", ["sdp-solve", "sdp-solve-rotated", "demo-bell"])
     def test_linalg_error_inside_solve_exits_4(self, workdir, capsys, monkeypatch, command):
         def broken_step(s, ds):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(sdpmod, "_max_step", broken_step)
-        if command == "sdp-solve":
-            _, write = workdir
-            prob = sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])
-            argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
-        else:
+        if command == "demo-bell":
             argv = ["demo", "bell"]
+        else:
+            _, write = workdir
+            prob = orthogonal_pair_problem(rotated=command == "sdp-solve-rotated")
+            argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
         code, _, err = run_cli(capsys, *argv)
         assert code == 4
         assert json.loads(err)["reason"] == "numerical-limit"
 
-    @pytest.mark.parametrize("command", ["sdp-solve", "demo-bell"])
+    @pytest.mark.parametrize("command", ["sdp-solve", "sdp-solve-rotated", "demo-bell"])
     def test_eigensolve_failure_exits_4(self, workdir, capsys, monkeypatch, command):
         def broken_eigh(a, compute_v):
             raise np.linalg.LinAlgError("eigensolve failed (LAPACK info 3)")
 
         monkeypatch.setattr(sdpmod, "_eigh", broken_eigh)
-        if command == "sdp-solve":
-            _, write = workdir
-            prob = sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])
-            argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
-        else:
+        if command == "demo-bell":
             argv = ["demo", "bell"]
+        else:
+            _, write = workdir
+            prob = orthogonal_pair_problem(rotated=command == "sdp-solve-rotated")
+            argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
         code, _, err = run_cli(capsys, *argv)
         assert code == 4
         payload = json.loads(err)
@@ -1054,9 +1083,20 @@ class TestErrorTaxonomy:
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, alphabet=["0", "0"]))],
             "alphabet symbols must be unique", id="alphabet-duplicate"),
+        # 0 and "0" would read as one symbol; the number is refused before that
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, alphabet=[0, "0"]))],
-            "alphabet symbols must be unique", id="alphabet-duplicate-as-strings"),
+            "alphabet entry 0 is 0, not a string", id="alphabet-duplicate-as-strings"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", {"dim": 1, "alphabet": [None, True, 1.0], "pi": [1], "tau": [1],
+                       "D": {"None": [[0.2]], "True": [[0.3]], "1.0": [[0.5]]}})],
+            "alphabet entry 0 is null, not a string", id="alphabet-null"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, alphabet=["0", True]))],
+            "alphabet entry 1 is true, not a string", id="alphabet-boolean"),
+        pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
+            "q.json", dict(REALIZATION_1, alphabet=["0", 1.0]))],
+            "alphabet entry 1 is 1.0, not a string", id="alphabet-number"),
         pytest.param(lambda tmp, write: ["quasireal", "check", "--realization", write(
             "q.json", dict(REALIZATION_1, D={"0": [[0.5]], "1": [[0.5]]}))],
             "symbols not in the alphabet: ['1']", id="d-stray-symbol-check"),

@@ -15,6 +15,7 @@ from conekit.engineer import (
     build_separable_multi,
     build_via_sdp,
     find_discrimination_projectors,
+    forced_algebra,
 )
 from conekit.linops import kron, trace_distance
 
@@ -593,6 +594,25 @@ class TestSdpOracles:
         if rank == 1:
             assert res.solution.iterations == 0
             assert np.abs(res.x.matrix - kron(sigma, sigma.T)).max() <= 1e-12
+
+    @given(sigma=density_matrices())
+    @example(sigma=np.diag([0.7, 0.3]))
+    @example(sigma=np.diag([0.25, 0.25, 0.5]))
+    @example(sigma=basis_proj(0, 3))
+    @settings(max_examples=30)
+    def test_one_state_core_is_a_classical_channel(self, sigma):
+        # on diag(lambda) the core is found as an LP: X is exactly diagonal,
+        # and P[a, j] = X[(a, j), (a, j)] is a column-stochastic matrix with
+        # P lambda = lambda
+        algebra = forced_algebra([sigma])
+        r = algebra.support.shape[1]
+        lam = algebra.eigenvalues[len(sigma) - r:]
+        x = build_via_sdp([sigma]).solution.x
+        assert not (x - np.diag(np.diag(x))).any()
+        p = np.diag(x).real.reshape(r, r)
+        assert p.min() >= 0.0
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-9
+        assert np.abs(p @ lam - lam).max() <= 1e-9
 
     @given(pair=orthogonal_pairs())
     @example(pair=[np.diag([0.7, 0.3, 0.0, 0.0]), np.diag([0.0, 0.0, 0.6, 0.4])])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,26 @@ class TestJson:
         with pytest.raises(ValueError, match=r"unique as strings, got \['0', '0'\]"):
             QuasiRealization(dim=1, alphabet=(0, "0"), d_maps={"0": [[0.5]]},
                              pi=np.array([1.0]), tau=np.array([1.0]))
+
+    @pytest.mark.parametrize("alphabet, message", [
+        ([None, True, 1.0], "alphabet entry 0 is null, not a string"),
+        (["0", True], "alphabet entry 1 is true, not a string"),
+        (["0", 1.0], "alphabet entry 1 is 1.0, not a string"),
+        ([0, "0"], "alphabet entry 0 is 0, not a string"),
+    ])
+    def test_non_string_symbols_rejected_from_json(self, alphabet, message):
+        # JSON symbols are strings, as the keys of D are: str() would read
+        # null as 'None' and the D keys would have to be spelled that way
+        obj = {"dim": 1, "alphabet": alphabet, "D": {str(u): [[0.5]] for u in alphabet},
+               "pi": [1.0], "tau": [1.0]}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quasireal.quasireal_from_json(obj)
+
+    def test_python_symbols_are_converted_to_strings(self):
+        # conesim builds realizations on integer symbols
+        q = QuasiRealization(dim=1, alphabet=(0, 1), d_maps={"0": [[0.5]], "1": [[0.5]]},
+                             pi=np.array([1.0]), tau=np.array([1.0]))
+        assert q.alphabet == ("0", "1")
 
     def test_cone_roundtrip(self):
         cone = PolyhedralCone(generators=np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -9,7 +9,7 @@ from conekit.conesim import haar_unitary
 from conekit.engineer import forced_algebra
 from conekit.linops import kron
 
-from conftest import basis_proj, random_density, random_hermitian
+from conftest import basis_proj, random_density, random_hermitian, rotation
 
 
 def make_problem(ops, vals, n=None, objective=None):
@@ -31,6 +31,28 @@ def random_feasible_problem(rng, n, m, complex_data=True):
         ops = [((h := rng.standard_normal((n, n))) + h.T).astype(complex) / 2 for _ in range(m)]
     vals = [float(np.trace(a @ x0).real) for a in ops]
     return make_problem(ops, vals), x0
+
+
+def conjugated(problem, q):
+    """The same problem in the basis of the real orthogonal q: X -> q X q^T
+    maps every operator A to q A q^T, the objective included."""
+    return make_problem([q @ a @ q.T for a in problem.constraint_ops], problem.constraint_vals,
+                        objective=q @ problem.objective @ q.T)
+
+
+def record_diagonal_paths(monkeypatch):
+    """One entry per IPM call that sdp.solve makes: True when it ran on
+    diagonal iterates."""
+    paths = []
+    rows = sdp._diagonal_rows
+
+    def spy(*args):
+        kept = rows(*args)
+        paths.append(kept is not None)
+        return kept
+
+    monkeypatch.setattr(sdp, "_diagonal_rows", spy)
+    return paths
 
 
 class TestHermitianBasis:
@@ -306,15 +328,34 @@ class TestSolve:
         assert sol.status == "numerical-limit"
         assert sol.message.startswith("objective is unbounded below")
 
-    def test_nt_scaling_breakdown_returns_a_status(self):
+    def test_nt_scaling_breakdown_returns_a_status(self, monkeypatch):
         # X = diag(1, 1e250) spans 250 orders of magnitude: the NT scaling
         # loses its positive definiteness on the way, and the solve must
-        # still return its numerical-limit result
+        # still return its numerical-limit result. The data are diagonal, so
+        # this is the vector loop's scaling, with the dense loop's clips
+        paths = record_diagonal_paths(monkeypatch)
         p = make_problem([np.diag([1e100, 0.0]), np.diag([0.0, 1.0])], [1e100, 1e250])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
+        assert paths == [True]
         assert sol.status == "numerical-limit"
         assert sol.message == "scaling matrix became singular"
+        assert sol.iterations == 11
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
+    def test_nt_scaling_breakdown_on_rotated_rows(self, monkeypatch, theta):
+        # the witness above in a rotated basis reaches the dense NT scaling
+        # and breaks down there, as the diagonal loop does on the original
+        paths = record_diagonal_paths(monkeypatch)
+        q = rotation(theta)
+        p = make_problem([q @ np.diag([1e100, 0.0]) @ q.T, q @ np.diag([0.0, 1.0]) @ q.T],
+                         [1e100, 1e250])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = sdp.solve(p)
+        assert paths == [False]
+        assert sol.status == "numerical-limit"
+        assert sol.message == "scaling matrix became singular"
+        assert sol.iterations == 11
 
     def test_tiny_row_with_huge_b_returns_a_status(self):
         # X = b / a < 0 is infeasible; scaled to unit norm the row reads
@@ -334,12 +375,35 @@ class TestSolve:
         assert sol.status == "numerical-limit"
         assert sol.message == "Schur complement became non-finite"
 
+    @pytest.mark.parametrize("theta", [0.3, 1.1])
+    def test_newton_step_overflow_on_rotated_rows(self, monkeypatch, theta):
+        paths = record_diagonal_paths(monkeypatch)
+        q = rotation(theta)
+        p = make_problem([q @ np.diag([1e-150, 0.0]) @ q.T, q @ np.diag([0.0, 1e-100]) @ q.T],
+                         [1e150, -1e100])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = sdp.solve(p)
+        assert paths == [False]
+        assert sol.status == "numerical-limit"
+        assert sol.message == "Schur complement became non-finite"
+
     def test_non_finite_newton_step_returns_a_status(self, monkeypatch):
         # a Schur solve that returns NaN makes every direction NaN, which the
         # step length's eigensolve refuses
         monkeypatch.setattr(sdp, "_schur_solver",
                             lambda schur: lambda rhs: np.full_like(rhs, np.nan))
         sol = sdp.solve(make_problem([np.eye(2)], [1.0]))
+        assert sol.status == "numerical-limit"
+        assert sol.message == "Newton step became non-finite"
+
+    def test_non_finite_newton_step_on_a_rotated_row(self, monkeypatch):
+        # the dense step length's eigensolve refuses the NaN direction
+        monkeypatch.setattr(sdp, "_schur_solver",
+                            lambda schur: lambda rhs: np.full_like(rhs, np.nan))
+        paths = record_diagonal_paths(monkeypatch)
+        q = rotation(0.7)
+        sol = sdp.solve(make_problem([q @ np.diag([1.0, 2.0]) @ q.T], [1.0]))
+        assert paths == [False]
         assert sol.status == "numerical-limit"
         assert sol.message == "Newton step became non-finite"
 
@@ -393,6 +457,17 @@ class TestSolve:
         ray = sum(c * a for c, a in zip(y, p.constraint_ops))
         assert np.linalg.eigvalsh(ray).max() <= 1e-6
         assert np.dot(y, p.constraint_vals) > 0.1
+
+    def test_psd_infeasible_rotated_row(self, monkeypatch):
+        # the dense ray test reads the ray's top eigenvalue by an eigensolve
+        paths = record_diagonal_paths(monkeypatch)
+        q = rotation(0.3)
+        p = make_problem([q @ np.diag([1.0, 0.0]) @ q.T], [-1.0])
+        sol = sdp.solve(p)
+        assert paths == [False]
+        assert sol.status == "infeasible"
+        ray = sum(c * a for c, a in zip(sol.infeasibility_certificate, p.constraint_ops))
+        assert np.linalg.eigvalsh(ray).max() <= 1e-6
 
     def test_random_feasible_recovery(self, rng):
         for trial in range(8):
@@ -719,6 +794,63 @@ class TestUnitaryChangeOfBasis:
         assert a.status == b.status == "optimal"
         assert abs(a.iterations - b.iterations) <= 1
         assert b.objective_value == pytest.approx(a.objective_value, rel=1e-9)
+
+
+def one_state_problem(lam):
+    return sdp.assemble_fixed_point_constraints([np.diag(lam)])
+
+
+class TestDiagonalData:
+    """Data whose objective and rows are diagonal, or zero on the diagonal
+    with b = 0, run the loop on diagonal iterates. The dense loop takes the
+    same path from xi I, so the same problem conjugated by a real
+    orthogonal Q (x) Q, which is not diagonal, must reach the same point in
+    as many iterations, up to rounding."""
+
+    Q = {r: np.linalg.qr(np.random.default_rng(38).standard_normal((r, r)))[0]
+         for r in range(2, 6)}
+
+    @given(r=st.integers(2, 5), seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           repeated=st.booleans())
+    @example(r=2, seed=0, repeated=False)
+    @example(r=3, seed=1, repeated=True)
+    @example(r=4, seed=2, repeated=False)
+    @example(r=5, seed=3, repeated=True)
+    def test_rotated_one_state_problem_takes_the_same_path(self, r, seed, repeated):
+        rng = np.random.default_rng(seed)
+        lam = rng.random(r) + 0.1
+        if repeated:
+            lam[1] = lam[0]
+        p = one_state_problem(lam / lam.sum())
+        q = np.kron(self.Q[r], self.Q[r])
+        with pytest.MonkeyPatch.context() as mp:
+            paths = record_diagonal_paths(mp)
+            a = sdp.solve(p)
+            b = sdp.solve(conjugated(p, q))
+        assert paths == [True, False]
+        assert a.status == b.status == "optimal"
+        assert abs(a.iterations - b.iterations) <= 1
+        assert np.abs(q.T @ b.x @ q - a.x).max() <= 1e-8
+
+    def test_off_diagonal_row_with_nonzero_b_takes_the_dense_loop(self, monkeypatch):
+        # tr[(|0><1| + |1><0|) X] = 0.2 needs an off-diagonal X
+        paths = record_diagonal_paths(monkeypatch)
+        sol = sdp.solve(make_problem([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], [1.0, 0.2]))
+        assert paths == [False]
+        assert sol.status == "optimal"
+        assert sol.x[0, 1] == pytest.approx(0.1, abs=1e-7)
+
+    def test_off_diagonal_zero_b_row_is_dropped_with_y_zero(self, monkeypatch):
+        paths = record_diagonal_paths(monkeypatch)
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = make_problem([np.diag([1.0, 2.0]), off], [1.0, 0.0])
+        sol = sdp.solve(p)
+        assert paths == [True]
+        assert sol.status == "optimal"
+        assert sol.y[1] == 0.0
+        assert not (sol.x - np.diag(np.diag(sol.x))).any()
+        rotated = sdp.solve(conjugated(p, rotation(0.3)))
+        assert rotated.objective_value == pytest.approx(sol.objective_value, abs=1e-7)
 
 
 class TestAgainstCvxpy:
