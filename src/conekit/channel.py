@@ -236,11 +236,21 @@ def iterate(c: ChoiMatrix, rho0, n: int, stop_tol: float | None = None) -> list[
 # Fixed-point extraction
 # ----------------------------------------------------------------------
 
-def _candidate_key(rho: np.ndarray) -> tuple:
-    flat = np.concatenate(
-        [np.diag(rho).real, rho.real.reshape(-1), rho.imag.reshape(-1)]
-    )
-    return tuple(np.round(-flat, 9))
+def _candidate_keys(states: np.ndarray) -> np.ndarray:
+    """One row per state of a stack: its diagonal, real and imaginary
+    entries, negated and rounded to 9 digits. ``np.lexsort`` of the columns
+    orders the states by these rows as tuples, ties kept in place."""
+    k = len(states)
+    flat = np.concatenate([np.diagonal(states, axis1=1, axis2=2).real,
+                           states.real.reshape(k, -1), states.imag.reshape(k, -1)], axis=1)
+    return np.round(-flat, 9)
+
+
+def _fixed_point_residuals(c: ChoiMatrix, states: np.ndarray) -> np.ndarray:
+    """The trace distance between Phi(rho) and rho for each Hermitian rho of
+    a stack, from one stacked ``eigvalsh``."""
+    images = np.array([hermitize(apply(c, rho)) for rho in states])
+    return 0.5 * np.abs(np.linalg.eigvalsh(hermitize(images - states))).sum(axis=1)
 
 
 def spectrum(c: ChoiMatrix, fp_tol: float = FP_TOL) -> Spectrum:
@@ -256,9 +266,10 @@ def spectrum(c: ChoiMatrix, fp_tol: float = FP_TOL) -> Spectrum:
     s_r = (frame.conj() @ c.superop @ frame.T).real
     evals = np.linalg.eigvals(s_r)
     on_circle = np.abs(np.abs(evals) - 1.0) <= max(fp_tol, 1e-9)
-    peripheral = [complex(z) for z in evals[on_circle]]
-    peripheral.sort(key=np.angle)  # every |z| is 1 up to rounding
-    return Spectrum(s_r, peripheral, float(np.abs(evals[~on_circle]).max(initial=0.0)))
+    peripheral = evals[on_circle]
+    peripheral = peripheral[np.argsort(np.angle(peripheral), kind="stable")]  # every |z| is 1 up to rounding
+    return Spectrum(s_r, [complex(z) for z in peripheral],
+                    float(np.abs(evals[~on_circle]).max(initial=0.0)))
 
 
 def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
@@ -278,7 +289,7 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     sectors included) these are exactly its extreme points; for noiseless
     subsystems they are one valid but basis-dependent choice. Candidates
     failing the fixed-point residual are dropped and rho is the fallback,
-    so the result is never empty. States are sorted by ``_candidate_key``.
+    so the result is never empty. States are sorted by ``_candidate_keys``.
     """
     if c.d_in != c.d_out:
         raise ValueError("fixed_points requires a square channel (d_in == d_out)")
@@ -315,26 +326,25 @@ def fixed_points(c: ChoiMatrix, fp_tol: float = FP_TOL) -> FixedPointSet:
     a, vecs = np.linalg.eigh(hermitize(linops.dagger(iso) @ gen @ iso))
     gap_tol = 1e-7 * max(1.0, float(np.abs(a).max()))
 
-    def residual(rho: np.ndarray) -> float:
-        return trace_distance(hermitize(apply(c, rho)), rho)
-
-    found = []
+    cands = []
     sectors = linops.tolerance_groups(a, gap_tol)  # a ascends: sectors are runs of columns
     bounds = np.searchsorted(sectors, np.arange(sectors[-1] + 2)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         q = support @ vecs[:, lo:hi]
         proj = q @ linops.dagger(q)
         cand = hermitize(proj @ rho_ref @ proj)
-        cand = cand / np.trace(cand).real
-        r = residual(cand)
-        if r <= fp_tol:
-            found.append((cand, r))
-    if not found:
-        found.append((rho_ref, residual(rho_ref)))
-    found.sort(key=lambda pair: _candidate_key(pair[0]))
+        cands.append(cand / np.trace(cand).real)
+    cands = np.array(cands)
+    residuals = _fixed_point_residuals(c, cands)
+    kept = residuals <= fp_tol
+    if kept.any():
+        cands, residuals = cands[kept], residuals[kept]
+    else:
+        cands, residuals = rho_ref[None], _fixed_point_residuals(c, rho_ref[None])
+    order = np.lexsort(_candidate_keys(cands).T[::-1])
     return FixedPointSet(
-        states=[st for st, _ in found],
-        eigenvalue_residuals=[r for _, r in found],
+        states=list(cands[order]),
+        eigenvalue_residuals=residuals[order].tolist(),
         projector=projector,
         spectrum=spec,
     )

@@ -78,14 +78,14 @@ from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
-# never called here: kept because perfbench/tracing.py patches conesim.nnls by name
-from scipy.optimize import nnls  # noqa: F401
 
 from . import channel as chan
 from . import linops
 from .channel import ChoiMatrix
 from .linops import hermitize, trace_distance
-from .quasireal import QuasiRealization
+# never called here: kept because perfbench/tracing.py patches conesim.nnls by
+# name; quasireal's nnls imports scipy.optimize only when it is called
+from .quasireal import QuasiRealization, nnls  # noqa: F401
 
 CLASSIFY_TOL = 1e-3
 SETTLE_TOL = 1e-10

@@ -6,6 +6,8 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1420,3 +1422,14 @@ class TestVerdictPayloads:
                                   '"pi_in_dual":true,"pointed":true,"tau_residual":0.0,'
                                   '"worst_map_residual":1.5,"worst_map_case":["a",0],'
                                   '"min_dual_value":1.0,"all_conditions":false}\n')
+
+
+class TestImportPath:
+    def test_scipy_optimize_is_imported_only_for_nnls(self, tmp_path):
+        # a fresh interpreter, as this one has imported scipy.optimize for other tests
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        script = Path(__file__).with_name("import_guard.py")
+        res = subprocess.run([sys.executable, str(script), str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (res.returncode, res.stderr) == (0, "")

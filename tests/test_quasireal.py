@@ -1,15 +1,16 @@
 import itertools
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
-from conekit import quasireal
+from conekit import linops, quasireal
 from conekit.quasireal import (
     PolyhedralCone,
     QuasiRealization,
@@ -184,6 +185,18 @@ class TestWordProbability:
             word_distribution(markov_realization(), -1)
 
 
+class TestReadOnlyCopies:
+    def test_realization_keeps_read_only_copies(self):
+        d, pi, tau = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]), np.ones(2)
+        q = QuasiRealization(dim=2, alphabet=("a",), d_maps={"a": d}, pi=pi, tau=tau)
+        d[0, 0], pi[0], tau[0] = np.nan, np.nan, np.nan
+        assert word_probability(q, "aa") == 1.0
+        for a in (q.d_maps["a"], q.pi, q.tau):
+            assert np.isfinite(a).all() and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 class TestCauseMatrix:
     def test_coin_gives_identity(self):
         assert np.abs(cause_matrix(coin_realization()) - np.eye(1)).max() < 1e-15
@@ -239,6 +252,16 @@ class TestCones:
         # a single generator is always pointed
         assert is_pointed(PolyhedralCone(generators=np.array([[1.0, 2.0]])))
 
+    def test_cone_keeps_a_read_only_copy(self):
+        g = np.eye(2)
+        cone = PolyhedralCone(generators=g)
+        g[0] = 0.0  # a zero generator, which the constructor rejects
+        assert cone.generators.tobytes() == np.eye(2).tobytes()
+        assert not cone.generators.flags.writeable
+        assert is_pointed(cone) and cone_membership(cone, [0.3, 0.7])[0]
+        with pytest.raises(ValueError, match="read-only"):
+            cone.generators[0, 0] = 0.0
+
     def test_generators_validated(self):
         with pytest.raises(ValueError):
             PolyhedralCone(generators=np.array([[0.0, 0.0]]))
@@ -286,8 +309,9 @@ def scaled_cones(draw):
 
 
 class TestPointednessShortcut:
-    """Pointedness by one NNLS against the LP reference, whose cases the
-    rank shortcut and the LP it replaced were held to."""
+    """Pointedness, by the singular-value certificate or else one NNLS,
+    against the LP reference, whose cases the rank shortcut and the LP it
+    replaced were held to."""
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_simplex_cones(self, rng, k):
@@ -364,6 +388,111 @@ class TestScaleWitnesses:
         assert rep.min_dual_value == -1e160
         rep = check_dharmadhikari(quasirealization([np.eye(2)], [1.0, 2.0], [1.0, 1.0]), cone)
         assert rep.all_ok
+
+
+def nnls_membership(generators, v, tol: float = quasireal.CONE_TOL) -> tuple[bool, float]:
+    """Reference verdict and residual from scipy.optimize.nnls on the
+    generator matrix, tested on v / max|v_i| when |v| or the residual is past
+    the float range, with the bound tol * max(1, |v|)."""
+    _, residual = nnls(np.asarray(generators).T, v)
+    norm = 0.0 if residual <= tol else float(linops.row_norms(v[None])[0])
+    if residual < np.inf and norm < np.inf:
+        return bool(residual <= tol or residual <= tol * norm), float(residual)
+    peak = float(np.abs(v).max())
+    member, residual = nnls_membership(generators, v / peak, tol)
+    with np.errstate(over="ignore"):
+        return member, residual * peak
+
+
+def nnls_image_membership(generators, d, g, tol: float = quasireal.CONE_TOL) -> bool:
+    """Reference verdict on d @ g, tested on a finite positive multiple when
+    the product is past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = d @ g
+    if not np.isfinite(image).all():
+        image = (d / np.abs(d).max()) @ (g / np.abs(g).max())
+        image = image / np.abs(image).max()
+    return nnls_membership(generators, image, tol)[0]
+
+
+@st.composite
+def cones_and_vectors(draw):
+    """A cone of ``scaled_cones`` with members (nonnegative combinations, a
+    third of their coefficients zero, so many lie on faces), near misses
+    (one coefficient of a member set to -1e-6, or a member moved off the
+    generators' span by 1e-6 of its norm, when they span less than the
+    space) and random vectors at any scale, most of them non-members."""
+    gens = draw(scaled_cones())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = rng.random((4, len(gens)))
+    lam[rng.random(lam.shape) < 1 / 3] = 0.0
+    near = lam.copy()
+    near[np.arange(4), rng.integers(len(gens), size=4)] = -1e-6
+    members = lam @ gens
+    _, s, vt = np.linalg.svd(gens / linops.row_norms(gens)[:, None])
+    normal = vt[int((s > 1e-10 * s[0]).sum()):].sum(axis=0)  # orthogonal to the span, or 0
+    off = members + 1e-6 * np.outer(linops.row_norms(members), normal / max(np.linalg.norm(normal), 1.0))
+    others = rng.standard_normal((4, gens.shape[1])) * 10.0 ** rng.integers(-150, 151, (4, 1))
+    return gens, np.vstack([members, near @ gens, off, others])
+
+
+# a cone of two generators; 0.3 g_1 lies on its face spanned by g_1. The
+# least-squares coefficient for g_0 of that vector, and of its image under
+# FACE_MAP (which maps g_0 to 0.3 g_1 and fixes g_1), is exactly 0 but
+# rounds to about -1e-16, so the NNLS decides them
+FACE_CONE = np.array([[1.0, 0.5], [-0.5, 2.0]])
+FACE_MAP = np.array([0.3 * FACE_CONE[1], FACE_CONE[1]]).T @ np.linalg.inv(FACE_CONE.T)
+
+
+@st.composite
+def cones_and_maps(draw):
+    """A cone of ``scaled_cones`` with a map preserving it (a positive
+    multiple of I) and a random map, at scales whose images of the
+    generators run past the float range."""
+    gens = draw(scaled_cones())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = gens.shape[1]
+    return gens, [10.0 ** int(rng.integers(0, 300)) * np.eye(dim),
+                  10.0 ** int(rng.integers(0, 300)) * rng.standard_normal((dim, dim))]
+
+
+class TestCertificates:
+    """Membership by certificate against NNLS called here: equal verdicts; a
+    certified residual passes the membership bound, and a vector the
+    certificate leaves to quasireal.nnls gets the reference's residual bit
+    for bit. (Pointedness is held to the LP in TestPointednessShortcut.)"""
+
+    @given(cones_and_vectors())
+    @example((LINE_AT_1E15, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, -1.0], [-3e15, 2.0, 0.0]])))
+    @example((np.array([[1e-200, 0.0], [0.0, 1.0]]), np.array([[3.0, 1.0], [-3.0, 1.0], [3e-200, 0.0]])))
+    @example((nearly_dependent(1e-7), np.array([[0.0, 0.0, 1e-7], [1.0, 2.0, 0.0], [0.0, 0.0, -1.0]])))
+    @example((FACE_CONE, 0.3 * FACE_CONE[1:]))
+    def test_matches_nnls(self, case):
+        gens, vectors = case
+        cone = PolyhedralCone(generators=gens)
+        for v in vectors:
+            with mock.patch.object(quasireal, "nnls", wraps=quasireal.nnls) as solve:
+                member, residual, _ = cone_membership(cone, v)
+            expected, expected_residual = nnls_membership(gens, v)
+            assert member == expected
+            if solve.called:
+                assert residual == expected_residual
+            else:
+                assert member and residual <= quasireal.CONE_TOL * max(1.0, linops.row_norms(v[None])[0])
+
+    @given(cones_and_maps())
+    @example((np.array([[1e200, 0.0], [0.0, 1.0]]), [np.diag([1e200, 1.0]), np.diag([-1e200, 1.0])]))
+    @example((FACE_CONE, [FACE_MAP]))
+    def test_images_at_any_scale(self, case):
+        gens, maps = case
+        q = quasirealization(maps, np.ones(gens.shape[1]), gens.sum(axis=0))
+        rep = check_dharmadhikari(q, PolyhedralCone(generators=gens))
+        try:
+            expected = all(nnls_image_membership(gens, d, g) for d in maps for g in gens)
+        except RuntimeError:  # scipy's iteration cap, on rows of very different scales: no reference
+            reject()
+        assert rep.maps_preserve_cone == expected
+        assert rep.tau_in_cone == nnls_membership(gens, q.tau)[0]
 
 
 class TestDharmadhikari:
