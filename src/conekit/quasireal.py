@@ -13,21 +13,20 @@ the three polyhedral-cone conditions that characterize equivalence to a
 positive realization for a user-supplied cone: tau in the cone, every
 D_u mapping the cone into itself, and pi nonnegative on it.
 
-Each cone question is decided by certificate where one exists, from one
-cached SVD of the generators scaled to unit norm (``PolyhedralCone``).
+Every cone question is decided in unit coordinates, on the generators
+scaled to unit norm and one cached SVD of them (``PolyhedralCone``): a
+vector v is asked as v / max|v_i|, and an image D_u g as the same of
+(D_u / max|D_ij|) g / |g|, so that no product overflows (``_decide``).
 Least-squares coefficients alpha >= 0 whose residual passes the membership
-test prove membership; for independent generators the least singular value
-bounds the distance from 0 to their hull, and proves pointedness when that
-bound clears ``tol``. What no certificate decides (a vector with a negative
-coefficient, a non-member, an image past the float range, the pointedness
-of dependent generators) is one nonnegative least squares (NNLS):
-membership on the generator matrix, pointedness on the unit generators
-(``is_pointed``). ``nnls`` imports ``scipy.optimize`` on its
-first call, so a process whose cone questions all have certificates never
-loads it. Every norm comes from ``linops.row_norms``, whose squares cannot
-overflow or underflow, so the generators' scale decides no verdict. Nor
-does it decide whether a symbol matrix maps a generator into the cone: an
-image past the float range is tested as a finite positive multiple.
+test prove membership; any other vector is decided by one nonnegative least
+squares (NNLS) on the unit generators. For independent generators the least
+singular value bounds the distance from 0 to their hull, and proves
+pointedness when that bound clears ``tol``; otherwise one NNLS on the unit
+generators decides (``is_pointed``). ``nnls`` imports ``scipy.optimize`` on
+its first call, so a process whose cone questions all have certificates
+never loads it. Every norm of a row not at unit scale comes from
+``linops.row_norms``, whose squares cannot overflow or underflow, so the
+generators' scale decides no verdict.
 """
 
 from __future__ import annotations
@@ -48,10 +47,15 @@ WORD_ENUMERATION_CAP = 10 ** 6
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """``scipy.optimize.nnls``, imported on the first call: only vectors and
-    cones no certificate decides reach it."""
+    cones no certificate decides reach it. Its iteration cap, a
+    ``RuntimeError``, is raised as the numerical failure it is,
+    ``np.linalg.LinAlgError``."""
     from scipy.optimize import nnls as solve
 
-    return solve(a, b)
+    try:
+        return solve(a, b)
+    except RuntimeError as exc:
+        raise np.linalg.LinAlgError(f"NNLS failed: {exc}") from exc
 
 
 def _read_only(a) -> np.ndarray:
@@ -97,6 +101,9 @@ class QuasiRealization:
         tau = _read_only(self.tau).reshape(-1)
         if pi.size != self.dim or tau.size != self.dim:
             raise ValueError("pi and tau must have length dim")
+        for name, vec in (("pi", pi), ("tau", tau)):
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "tau", tau)
 
@@ -203,6 +210,8 @@ class PolyhedralCone:
         g = _read_only(self.generators)
         if g.ndim != 2 or g.shape[0] == 0:
             raise ValueError("generators must be a non-empty list of vectors")
+        if g.shape[1] == 0:
+            raise ValueError("generators must have at least one coordinate")
         if not np.all(np.isfinite(g)):
             raise ValueError("generators contain non-finite entries")
         norms = linops.row_norms(g)
@@ -225,61 +234,54 @@ class PolyhedralCone:
                            float(s[-1]) if independent else 0.0)
 
 
-def _certify(cone: PolyhedralCone, vs: np.ndarray,
-             tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(member, residual, coefficients) for each finite row v of vs, from the
-    least-squares coefficients alpha of w = v / max|v_i| on the unit
-    generators: one product with their pseudo-inverse. A row is a member
-    when alpha >= 0 and |U^T alpha - w| passes ``cone_membership``'s test,
-    a proof, as that residual bounds the distance from w to the cone from
-    above. The residual and coefficients are scaled back to v and the
-    generators as they are; False proves nothing."""
+def _peak_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows / s, s), s the peak |entry| of each row, or 1 for a zero row."""
+    peak = np.abs(rows).max(axis=1)
+    s = np.where(peak > 0.0, peak, 1.0)
+    return rows / s[:, None], s
+
+
+def _decide(cone: PolyhedralCone, w: np.ndarray, s: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(member, residual, alpha) for each vector v = s_i w_i, asked in unit
+    coordinates: each row w_i has peak entry 1 in size (or is 0) and the
+    unit generators U have unit norm, so no product overflows, whatever s_i
+    is (inf included). v is a member when |U^T alpha - w_i| <= tol *
+    max(1 / s_i, |w_i|), the bound tol * max(1, |v|) divided by s_i, for
+    some alpha >= 0. The least-squares alpha, one product with U's cached
+    pseudo-inverse, proves it when alpha >= 0 and its residual passes; every
+    other row gets one NNLS on U. The residual and alpha are those of w_i on
+    U: the caller scales them back to v and the generators."""
     f = cone._factor
-    peak = np.abs(vs).max(axis=1)
-    scale = np.where(peak > 0.0, peak, 1.0)
-    w = vs / scale[:, None]  # entries at most 1 in size, so no product below overflows
     alpha = w @ f.pinv.T
     residual = linops.row_norms(alpha @ f.unit - w)
-    with np.errstate(over="ignore"):  # 1 / scale of a subnormal scale, or a product past the range
-        bound = tol * np.maximum(1.0 / scale, linops.row_norms(w))
-        member = (alpha >= 0.0).all(axis=1) & (residual <= bound)
-        return member, residual * scale, alpha * scale[:, None] / f.norms
+    with np.errstate(over="ignore", divide="ignore"):  # 1 / s of a subnormal or underflowed s
+        bound = tol * np.maximum(1.0 / s, np.linalg.norm(w, axis=1))  # |w_i| is 0 or in [1, sqrt(n)]
+    for i in np.flatnonzero((alpha < 0.0).any(axis=1) | (residual > bound)):
+        alpha[i] = nnls(f.unit.T, w[i])[0]
+        residual[i] = linops.row_norms((alpha[i] @ f.unit - w[i])[None])[0]
+    return residual <= bound, residual, alpha
 
 
 def cone_membership(cone: PolyhedralCone, v, tol: float = CONE_TOL) -> tuple[bool, float, np.ndarray]:
     """Is v a nonnegative combination of the generators?
 
     Returns (member, residual, coefficients); v is a member when the residual
-    is at most tol * max(1, |v|). A finite v that ``_certify`` proves a member
-    returns its certificate, whose residual may differ from the NNLS one at
-    rounding level (for independent generators its coefficients are the
-    NNLS solution: Lawson & Hanson, Solving Least Squares Problems, 1974,
-    ch. 23). Any other v is decided by ``_nnls_membership``.
+    is at most tol * max(1, |v|). Decided by ``_decide`` on v / max|v_i|: by
+    certificate when the least-squares coefficients are nonnegative (for
+    independent generators they are then the NNLS solution: Lawson & Hanson,
+    Solving Least Squares Problems, 1974, ch. 23), else by NNLS on the unit
+    generators. Either way the residual is that of the coefficients returned.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != cone.ambient_dim:
         raise ValueError(f"vector dimension {v.size} != cone dimension {cone.ambient_dim}")
-    if np.isfinite(v).all():
-        member, residual, coeffs = _certify(cone, v[None], tol)
-        if member[0]:
-            return True, float(residual[0]), coeffs[0]
-    return _nnls_membership(cone, v, tol)
-
-
-def _nnls_membership(cone: PolyhedralCone, v: np.ndarray, tol: float) -> tuple[bool, float, np.ndarray]:
-    """``cone_membership`` by nonnegative least squares on the generator
-    matrix, tested on v / max |v_i| when |v| or the residual is past the
-    float range (a cone is closed under positive scaling, and the residual
-    may then read inf)."""
-    coeffs, residual = nnls(cone.generators.T, v)
-    # the bound is tol * max(1, |v|): |v| is needed only above tol
-    norm = 0.0 if residual <= tol else float(linops.row_norms(v[None])[0])
-    if residual < np.inf and norm < np.inf:
-        return bool(residual <= tol or residual <= tol * norm), float(residual), coeffs
-    peak = float(np.abs(v).max())  # |v| / peak and the residual / peak are finite
-    member, residual, coeffs = _nnls_membership(cone, v / peak, tol)
-    with np.errstate(over="ignore"):
-        return member, residual * peak, coeffs * peak
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
+    w, s = _peak_scaled(v[None])
+    member, residual, alpha = _decide(cone, w, s, tol)
+    with np.errstate(over="ignore"):  # a coefficient of a generator far below |v| in scale
+        return bool(member[0]), float(residual[0] * s[0]), alpha[0] * s[0] / cone._factor.norms
 
 
 def is_pointed(cone: PolyhedralCone, tol: float = CONE_TOL) -> bool:
@@ -306,25 +308,6 @@ def is_pointed(cone: PolyhedralCone, tol: float = CONE_TOL) -> bool:
     return bool(nnls(a, target)[1] > tol)
 
 
-def _image_membership(cone: PolyhedralCone, d: np.ndarray, g: np.ndarray,
-                      tol: float) -> tuple[bool, float]:
-    """(member, residual) of ``_nnls_membership`` for d @ g. When that product
-    overflows, membership is decided on the finite positive multiple
-    (d / max|d_ij|) @ (g / max|g_i|), divided by its peak entry as
-    ``_nnls_membership`` divides a vector past the float range, and the
-    residual is scaled back, possibly to inf."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf reads nan
-        image = d @ g
-    if np.isfinite(image).all():
-        return _nnls_membership(cone, image, tol)[:2]
-    d_peak, g_peak = np.abs(d).max(), np.abs(g).max()
-    image = (d / d_peak) @ (g / g_peak)
-    peak = np.abs(image).max()
-    member, residual, _ = _nnls_membership(cone, image / peak, tol)
-    with np.errstate(over="ignore"):
-        return member, residual * peak * d_peak * g_peak
-
-
 @dataclass(frozen=True)
 class DharmadhikariReport:
     """The three cone conditions plus pointedness, with worst residuals."""
@@ -348,25 +331,25 @@ def check_dharmadhikari(q: QuasiRealization, cone: PolyhedralCone,
     """Verify a GIVEN cone against a quasi-realization: tau in the cone,
     every symbol matrix mapping each generator back into the cone
     (sufficient by convexity), and pi nonnegative on every generator.
-    The images D_u g of every symbol and generator are certified in one
-    batch (``_certify``); NNLS decides the rest one image at a time, those
-    past the float range among them (``_image_membership``)."""
+    The images D_u g of every symbol and generator are decided in one batch
+    (``_decide``), each as (D_u / max|D_ij|) g / |g| divided by its peak
+    entry, so that an image past the float range is decided as well."""
     if cone.ambient_dim != q.dim:
         raise ValueError(
             f"cone dimension {cone.ambient_dim} != realization dimension {q.dim}"
         )
     tau_ok, tau_res, _ = cone_membership(cone, q.tau, tol)
 
-    gens = cone.generators
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf reads nan
-        images = np.concatenate([gens @ q.d_maps[u].T for u in q.alphabet])  # row u|G| + i: D_u g_i
-    finite = np.isfinite(images).all(axis=1)
-    member = np.zeros(len(images), dtype=bool)
-    residual = np.zeros(len(images))
-    member[finite], residual[finite], _ = _certify(cone, images[finite], tol)
-    for j in np.flatnonzero(~member):
-        u, gi = divmod(int(j), len(gens))
-        member[j], residual[j] = _image_membership(cone, q.d_maps[q.alphabet[u]], gens[gi], tol)
+    gens, f = cone.generators, cone._factor
+    maps, map_peak = _peak_scaled(np.stack([q.d_maps[u].reshape(-1) for u in q.alphabet]))
+    # row u|G| + i: D_u g_i / (max|D_u| |g_i|), divided by its peak entry
+    images = f.unit @ maps.reshape(-1, q.dim, q.dim).transpose(0, 2, 1)
+    w, peak = _peak_scaled(images.reshape(-1, q.dim))
+    with np.errstate(over="ignore"):  # the scale of an image past the float range reads inf
+        scale = peak * np.outer(map_peak, f.norms).reshape(-1)
+    member, residual, _ = _decide(cone, w, scale, tol)
+    with np.errstate(over="ignore"):  # scaled factor by factor: inf only past the float range
+        residual = ((residual * peak).reshape(-1, len(gens)) * map_peak[:, None] * f.norms).reshape(-1)
     worst = int(np.argmax(residual))  # the first of the largest, as (u, i) ascend
     worst_case = None
     if residual[worst] > 0.0:
@@ -374,11 +357,10 @@ def check_dharmadhikari(q: QuasiRealization, cone: PolyhedralCone,
         worst_case = (q.alphabet[u], gi)
 
     # g.pi >= -tol max(1, |g||pi|), divided by |g| so that no product overflows
-    norms = cone._factor.norms
     with np.errstate(over="ignore"):  # 1 / |g| of a subnormal |g|, or g.pi, may read inf
-        floor = -tol * np.maximum(1.0 / norms, linops.row_norms(q.pi[None])[0])
+        floor = -tol * np.maximum(1.0 / f.norms, linops.row_norms(q.pi[None])[0])
         min_dual_value = float((gens @ q.pi).min())
-    pi_ok = bool(np.all(cone._factor.unit @ q.pi >= floor))
+    pi_ok = bool(np.all(f.unit @ q.pi >= floor))
     return DharmadhikariReport(
         tau_in_cone=tau_ok,
         maps_preserve_cone=bool(member.all()),

@@ -604,6 +604,44 @@ class TestQuasirealCommands:
         assert code == 0
         assert json.loads(out)["all_conditions"]
 
+    def test_cone_check_nnls_failure_exits_4(self, workdir, capsys, monkeypatch):
+        # a rotation maps e2 out of the orthant, so NNLS decides that image;
+        # scipy's iteration cap is a numerical limit, not a traceback
+        import scipy.optimize
+
+        def capped(a, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        _, write = workdir
+        qpath = write("q.json", {"dim": 2, "alphabet": ["0"], "D": {"0": [[0.0, -1.0], [1.0, 0.0]]},
+                                 "pi": [1.0, 0.0], "tau": [1.0, 1.0]})
+        cpath = write("cone.json", {"generators": np.eye(2).tolist()})
+        code, out, err = run_cli(capsys, "quasireal", "cone-check",
+                                 "--realization", qpath, "--cone", cpath)
+        assert code == 4 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["reason"] == "numerical-limit"
+        assert "Maximum number of iterations" in payload["error"]
+
+    def test_cone_check_with_a_line_and_a_tiny_ray(self, workdir, capsys):
+        # tau is 3.254e85 from the cone of a line and a ray 1e-139 of its scale
+        _, write = workdir
+        qpath = write("q.json", {"dim": 3, "alphabet": ["0"], "D": {"0": np.eye(3).tolist()},
+                                 "pi": [1.0, 1.0, 1.0], "tau": [-1.1545021420614381e+86, -2.5886764658173764e+84,
+                                                                -3.6294794161509184e+85]})
+        cpath = write("cone.json", {"generators": [
+            [8861.552253776537, 2849.2020574726744, -451.17483652109047],
+            [1.245584773513067e-139, 4.200104361619653e-140, -2.4046965128501786e-139],
+            [-8861.552253776537, -2849.2020574726744, 451.17483652109047]]})
+        code, out, _ = run_cli(capsys, "quasireal", "cone-check",
+                               "--realization", qpath, "--cone", cpath)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["tau_in_cone"] is False
+        assert rep["tau_residual"] == pytest.approx(3.2542090788608119e85, rel=1e-12)
+
     def test_cone_check_with_a_line_at_large_scale(self, workdir, capsys):
         # a line along e1 at scale 1e15: pointedness is answered, not a crash
         _, write = workdir
@@ -1119,6 +1157,10 @@ class TestErrorTaxonomy:
             "quasireal", "cone-check", "--realization", write("q.json", REALIZATION_1),
             "--cone", write("c.json", {"rays": [[1.0]]})],
             "cone JSON must contain 'generators'", id="cone-keys"),
+        pytest.param(lambda tmp, write: [
+            "quasireal", "cone-check", "--realization", write("q.json", REALIZATION_1),
+            "--cone", write("c.json", {"generators": [[]]})],
+            "generators must have at least one coordinate", id="cone-empty-generator"),
         pytest.param(lambda tmp, write: ["conesim", "run", "--out", str(tmp / "t.jsonl"),
                                          "--config", write("cfg.json", {"kick": {"policy": "haar"}})],
                      "config missing keys", id="config-keys"),

@@ -1,11 +1,11 @@
 import itertools
 import json
 import re
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog, nnls
@@ -197,6 +197,14 @@ class TestReadOnlyCopies:
                 a[0] = 0.0
 
 
+class TestRealizationValidation:
+    @pytest.mark.parametrize("pi, tau, name", [
+        ([np.nan], [1.0], "pi"), ([1.0], [np.inf], "tau"), ([np.nan], [np.inf], "pi")])
+    def test_non_finite_pi_or_tau_rejected(self, pi, tau, name):
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            QuasiRealization(dim=1, alphabet=("a",), d_maps={"a": np.eye(1)}, pi=pi, tau=tau)
+
+
 class TestCauseMatrix:
     def test_coin_gives_identity(self):
         assert np.abs(cause_matrix(coin_realization()) - np.eye(1)).max() < 1e-15
@@ -267,6 +275,13 @@ class TestCones:
             PolyhedralCone(generators=np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
             PolyhedralCone(generators=np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            PolyhedralCone(generators=[[]])
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0]])
+    def test_non_finite_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="vector has non-finite entries"):
+            cone_membership(PolyhedralCone(generators=np.eye(2)), v)
 
 
 def lp_pointed(generators, tol: float = quasireal.CONE_TOL) -> bool:
@@ -343,6 +358,32 @@ class TestPointednessShortcut:
         assert is_pointed(PolyhedralCone(generators=gens)) == lp_pointed(gens)
 
 
+# a line along g_0 and a ray, g_1, 139 orders of magnitude below it in scale;
+# tau lies 3.254e85 from the cone, 27% of |tau|. NNLS on the raw generators
+# reported a residual of 0.0 with coefficients that miss tau by 9.2e88
+LINE_AND_TINY_RAY = np.array([[8861.552253776537, 2849.2020574726744, -451.17483652109047],
+                              [1.245584773513067e-139, 4.200104361619653e-140, -2.4046965128501786e-139],
+                              [-8861.552253776537, -2849.2020574726744, 451.17483652109047]])
+TAU_OFF_LINE_AND_TINY_RAY = np.array([-1.1545021420614381e+86, -2.5886764658173764e+84, -3.6294794161509184e+85])
+# that distance, from the normal of the plane of g_0 and g_1 in 50-digit arithmetic
+DISTANCE_OFF_LINE_AND_TINY_RAY = 3.2542090788608118906e85
+
+
+# a member whose NNLS on the raw generators, rows at scales 1, 1e-11 and 1e-18,
+# stops at the residual 1.13e-6: -1e-6 g_2 is 3e5 g_5 + 2.4e5 g_6 + 1.4e12 g_8
+MEMBER_RAW_NNLS_MISSES = (np.array([
+    [-1.2934834824653443e-01, -3.2692331875199945e-02, 9.7462611564105420e-02, 2.5767754111499580e-01],
+    [1.3340179478476661e+00, -1.1948193440611548e+00, -4.5880159505411666e-01, 6.0071183121708627e-01],
+    [-9.2260574876610171e-02, 2.5829554966253143e+00, -1.2457838530836784e+00, 8.6908008839237705e-01],
+    [-1.9216380778643592e-12, 1.3888841198450545e-11, -5.1143182720609471e-12, 3.6575587899155299e-12],
+    [-3.0667807987175304e-12, 1.5580519597865107e-11, 5.5028163201130978e-13, -5.3441192789190025e-12],
+    [6.9478865626114232e-12, -9.8807906784086537e-12, -2.0173574936735078e-12, 1.1446276511918628e-11],
+    [-1.0207098640010515e-11, 9.2867818130364500e-12, -1.2974459624106260e-11, 6.7140920407523135e-12],
+    [1.2934834824653441e-11, 3.2692331875199941e-12, -9.7462611564105419e-12, -2.5767754111499579e-11],
+    [7.4090359766126305e-19, -1.1597026419238310e-18, 3.1372025102250225e-18, -5.0787557363647210e-18]]),
+    np.array([9.2264287496593097e-08, -2.5829489260362718e-06, 1.2457783137069830e-06, -8.6908550134908249e-07]))
+
+
 class TestScaleWitnesses:
     """Cones and vectors far from unit scale, whose norms overflow or
     underflow when squared."""
@@ -380,6 +421,20 @@ class TestScaleWitnesses:
         else:  # the residual of D g itself, 1e400, is past the float range
             assert (rep.worst_map_residual, rep.worst_map_case) == (np.inf, ("s0", 0))
 
+    def test_line_and_a_ray_139_orders_of_magnitude_smaller(self):
+        cone = PolyhedralCone(generators=LINE_AND_TINY_RAY)
+        member, residual, _ = cone_membership(cone, TAU_OFF_LINE_AND_TINY_RAY)
+        assert not member
+        assert residual == pytest.approx(DISTANCE_OFF_LINE_AND_TINY_RAY, rel=1e-12)
+        q = quasirealization([np.eye(3)], [1.0, 1.0, 1.0], TAU_OFF_LINE_AND_TINY_RAY)
+        assert not check_dharmadhikari(q, cone).tau_in_cone
+
+    def test_member_through_generators_at_1e_minus_18(self):
+        gens, v = MEMBER_RAW_NNLS_MISSES
+        member, residual, coeffs = cone_membership(PolyhedralCone(generators=gens), v)
+        assert member and residual < 1e-20
+        assert exact_miss_squared(gens, coeffs, v) < Fraction(1e-20) ** 2
+
     def test_dual_condition_at_large_scale(self):
         cone = PolyhedralCone(generators=np.array([[1e160, 0.0], [0.0, 1.0]]))
         rep = check_dharmadhikari(quasirealization([np.eye(2)], [-1.0, 2.0], [1.0, 1.0]), cone)
@@ -390,29 +445,62 @@ class TestScaleWitnesses:
         assert rep.all_ok
 
 
-def nnls_membership(generators, v, tol: float = quasireal.CONE_TOL) -> tuple[bool, float]:
+def raw_nnls_membership(generators, v, tol: float = quasireal.CONE_TOL) -> bool | None:
+    """Reference verdict from scipy.optimize.nnls on the generator matrix as it
+    is, with the bound tol * max(1, |v|), tested on v / max|v_i| when |v| or
+    the residual is past the float range; None where that NNLS gives no
+    answer: it raises its iteration-cap RuntimeError, or the residual it
+    reports misses that of its own coefficients by more than the bound (rows
+    ~1e140 apart in scale can read 0.0 for coefficients that miss v by far
+    more than |v|). A member verdict is then proved by its coefficients; a
+    non-member one is not (``MEMBER_RAW_NNLS_MISSES``)."""
+    try:
+        coeffs, residual = nnls(np.asarray(generators).T, v)
+    except RuntimeError:
+        return None
+    bound = tol * max(1.0, float(linops.row_norms(v[None])[0]))
+    if residual < np.inf and bound < np.inf:
+        with np.errstate(over="ignore", invalid="ignore"):  # coefficients past the float range
+            own = float(linops.row_norms((coeffs @ generators - v)[None])[0])
+        return bool(residual <= bound) if abs(own - residual) <= bound else None
+    return raw_nnls_membership(generators, v / float(np.abs(v).max()), tol)
+
+
+def unit_nnls_membership(generators, v, tol: float = quasireal.CONE_TOL) -> tuple[bool, float, float]:
     """Reference verdict and residual from scipy.optimize.nnls on the
-    generator matrix, tested on v / max|v_i| when |v| or the residual is past
-    the float range, with the bound tol * max(1, |v|)."""
-    _, residual = nnls(np.asarray(generators).T, v)
-    norm = 0.0 if residual <= tol else float(linops.row_norms(v[None])[0])
-    if residual < np.inf and norm < np.inf:
-        return bool(residual <= tol or residual <= tol * norm), float(residual)
-    peak = float(np.abs(v).max())
-    member, residual = nnls_membership(generators, v / peak, tol)
+    generators scaled to unit norm (as in ``lp_pointed``) and v / max|v_i|,
+    with the bound tol * max(1, |v|), the residual scaled back to v; and the
+    sum of its coefficients scaled back the same way, which the rounding of
+    that residual grows with (on generators dependent to rounding, NNLS
+    coefficients reach ~1e15 and two NNLS residuals differ by ~10%)."""
+    g = np.asarray(generators, dtype=float)
+    g = g / np.abs(g).max(axis=1)[:, None]
+    g = g / np.linalg.norm(g, axis=1)[:, None]
+    peak = float(np.abs(v).max()) or 1.0
+    coeffs, residual = nnls(g.T, v / peak)
+    member = residual <= tol * max(1.0 / peak, float(np.linalg.norm(v / peak)))
     with np.errstate(over="ignore"):
-        return member, residual * peak
+        return bool(member), residual * peak if residual > 0.0 else 0.0, coeffs.sum() * peak
 
 
-def nnls_image_membership(generators, d, g, tol: float = quasireal.CONE_TOL) -> bool:
-    """Reference verdict on d @ g, tested on a finite positive multiple when
-    the product is past the float range."""
+def image_multiple(d, g) -> np.ndarray:
+    """d @ g, or a finite positive multiple of it when it is past the float
+    range, with peak entry 1."""
     with np.errstate(over="ignore", invalid="ignore"):
         image = d @ g
     if not np.isfinite(image).all():
         image = (d / np.abs(d).max()) @ (g / np.abs(g).max())
         image = image / np.abs(image).max()
-    return nnls_membership(generators, image, tol)[0]
+    return image
+
+
+def exact_miss_squared(generators, coeffs, v) -> Fraction:
+    """|G^T c - v|^2 in exact rational arithmetic, of the floats as they are."""
+    total = Fraction(0)
+    for column, x in zip(np.asarray(generators).T, v):
+        r = sum((Fraction(c) * Fraction(g) for c, g in zip(coeffs, column)), Fraction(0)) - Fraction(x)
+        total += r * r
+    return total
 
 
 @st.composite
@@ -457,28 +545,45 @@ def cones_and_maps(draw):
 
 
 class TestCertificates:
-    """Membership by certificate against NNLS called here: equal verdicts; a
-    certified residual passes the membership bound, and a vector the
-    certificate leaves to quasireal.nnls gets the reference's residual bit
-    for bit. (Pointedness is held to the LP in TestPointednessShortcut.)"""
+    """Membership in unit coordinates against NNLS called here: the verdict
+    and, within rounding, the residual of NNLS on the unit generators; a
+    member wherever NNLS on the raw generators proves one (its non-member
+    verdicts prove nothing: ``MEMBER_RAW_NNLS_MISSES``); and coefficients of
+    every member that reproduce it, in exact arithmetic. (Pointedness is
+    held to the LP in TestPointednessShortcut.)"""
 
     @given(cones_and_vectors())
     @example((LINE_AT_1E15, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, -1.0], [-3e15, 2.0, 0.0]])))
     @example((np.array([[1e-200, 0.0], [0.0, 1.0]]), np.array([[3.0, 1.0], [-3.0, 1.0], [3e-200, 0.0]])))
     @example((nearly_dependent(1e-7), np.array([[0.0, 0.0, 1e-7], [1.0, 2.0, 0.0], [0.0, 0.0, -1.0]])))
     @example((FACE_CONE, 0.3 * FACE_CONE[1:]))
+    @example((LINE_AND_TINY_RAY, TAU_OFF_LINE_AND_TINY_RAY[None]))
+    @example((MEMBER_RAW_NNLS_MISSES[0], MEMBER_RAW_NNLS_MISSES[1][None]))
     def test_matches_nnls(self, case):
         gens, vectors = case
         cone = PolyhedralCone(generators=gens)
         for v in vectors:
-            with mock.patch.object(quasireal, "nnls", wraps=quasireal.nnls) as solve:
-                member, residual, _ = cone_membership(cone, v)
-            expected, expected_residual = nnls_membership(gens, v)
+            member, residual, coeffs = cone_membership(cone, v)
+            expected, expected_residual, mass = unit_nnls_membership(gens, v)
             assert member == expected
-            if solve.called:
-                assert residual == expected_residual
-            else:
-                assert member and residual <= quasireal.CONE_TOL * max(1.0, linops.row_norms(v[None])[0])
+            bound = quasireal.CONE_TOL * max(1.0, linops.row_norms(v[None])[0])
+            with np.errstate(over="ignore"):
+                rounding = 1e-12 * (mass + coeffs @ linops.row_norms(gens))
+            assert residual == pytest.approx(expected_residual, rel=1e-9, abs=bound + rounding)
+            assert member or not raw_nnls_membership(gens, v)
+
+    @given(cones_and_vectors())
+    @example((MEMBER_RAW_NNLS_MISSES[0], MEMBER_RAW_NNLS_MISSES[1][None]))
+    @example((LINE_AND_TINY_RAY, np.array([LINE_AND_TINY_RAY[1], [2.0, 1.0, 0.0], TAU_OFF_LINE_AND_TINY_RAY])))
+    def test_member_coefficients_reproduce_v(self, case):
+        gens, vectors = case
+        cone = PolyhedralCone(generators=gens)
+        for v in vectors:
+            member, _, coeffs = cone_membership(cone, v)
+            if member:
+                bound = quasireal.CONE_TOL * max(1.0, linops.row_norms(v[None])[0])
+                assert np.all(coeffs >= 0.0) and np.all(np.isfinite(coeffs))
+                assert exact_miss_squared(gens, coeffs, v) <= Fraction(bound) ** 2
 
     @given(cones_and_maps())
     @example((np.array([[1e200, 0.0], [0.0, 1.0]]), [np.diag([1e200, 1.0]), np.diag([-1e200, 1.0])]))
@@ -487,12 +592,11 @@ class TestCertificates:
         gens, maps = case
         q = quasirealization(maps, np.ones(gens.shape[1]), gens.sum(axis=0))
         rep = check_dharmadhikari(q, PolyhedralCone(generators=gens))
-        try:
-            expected = all(nnls_image_membership(gens, d, g) for d in maps for g in gens)
-        except RuntimeError:  # scipy's iteration cap, on rows of very different scales: no reference
-            reject()
-        assert rep.maps_preserve_cone == expected
-        assert rep.tau_in_cone == nnls_membership(gens, q.tau)[0]
+        images = [image_multiple(d, g) for d in maps for g in gens]
+        assert rep.maps_preserve_cone == all(unit_nnls_membership(gens, x)[0] for x in images)
+        raw = [raw_nnls_membership(gens, x) for x in images]
+        assert rep.maps_preserve_cone or not all(raw)
+        assert rep.tau_in_cone == unit_nnls_membership(gens, q.tau)[0]
 
 
 class TestDharmadhikari:
