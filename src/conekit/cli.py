@@ -21,8 +21,11 @@ line number in the file.
 paths of ``demo bell`` give a channel's decay as ``channel.spectrum``:
 ``decay_modulus``, the largest eigenvalue modulus off the unit circle,
 and ``peripheral_spectrum`` on it as [re, im]; separable ones add ``b_weight``.
-``engineer sdp`` also gives ``solver_iterations``, 0 when the fixed states
-force the identity on their support and the channel is the closed form.
+``engineer sdp`` also gives ``solver_iterations`` and ``solver_message``,
+which names the route to the core: ``engineer.IDENTITY_FORCED`` (0
+iterations) when the fixed states force the identity on their support,
+``engineer.ONE_STATE_CENTRE`` (the Newton steps) for one state, and the
+interior-point solver's message (its iterations) otherwise.
 It exits 4 (``numerical-limit``) when the cut of ``linops.support`` leaves
 a state unfixed, its residual above ``channel.FP_TOL``.
 
@@ -299,6 +302,7 @@ def cmd_engineer_sdp(args) -> int:
         "objective_trace": res.solution.objective_value,
         "solver_status": res.solution.status,
         "solver_iterations": res.solution.iterations,
+        "solver_message": res.solution.message,
     }, args.out)
     return EXIT_OK
 
@@ -602,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = gs.add_parser("sdp", help="SDP construction: a core that fixes every state, completed by B")
     p.add_argument("--sigma", action="append", required=True)
     p.add_argument("--b")
-    p.add_argument("--feas-tol", type=_tolerance, default=sdpmod.FEAS_TOL)
+    p.add_argument("--feas-tol", type=_tolerance, default=sdpmod.FEAS_TOL,
+                   help="interior-point feasibility tolerance; it acts only on sets the "
+                        "interior-point method solves, not on one state or a forced identity")
     p.add_argument("--out")
     p.set_defaults(func=cmd_engineer_sdp)
 

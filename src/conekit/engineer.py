@@ -33,7 +33,7 @@ require. At w = 0 B is a second fixed point (a pure qubit sigma with an
 orthogonal B gives the dephasing channel); a core with tr_H1[X] = I has
 w = tr B = 1. No such rule holds for the SDP core: for a full-rank rho
 it has w = 1, yet one qubit state diag(0.7, 0.3) gives a decay modulus
-near 0.138 and two non-commuting qubit states give 0.
+of 0.113 and two non-commuting qubit states give 0.
 
 The SDP core is CP by construction. ``build_via_sdp`` compresses the
 states to supp rho once, sigma_i -> U^dag sigma_i U with U an isometry
@@ -49,9 +49,12 @@ commutant, which is the face the SDP is solved on, and when that
 commutant is C I the one admissible core is Y = |I_r>><<I_r|, which lifts
 to the identity on supp rho, Choi(Y -> Pi Y Pi), without a solve. One
 pure state is such a case, with X = sigma (x) sigma^T. Otherwise every
-feasible Y is optimal, and the solver returns one inside the feasible
-set: a generic admissible core, near but not at its analytic centre
-(for diag(0.7, 0.3), log det X is -3.0817 against the centre's -3.0798).
+feasible Y is optimal. For one state the core is the analytic centre of
+the feasible set, max log det Y, which is unique and basis-free and has a
+closed form up to one small Newton solve (``_one_state_centre``; for
+diag(0.7, 0.3), log det Y = -3.0798). For several states the solver
+returns a generic admissible core inside the feasible set, near but not
+at its centre.
 
 The complete positivity of a separable channel depends on its inputs and
 is checked on the assembled Choi matrix rather than factor by factor
@@ -411,6 +414,12 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
 
 
 IDENTITY_FORCED = "closed form: the fixed states force the identity on supp rho"
+ONE_STATE_CENTRE = "closed form: the analytic centre of the one-state cores, by Newton on its dual"
+
+# the primal residual at which the dual Newton of ``_one_state_centre`` stops:
+# its entries are sums of r terms of at most 1, which rounding leaves near
+# r * 1e-16
+CENTRE_TOL = 1e-13
 
 
 def _identity_core(r: int) -> sdpmod.SdpSolution:
@@ -425,21 +434,81 @@ def _identity_core(r: int) -> sdpmod.SdpSolution:
     )
 
 
+def _one_state_centre(lam: np.ndarray) -> sdpmod.SdpSolution:
+    """The analytic centre of the cores that fix one state of spectrum lam
+    (r >= 2 eigenvalues, ascending), max log det Y over the feasible set
+    (Boyd & Vandenberghe, Convex Optimization, 2004, sect. 8.5.3), as the
+    SDP's solution: Y = diag(vec P), P[a, j] = Y[(a, j), (a, j)].
+
+    Y -> (V (x) conj W) Y (V (x) conj W)^dag maps the feasible set onto
+    itself for every pair of unitaries V, W that commute with diag(lam), so
+    it fixes the unique centre; the diagonal phases among them make the
+    centre diagonal. So P maximizes sum log P[a, j] over the
+    column-stochastic P with P lam = lam, and at the optimum
+    1/P[a, j] = t[a, j] = alpha_j + beta_a lam_j. The 2r multipliers minimize
+    the smooth convex dual g = sum alpha + beta . lam - sum log t, whose
+    gradient is the primal residual (1 - column sums of P, lam - P lam);
+    shifting alpha_j by s lam_j and every beta_a by -s leaves t and g
+    alone, so beta_r = 0 is fixed. Damped Newton on the other 2r - 1
+    backtracks on g while the decrement is above 0.1 and takes full steps
+    below it, which converge quadratically (g is self-concordant; sect.
+    9.6): a search on g alone would stall there, its changes below the
+    rounding of g. The start t = (r/2)(1 + lam_j / lam_a) is exact for lam
+    uniform and takes 4-9 steps, also for an eigenvalue of 1e-7, where
+    t = r took 27.
+
+    Newton stops at a primal residual of CENTRE_TOL; one that leaves the
+    domain t > 0, goes non-finite or misses that within ``sdp.MAX_ITER``
+    steps raises NumericalLimitError with its residual.
+    """
+    r = lam.size
+    # vec t = J z for z = (alpha, beta): row (a, j) of J picks alpha_j + beta_a lam_j.
+    # The gradient of g is c - J^T vec P, c = (1, lam), and its Hessian J^T P^2 J
+    jac = np.hstack([np.tile(np.eye(r), (r, 1)),
+                     np.repeat(np.eye(r), r, axis=0) * np.tile(lam, r)[:, None]])
+    free = jac[:, :-1]  # beta_r = 0
+    c = np.concatenate([np.ones(r), lam])
+    z = np.concatenate([r / 2 * (1 + lam / lam[-1]), r / 2 * (1 / lam - 1 / lam[-1])])
+    residual = np.inf
+    for steps in range(sdpmod.MAX_ITER + 1):
+        t = jac @ z
+        if not t.min() > 0:  # NaN included
+            break
+        p = 1 / t
+        grad = c - p @ jac
+        residual = np.abs(grad).max()
+        if residual <= CENTRE_TOL or steps == sdpmod.MAX_ITER:
+            break
+        step = np.linalg.solve((free.T * (p * p)) @ free, -grad[:-1])
+        decrement2 = -grad[:-1] @ step
+        s = 1.0
+        if decrement2 > 0.01:
+            # g(z + s dz) - g(z) = s c . dz - sum log1p(s u), u = (J dz) / t
+            u = (free @ step) * p
+            lin = c[:-1] @ step
+            while not ((1 + s * u).min() > 0
+                       and s * lin - np.log1p(s * u).sum() <= -0.25 * s * decrement2):
+                s /= 2
+        z[:-1] += s * step
+    if not residual <= CENTRE_TOL:
+        raise sdpmod.NumericalLimitError(
+            f"the one-state centre's Newton stopped after {steps} steps at primal residual "
+            f"{residual:.3e} (> CENTRE_TOL {CENTRE_TOL:g})")
+    return sdpmod.SdpSolution(
+        x=np.diag(p), objective_value=float(p.sum()), primal_residual=float(residual),
+        dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=steps, rank=r * r,
+        message=ONE_STATE_CENTRE,
+    )
+
+
 def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
     """A CPTP channel fixing every given state: the SDP core X, completed by B.
 
     Compress, solve, lift. U = ``forced_algebra(sigmas).support`` is the
     isometry onto supp rho, rho = sum_i sigma_i / k, r = rank rho.
-    Compress: the states U^dag sigma_i U have a mean of full rank r. A
-    single state is rho itself, so it is compressed to diag(lambda), its
-    eigenvalues above the cut (``ForcedAlgebra.eigenvalues``), not to the
-    rounded U^dag sigma U: a real state, whose SDP is solved in real
-    arithmetic (``sdp.assemble_fixed_point_constraints``). A set of real
-    states with the real face their forced algebra gives takes that path
-    too. The one-state data are moreover diagonal, so that core is a
-    classical channel, a column-stochastic P with stationary lambda on the
-    diagonal of Y, found as an LP: ``sdp.solve`` runs its loop on diagonal
-    iterates and returns Y exactly diagonal.
+    Compress: the states U^dag sigma_i U have a mean of full rank r; real
+    states, with the real face their forced algebra gives, are solved in
+    real arithmetic (``sdp.assemble_fixed_point_constraints``).
     Solve: the core Y on C^r (x) C^r ranges over the Choi matrices that fix
     them and preserve the trace (``sdp.assemble_fixed_point_constraints``),
     on the face of the commutant of the forced algebra
@@ -451,6 +520,16 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     the whole feasible set, which has an interior on the face, so the
     interior-point method returns a point inside it, a generic admissible
     channel.
+
+    A single state with r >= 2 is rho itself, diagonal on its own
+    eigenvectors, so its core is that of diag(lambda), lambda its
+    eigenvalues above the cut (``ForcedAlgebra.eigenvalues``), not of the
+    rounded U^dag sigma U. For it the analytic centre is returned with no
+    assembly and no interior-point solve: the classical channel Y =
+    diag(vec P) of ``_one_state_centre``, a column-stochastic P with
+    stationary lambda, of status optimal, iterations its Newton steps,
+    objective sum P = r and the message ONE_STATE_CENTRE. feas_tol acts
+    only on the interior-point solves.
 
     When that commutant is C I, the face is one ray and the only feasible
     core is |I_r>><<I_r|, which lifts to Choi(Y -> Pi Y Pi). It is
@@ -478,11 +557,10 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     r = u.shape[1]
     if algebra.commutant_dim == 1:
         sol = _identity_core(r)
+    elif len(states) == 1:
+        sol = _one_state_centre(algebra.eigenvalues[d - r:])
     else:
-        # one state is rho, diagonal on its own eigenvectors: exactly real
-        compressed = ([np.diag(algebra.eigenvalues[d - r:])] if len(states) == 1
-                      else linops.dagger(u) @ states @ u)
-        problem = sdpmod.assemble_fixed_point_constraints(compressed)
+        problem = sdpmod.assemble_fixed_point_constraints(linops.dagger(u) @ states @ u)
         sol = sdpmod.solve(problem, feas_tol=feas_tol, face=algebra.face)
     if sol.status != sdpmod.STATUS_OPTIMAL:
         # the identity channel fixes every state, so the constraints are

@@ -152,12 +152,15 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     this problem on them, and lifts the core it returns
     (``SdpChannelResult.solution.x``) back once.
 
-    One state it passes as diag(lambda). Then every row is diagonal or, for
-    an off-diagonal E, zero on the diagonal with b = tr[E diag(lambda)] = 0,
-    and the objective I is diagonal, so ``solve`` finds the core as an LP
-    on the diagonal of X (the diagonal of a feasible X is feasible): a
+    One state given as diag(lambda) makes every row diagonal or, for an
+    off-diagonal E, zero on the diagonal with b = tr[E diag(lambda)] = 0,
+    and the objective I is diagonal, so ``solve`` finds a core as an LP on
+    the diagonal of X (the diagonal of a feasible X is feasible): a
     classical channel P[a, j] = X[(a, j), (a, j)], column-stochastic with
-    P lambda = lambda, returned as an exactly diagonal X.
+    P lambda = lambda, returned as an exactly diagonal X. ``build_via_sdp``
+    never assembles one state: it returns the analytic centre of this
+    feasible set in closed form (``engineer._one_state_centre``), which the
+    tests check against this solve.
 
     When every state is exactly real, E runs over the d(d+1)/2 real
     symmetric elements of the basis only: (k + 1) d(d+1)/2 real rows in

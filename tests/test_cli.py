@@ -402,6 +402,26 @@ class TestEngineerCommands:
         assert abs(rep["objective_trace"] - 2.0) < 1e-6
         assert max(rep["fixed_point_residuals"]) < 1e-7
 
+    @pytest.mark.parametrize("states, message", [
+        ([np.diag([0.7, 0.3])], engineer.ONE_STATE_CENTRE),
+        ([np.diag([0.7, 0.3]), linops.ket_projector(np.array([1.0, 1.0]) / np.sqrt(2))],
+         engineer.IDENTITY_FORCED),
+        ([basis_proj(0, 2), basis_proj(1, 2)], ""),
+    ], ids=["one-state", "identity-forced", "interior-point"])
+    def test_sdp_names_the_route_to_the_core(self, workdir, capsys, states, message):
+        # the closed forms ignore --feas-tol: their channel is the same at 1e-2
+        _, write = workdir
+        argv = [a for i, s in enumerate(states)
+                for a in ("--sigma", write(f"s{i}.json", linops.matrix_to_json(s)))]
+        outs = []
+        for tol in ([], ["--feas-tol", "1e-2"]):
+            code, out, _ = run_cli(capsys, "engineer", "sdp", *argv, *tol)
+            assert code == 0
+            outs.append(json.loads(out))
+        assert [rep["solver_message"] for rep in outs] == [message, message]
+        if message:
+            assert outs[0]["channel"] == outs[1]["channel"]
+
 
 class TestSdpCommand:
     def test_solve_optimal(self, workdir, capsys):
@@ -555,9 +575,11 @@ class TestSdpCommand:
 
         monkeypatch.setattr(sdpmod, "solve", infeasible)
         _, write = workdir
-        # a pure state takes the closed form; this one reaches the solver
+        # one state and a set that forces the identity take a closed form;
+        # two commuting qubit states (a diagonal commutant) reach the solver
         s0 = write("s0.json", linops.matrix_to_json(np.diag([0.7, 0.3])))
-        code, _, err = run_cli(capsys, "engineer", "sdp", "--sigma", s0)
+        s1 = write("s1.json", linops.matrix_to_json(np.diag([0.4, 0.6])))
+        code, _, err = run_cli(capsys, "engineer", "sdp", "--sigma", s0, "--sigma", s1)
         assert code == 4
         payload = json.loads(err)
         assert payload["reason"] == "numerical-limit"
@@ -1347,6 +1369,12 @@ _NEAR_POSITIVE = {
 }
 
 
+# the generic ``demo bell`` pair: the IPM takes 7 iterations at the default
+# feas_tol, 4 at 1e-2 (one state has a closed form that ignores feas_tol)
+_BELL_GENERIC = cli.build_bell_demo_states(
+    [0.8, 0.6, -0.6, 0.8, 0.6, 0.8, -0.8, 0.6], np.array([0.3, 0.4, 0.3]), np.array([0.2, 0.5, 0.3]))
+
+
 class TestToleranceOptions:
     """A valid tolerance reaches the command: 1e-5 (1e-2 for the solver)
     changes the output from the default's on inputs just past the default."""
@@ -1370,8 +1398,9 @@ class TestToleranceOptions:
         (lambda w: ["sdp", "solve", "--problem", w("p.json", sdpmod.problem_to_json(
             sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])))],
          ["--feas-tol", "1e-2"], lambda out: out["iterations"] > 5, True, False),
-        (lambda w: ["engineer", "sdp", "--sigma",
-                    w("s.json", linops.matrix_to_json(np.diag([0.7, 0.3])))],
+        (lambda w: ["engineer", "sdp",
+                    *(a for i, s in enumerate(_BELL_GENERIC)
+                      for a in ("--sigma", w(f"s{i}.json", linops.matrix_to_json(s))))],
          ["--feas-tol", "1e-2"], lambda out: out["solver_iterations"] > 5, True, False),
     ], ids=["psd-tol", "tp-tol", "fixed-points-tol", "stop-tol", "quasireal-check-tol",
             "cone-check-tol", "sdp-solve-feas-tol", "engineer-sdp-feas-tol"])

@@ -535,29 +535,64 @@ class TestBuildViaSdp:
         reduced = linops.partial_trace(res.c.matrix, (3, 3), over=1)
         assert np.abs(reduced - np.eye(3)).max() < 1e-9
 
-    @pytest.mark.parametrize("seed", range(0, 10))
+    @pytest.mark.parametrize("seed", range(30))
     def test_an_eigenvalue_of_1e_7_is_solved(self, seed):
-        # with the Newton directions kept on the constraints, the primal
-        # residual does not drift up as x nears the boundary: the
-        # interior-point loop converges by itself in 9-28 iterations, and
-        # no projection runs after it. While the residual drifted, seed 0
-        # ended on a singular scaling matrix and seeds 1-9 needed a
-        # least-norm projection after the loop
+        # one state takes the dual Newton of its analytic centre, which
+        # converges in 6-9 steps here; the interior-point solve of these sets
+        # took 9-135 iterations
         rng = np.random.default_rng(seed)
         e = rng.random(5) + 0.1
         e[0] = 1e-7
         e[1:] = e[1:] / e[1:].sum() * (1 - 1e-7)
         u = haar_unitary(5, rng)
-        res = build_via_sdp([u @ np.diag(e) @ u.conj().T])
+        sigma = u @ np.diag(e) @ u.conj().T
+        res = build_via_sdp([sigma])
         assert res.solution.status == "optimal"
+        assert res.solution.message == engineer.ONE_STATE_CENTRE
         assert res.c.cptp.cp
         assert max(res.residuals) <= chan.FP_TOL
+        # at the spectrum the build solved for, rounded from e by about 1e-16
+        lam = forced_algebra([sigma]).eigenvalues
+        assert max(centre_kkt(lam, centre_matrix(res))) <= 1e-12
+
+
+def centre_matrix(res) -> np.ndarray:
+    """P[a, j] = Y[(a, j), (a, j)] of a one-state core Y = diag(vec P)."""
+    y = res.solution.x
+    r = int(round(np.sqrt(len(y))))
+    assert not (y - np.diag(np.diag(y))).any()
+    return np.diag(y).real.reshape(r, r)
+
+
+def centre_kkt(lam: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """The KKT residuals of P as the analytic centre for the spectrum lam:
+    primal, the largest entry of |1 - column sums of P| and |lam - P lam|;
+    stationarity, the largest |P[a, j] (alpha_j + beta_a lam_j) - 1| at the
+    multipliers that least-squares fit 1/P in that relative weighting."""
+    r = lam.size
+    primal = max(np.abs(1 - p.sum(axis=0)).max(), np.abs(lam - p @ lam).max())
+    # row (a, j) of t = alpha_j + beta_a lam_j over the unknowns (alpha, beta)
+    rows = np.hstack([np.tile(np.eye(r), (r, 1)),
+                      np.repeat(np.eye(r), r, axis=0) * np.tile(lam, r)[:, None]])
+    rows *= p.reshape(-1, 1)
+    rows /= np.linalg.norm(rows, axis=0)  # beta_a runs to 1e8 for an eigenvalue of 1e-7
+    coef = np.linalg.lstsq(rows, np.ones(r * r), rcond=None)[0]
+    return float(primal), float(np.abs(rows @ coef - 1).max())
 
 
 @st.composite
 def density_matrices(draw):
     """A state of random rank in dimension 2-4."""
     d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(SEEDS))
+    sigma = random_psd(rng, d, int(rng.integers(1, d + 1)))
+    return sigma / np.trace(sigma).real
+
+
+@st.composite
+def one_states(draw):
+    """A state of random rank in dimension 2-6."""
+    d = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(SEEDS))
     sigma = random_psd(rng, d, int(rng.integers(1, d + 1)))
     return sigma / np.trace(sigma).real
@@ -601,8 +636,8 @@ class TestSdpOracles:
     @example(sigma=basis_proj(0, 3))
     @settings(max_examples=30)
     def test_one_state_core_is_a_classical_channel(self, sigma):
-        # on diag(lambda) the core is found as an LP: X is exactly diagonal,
-        # and P[a, j] = X[(a, j), (a, j)] is a column-stochastic matrix with
+        # the core is the centre on diag(lambda): X is exactly diagonal, and
+        # P[a, j] = X[(a, j), (a, j)] is a column-stochastic matrix with
         # P lambda = lambda
         algebra = forced_algebra([sigma])
         r = algebra.support.shape[1]
@@ -623,6 +658,61 @@ class TestSdpOracles:
         least = sum(int(np.sum(np.linalg.eigvalsh(s) > 1e-10)) for s in pair)
         assert least == 4
         assert abs(build_via_sdp(pair).solution.objective_value - least) <= 1e-7
+
+
+class TestOneStateCentre:
+    """One state's core is the analytic centre of its feasible set,
+    Y = diag(vec P) with 1/P[a, j] = alpha_j + beta_a lam_j."""
+
+    @pytest.mark.parametrize("lam", [
+        [0.3, 0.7], [0.2, 0.3, 0.5], [0.2, 0.2, 0.2, 0.4], [0.25, 0.25, 0.5],
+        np.sort(np.random.default_rng(4).dirichlet(np.ones(5))), [1e-7, 0.3, 0.7 - 1e-7],
+    ], ids=["qubit", "qutrit", "three-equal", "two-equal", "r5", "1e-7"])
+    def test_kkt_and_the_interior_point_oracle(self, lam):
+        lam = np.asarray(lam)
+        res = build_via_sdp([np.diag(lam[::-1])])
+        p = centre_matrix(res)
+        primal, stationarity = centre_kkt(lam, p)
+        assert primal <= 1e-12 and stationarity <= 1e-12
+        assert res.solution.primal_residual == pytest.approx(primal, abs=1e-15)
+        assert abs(res.solution.objective_value - len(lam)) <= 1e-12
+        # the interior-point solve of the same problem stops at a feasible
+        # point, whose log det is no larger than the centre's
+        ipm = engineer.sdpmod.solve(engineer.sdpmod.assemble_fixed_point_constraints([np.diag(lam)]))
+        assert ipm.status == "optimal"
+        q = np.diag(ipm.x).real.reshape(len(lam), len(lam))
+        assert q.min() > 0
+        assert max(np.abs(1 - q.sum(axis=0)).max(), np.abs(lam - q @ lam).max()) <= 1e-7
+        assert np.log(q).sum() <= np.log(p).sum()
+
+    def test_qubit_centre_value(self):
+        # diag(0.7, 0.3): sum log P = -3.079806, above the -3.0817 of the
+        # point the interior-point solve stops at, and a decay modulus of 0.113
+        res = build_via_sdp([np.diag([0.7, 0.3])])
+        assert np.log(centre_matrix(res)).sum() == pytest.approx(-3.079806, abs=1e-6)
+        assert res.spectrum.decay_modulus == pytest.approx(0.113076, abs=1e-6)
+        assert res.solution.iterations > 0
+
+    @given(sigma=one_states(), seed=SEEDS)
+    @example(sigma=np.diag([0.25, 0.25, 0.5]), seed=0)
+    @example(sigma=np.eye(2) / 2, seed=1)
+    @example(sigma=np.diag([0.3, 0.35 - 5e-10, 0.35 + 5e-10]), seed=2)  # a split of 1e-9
+    @settings(max_examples=30)
+    def test_covariant(self, sigma, seed):
+        # the centre is basis-free: the channel of U sigma U^dag is the
+        # U-conjugate of sigma's (B = I/d is U-invariant)
+        u = haar_unitary(len(sigma), np.random.default_rng(seed))
+        lift = np.kron(u, u.conj())
+        c = build_via_sdp([sigma]).c.matrix
+        turned = build_via_sdp([u @ sigma @ u.conj().T]).c.matrix
+        assert np.abs(turned - lift @ c @ lift.conj().T).max() <= 1e-9
+
+    def test_newton_that_misses_the_tolerance_raises(self, monkeypatch):
+        # no unconverged core is returned: at a tolerance no residual meets,
+        # Newton runs out of steps and the build exits numerical-limit
+        monkeypatch.setattr(engineer, "CENTRE_TOL", -1.0)
+        with pytest.raises(engineer.sdpmod.NumericalLimitError, match=f"after {engineer.sdpmod.MAX_ITER} steps"):
+            build_via_sdp([np.diag([0.6, 0.3, 0.1])])
 
 
 class TestFixedPointFace:
@@ -871,8 +961,9 @@ REAL_BLOCK_PAIR = [scipy.linalg.block_diag([[0.3, 0.1], [0.1, 0.2]], np.diag([0.
 
 class TestRealArithmetic:
     """Real states are solved over real symmetric matrices
-    (``sdp.assemble_fixed_point_constraints``), and one state over diag(lambda)
-    whatever its basis: the channel does not depend on which path ran."""
+    (``sdp.assemble_fixed_point_constraints``), and one state on diag(lambda)
+    whatever its basis, with no solve: the channel does not depend on which
+    path ran."""
 
     @given(states=real_state_sets(), seed=SEEDS)
     @example(states=BELL_DEFAULT, seed=0)
@@ -892,9 +983,9 @@ class TestRealArithmetic:
         assert rotated.solution.iterations == real.solution.iterations
         assert np.abs(back - real.c.matrix).max() <= 1e-7
 
-    def test_one_complex_state_reaches_the_solver_real(self, monkeypatch):
-        # rank 3 in C^4: r (r + 1) = 12 real rows on 9 x 9 operators, where
-        # the complex compression gave 2 r^2 = 18 complex ones
+    def test_a_real_pair_reaches_the_solver_real(self, monkeypatch):
+        # two real states in C^4 of full-rank mean: (k + 1) d(d+1)/2 = 30 real
+        # rows on 16 x 16 operators, where complex ones would be 3 d^2 = 48
         seen = []
         solve = engineer.sdpmod.solve
 
@@ -903,12 +994,26 @@ class TestRealArithmetic:
             return solve(problem, **kwargs)
 
         monkeypatch.setattr(engineer.sdpmod, "solve", spy)
+        res = build_via_sdp(REAL_BLOCK_PAIR)
+        assert seen == [((30, 16, 16), False)]
+        assert res.solution.status == "optimal"
+        assert max(res.residuals) <= 1e-9
+
+    def test_one_complex_state_never_reaches_the_solver(self, monkeypatch):
+        # rank 3 in C^4: the core is the one-state centre on diag(lambda),
+        # with no assembly and no solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("one state reached the SDP layer")
+
+        monkeypatch.setattr(engineer.sdpmod, "solve", refuse)
+        monkeypatch.setattr(engineer.sdpmod, "assemble_fixed_point_constraints", refuse)
         u = haar_unitary(4, np.random.default_rng(3))
         sigma = (u * [0.5, 0.3, 0.2, 0.0]) @ u.conj().T
         assert np.abs(sigma.imag).max() > 0.05
         res = build_via_sdp([sigma])
-        assert seen == [((12, 9, 9), False)]
+        assert res.solution.message == engineer.ONE_STATE_CENTRE
         assert res.solution.status == "optimal"
+        assert res.solution.x.shape == (9, 9)
         assert res.residuals[0] <= 1e-9
 
 
