@@ -386,7 +386,11 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
     A = I, so the commutant is all of M_r, the matrix units: the stack's
     rounding would grow as 1 / lambda_min.
     """
-    states = linops.check_states(sigmas)
+    return _forced_algebra(linops.check_states(sigmas))
+
+
+def _forced_algebra(states: np.ndarray) -> ForcedAlgebra:
+    """``forced_algebra`` of a validated (k, d, d) stack of states."""
     eigenvalues, u = linops.support(states.mean(axis=0))
     r = u.shape[1]
     lam = eigenvalues[eigenvalues.size - r:]
@@ -552,7 +556,7 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     if b.shape != (d, d):
         raise ValueError("decay state dimension mismatch")
 
-    algebra = forced_algebra(states)
+    algebra = _forced_algebra(states)
     u = algebra.support
     r = u.shape[1]
     if algebra.commutant_dim == 1:

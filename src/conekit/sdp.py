@@ -36,15 +36,7 @@ step works on. ``solve`` is the single entry point and runs one path:
    length is one eigenvalue-only solve, and dpotrf / dpotrs for the Schur
    system (``_schur_solver``). An eigensolve of a non-finite matrix raises
    LinAlgError; inside the loop, an iterate or a step that goes non-finite
-   ends it as numerical-limit. When the objective and every kept row are
-   either diagonal or zero on the diagonal with b = 0 (exact zeros), the
-   problem is an LP over the nonnegative orthant and the same loop runs on
-   the diagonals of X and Z as vectors (``_diagonal_rows``): the
-   restriction to diagonal X is lossless, since Diag(X) of a feasible X is
-   feasible at the same cost, and the dense iterates from xi I stay
-   diagonal anyway, so it follows the dense path without an
-   eigendecomposition (LP blocks as in SDPT3, Toh, Todd & Tutuncu,
-   Optim. Methods Softw. 11, 1999);
+   ends it as numerical-limit;
 4. map X back through the face and each kept row's multiplier back to
    the raw row (y_k / |A_k|_F).
 
@@ -150,17 +142,18 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     feasible set, so every feasible X is optimal. ``engineer.build_via_sdp``
     compresses its states first, so that their mean has full rank, solves
     this problem on them, and lifts the core it returns
-    (``SdpChannelResult.solution.x``) back once.
+    (``SdpChannelResult.solution.x``) back once. It never assembles one
+    state: for one state it returns the analytic centre of this feasible
+    set in closed form (``engineer._one_state_centre``), which the tests
+    check against this solve.
 
-    One state given as diag(lambda) makes every row diagonal or, for an
-    off-diagonal E, zero on the diagonal with b = tr[E diag(lambda)] = 0,
-    and the objective I is diagonal, so ``solve`` finds a core as an LP on
-    the diagonal of X (the diagonal of a feasible X is feasible): a
-    classical channel P[a, j] = X[(a, j), (a, j)], column-stochastic with
-    P lambda = lambda, returned as an exactly diagonal X. ``build_via_sdp``
-    never assembles one state: it returns the analytic centre of this
-    feasible set in closed form (``engineer._one_state_centre``), which the
-    tests check against this solve.
+    The sigma_i must be one non-empty stack of square matrices, and
+    ``SdpProblem`` refuses rows that are not finite and Hermitian. They
+    need not be states: a trace-preserving map keeps every trace and the
+    identity fixes everything, so the rows are consistent for any
+    Hermitian sigma_i. Whether they are states is for the caller to check:
+    ``build_via_sdp`` checks its states once, not the compressed ones it
+    passes here.
 
     When every state is exactly real, E runs over the d(d+1)/2 real
     symmetric elements of the basis only: (k + 1) d(d+1)/2 real rows in
@@ -180,7 +173,9 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     real); on a complex face the solve would run over complex X without
     the rows left out.
     """
-    sig = linops.check_states(sigmas)
+    sig = np.asarray(sigmas, dtype=complex)
+    if sig.ndim != 3 or not len(sig) or sig.shape[1] != sig.shape[2]:
+        raise ValueError(f"expected a non-empty stack of square matrices, got shape {sig.shape}")
     d = sig.shape[1]
     basis = hermitian_basis(d)
     if not sig.imag.any():
@@ -204,22 +199,11 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
 # ----------------------------------------------------------------------
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    """The Hermitian part of a matrix or of each matrix of a stack; a vector
-    stands for a real diagonal matrix, which is its own."""
-    if m.ndim == 1:
-        return m
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 class _NonFiniteError(np.linalg.LinAlgError):
     """An eigensolve was asked of a matrix with a non-finite entry."""
-
-
-def _finite(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, or _NonFiniteError when an entry is not finite."""
-    if not np.isfinite(a).all():
-        raise _NonFiniteError("eigensolve of a matrix with non-finite entries")
-    return a
 
 
 def _eigh(a: np.ndarray, compute_v: int):
@@ -230,33 +214,19 @@ def _eigh(a: np.ndarray, compute_v: int):
     when ``compute_v`` is 0. Raises LinAlgError when LAPACK reports a
     failure, and its subclass _NonFiniteError on a non-finite entry, for
     which LAPACK returns finite garbage without an error."""
-    w, v, info = (zheevd if np.iscomplexobj(a) else dsyevd)(_finite(a), compute_v=compute_v,
-                                                            lower=1)
+    if not np.isfinite(a).all():
+        raise _NonFiniteError("eigensolve of a matrix with non-finite entries")
+    w, v, info = (zheevd if np.iscomplexobj(a) else dsyevd)(a, compute_v=compute_v, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"eigensolve failed (LAPACK info {info})")
     return w, v
 
 
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of Hermitian ``a``; of diag(a) when ``a`` is a
-    vector, which needs no eigensolve but is refused on the same
-    non-finite entries."""
-    return np.sort(_finite(a)) if a.ndim == 1 else _eigh(a, 0)[0]
-
-
-def _congruence(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W S W (of each S of a stack); for a vector w, W = diag(w) and each S
-    diagonal, a vector of its diagonal too."""
-    return w * s * w if w.ndim == 1 else w @ s @ w
-
-
 def _max_step(g: np.ndarray, ds: np.ndarray) -> float:
     """Largest alpha with s + alpha*ds >= 0, given a factor g with
     g^dag s g = I: s + alpha*ds >= 0 exactly when I + alpha g^dag ds g >= 0,
-    so the step is one eigenvalue-only ``_eigh`` of g^dag ds g. For
-    diagonal iterates (vectors), g^dag ds g is the vector g^2 ds = ds/s and
-    its least eigenvalue the least entry."""
-    lam_min = float(_eigvals(g * ds * g if g.ndim == 1 else _sym(g.conj().T @ ds @ g))[0])
+    so the step is one eigenvalue-only ``_eigh`` of g^dag ds g."""
+    lam_min = float(_eigh(_sym(g.conj().T @ ds @ g), 0)[0][0])
     return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
 
@@ -264,15 +234,7 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
     """(W, Z^-1, G_x, G_z) from the two ``_eigh`` calls eigh(z) and
     eigh(z^1/2 x z^1/2) = V_b w_b V_b^dag: W Z W = X, G_z = z^-1/2 and
     G_x = z^1/2 V_b w_b^-1/2 (G^dag S G = I for S = X, Z). None when z
-    has an eigenvalue that is not positive and finite. Diagonal iterates
-    (vectors) have the eigenvalues w_z = z and w_b = z x, with the same
-    clips, and diagonal factors: W^2 = x/z, G_x^2 = 1/x, G_z^2 = 1/z."""
-    if x.ndim == 1:
-        if not _finite(z).min() > 0.0:
-            return None
-        wz = np.maximum(z, 1e-14)
-        wb = np.maximum(_finite(wz * x), 1e-16)
-        return np.sqrt(wb) / wz, 1.0 / wz, np.sqrt(wz / wb), 1.0 / np.sqrt(wz)
+    has an eigenvalue that is not positive and finite."""
     wz, vz = _eigh(z, 1)
     if not (wz[0] > 0.0 and np.isfinite(wz).all()):
         return None
@@ -314,46 +276,13 @@ class _IpmResult:
     message: str = ""
 
 
-def _diagonal_rows(cost: np.ndarray, ops: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The rows that the restriction to diagonal X keeps, as a mask, when
-    the data allow it exactly: the cost is diagonal and every row is either
-    diagonal or zero on the diagonal with b = 0 (exact zeros, no
-    tolerance), and at least one row is diagonal. None otherwise.
-
-    The restriction is lossless. Diag(X) of a feasible X is PSD, meets
-    every diagonal row as X does and every other row with 0 = b, and costs
-    tr[C Diag(X)] = tr[C X]; on the dual side, y = 0 on the other rows
-    leaves a diagonal slack."""
-    n = cost.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if cost[off].any():
-        return None
-    has_off = ops[:, off].any(axis=1)
-    on_diag = np.diagonal(ops, axis1=1, axis2=2).any(axis=1)
-    if (has_off & (on_diag | (b != 0.0))).any() or has_off.all():
-        return None
-    return ~has_off
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught as a non-finite iterate
 def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                          max_iter: int, feas_tol: float) -> _IpmResult:
     """Path following on Hermitian n x n iterates of the dtype of ``ops``
     (m x n x n); ``cost`` and ``ops`` share it. Each row of ``ops`` must
     have Frobenius norm at most 1, so that no entry of their Gram matrix
-    exceeds 1 and it cannot overflow. The start point and exit tests use
-    the Hermitian iterates' own norms, so a unitary change of basis, real
-    or complex, leaves the path unchanged up to rounding.
-
-    Diagonal data (``_diagonal_rows``) make the problem an LP over the
-    nonnegative orthant, and the same loop runs on X = diag(x), Z = diag(z)
-    held as vectors: the other rows are dropped (their y stays 0), the
-    Schur matrix is A diag(x/z) A^T, each step length -1/min(ds/s) and the
-    ray's top eigenvalue max(A^T ray), with no eigendecomposition. It is
-    the dense path itself: from xi I, with W diagonal, the Schur matrix
-    couples no diagonal row to an off-diagonal one, and the off-diagonal
-    rows' right-hand sides are exactly 0, so their dy is 0 and the dense
-    iterates stay diagonal as well. x is returned as a diagonal matrix.
+    exceeds 1 and it cannot overflow.
 
     The status is optimal only when the convergence test at the top of an
     iteration passes, and infeasible only on a dual improving ray, which
@@ -361,44 +290,24 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     returned x, y and dual_residual describe one iterate, the last one the
     loop reached."""
     n = cost.shape[0]
-    m_all = ops.shape[0]
-    a_norms = np.linalg.norm(ops.reshape(m_all, -1), axis=1)
+    m = ops.shape[0]
+    rows = ops.reshape(m, -1)
+    rows_h = rows.conj()
+    a_norms = np.linalg.norm(rows, axis=1)
     xi_p = max(1.0, np.sqrt(n), np.sqrt(n) * float(np.max(np.abs(b) / (1.0 + a_norms))))
     xi_d = max(1.0, np.sqrt(n), (float(np.linalg.norm(cost)) + float(a_norms.max())) / np.sqrt(n))
-    ray_tol = 1e-7 * (1.0 + float(a_norms.max()))
-    dtype = ops.dtype
-    kept = _diagonal_rows(cost, ops, b)
-    if kept is None:
-        kept = slice(None)
-        x = xi_p * np.eye(n, dtype=dtype)
-        z = xi_d * np.eye(n, dtype=dtype)
-        rows = ops.reshape(m_all, -1)
-    else:
-        # the diagonals of the kept rows; Re tr[A X] reads only their real parts
-        cost = np.diagonal(cost).real
-        ops = rows = np.diagonal(ops[kept], axis1=1, axis2=2).real
-        b = b[kept]
-        x = np.full(n, xi_p)
-        z = np.full(n, xi_d)
-    m = rows.shape[0]
-    rows_h = rows.conj()
+    x = xi_p * np.eye(n, dtype=rows.dtype)
+    z = xi_d * np.eye(n, dtype=rows.dtype)
     y = np.zeros(m)
 
     def op_a(mat: np.ndarray) -> np.ndarray:
         return (rows_h @ mat.ravel()).real
 
     def op_at(vec: np.ndarray) -> np.ndarray:
-        return (vec @ rows).reshape(x.shape)
+        return (vec @ rows).reshape(n, n)
 
     def inner(p: np.ndarray, q: np.ndarray) -> float:
         return float(np.vdot(p, q).real)
-
-    def result(status: str, y: np.ndarray, dual_residual: float, message: str) -> _IpmResult:
-        y_all = np.zeros(m_all)
-        y_all[kept] = y
-        return _IpmResult(x=np.diag(x).astype(dtype) if x.ndim == 1 else x, y=y_all,
-                          status=status, iterations=it, dual_residual=dual_residual,
-                          message=message)
 
     gram_pinv = np.linalg.pinv((rows_h @ rows.T).real, rcond=1e-12)
 
@@ -435,9 +344,11 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
             ynorm = float(np.linalg.norm(y))
             if dobj > 1.0 and ynorm > 1e4 * b_scale:
                 ray = y / dobj
-                if float(_eigvals(_sym(op_at(ray)))[-1]) <= ray_tol:
-                    return result(STATUS_INFEASIBLE, ray, dinf,
-                                  "dual improving ray found (primal infeasible)")
+                lam_max = float(_eigh(_sym(op_at(ray)), 0)[0][-1])
+                if lam_max <= 1e-7 * (1.0 + float(a_norms.max())):
+                    return _IpmResult(x=x, y=ray, status=STATUS_INFEASIBLE, iterations=it,
+                                      dual_residual=dinf,
+                                      message="dual improving ray found (primal infeasible)")
 
             scaling = _nt_scaling(x, z)
             if scaling is None:
@@ -445,12 +356,12 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                 break
             w, zinv, g_x, g_z = scaling
 
-            waw = _congruence(w, ops).reshape(m, -1)
+            waw = (w @ ops @ w).reshape(m, -1)
             schur = _sym((rows_h @ waw.T).real)
             if not np.isfinite(schur).all():
                 message = "Schur complement became non-finite"
                 break
-            w_rd_w = _sym(_congruence(w, rd))
+            w_rd_w = _sym(w @ rd @ w)
             schur_solve = _schur_solver(schur)
 
             def newton(rc: np.ndarray):
@@ -459,7 +370,7 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
                 dz = rd - op_at(dy)
                 # A dx = rp holds in exact arithmetic; the correction
                 # removes the Schur solve's rounding from it
-                dx = rc - _congruence(w, dz)
+                dx = rc - w @ dz @ w
                 dx = _sym(dx + op_at(gram_pinv @ (rp - op_a(dx))))
                 return dx, dy, dz
 
@@ -496,7 +407,8 @@ def _solve_hermitian_sdp(cost: np.ndarray, ops: np.ndarray, b: np.ndarray,
     if status != STATUS_OPTIMAL:
         message = message or "iteration limit reached"
         dinf = linops.max_abs(cost - z - op_at(y)) / c_scale
-    return result(status, y, dinf, message)
+    return _IpmResult(x=x, y=y, status=status, iterations=it, dual_residual=dinf,
+                      message=message)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,9 +57,9 @@ def problem_with_b(b_text: str) -> str:
 
 
 def orthogonal_pair_problem(rotated):
-    """The fixed-point SDP of |0><0| and |1><1|, diagonal data that the solver
-    runs on diagonal iterates; rotated by Q (x) Q, the same problem runs the
-    dense loop."""
+    """The fixed-point SDP of |0><0| and |1><1|, whose data are diagonal, or
+    the same problem rotated by Q (x) Q, whose data are not: the solver's
+    failures must show in either basis."""
     prob = sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])
     if not rotated:
         return prob
@@ -422,6 +423,26 @@ class TestEngineerCommands:
         if message:
             assert outs[0]["channel"] == outs[1]["channel"]
 
+    @pytest.mark.parametrize("states", [
+        [np.diag([0.7, 0.3])],
+        [np.diag([0.7, 0.3]), linops.ket_projector(np.array([1.0, 1.0]) / np.sqrt(2))],
+        [basis_proj(0, 3), basis_proj(1, 3), np.eye(3) / 3],
+    ], ids=["one-state", "identity-forced", "interior-point"])
+    @pytest.mark.parametrize("with_b", [False, True], ids=["no-b", "b"])
+    def test_sdp_validates_each_state_once(self, workdir, capsys, states, with_b):
+        # build_via_sdp checks its input once and hands the validated stack
+        # on; the compressed states it solves for are not checked again
+        _, write = workdir
+        argv = [a for i, s in enumerate(states)
+                for a in ("--sigma", write(f"s{i}.json", linops.matrix_to_json(s)))]
+        d = states[0].shape[0]
+        if with_b:
+            argv += ["--b", write("b.json", linops.matrix_to_json(np.eye(d) / d))]
+        with mock.patch.object(linops, "check_density", wraps=linops.check_density) as check:
+            code, _, _ = run_cli(capsys, "engineer", "sdp", *argv)
+        assert code == 0
+        assert check.call_count == len(states) + with_b
+
 
 class TestSdpCommand:
     def test_solve_optimal(self, workdir, capsys):
@@ -515,7 +536,7 @@ class TestSdpCommand:
 
     @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
     def test_nt_scaling_breakdown_on_rotated_rows_exits_4(self, workdir, capsys, theta):
-        # the same witness in a rotated basis breaks down in the dense loop
+        # the same witness in a rotated basis breaks down after as many iterations
         _, write = workdir
         q = rotation(theta)
         obj = {"n": 2, "objective": linops.matrix_to_json(np.eye(2)), "constraints": [

@@ -922,15 +922,23 @@ class TestBuildViaSdpProperties:
     @example(states=[np.diag([0.7, 0.3]), PLUS])        # identity forced
     @example(states=[basis_proj(0, 2), basis_proj(1, 2)])  # commutant dimension 2
     @example(states=BELL_DEFAULT)
+    @example(states=[np.eye(2) / 2])                     # the centre's start is exact
+    @example(states=[np.eye(3) / 3])
     @settings(max_examples=40)
     def test_cptp_fixing_and_closed_form_exactly_when_forced(self, states):
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
         assert res.c.cptp.cp and res.c.cptp.tp
         assert max(res.residuals) <= 1e-7
-        forced = engineer.forced_algebra(states).commutant_dim == 1
+        algebra = engineer.forced_algebra(states)
+        forced = algebra.commutant_dim == 1
         assert (res.solution.message == engineer.IDENTITY_FORCED) == forced
-        assert (res.solution.iterations == 0) == forced
+        # no step is taken when the identity is forced, and otherwise only by
+        # the one-state centre on a uniform spectrum, where Newton starts at
+        # the centre
+        lam = algebra.eigenvalues[-algebra.support.shape[1]:]
+        uniform = res.solution.message == engineer.ONE_STATE_CENTRE and lam.min() == lam.max()
+        assert (res.solution.iterations == 0) == (forced or uniform)
 
 
 @st.composite

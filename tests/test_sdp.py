@@ -40,21 +40,6 @@ def conjugated(problem, q):
                         objective=q @ problem.objective @ q.T)
 
 
-def record_diagonal_paths(monkeypatch):
-    """One entry per IPM call that sdp.solve makes: True when it ran on
-    diagonal iterates."""
-    paths = []
-    rows = sdp._diagonal_rows
-
-    def spy(*args):
-        kept = rows(*args)
-        paths.append(kept is not None)
-        return kept
-
-    monkeypatch.setattr(sdp, "_diagonal_rows", spy)
-    return paths
-
-
 class TestHermitianBasis:
     def test_orthonormal_and_complete(self):
         for d in (2, 3):
@@ -156,6 +141,26 @@ class TestAssemble:
             lhs = np.trace(a @ x).real
             rhs = np.trace(e @ reduced).real
             assert abs(lhs - rhs) < 1e-10
+
+    def test_hermitian_matrices_that_are_not_states_are_assembled(self):
+        # every trace-preserving map keeps the traces, and the identity
+        # fixes Z and 2 I, so the rows are consistent; tr X is still d
+        z = np.diag([1.0, -1.0])
+        sol = sdp.solve(sdp.assemble_fixed_point_constraints([z, 2 * np.eye(2)]))
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - 2.0) < 1e-7
+
+    @pytest.mark.parametrize("sigmas, message", [
+        ([], "non-empty"),
+        ([np.eye(2)[:1]], "square"),
+        (np.eye(2), "stack"),
+        ([np.eye(2), np.eye(3)], None),  # numpy refuses the ragged list
+        ([np.array([[0.0, 1.0], [0.0, 0.0]])], "not Hermitian"),
+        ([np.full((2, 2), np.nan)], "non-finite"),
+    ], ids=["empty", "not-square", "one-matrix", "two-dimensions", "not-hermitian", "nan"])
+    def test_malformed_stacks_are_refused(self, sigmas, message):
+        with pytest.raises(ValueError, match=message):
+            sdp.assemble_fixed_point_constraints(sigmas)
 
 
 class TestSolve:
@@ -328,31 +333,26 @@ class TestSolve:
         assert sol.status == "numerical-limit"
         assert sol.message.startswith("objective is unbounded below")
 
-    def test_nt_scaling_breakdown_returns_a_status(self, monkeypatch):
+    def test_nt_scaling_breakdown_returns_a_status(self):
         # X = diag(1, 1e250) spans 250 orders of magnitude: the NT scaling
         # loses its positive definiteness on the way, and the solve must
-        # still return its numerical-limit result. The data are diagonal, so
-        # this is the vector loop's scaling, with the dense loop's clips
-        paths = record_diagonal_paths(monkeypatch)
+        # still return its numerical-limit result
         p = make_problem([np.diag([1e100, 0.0]), np.diag([0.0, 1.0])], [1e100, 1e250])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
-        assert paths == [True]
         assert sol.status == "numerical-limit"
         assert sol.message == "scaling matrix became singular"
         assert sol.iterations == 11
 
     @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
-    def test_nt_scaling_breakdown_on_rotated_rows(self, monkeypatch, theta):
-        # the witness above in a rotated basis reaches the dense NT scaling
-        # and breaks down there, as the diagonal loop does on the original
-        paths = record_diagonal_paths(monkeypatch)
+    def test_nt_scaling_breakdown_on_rotated_rows(self, theta):
+        # the witness above in a rotated basis breaks down after as many
+        # iterations: the path does not depend on the basis
         q = rotation(theta)
         p = make_problem([q @ np.diag([1e100, 0.0]) @ q.T, q @ np.diag([0.0, 1.0]) @ q.T],
                          [1e100, 1e250])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
-        assert paths == [False]
         assert sol.status == "numerical-limit"
         assert sol.message == "scaling matrix became singular"
         assert sol.iterations == 11
@@ -376,14 +376,12 @@ class TestSolve:
         assert sol.message == "Schur complement became non-finite"
 
     @pytest.mark.parametrize("theta", [0.3, 1.1])
-    def test_newton_step_overflow_on_rotated_rows(self, monkeypatch, theta):
-        paths = record_diagonal_paths(monkeypatch)
+    def test_newton_step_overflow_on_rotated_rows(self, theta):
         q = rotation(theta)
         p = make_problem([q @ np.diag([1e-150, 0.0]) @ q.T, q @ np.diag([0.0, 1e-100]) @ q.T],
                          [1e150, -1e100])
         with np.errstate(over="ignore", invalid="ignore"):
             sol = sdp.solve(p)
-        assert paths == [False]
         assert sol.status == "numerical-limit"
         assert sol.message == "Schur complement became non-finite"
 
@@ -397,13 +395,11 @@ class TestSolve:
         assert sol.message == "Newton step became non-finite"
 
     def test_non_finite_newton_step_on_a_rotated_row(self, monkeypatch):
-        # the dense step length's eigensolve refuses the NaN direction
+        # the step length's eigensolve refuses the NaN direction in any basis
         monkeypatch.setattr(sdp, "_schur_solver",
                             lambda schur: lambda rhs: np.full_like(rhs, np.nan))
-        paths = record_diagonal_paths(monkeypatch)
         q = rotation(0.7)
         sol = sdp.solve(make_problem([q @ np.diag([1.0, 2.0]) @ q.T], [1.0]))
-        assert paths == [False]
         assert sol.status == "numerical-limit"
         assert sol.message == "Newton step became non-finite"
 
@@ -458,13 +454,11 @@ class TestSolve:
         assert np.linalg.eigvalsh(ray).max() <= 1e-6
         assert np.dot(y, p.constraint_vals) > 0.1
 
-    def test_psd_infeasible_rotated_row(self, monkeypatch):
-        # the dense ray test reads the ray's top eigenvalue by an eigensolve
-        paths = record_diagonal_paths(monkeypatch)
+    def test_psd_infeasible_rotated_row(self):
+        # the ray test reads the ray's top eigenvalue by an eigensolve
         q = rotation(0.3)
         p = make_problem([q @ np.diag([1.0, 0.0]) @ q.T], [-1.0])
         sol = sdp.solve(p)
-        assert paths == [False]
         assert sol.status == "infeasible"
         ray = sum(c * a for c, a in zip(sol.infeasibility_certificate, p.constraint_ops))
         assert np.linalg.eigvalsh(ray).max() <= 1e-6
@@ -800,12 +794,14 @@ def one_state_problem(lam):
     return sdp.assemble_fixed_point_constraints([np.diag(lam)])
 
 
-class TestDiagonalData:
+class TestDiagonalDataInARotatedBasis:
     """Data whose objective and rows are diagonal, or zero on the diagonal
-    with b = 0, run the loop on diagonal iterates. The dense loop takes the
-    same path from xi I, so the same problem conjugated by a real
-    orthogonal Q (x) Q, which is not diagonal, must reach the same point in
-    as many iterations, up to rounding."""
+    with b = 0. From xi I the NT scaling stays diagonal, the Schur matrix
+    couples no diagonal row to an off-diagonal one and the off-diagonal
+    rows' right-hand sides are exactly 0, so the iterates stay diagonal.
+    The same problem conjugated by a real orthogonal Q (x) Q, which is not
+    diagonal, must reach the same point in as many iterations, up to
+    rounding."""
 
     Q = {r: np.linalg.qr(np.random.default_rng(38).standard_normal((r, r)))[0]
          for r in range(2, 6)}
@@ -823,29 +819,22 @@ class TestDiagonalData:
             lam[1] = lam[0]
         p = one_state_problem(lam / lam.sum())
         q = np.kron(self.Q[r], self.Q[r])
-        with pytest.MonkeyPatch.context() as mp:
-            paths = record_diagonal_paths(mp)
-            a = sdp.solve(p)
-            b = sdp.solve(conjugated(p, q))
-        assert paths == [True, False]
+        a = sdp.solve(p)
+        b = sdp.solve(conjugated(p, q))
         assert a.status == b.status == "optimal"
         assert abs(a.iterations - b.iterations) <= 1
         assert np.abs(q.T @ b.x @ q - a.x).max() <= 1e-8
 
-    def test_off_diagonal_row_with_nonzero_b_takes_the_dense_loop(self, monkeypatch):
+    def test_off_diagonal_row_with_nonzero_b_gives_an_off_diagonal_x(self):
         # tr[(|0><1| + |1><0|) X] = 0.2 needs an off-diagonal X
-        paths = record_diagonal_paths(monkeypatch)
         sol = sdp.solve(make_problem([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], [1.0, 0.2]))
-        assert paths == [False]
         assert sol.status == "optimal"
         assert sol.x[0, 1] == pytest.approx(0.1, abs=1e-7)
 
-    def test_off_diagonal_zero_b_row_is_dropped_with_y_zero(self, monkeypatch):
-        paths = record_diagonal_paths(monkeypatch)
+    def test_off_diagonal_zero_b_row_has_y_zero_and_a_diagonal_x(self):
         off = np.array([[0.0, 1.0], [1.0, 0.0]])
         p = make_problem([np.diag([1.0, 2.0]), off], [1.0, 0.0])
         sol = sdp.solve(p)
-        assert paths == [True]
         assert sol.status == "optimal"
         assert sol.y[1] == 0.0
         assert not (sol.x - np.diag(np.diag(sol.x))).any()
