@@ -21,11 +21,12 @@ line number in the file.
 paths of ``demo bell`` give a channel's decay as ``channel.spectrum``:
 ``decay_modulus``, the largest eigenvalue modulus off the unit circle,
 and ``peripheral_spectrum`` on it as [re, im]; separable ones add ``b_weight``.
-``engineer sdp`` also gives ``solver_iterations`` and ``solver_message``,
-which names the route to the core: ``engineer.IDENTITY_FORCED`` (0
-iterations) when the fixed states force the identity on their support,
-``engineer.ONE_STATE_CENTRE`` (the Newton steps) for one state, and the
-interior-point solver's message (its iterations) otherwise.
+``engineer sdp`` also gives ``solver_iterations`` and ``solver_message``.
+Every set takes one route, the analytic centre of the cores that fix it,
+in closed form: the message is ``engineer.ANALYTIC_CENTRE`` and the
+iterations are its Newton steps, summed over the blocks of the forced
+algebra's commutant (0 when every block has m_k = 1, as when the states
+force the identity on their support).
 It exits 4 (``numerical-limit``) when the cut of ``linops.support`` leaves
 a state unfixed, its residual above ``channel.FP_TOL``.
 
@@ -292,7 +293,7 @@ def cmd_engineer_separable(args) -> int:
 def cmd_engineer_sdp(args) -> int:
     sigmas = _load_states(args.sigma)
     b = _load_states([args.b])[0] if args.b else None
-    res = engineer.build_via_sdp(sigmas, b=b, feas_tol=args.feas_tol)
+    res = engineer.build_via_sdp(sigmas, b=b)
     _emit({
         "channel": chan.choi_to_json(res.c),
         "x": chan.choi_to_json(res.x),
@@ -603,12 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_engineer_separable)
-    p = gs.add_parser("sdp", help="SDP construction: a core that fixes every state, completed by B")
+    p = gs.add_parser("sdp", help="SDP construction: the analytic centre of the cores that fix "
+                                  "every state, in closed form, completed by B")
     p.add_argument("--sigma", action="append", required=True)
     p.add_argument("--b")
-    p.add_argument("--feas-tol", type=_tolerance, default=sdpmod.FEAS_TOL,
-                   help="interior-point feasibility tolerance; it acts only on sets the "
-                        "interior-point method solves, not on one state or a forced identity")
     p.add_argument("--out")
     p.set_defaults(func=cmd_engineer_sdp)
 

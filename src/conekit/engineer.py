@@ -18,9 +18,9 @@ tr sigma = tr X(sigma). The two cores are:
   sigma (x) Pi^T / lambda_max of ``engineer single``) and the support
   projector (``from_states([sigma])``, which maps supp sigma onto sigma
   and the rest onto B);
-* the SDP core: a PSD X that fixes every state and preserves the trace on
-  supp rho, rho = sum_i sigma_i / k, solved for on supp rho
-  (``build_via_sdp``).
+* the SDP core: the analytic centre of the PSD X that fix every state and
+  preserve the trace on supp rho, rho = sum_i sigma_i / k, formed in
+  closed form on supp rho (``build_via_sdp``).
 
 Reports give the decay of C as its spectrum (``channel.spectrum``):
 ``decay_modulus`` off the unit circle and ``peripheral_spectrum`` on it.
@@ -37,24 +37,25 @@ of 0.113 and two non-commuting qubit states give 0.
 
 The SDP core is CP by construction. ``build_via_sdp`` compresses the
 states to supp rho once, sigma_i -> U^dag sigma_i U with U an isometry
-onto it (r = rank rho), solves for a PSD core Y on C^r (x) C^r that fixes
+onto it (r = rank rho), forms a PSD core Y on C^r (x) C^r that fixes
 them and preserves the trace, and lifts it once,
 X = (U (x) conj U) Y (U (x) conj U)^dag; ``SdpChannelResult.solution.x``
 is that r^2 x r^2 Y. So X vanishes on inputs outside supp rho,
 tr_H1[X] = Pi^T with Pi = U U^dag, tr X = r on the whole feasible set,
 and C = X + B (x) (I - Pi)^T is a sum of two PSD terms: B acts only off
-supp rho. The states decide which cores are admissible through their
-forced algebra (``forced_algebra``): every Kraus operator lies in its
-commutant, which is the face the SDP is solved on, and when that
-commutant is C I the one admissible core is Y = |I_r>><<I_r|, which lifts
-to the identity on supp rho, Choi(Y -> Pi Y Pi), without a solve. One
-pure state is such a case, with X = sigma (x) sigma^T. Otherwise every
-feasible Y is optimal. For one state the core is the analytic centre of
-the feasible set, max log det Y, which is unique and basis-free and has a
-closed form up to one small Newton solve (``_one_state_centre``; for
-diag(0.7, 0.3), log det Y = -3.0798). For several states the solver
-returns a generic admissible core inside the feasible set, near but not
-at its centre.
+supp rho. As every feasible Y is optimal, the core is the one canonical
+choice among them, the analytic centre of the feasible set, max log det Y,
+which is unique and basis-free (``_analytic_centre``). The states decide
+it through their forced algebra (``forced_algebra``): every Kraus operator
+lies in its commutant, a direct sum of blocks I_{n_k} (x) M_{m_k}, and
+the centre is the identity on each n_k factor times the one-state centre
+of that block's part of rho on the m_k factor, a classical channel in its
+eigenbasis with a closed form up to one small Newton solve
+(``_one_state_centre``). So a commutant C I gives the identity on supp
+rho, Y = |I_r>><<I_r|, as one pure state does, with X = sigma (x) sigma^T;
+one state of rank r >= 2 gives a classical channel on its eigenbasis (for
+diag(0.7, 0.3), log det Y = -3.0798); and the ``demo bell`` pairs, whose
+blocks all have m_k = 1, give the pinching onto the blocks.
 
 The complete positivity of a separable channel depends on its inputs and
 is checked on the assembled Choi matrix rather than factor by factor
@@ -322,9 +323,13 @@ class SdpChannelResult:
     solution: sdpmod.SdpSolution
 
 
-# Two log-eigenvalue differences of rho closer than this are one modular
-# degree of ``forced_algebra``; merging two degrees only shrinks the
-# generated algebra, which enlarges the face and never excludes a channel.
+# Two values closer than this are one wherever the forced algebra is read
+# off a spectrum: log-eigenvalue differences of rho (one modular degree of
+# ``forced_algebra``) and the eigenvalues of a central element (one block of
+# ``_blocks``). Merging two modular degrees only shrinks the generated
+# algebra, which enlarges the face and never excludes a channel; two blocks
+# differ on some element of the centre's basis by at least 2 sqrt(2) / r
+# (``_blocks``), far above it.
 MODULAR_GAP_TOL = 1e-8
 
 
@@ -335,31 +340,30 @@ class ForcedAlgebra:
     support is an isometry U onto supp rho, rho = sum_i sigma_i / k
     (``linops.support``), r = rank rho, and eigenvalues the spectrum of rho
     it was cut from, ascending, so that U^dag rho U = diag(eigenvalues[-r:])
-    up to rounding: ``build_via_sdp``
-    compresses the states to it, solves for the r^2 x r^2 core Y on face
-    (``SdpChannelResult.solution.x``) and lifts Y back through U once, so
-    the rest is given in these r coordinates. commutant holds an
-    orthonormal basis (Frobenius inner product) of the commutant of the
-    forced algebra, as r x r matrices. The commutant is C I,
-    commutant_dim 1, exactly when the forced algebra is all of B(supp rho).
+    up to rounding. ``build_via_sdp`` forms the r^2 x r^2 core Y in these r
+    coordinates (``SdpChannelResult.solution.x``) and lifts it through U
+    once, so the rest is given in them.
 
-    face is an isometry onto the face of the PSD cone that holds every
-    compressed core Y, its columns the vec K over that basis (r^2 x
-    commutant_dim), or None when that face is the whole space. Every
-    Kraus operator K of an admissible channel on supp rho lies in the
-    commutant, and Y is the sum of |K>><<K| over them, so Y lies on the PSD
-    matrices over span{vec K}. This is facial reduction (Borwein &
-    Wolkowicz 1981) with the face read off the algebra. The commutant is
-    block diagonal over the blocks of the algebra, and Kraus operators
-    that replace the state in each block by its own part of rho span it,
-    so a feasible Y has full rank on the face: the restricted problem has
-    an interior.
+    commutant holds an orthonormal basis (Frobenius inner product) of the
+    commutant C of the forced algebra, as r x r matrices. Every Kraus
+    operator K of an admissible channel on supp rho lies in C, and Y is the
+    sum of |K>><<K| over them, so Y lies on the face of the PSD cone over
+    vec C: facial reduction (Borwein & Wolkowicz 1981) with the face read
+    off the algebra. The commutant is C I, commutant_dim 1, exactly when
+    the forced algebra is all of B(supp rho), and all of M_r for one state.
+
+    blocks holds (Z_k, n_k, m_k): the minimal central projections Z_k of C,
+    on whose ranges C^{n_k} (x) C^{m_k} the commutant is I_{n_k} (x) M_{m_k}
+    and the forced algebra M_{n_k} (x) I_{m_k} (the Koashi-Imoto form,
+    Koashi & Imoto, PRA 66, 022318, 2002). M_r is the one block (I, 1, r)
+    and C I the one block (I, r, 1), both read off the dimension; any other
+    commutant is split by its centre (``_blocks``).
     """
 
     support: np.ndarray
     eigenvalues: np.ndarray
     commutant: np.ndarray
-    face: np.ndarray | None
+    blocks: tuple[tuple[np.ndarray, int, int], ...]
 
     @property
     def commutant_dim(self) -> int:
@@ -367,7 +371,7 @@ class ForcedAlgebra:
 
 
 def forced_algebra(sigmas) -> ForcedAlgebra:
-    """The support of rho, the commutant of the forced algebra and its face.
+    """The support of rho, the commutant of the forced algebra and its blocks.
 
     A CPTP map on supp rho that fixes every sigma_i fixes rho, so its
     fixed space is rho^1/2 N rho^1/2, with N = Fix(Phi^dag) a *-algebra
@@ -383,8 +387,9 @@ def forced_algebra(sigmas) -> ForcedAlgebra:
     commutant: the null space of the stacked I (x) G - G^T (x) I over the
     pieces G, read off one SVD: singular values at most RANK_TOL, the rank
     rule of ``linops``, as the generators have norm at most 1. For one state
-    A = I, so the commutant is all of M_r, the matrix units: the stack's
-    rounding would grow as 1 / lambda_min.
+    A = I, so the commutant is all of M_r with no stack, whose rounding
+    would grow as 1 / lambda_min. All of M_r is given by the matrix units
+    and C I by I / sqrt r, exactly.
     """
     return _forced_algebra(linops.check_states(sigmas))
 
@@ -394,9 +399,8 @@ def _forced_algebra(states: np.ndarray) -> ForcedAlgebra:
     eigenvalues, u = linops.support(states.mean(axis=0))
     r = u.shape[1]
     lam = eigenvalues[eigenvalues.size - r:]
-    if len(states) == 1:
-        commutant = np.eye(r * r, dtype=complex).reshape(-1, r, r)
-    else:
+    c = r * r
+    if len(states) > 1:
         isqrt = 1.0 / np.sqrt(lam)
         gens = isqrt[:, None] * (linops.dagger(u) @ states @ u) * isqrt / len(states)
         gaps = np.log(lam)[:, None] - np.log(lam)[None, :]
@@ -411,14 +415,69 @@ def _forced_algebra(states: np.ndarray) -> ForcedAlgebra:
         # the SVD of the triangular factor: the stack's singular values and
         # right vectors at a fraction of the cost of a tall SVD
         _, sv, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, r * r), mode="r"))
-        commutant = vh[sv <= RANK_TOL].conj().reshape(-1, r, r)
-    c = len(commutant)
-    face = None if c == r * r else commutant.reshape(c, r * r).T
-    return ForcedAlgebra(support=u, eigenvalues=eigenvalues, commutant=commutant, face=face)
+        null = sv <= RANK_TOL
+        c = int(null.sum())
+        commutant = vh[null].conj().reshape(-1, r, r)
+    # all of M_r and C I are read off exactly: the matrix units and I / sqrt r
+    if c == r * r:
+        commutant = np.eye(r * r, dtype=complex).reshape(-1, r, r)
+    elif c == 1:
+        commutant = np.eye(r, dtype=complex)[None] / np.sqrt(r)
+    return ForcedAlgebra(support=u, eigenvalues=eigenvalues, commutant=commutant,
+                         blocks=_blocks(commutant))
 
 
-IDENTITY_FORCED = "closed form: the fixed states force the identity on supp rho"
-ONE_STATE_CENTRE = "closed form: the analytic centre of the one-state cores, by Newton on its dual"
+def _blocks(commutant: np.ndarray) -> tuple[tuple[np.ndarray, int, int], ...]:
+    """``ForcedAlgebra.blocks`` of the commutant with orthonormal basis C_j.
+
+    The centre of C is its meet with the forced algebra, the
+    X = sum_i x_i C_i with [X, C_j] = 0 for every j: the null space of the
+    stacked commutators [C_i, C_j], at singular values at most RANK_TOL as
+    in ``forced_algebra``. Its minimal projections Z_k are the joint
+    eigenspaces of its basis, deterministically (Murota, Kanno, Kojima &
+    Kojima, JJIAM 27, 2010): supp rho is split by the eigenvalues
+    (``linops.tolerance_groups`` at MODULAR_GAP_TOL) of X + X^dag and
+    i (X - X^dag) for each basis element X in turn. The basis is
+    orthonormal, so the values x_s(k) of the X_s on block k of dimension
+    d_k have sum_s |x_s(k) - x_s(l)|^2 = 1/d_k + 1/d_l >= 4/r, and two
+    blocks differ by at least 2 sqrt(2) / r in one of those 2 dim(centre)
+    <= 2r eigenvalues. Then m_k^2 = dim Z_k C Z_k = sum_j |Z_k C_j Z_k|_F^2
+    and n_k = rank Z_k / m_k. A split into other than dim(centre) blocks
+    raises NumericalLimitError.
+    """
+    c, r, _ = commutant.shape
+    eye = np.eye(r, dtype=complex)
+    if c == r * r:
+        return ((eye, 1, r),)
+    if c == 1:
+        return ((eye, r, 1),)
+    # [C_i, C_j] at axes (j, i, a, b), as rows (j, a, b) over the coordinates x_i
+    comm = commutant[None] @ commutant[:, None] - commutant[:, None] @ commutant[None]
+    _, sv, vh = np.linalg.svd(comm.transpose(0, 2, 3, 1).reshape(-1, c), full_matrices=False)
+    centre = np.tensordot(vh[sv <= RANK_TOL].conj(), commutant, axes=1)
+    hermitian = [h for x in centre for h in (x + linops.dagger(x), 1j * (x - linops.dagger(x)))]
+    parts = [eye]  # isometries onto the blocks found so far
+    for h in hermitian:
+        if len(parts) == len(centre):
+            break
+        split = []
+        for w in parts:
+            vals, vecs = np.linalg.eigh(linops.dagger(w) @ h @ w)
+            labels = linops.tolerance_groups(vals, MODULAR_GAP_TOL)
+            split += [w @ vecs[:, labels == g] for g in range(labels[-1] + 1)]
+        parts = split
+    if len(parts) != len(centre):
+        raise sdpmod.NumericalLimitError(
+            f"the centre of the commutant has dimension {len(centre)}, but its elements "
+            f"split supp rho into {len(parts)} blocks")
+    blocks = []
+    for w in parts:
+        m = int(round(np.sqrt(np.square(np.abs(linops.dagger(w) @ commutant @ w)).sum())))
+        blocks.append((w @ linops.dagger(w), w.shape[1] // m, m))
+    return tuple(blocks)
+
+
+ANALYTIC_CENTRE = "closed form: the analytic centre of the fixing cores, block by block"
 
 # the primal residual at which the dual Newton of ``_one_state_centre`` stops:
 # its entries are sums of r terms of at most 1, which rounding leaves near
@@ -426,23 +485,12 @@ ONE_STATE_CENTRE = "closed form: the analytic centre of the one-state cores, by 
 CENTRE_TOL = 1e-13
 
 
-def _identity_core(r: int) -> sdpmod.SdpSolution:
-    """|I_r>><<I_r|, the Choi matrix of the identity on C^r, as the SDP's
-    solution: the only feasible core when the forced algebra is all of
-    B(supp rho)."""
-    w = np.eye(r, dtype=complex).reshape(-1)
-    return sdpmod.SdpSolution(
-        x=np.outer(w, w), objective_value=float(r), primal_residual=0.0,
-        dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=0, rank=1,
-        message=IDENTITY_FORCED,
-    )
-
-
-def _one_state_centre(lam: np.ndarray) -> sdpmod.SdpSolution:
+def _one_state_centre(lam: np.ndarray) -> tuple[np.ndarray, int, float]:
     """The analytic centre of the cores that fix one state of spectrum lam
-    (r >= 2 eigenvalues, ascending), max log det Y over the feasible set
-    (Boyd & Vandenberghe, Convex Optimization, 2004, sect. 8.5.3), as the
-    SDP's solution: Y = diag(vec P), P[a, j] = Y[(a, j), (a, j)].
+    (r >= 2 eigenvalues, ascending, summing to 1), max log det Y over the
+    feasible set (Boyd & Vandenberghe, Convex Optimization, 2004, sect.
+    8.5.3): Y = diag(vec P) on the eigenbasis, returned as P[a, j] =
+    Y[(a, j), (a, j)] with its Newton steps and primal residual.
 
     Y -> (V (x) conj W) Y (V (x) conj W)^dag maps the feasible set onto
     itself for every pair of unitaries V, W that commute with diag(lam), so
@@ -498,49 +546,88 @@ def _one_state_centre(lam: np.ndarray) -> sdpmod.SdpSolution:
         raise sdpmod.NumericalLimitError(
             f"the one-state centre's Newton stopped after {steps} steps at primal residual "
             f"{residual:.3e} (> CENTRE_TOL {CENTRE_TOL:g})")
+    return p.reshape(r, r), steps, float(residual)
+
+
+def _analytic_centre(algebra: ForcedAlgebra) -> sdpmod.SdpSolution:
+    """The analytic centre of the cores on C^r (x) C^r that fix the states and
+    preserve the trace, max log det Y on the face of ``ForcedAlgebra``, as
+    the SDP's solution: Y = M Pi_C, with Pi_C the orthogonal projector onto
+    vec C and M = sum_k n_k sum_{G, G'} P_k[G, G'] Q_G (x) Q_G'^T.
+
+    The states are sum_k p_ik sigma_ik (x) omega_k on the blocks of
+    ``ForcedAlgebra.blocks``, and every Kraus operator is sum_k I (x) K_k,
+    so a core fixes them and preserves the trace exactly when each
+    rho -> sum K_k rho K_k^dag is a channel fixing omega_k: the rows touch
+    only the diagonal blocks of the core on the face. By Fischer's
+    inequality its log det is largest with the blocks across k at 0, and on
+    block k it is id_{n_k} (x) the one-state centre of omega_k
+    (``_one_state_centre``), diagonal in omega_k's eigenbasis. That basis
+    comes from R = E_C(diag lambda), the orthogonal projection of
+    U^dag rho U onto C, which is I_{n_k} (x) q_k omega_k / n_k on Z_k: its
+    eigenvalues there, ascending, are omega_k's, scaled, each n_k times in a
+    run, and its eigenprojections Q_G are I_{n_k} (x) those of omega_k. The
+    centre's P_k
+    is constant on each pair of eigenspaces G, G' (unitaries inside an
+    eigenspace commute with omega_k), so in an eigenbasis V of R, taken
+    block by block, M is (V (x) conj V) D (V (x) conj V)^dag with the
+    diagonal weights D = n_k P_k[a, j] on block k. A block of m_k = 1 has
+    P = [[1]], and M_k Pi_C = |Z_k>><<Z_k| is the identity on it. So C I
+    gives |I_r>><<I_r| and M_r gives diag(vec P) on the eigenbasis of rho,
+    neither with a Newton step, and the centre is basis-free, built from
+    projectors and spectra only.
+
+    The solution has status optimal, iterations the Newton steps summed
+    over the blocks, primal_residual their largest residual, rank dim C
+    and the message ANALYTIC_CENTRE.
+    """
+    k = algebra.commutant
+    c, r, _ = k.shape
+    lam = algebra.eigenvalues[algebra.eigenvalues.size - r:]
+    vecs = k.reshape(c, r * r)
+    rr = ((vecs[:, ::r + 1].conj() @ lam) @ vecs).reshape(r, r)  # E_C(diag lam)
+    y = np.zeros((r * r, r * r), dtype=complex)
+    m_sum = np.zeros_like(y)  # M over the blocks of m_k > 1
+    steps, residual = 0, 0.0
+    for z, n, m in algebra.blocks:
+        if m == 1:  # M_k Pi_C = n Z (x) Z^T |Z>><<Z| / n, the identity on the block
+            y += np.outer(z.ravel(), z.ravel().conj())
+            continue
+        w, v = np.linalg.eigh(z @ rr @ z)
+        w, v = w[-n * m:], v[:, -n * m:]  # R is positive on Z_k and 0 off it
+        omega = w.reshape(m, n).sum(axis=1)
+        p, s, res = _one_state_centre(omega / omega.sum())
+        steps, residual = steps + s, max(residual, res)
+        lift = (v[:, None, :, None] * v.conj()[None, :, None, :]).reshape(r * r, -1)  # V (x) conj V
+        m_sum += n * (lift * p.repeat(n, axis=0).repeat(n, axis=1).ravel()) @ linops.dagger(lift)
+    y += m_sum @ (vecs.T @ vecs.conj())
     return sdpmod.SdpSolution(
-        x=np.diag(p), objective_value=float(p.sum()), primal_residual=float(residual),
-        dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=steps, rank=r * r,
-        message=ONE_STATE_CENTRE,
+        x=y, objective_value=float(np.trace(y).real), primal_residual=residual,
+        dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=steps, rank=c,
+        message=ANALYTIC_CENTRE,
     )
 
 
-def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChannelResult:
+def build_via_sdp(sigmas, b=None) -> SdpChannelResult:
     """A CPTP channel fixing every given state: the SDP core X, completed by B.
 
-    Compress, solve, lift. U = ``forced_algebra(sigmas).support`` is the
-    isometry onto supp rho, rho = sum_i sigma_i / k, r = rank rho.
-    Compress: the states U^dag sigma_i U have a mean of full rank r; real
-    states, with the real face their forced algebra gives, are solved in
-    real arithmetic (``sdp.assemble_fixed_point_constraints``).
-    Solve: the core Y on C^r (x) C^r ranges over the Choi matrices that fix
-    them and preserve the trace (``sdp.assemble_fixed_point_constraints``),
-    on the face of the commutant of the forced algebra
-    (``ForcedAlgebra.face``); ``solution.x`` is this r^2 x r^2 core. Lift:
+    Compress, centre, lift. U = ``forced_algebra(sigmas).support`` is the
+    isometry onto supp rho, rho = sum_i sigma_i / k, r = rank rho. The core
+    Y on C^r (x) C^r ranges over the Choi matrices that fix the compressed
+    states U^dag sigma_i U and preserve the trace
+    (``sdp.assemble_fixed_point_constraints`` states these rows), on the
+    face of the commutant of their forced algebra. Every such Y has
+    tr Y = r, so each one is optimal, and the core is the analytic centre,
+    formed in closed form with no assembly and no interior-point solve
+    (``_analytic_centre``; ``solution.x`` is this r^2 x r^2 core). It
+    depends on the states only through that commutant and the spectrum
+    lambda of rho above the cut (``ForcedAlgebra.eigenvalues``), never
+    through the rounded U^dag sigma_i U, so listing a state twice, or
+    writing the states in another basis, gives the same channel. Lift:
     X = (U (x) conj U) Y (U (x) conj U)^dag vanishes on inputs outside
     supp rho and has tr_H1[X] = Pi^T, with Pi = U U^dag the projector onto
-    supp rho. So the completion is C = X + B (x) (I - Pi)^T: CP whenever Y
-    is PSD, B entering only off supp rho. The objective tr Y equals r on
-    the whole feasible set, which has an interior on the face, so the
-    interior-point method returns a point inside it, a generic admissible
-    channel.
-
-    A single state with r >= 2 is rho itself, diagonal on its own
-    eigenvectors, so its core is that of diag(lambda), lambda its
-    eigenvalues above the cut (``ForcedAlgebra.eigenvalues``), not of the
-    rounded U^dag sigma U. For it the analytic centre is returned with no
-    assembly and no interior-point solve: the classical channel Y =
-    diag(vec P) of ``_one_state_centre``, a column-stochastic P with
-    stationary lambda, of status optimal, iterations its Newton steps,
-    objective sum P = r and the message ONE_STATE_CENTRE. feas_tol acts
-    only on the interior-point solves.
-
-    When that commutant is C I, the face is one ray and the only feasible
-    core is |I_r>><<I_r|, which lifts to Choi(Y -> Pi Y Pi). It is
-    returned without assembly or solve, as a solution of status optimal,
-    0 iterations, objective r and the message IDENTITY_FORCED, and lifted
-    like any other core. That choice is safe even when wrong, since the
-    identity on supp rho is always feasible.
+    supp rho. So the completion is C = X + B (x) (I - Pi)^T: CP, as Y is
+    PSD, B entering only off supp rho.
 
     An eigenvalue lambda of rho cut by ``linops.support`` leaves a state
     fixed only to about sqrt(k lambda) in trace distance, so a residual above
@@ -559,21 +646,7 @@ def build_via_sdp(sigmas, b=None, feas_tol: float = sdpmod.FEAS_TOL) -> SdpChann
     algebra = _forced_algebra(states)
     u = algebra.support
     r = u.shape[1]
-    if algebra.commutant_dim == 1:
-        sol = _identity_core(r)
-    elif len(states) == 1:
-        sol = _one_state_centre(algebra.eigenvalues[d - r:])
-    else:
-        problem = sdpmod.assemble_fixed_point_constraints(linops.dagger(u) @ states @ u)
-        sol = sdpmod.solve(problem, feas_tol=feas_tol, face=algebra.face)
-    if sol.status != sdpmod.STATUS_OPTIMAL:
-        # the identity channel fixes every state, so the constraints are
-        # always feasible and an "infeasible" verdict is numerical as well
-        raise sdpmod.NumericalLimitError(
-            f"SDP solve hit its numerical limit ({sol.status}): "
-            f"{sol.message or 'no convergence'}"
-        )
-
+    sol = _analytic_centre(algebra)
     lift = np.kron(u, u.conj())
     x = hermitize(lift @ sol.x @ linops.dagger(lift))
     c = _complete(x, b)

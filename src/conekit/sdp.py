@@ -140,20 +140,17 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
 
     The objective is F0 = I, and tr X = tr tr_H1[X] = d on the whole
     feasible set, so every feasible X is optimal. ``engineer.build_via_sdp``
-    compresses its states first, so that their mean has full rank, solves
-    this problem on them, and lifts the core it returns
-    (``SdpChannelResult.solution.x``) back once. It never assembles one
-    state: for one state it returns the analytic centre of this feasible
-    set in closed form (``engineer._one_state_centre``), which the tests
-    check against this solve.
+    never assembles it: on its compressed states, whose mean has full rank,
+    it forms the analytic centre of this feasible set in closed form
+    (``engineer._analytic_centre``). This problem, solved on the face of
+    ``engineer.forced_algebra``'s commutant, is the tests' oracle for that
+    centre: its solution is feasible with a log det no larger.
 
     The sigma_i must be one non-empty stack of square matrices, and
     ``SdpProblem`` refuses rows that are not finite and Hermitian. They
     need not be states: a trace-preserving map keeps every trace and the
     identity fixes everything, so the rows are consistent for any
-    Hermitian sigma_i. Whether they are states is for the caller to check:
-    ``build_via_sdp`` checks its states once, not the compressed ones it
-    passes here.
+    Hermitian sigma_i. Whether they are states is for the caller to check.
 
     When every state is exactly real, E runs over the d(d+1)/2 real
     symmetric elements of the basis only: (k + 1) d(d+1)/2 real rows in
@@ -168,7 +165,7 @@ def assemble_fixed_point_constraints(sigmas) -> SdpProblem:
     symmetric X the rows left out, those of an imaginary antisymmetric E,
     read 0 = 0: E (x) sigma_i^T and I (x) E are i times a real
     antisymmetric matrix, and tr[E sigma_i] = tr E = 0. A face passed to
-    ``solve`` with these rows must be real as well, as the face of
+    ``solve`` with these rows must be real as well, as the commutant of
     ``engineer.forced_algebra`` is for real states (LAPACK keeps real data
     real); on a complex face the solve would run over complex X without
     the rows left out.

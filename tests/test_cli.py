@@ -238,6 +238,9 @@ class TestChannelCommands:
         *[lambda tmp, write, text=text: ["sdp", "solve", "--problem",
                                          write("p.json", problem_with_b(text))]
           for text in ("true", '"2"', "NaN", '"nan"', "1e400")],
+        # the core is a closed form, with no solver tolerance to set
+        lambda tmp, write: ["engineer", "sdp", "--sigma", write("s.json", json.dumps(
+            linops.matrix_to_json(np.diag([0.7, 0.3])))), "--feas-tol", "1e-2"],
     ], ids=["invalid-json", "config-list", "empty-round", "missing-trajectory",
             "constraint-without-a", "n-list", "b-null", "rows-list", "alphabet-int",
             "n-iter-list", "strength-null", "pi-object", "generators-object",
@@ -247,7 +250,8 @@ class TestChannelCommands:
             "tol-not-a-number", "check-without-choi", "unknown-command", "rows-fraction",
             "d-in-bool", "n-fraction", "dim-bool", "separable-b-mismatch",
             "separable-b-one-by-one", "separable-state-mismatch", "single-b-mismatch",
-            "b-true", "b-string", "b-nan", "b-string-nan", "b-past-float-range"])
+            "b-true", "b-string", "b-nan", "b-string-nan", "b-past-float-range",
+            "engineer-sdp-feas-tol"])
     def test_malformed_input_is_validation_error(self, tmp_path, capsys, argv):
         def write(name, text):
             (tmp_path / name).write_text(text)
@@ -403,25 +407,38 @@ class TestEngineerCommands:
         assert abs(rep["objective_trace"] - 2.0) < 1e-6
         assert max(rep["fixed_point_residuals"]) < 1e-7
 
-    @pytest.mark.parametrize("states, message", [
-        ([np.diag([0.7, 0.3])], engineer.ONE_STATE_CENTRE),
-        ([np.diag([0.7, 0.3]), linops.ket_projector(np.array([1.0, 1.0]) / np.sqrt(2))],
-         engineer.IDENTITY_FORCED),
-        ([basis_proj(0, 2), basis_proj(1, 2)], ""),
+    @pytest.mark.parametrize("states, iterations", [
+        ([np.diag([0.7, 0.3])], 6),
+        ([np.diag([0.7, 0.3]), linops.ket_projector(np.array([1.0, 1.0]) / np.sqrt(2))], 0),
+        ([basis_proj(0, 2), basis_proj(1, 2)], 0),
     ], ids=["one-state", "identity-forced", "interior-point"])
-    def test_sdp_names_the_route_to_the_core(self, workdir, capsys, states, message):
-        # the closed forms ignore --feas-tol: their channel is the same at 1e-2
+    def test_sdp_names_the_route_to_the_core(self, workdir, capsys, states, iterations):
+        # one route for every set: the analytic centre, whose Newton steps
+        # are the iterations (none on blocks of m_k = 1, here the identity
+        # and the dephasing of the orthogonal pair)
         _, write = workdir
         argv = [a for i, s in enumerate(states)
                 for a in ("--sigma", write(f"s{i}.json", linops.matrix_to_json(s)))]
+        code, out, _ = run_cli(capsys, "engineer", "sdp", *argv)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["solver_message"] == engineer.ANALYTIC_CENTRE
+        assert (rep["solver_status"], rep["solver_iterations"]) == ("optimal", iterations)
+
+    @pytest.mark.parametrize("sigma", [np.diag([0.7, 0.3]), np.diag([0.5, 0.3, 0.2])],
+                             ids=["qubit", "qutrit"])
+    def test_sdp_channel_ignores_a_repeated_state(self, workdir, capsys, sigma):
+        # sigma listed twice forces what sigma alone does, so the core is the
+        # same: the centre depends on the forced algebra and on rho only
+        _, write = workdir
+        path = write("s.json", linops.matrix_to_json(sigma))
         outs = []
-        for tol in ([], ["--feas-tol", "1e-2"]):
-            code, out, _ = run_cli(capsys, "engineer", "sdp", *argv, *tol)
+        for argv in (["--sigma", path], ["--sigma", path, "--sigma", path]):
+            code, out, _ = run_cli(capsys, "engineer", "sdp", *argv)
             assert code == 0
             outs.append(json.loads(out))
-        assert [rep["solver_message"] for rep in outs] == [message, message]
-        if message:
-            assert outs[0]["channel"] == outs[1]["channel"]
+        assert outs[1]["channel"] == outs[0]["channel"]
+        assert outs[1]["fixed_point_residuals"] == 2 * outs[0]["fixed_point_residuals"]
 
     @pytest.mark.parametrize("states", [
         [np.diag([0.7, 0.3])],
@@ -552,13 +569,16 @@ class TestSdpCommand:
 
     @pytest.mark.parametrize("command", ["sdp-solve", "sdp-solve-rotated", "demo-bell"])
     def test_linalg_error_inside_solve_exits_4(self, workdir, capsys, monkeypatch, command):
-        def broken_step(s, ds):
+        def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr(sdpmod, "_max_step", broken_step)
         if command == "demo-bell":
+            # its core is a closed form: the error comes from the SVD that
+            # finds the commutant of the forced algebra
+            monkeypatch.setattr(np.linalg, "svd", broken)
             argv = ["demo", "bell"]
         else:
+            monkeypatch.setattr(sdpmod, "_max_step", broken)
             _, write = workdir
             prob = orthogonal_pair_problem(rotated=command == "sdp-solve-rotated")
             argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
@@ -568,13 +588,15 @@ class TestSdpCommand:
 
     @pytest.mark.parametrize("command", ["sdp-solve", "sdp-solve-rotated", "demo-bell"])
     def test_eigensolve_failure_exits_4(self, workdir, capsys, monkeypatch, command):
-        def broken_eigh(a, compute_v):
+        def broken_eigh(*args, **kwargs):
             raise np.linalg.LinAlgError("eigensolve failed (LAPACK info 3)")
 
-        monkeypatch.setattr(sdpmod, "_eigh", broken_eigh)
         if command == "demo-bell":
+            # no interior-point solve: the first eigensolve of demo bell fails
+            monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
             argv = ["demo", "bell"]
         else:
+            monkeypatch.setattr(sdpmod, "_eigh", broken_eigh)
             _, write = workdir
             prob = orthogonal_pair_problem(rotated=command == "sdp-solve-rotated")
             argv = ["sdp", "solve", "--problem", write("p.json", sdpmod.problem_to_json(prob))]
@@ -583,28 +605,6 @@ class TestSdpCommand:
         payload = json.loads(err)
         assert payload["reason"] == "numerical-limit"
         assert "LAPACK info 3" in payload["error"]
-
-    def test_engineer_sdp_infeasible_verdict_exits_4(self, workdir, capsys, monkeypatch):
-        # the identity channel fixes every state, so an infeasible verdict
-        # from the solver is a numerical failure, not an infeasibility
-        def infeasible(problem, **kwargs):
-            return sdpmod.SdpSolution(
-                x=np.zeros((problem.n, problem.n), dtype=complex), objective_value=np.nan,
-                primal_residual=np.inf, dual_residual=np.inf, status=sdpmod.STATUS_INFEASIBLE,
-                message="dual improving ray found (primal infeasible)",
-            )
-
-        monkeypatch.setattr(sdpmod, "solve", infeasible)
-        _, write = workdir
-        # one state and a set that forces the identity take a closed form;
-        # two commuting qubit states (a diagonal commutant) reach the solver
-        s0 = write("s0.json", linops.matrix_to_json(np.diag([0.7, 0.3])))
-        s1 = write("s1.json", linops.matrix_to_json(np.diag([0.4, 0.6])))
-        code, _, err = run_cli(capsys, "engineer", "sdp", "--sigma", s0, "--sigma", s1)
-        assert code == 4
-        payload = json.loads(err)
-        assert payload["reason"] == "numerical-limit"
-        assert "dual improving ray found" in payload["error"]
 
 
 class TestQuasirealCommands:
@@ -1390,12 +1390,6 @@ _NEAR_POSITIVE = {
 }
 
 
-# the generic ``demo bell`` pair: the IPM takes 7 iterations at the default
-# feas_tol, 4 at 1e-2 (one state has a closed form that ignores feas_tol)
-_BELL_GENERIC = cli.build_bell_demo_states(
-    [0.8, 0.6, -0.6, 0.8, 0.6, 0.8, -0.8, 0.6], np.array([0.3, 0.4, 0.3]), np.array([0.2, 0.5, 0.3]))
-
-
 class TestToleranceOptions:
     """A valid tolerance reaches the command: 1e-5 (1e-2 for the solver)
     changes the output from the default's on inputs just past the default."""
@@ -1419,12 +1413,8 @@ class TestToleranceOptions:
         (lambda w: ["sdp", "solve", "--problem", w("p.json", sdpmod.problem_to_json(
             sdpmod.assemble_fixed_point_constraints([basis_proj(0, 2), basis_proj(1, 2)])))],
          ["--feas-tol", "1e-2"], lambda out: out["iterations"] > 5, True, False),
-        (lambda w: ["engineer", "sdp",
-                    *(a for i, s in enumerate(_BELL_GENERIC)
-                      for a in ("--sigma", w(f"s{i}.json", linops.matrix_to_json(s))))],
-         ["--feas-tol", "1e-2"], lambda out: out["solver_iterations"] > 5, True, False),
     ], ids=["psd-tol", "tp-tol", "fixed-points-tol", "stop-tol", "quasireal-check-tol",
-            "cone-check-tol", "sdp-solve-feas-tol", "engineer-sdp-feas-tol"])
+            "cone-check-tol", "sdp-solve-feas-tol"])
     def test_valid_value_changes_output(self, workdir, capsys, argv, option, read, default, loose):
         _, write = workdir
         base = argv(write)

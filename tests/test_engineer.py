@@ -518,11 +518,14 @@ class TestBuildViaSdp:
         assert np.abs(res.x.matrix - first_term).max() < 1e-5
 
     def test_duplicated_states_match_single(self):
-        rho = basis_proj(0, 2)
-        res_single = build_via_sdp([rho], b=basis_proj(1, 2))
-        res_dup = build_via_sdp([rho, rho], b=basis_proj(1, 2))
-        assert np.abs(res_single.x.matrix - res_dup.x.matrix).max() < 1e-8
-        assert abs(res_single.solution.objective_value - res_dup.solution.objective_value) < 1e-8
+        # a state listed twice forces what it forces alone: the same core,
+        # also for diag(0.7, 0.3), whose core is a centre with Newton steps
+        for rho in (basis_proj(0, 2), np.diag([0.7, 0.3])):
+            res_single = build_via_sdp([rho], b=basis_proj(1, 2))
+            res_dup = build_via_sdp([rho, rho], b=basis_proj(1, 2))
+            assert np.abs(res_single.x.matrix - res_dup.x.matrix).max() <= 1e-14
+            assert res_single.solution.iterations == res_dup.solution.iterations
+            assert abs(res_single.solution.objective_value - res_dup.solution.objective_value) < 1e-14
 
     def test_mixed_states_fixed(self, rng):
         states = [random_density(rng, 2)]
@@ -540,20 +543,32 @@ class TestBuildViaSdp:
         # one state takes the dual Newton of its analytic centre, which
         # converges in 6-9 steps here; the interior-point solve of these sets
         # took 9-135 iterations
-        rng = np.random.default_rng(seed)
-        e = rng.random(5) + 0.1
-        e[0] = 1e-7
-        e[1:] = e[1:] / e[1:].sum() * (1 - 1e-7)
-        u = haar_unitary(5, rng)
-        sigma = u @ np.diag(e) @ u.conj().T
+        sigma = eigenvalue_1e_7_state(seed)
         res = build_via_sdp([sigma])
         assert res.solution.status == "optimal"
-        assert res.solution.message == engineer.ONE_STATE_CENTRE
+        assert res.solution.message == engineer.ANALYTIC_CENTRE
         assert res.c.cptp.cp
         assert max(res.residuals) <= chan.FP_TOL
         # at the spectrum the build solved for, rounded from e by about 1e-16
         lam = forced_algebra([sigma]).eigenvalues
         assert max(centre_kkt(lam, centre_matrix(res))) <= 1e-12
+
+
+def eigenvalue_1e_7_state(seed: int) -> np.ndarray:
+    """U diag(e) U^dag in C^5, U Haar, e_0 = 1e-7 and the other four
+    weights uniform in [0.1, 1.1), scaled to 1 - 1e-7, from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    e = rng.random(5) + 0.1
+    e[0] = 1e-7
+    e[1:] = e[1:] / e[1:].sum() * (1 - 1e-7)
+    u = haar_unitary(5, rng)
+    return u @ np.diag(e) @ u.conj().T
+
+
+def face(algebra) -> np.ndarray:
+    """The isometry onto vec of the commutant, its columns vec C_j: the face
+    of the PSD cone that holds every core (``ForcedAlgebra``)."""
+    return algebra.commutant.reshape(algebra.commutant_dim, -1).T
 
 
 def centre_matrix(res) -> np.ndarray:
@@ -728,7 +743,7 @@ class TestFixedPointFace:
 
     def test_isometry_has_two_orthonormal_columns(self):
         # in the r^2 = 9 coordinates of supp rho, rank rho = 3
-        v = engineer.forced_algebra(self.bell_states()).face
+        v = face(engineer.forced_algebra(self.bell_states()))
         assert v.shape == (9, 2)
         assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-12
 
@@ -738,7 +753,7 @@ class TestFixedPointFace:
         # face does not hold the identity on all inputs, as its core would
         # act on the input outside supp rho
         algebra = engineer.forced_algebra(self.bell_states())
-        v, u = algebra.face, algebra.support
+        v, u = face(algebra), algebra.support
         proj = v @ v.conj().T
         w = np.eye(3).reshape(-1)
         y = np.outer(w, w)
@@ -749,15 +764,29 @@ class TestFixedPointFace:
         assert np.abs(proj @ x @ proj - x).max() > 0.1
 
     def test_solves_optimal_on_face(self):
+        # M_2 + C: both blocks have m_k = 1, so the centre is the pinching
+        # onto them, and the interior-point solve on the face stops 1.3e-9
+        # from it
         states = self.bell_states()
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
-        assert "active face" not in res.solution.message  # no eigenvalue-split retry
-        assert res.solution.primal_residual <= 1e-9
+        assert res.solution.primal_residual == 0.0 and res.solution.iterations == 0
         assert max(res.residuals) <= 1e-9
+        algebra = engineer.forced_algebra(states)
+        assert sorted((n, m) for _, n, m in algebra.blocks) == [(1, 1), (2, 1)]
+        pinching = sum(np.outer(z.ravel(), z.ravel().conj()) for z, _, _ in algebra.blocks)
+        assert np.abs(res.solution.x - pinching).max() <= 1e-12
+        u = algebra.support
+        problem = engineer.sdpmod.assemble_fixed_point_constraints(u.conj().T @ np.array(states) @ u)
+        ipm = engineer.sdpmod.solve(problem, face=face(algebra))
+        assert ipm.status == "optimal"
+        assert np.abs(ipm.x - pinching).max() <= 1e-8
 
     def test_full_rank_single_state_needs_no_face(self, rng):
-        assert engineer.forced_algebra([random_density(rng, 3)]).face is None
+        # the commutant is all of M_3, so the face is the whole space
+        algebra = engineer.forced_algebra([random_density(rng, 3)])
+        assert algebra.commutant_dim == 9
+        assert [(n, m) for _, n, m in algebra.blocks] == [(1, 3)]
 
     def test_small_eigenvalue_is_not_cut(self, rng):
         # an eigenvalue of 5e-8 is real support: cutting it would move the
@@ -768,25 +797,29 @@ class TestFixedPointFace:
                   for w in ([0.6, 0.4 - 5e-8, 5e-8], [0.3, 0.7 - 5e-8, 5e-8])]
         assert engineer.forced_algebra(states).support.shape[1] == 3
         # diagonal in one basis with distinct ratios: the commutant is the diagonal
-        assert engineer.forced_algebra(states).face.shape[1] == 3
+        assert face(engineer.forced_algebra(states)).shape[1] == 3
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
         assert max(res.residuals) <= 1e-9
 
 
 
-def sweep_set(seed: int, index: int) -> list[np.ndarray]:
-    """Set ``index`` of the sweep that draws, from default_rng(seed), d in
-    2..4, k in 1..4 states and each state's rank in 1..d, a state being
-    g g^dag / tr for a complex Gaussian d x rank matrix g."""
+def sweep_sets(seed: int, count: int) -> list[list[np.ndarray]]:
+    """The first ``count`` sets of the sweep that draws, from
+    default_rng(seed), d in 2..4, k in 1..4 states and each state's rank in
+    1..d, a state being g g^dag / tr for a complex Gaussian d x rank g."""
     rng = np.random.default_rng(seed)
-    for _ in range(index + 1):
+    sets = []
+    for _ in range(count):
         d, k = int(rng.integers(2, 5)), int(rng.integers(1, 5))
-        states = []
-        for _ in range(k):
-            s = random_psd(rng, d, int(rng.integers(1, d + 1)))
-            states.append(s / np.trace(s).real)
-    return states
+        states = [random_psd(rng, d, int(rng.integers(1, d + 1))) for _ in range(k)]
+        sets.append([s / np.trace(s).real for s in states])
+    return sets
+
+
+def sweep_set(seed: int, index: int) -> list[np.ndarray]:
+    """Set ``index`` of ``sweep_sets(seed, ...)``."""
+    return sweep_sets(seed, index + 1)[-1]
 
 
 def rank(state: np.ndarray) -> int:
@@ -867,8 +900,8 @@ class TestForcedAlgebra:
         b = np.diag([0.1, 0.2, 0.7])
         res = build_via_sdp(FORCING_ON_A_PLANE, b=b)
         sol = res.solution
-        assert (sol.status, sol.iterations, sol.message) == ("optimal", 0, engineer.IDENTITY_FORCED)
-        assert sol.objective_value == 2.0
+        assert (sol.status, sol.iterations, sol.message) == ("optimal", 0, engineer.ANALYTIC_CENTRE)
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
         pi = np.diag([1.0, 1.0, 0.0])
         expected = np.outer(pi.ravel(), pi.ravel()) + kron(b, np.eye(3) - pi)
         assert np.abs(res.c.matrix - expected).max() <= 1e-12
@@ -926,19 +959,22 @@ class TestBuildViaSdpProperties:
     @example(states=[np.eye(3) / 3])
     @settings(max_examples=40)
     def test_cptp_fixing_and_closed_form_exactly_when_forced(self, states):
+        # one route for every set; its core is the identity on supp rho,
+        # |I_r>><<I_r|, exactly when the commutant is C I, and no Newton step
+        # is taken there
         res = build_via_sdp(states)
         assert res.solution.status == "optimal"
+        assert res.solution.message == engineer.ANALYTIC_CENTRE
         assert res.c.cptp.cp and res.c.cptp.tp
         assert max(res.residuals) <= 1e-7
         algebra = engineer.forced_algebra(states)
         forced = algebra.commutant_dim == 1
-        assert (res.solution.message == engineer.IDENTITY_FORCED) == forced
-        # no step is taken when the identity is forced, and otherwise only by
-        # the one-state centre on a uniform spectrum, where Newton starts at
-        # the centre
-        lam = algebra.eigenvalues[-algebra.support.shape[1]:]
-        uniform = res.solution.message == engineer.ONE_STATE_CENTRE and lam.min() == lam.max()
-        assert (res.solution.iterations == 0) == (forced or uniform)
+        r = algebra.support.shape[1]
+        identity = np.outer(np.eye(r).ravel(), np.eye(r).ravel())
+        assert (np.abs(res.solution.x - identity).max() <= 1e-12) == forced
+        assert res.solution.rank == algebra.commutant_dim
+        if forced:
+            assert res.solution.iterations == 0
 
 
 @st.composite
@@ -991,19 +1027,18 @@ class TestRealArithmetic:
         assert rotated.solution.iterations == real.solution.iterations
         assert np.abs(back - real.c.matrix).max() <= 1e-7
 
-    def test_a_real_pair_reaches_the_solver_real(self, monkeypatch):
-        # two real states in C^4 of full-rank mean: (k + 1) d(d+1)/2 = 30 real
-        # rows on 16 x 16 operators, where complex ones would be 3 d^2 = 48
-        seen = []
-        solve = engineer.sdpmod.solve
-
-        def spy(problem, **kwargs):
-            seen.append((problem.constraint_ops.shape, bool(problem.constraint_ops.imag.any())))
-            return solve(problem, **kwargs)
-
-        monkeypatch.setattr(engineer.sdpmod, "solve", spy)
+    def test_a_real_pair_reaches_the_solver_real(self):
+        # the oracle problem of two real states in C^4 of full-rank mean:
+        # (k + 1) d(d+1)/2 = 30 real rows on 16 x 16 operators, where complex
+        # ones would be 3 d^2 = 48, solved on the real face of the commutant
+        algebra = engineer.forced_algebra(REAL_BLOCK_PAIR)
+        u = algebra.support
+        problem = engineer.sdpmod.assemble_fixed_point_constraints(
+            u.conj().T @ np.array(REAL_BLOCK_PAIR) @ u)
+        assert problem.constraint_ops.shape == (30, 16, 16)
+        assert not problem.constraint_ops.imag.any() and not face(algebra).imag.any()
+        assert engineer.sdpmod.solve(problem, face=face(algebra)).status == "optimal"
         res = build_via_sdp(REAL_BLOCK_PAIR)
-        assert seen == [((30, 16, 16), False)]
         assert res.solution.status == "optimal"
         assert max(res.residuals) <= 1e-9
 
@@ -1019,7 +1054,7 @@ class TestRealArithmetic:
         sigma = (u * [0.5, 0.3, 0.2, 0.0]) @ u.conj().T
         assert np.abs(sigma.imag).max() > 0.05
         res = build_via_sdp([sigma])
-        assert res.solution.message == engineer.ONE_STATE_CENTRE
+        assert res.solution.message == engineer.ANALYTIC_CENTRE
         assert res.solution.status == "optimal"
         assert res.solution.x.shape == (9, 9)
         assert res.residuals[0] <= 1e-9
@@ -1048,22 +1083,21 @@ class TestCompressedSolve:
     """build_via_sdp compresses the states to supp rho, solves there and
     lifts the core once."""
 
-    def test_solver_sees_only_the_support(self, monkeypatch):
-        # rank rho = 2 in C^3: every operator the solver receives is
-        # r^2 x r^2 = 4 x 4; the states are real, so the rows are 2 states
-        # x 3 real symmetric fixing rows and 3 trace rows
-        seen = []
-        solve = engineer.sdpmod.solve
-
-        def spy(problem, **kwargs):
-            seen.append((problem.constraint_ops.shape, kwargs["face"].shape))
-            return solve(problem, **kwargs)
-
-        monkeypatch.setattr(engineer.sdpmod, "solve", spy)
+    def test_solver_sees_only_the_support(self):
+        # rank rho = 2 in C^3: the core is r^2 x r^2 = 4 x 4, and so is every
+        # operator of the oracle problem; the states are real, so its rows
+        # are 2 states x 3 real symmetric fixing rows and 3 trace rows, on a
+        # face of the 2 diagonal units. The core is the pinching onto them
+        algebra = engineer.forced_algebra(COMMUTING_ON_A_PLANE)
+        u = algebra.support
+        problem = engineer.sdpmod.assemble_fixed_point_constraints(
+            u.conj().T @ np.array(COMMUTING_ON_A_PLANE) @ u)
+        assert (problem.constraint_ops.shape, face(algebra).shape) == ((9, 4, 4), (4, 2))
         res = build_via_sdp(COMMUTING_ON_A_PLANE)
-        assert seen == [((9, 4, 4), (4, 2))]
         assert res.solution.x.shape == (4, 4)
         assert res.x.matrix.shape == (9, 9)
+        pinching = sum(np.outer(e, e) for e in np.eye(9)[[0, 4]])
+        assert np.abs(res.x.matrix - pinching).max() <= 1e-12
 
     @given(states=shared_support_sets())
     @example(states=[basis_proj(0, 3)])
@@ -1143,7 +1177,8 @@ class TestRankRule:
         states = near_degenerate_pair(d, seed)
         assert engineer.forced_algebra(states).commutant_dim == 1
         res = build_via_sdp(states)
-        assert res.solution.message == engineer.IDENTITY_FORCED
+        assert res.solution.iterations == 0
+        assert np.abs(res.c.matrix - chan.identity_channel(d).matrix).max() <= 1e-12
         assert max(res.residuals) <= 1e-12
 
     @given(delta=st.floats(1e-11, 0.5))
@@ -1155,3 +1190,151 @@ class TestRankRule:
         with pytest.raises(ConstructionError) as info:
             SeparableMultiSpec.from_states(states)
         assert info.value.reason == "not-unambiguously-discriminable"
+
+
+def design_bank() -> list[list[np.ndarray]]:
+    """The 30 state sets of the benchmark's design bank, drawn from
+    default_rng(2307): for d in 2, 3, 4, k in 1, 2 states and rank d then
+    ceil(d/2), 3 sets at d = 2, 4 of one state and 2 of two at d = 3, 2 of
+    one state and 1 of two at d = 4, a state being g g^dag / tr for a
+    complex Gaussian d x rank g."""
+    rng = np.random.default_rng(2307)
+    bank = []
+    for d in (2, 3, 4):
+        for k in (1, 2):
+            size = {2: 3, 3: 4 if k == 1 else 2, 4: 2 if k == 1 else 1}[d]
+            for rank in (d, -(-d // 2)):
+                for _ in range(size):
+                    states = [random_psd(rng, d, rank) for _ in range(k)]
+                    bank.append([s / np.trace(s).real for s in states])
+    return bank
+
+
+def centre_face_kkt(states, y: np.ndarray) -> float:
+    """How far a core Y is from the analytic centre: with V the face
+    (``face``) and Y' = V^dag Y V the core on it, the relative residual of
+    Y'^-1 off the real span of the face-restricted rows V^dag A_k V of
+    ``sdp.assemble_fixed_point_constraints`` on the compressed states. At
+    the centre, the gradient Y'^-1 of log det lies in that span (Boyd &
+    Vandenberghe, sect. 8.5.3), so the residual is 0."""
+    algebra = forced_algebra(states)
+    u, v = algebra.support, face(algebra)
+    problem = engineer.sdpmod.assemble_fixed_point_constraints(u.conj().T @ np.array(states) @ u)
+    rows = (v.conj().T @ problem.constraint_ops @ v).reshape(len(problem.constraint_ops), -1).T
+    inverse = np.linalg.inv(v.conj().T @ y @ v).ravel()
+    rows, target = np.vstack([rows.real, rows.imag]), np.concatenate([inverse.real, inverse.imag])
+    coef = np.linalg.lstsq(rows, target, rcond=None)[0]
+    return float(np.linalg.norm(rows @ coef - target) / np.linalg.norm(target))
+
+
+TAU = [np.diag([0.7, 0.3]), np.array([[0.5, 0.2], [0.2, 0.5]])]
+
+
+def rotated_products(omega) -> list[np.ndarray]:
+    """U (tau_i (x) diag(omega)) U^dag for the two non-commuting TAU, U Haar
+    from default_rng(0): one block I_2 (x) M_m of the commutant."""
+    u = haar_unitary(2 * len(omega), np.random.default_rng(0))
+    return [u @ np.kron(t, np.diag(omega)) @ u.conj().T for t in TAU]
+
+
+BLOCK_SHAPES = [((1, 2),), ((2, 2),), ((2, 3),), ((1, 2), (1, 2)), ((1, 1), (2, 2)),
+                ((1, 3), (1, 1)), ((2, 1), (1, 2)), ((3, 1), (1, 1))]
+
+
+@st.composite
+def block_sets(draw):
+    """Two or three states sum_k p_ik tau_ik (x) omega_k on blocks of shapes
+    (n_k, m_k) from BLOCK_SHAPES, in a Haar basis: tau_ik and omega_k random
+    full-rank states, p_i Dirichlet weights over the blocks."""
+    shape = draw(st.sampled_from(BLOCK_SHAPES))
+    k = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    omegas = [random_density(rng, m) for _, m in shape]
+    states = []
+    for p in rng.dirichlet(np.ones(len(shape)), size=k):
+        states.append(scipy.linalg.block_diag(*(
+            w * np.kron(random_density(rng, n), omega)
+            for w, (n, _), omega in zip(p, shape, omegas))))
+    u = haar_unitary(len(states[0]), rng)
+    return [u @ s @ u.conj().T for s in states]
+
+
+CENTRE_EXAMPLES = [
+    [np.diag([0.5, 0.5, 0.0, 0.0]), np.diag([0.0, 0.0, 0.5, 0.5])],  # one value of R, two blocks
+    [np.diag([0.7, 0.3, 0.0, 0.0]), np.diag([0.0, 0.0, 0.4, 0.6])],
+    rotated_products([0.5, 0.3, 0.2]),
+    rotated_products([0.4, 0.3, 0.3]),  # a degenerate omega
+    BELL_DEFAULT,
+    TestFixedPointFace().bell_states(),
+]
+
+
+def centre_examples(**fixed):
+    """@example of every set in CENTRE_EXAMPLES, with the other arguments fixed."""
+    def decorate(test):
+        for states in CENTRE_EXAMPLES:
+            test = example(states=states, **fixed)(test)
+        return test
+    return decorate
+
+
+class TestAnalyticCentre:
+    """Every core is the analytic centre of its feasible set on the face,
+    formed block by block of the forced algebra."""
+
+    @given(states=block_sets())
+    @centre_examples()
+    @settings(max_examples=25)
+    def test_kkt(self, states):
+        res = build_via_sdp(states)
+        assert centre_face_kkt(states, res.solution.x) <= 1e-12
+        assert max(res.residuals) <= chan.FP_TOL
+
+    @given(states=block_sets())
+    @centre_examples()
+    @settings(max_examples=10)
+    def test_log_det_at_least_the_interior_point(self, states):
+        # the interior-point solve on the face stops at a feasible point,
+        # whose log det is no larger than the centre's
+        algebra = forced_algebra(states)
+        u, v = algebra.support, face(algebra)
+        problem = engineer.sdpmod.assemble_fixed_point_constraints(u.conj().T @ np.array(states) @ u)
+        ipm = engineer.sdpmod.solve(problem, face=v)
+        assert ipm.status == "optimal"
+        centre = build_via_sdp(states).solution.x
+        logdet = [np.linalg.slogdet(v.conj().T @ y @ v) for y in (centre, ipm.x)]
+        assert logdet[0][0].real > 0 and logdet[1][0].real > 0
+        assert logdet[1][1] <= logdet[0][1] + 1e-9
+
+    @given(states=block_sets(), seed=SEEDS)
+    @centre_examples(seed=1)
+    @example(states=[np.diag([0.7, 0.3])] * 2, seed=0)  # a repeated state
+    @settings(max_examples=25)
+    def test_covariant(self, states, seed):
+        # the centre is basis-free: the channel of U sigma_i U^dag is the
+        # U-conjugate of the states' (B = I/d is U-invariant)
+        u = haar_unitary(len(states[0]), np.random.default_rng(seed))
+        lift = np.kron(u, u.conj())
+        c = build_via_sdp(states).c.matrix
+        turned = build_via_sdp([u @ s @ u.conj().T for s in states]).c.matrix
+        assert np.abs(turned - lift @ c @ lift.conj().T).max() <= 1e-9
+
+    def test_no_set_reaches_the_sdp_layer(self, monkeypatch):
+        # the design bank, both Bell pairs, a real block pair, 300 sweep sets
+        # and the 30 sets of one eigenvalue at 1e-7, built with the solver
+        # and the assembly refused; each core is then checked against the
+        # assembled rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("a set reached the SDP layer")
+
+        sets = [*design_bank(), BELL_DEFAULT, TestFixedPointFace().bell_states(), REAL_BLOCK_PAIR,
+                *sweep_sets(29, 300), *([eigenvalue_1e_7_state(seed)] for seed in range(30))]
+        monkeypatch.setattr(engineer.sdpmod, "solve", refuse)
+        monkeypatch.setattr(engineer.sdpmod, "assemble_fixed_point_constraints", refuse)
+        cores = []
+        for states in sets:
+            res = build_via_sdp(states)
+            assert max(res.residuals) <= chan.FP_TOL
+            cores.append(res.solution.x)
+        monkeypatch.undo()
+        assert max(centre_face_kkt(states, y) for states, y in zip(sets, cores)) <= 1e-12

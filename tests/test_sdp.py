@@ -722,7 +722,7 @@ class TestComplexHermitianHandling:
         # X = V X' V^dag with a genuinely complex V
         psi = np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)])
         pair = [linops.ket_projector(psi), np.eye(2) - linops.ket_projector(psi)]
-        v = forced_algebra(pair).face
+        v = forced_algebra(pair).commutant.reshape(2, 4).T
         assert v.shape == (4, 2)
         assert np.linalg.matrix_rank(np.hstack([v, v.conj()]), tol=1e-8) == 3
         p = sdp.assemble_fixed_point_constraints(pair)
