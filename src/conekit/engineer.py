@@ -329,7 +329,9 @@ class SdpChannelResult:
 # ``_blocks``). Merging two modular degrees only shrinks the generated
 # algebra, which enlarges the face and never excludes a channel; two blocks
 # differ on some element of the centre's basis by at least 2 sqrt(2) / r
-# (``_blocks``), far above it.
+# (``_blocks``), far above it. It also bounds how far the root of a block's
+# share of the commutant, m_k, may sit from an integer (``_blocks``): that
+# share is a sum of r^2 squares of orthonormal coordinates, exact to rounding.
 MODULAR_GAP_TOL = 1e-8
 
 
@@ -442,8 +444,10 @@ def _blocks(commutant: np.ndarray) -> tuple[tuple[np.ndarray, int, int], ...]:
     d_k have sum_s |x_s(k) - x_s(l)|^2 = 1/d_k + 1/d_l >= 4/r, and two
     blocks differ by at least 2 sqrt(2) / r in one of those 2 dim(centre)
     <= 2r eigenvalues. Then m_k^2 = dim Z_k C Z_k = sum_j |Z_k C_j Z_k|_F^2
-    and n_k = rank Z_k / m_k. A split into other than dim(centre) blocks
-    raises NumericalLimitError.
+    and n_k = rank Z_k / m_k. A split that breaks the block structure raises
+    NumericalLimitError: other than dim(centre) blocks, a root m_k more than
+    MODULAR_GAP_TOL from an integer, an m_k that does not divide rank Z_k,
+    or sum m_k^2 other than dim C.
     """
     c, r, _ = commutant.shape
     eye = np.eye(r, dtype=complex)
@@ -472,8 +476,17 @@ def _blocks(commutant: np.ndarray) -> tuple[tuple[np.ndarray, int, int], ...]:
             f"split supp rho into {len(parts)} blocks")
     blocks = []
     for w in parts:
-        m = int(round(np.sqrt(np.square(np.abs(linops.dagger(w) @ commutant @ w)).sum())))
+        root = np.sqrt(np.square(np.abs(linops.dagger(w) @ commutant @ w)).sum())
+        m = max(int(round(root)), 1)
+        if abs(root - m) > MODULAR_GAP_TOL or w.shape[1] % m:
+            raise sdpmod.NumericalLimitError(
+                f"a block of rank {w.shape[1]} holds a part of dimension {root ** 2:.6g} of the "
+                f"commutant, not m^2 for an m dividing its rank")
         blocks.append((w @ linops.dagger(w), w.shape[1] // m, m))
+    held = sum(m * m for _, _, m in blocks)
+    if held != c:
+        raise sdpmod.NumericalLimitError(
+            f"the blocks hold {held} dimensions of the commutant, which has {c}")
     return tuple(blocks)
 
 
@@ -572,10 +585,11 @@ def _analytic_centre(algebra: ForcedAlgebra) -> sdpmod.SdpSolution:
     eigenspace commute with omega_k), so in an eigenbasis V of R, taken
     block by block, M is (V (x) conj V) D (V (x) conj V)^dag with the
     diagonal weights D = n_k P_k[a, j] on block k. A block of m_k = 1 has
-    P = [[1]], and M_k Pi_C = |Z_k>><<Z_k| is the identity on it. So C I
-    gives |I_r>><<I_r| and M_r gives diag(vec P) on the eigenbasis of rho,
-    neither with a Newton step, and the centre is basis-free, built from
-    projectors and spectra only.
+    P = [[1]], and M_k Pi_C = |Z_k>><<Z_k| is the identity on it, with no
+    R, eigensolve or Newton step. So C I gives |I_r>><<I_r|, and M_r, where
+    R = diag lambda and Pi_C = I, gives diag(vec P) on the eigenbasis of rho
+    with no eigensolve. The centre is basis-free, built from projectors and
+    spectra only.
 
     The solution has status optimal, iterations the Newton steps summed
     over the blocks, primal_residual their largest residual, rank dim C
@@ -584,23 +598,29 @@ def _analytic_centre(algebra: ForcedAlgebra) -> sdpmod.SdpSolution:
     k = algebra.commutant
     c, r, _ = k.shape
     lam = algebra.eigenvalues[algebra.eigenvalues.size - r:]
-    vecs = k.reshape(c, r * r)
-    rr = ((vecs[:, ::r + 1].conj() @ lam) @ vecs).reshape(r, r)  # E_C(diag lam)
-    y = np.zeros((r * r, r * r), dtype=complex)
-    m_sum = np.zeros_like(y)  # M over the blocks of m_k > 1
     steps, residual = 0, 0.0
-    for z, n, m in algebra.blocks:
-        if m == 1:  # M_k Pi_C = n Z (x) Z^T |Z>><<Z| / n, the identity on the block
-            y += np.outer(z.ravel(), z.ravel().conj())
-            continue
-        w, v = np.linalg.eigh(z @ rr @ z)
-        w, v = w[-n * m:], v[:, -n * m:]  # R is positive on Z_k and 0 off it
-        omega = w.reshape(m, n).sum(axis=1)
-        p, s, res = _one_state_centre(omega / omega.sum())
-        steps, residual = steps + s, max(residual, res)
-        lift = (v[:, None, :, None] * v.conj()[None, :, None, :]).reshape(r * r, -1)  # V (x) conj V
-        m_sum += n * (lift * p.repeat(n, axis=0).repeat(n, axis=1).ravel()) @ linops.dagger(lift)
-    y += m_sum @ (vecs.T @ vecs.conj())
+    if c == r * r > 1:  # C = M_r, the one block (I, 1, r): R = diag lambda, V = I, Pi_C = I
+        p, steps, residual = _one_state_centre(lam)
+        y = np.diag(p.ravel().astype(complex))
+    else:
+        y = np.zeros((r * r, r * r), dtype=complex)
+        wide = [(z, n, m) for z, n, m in algebra.blocks if m > 1]
+        for z, _, m in algebra.blocks:
+            if m == 1:  # M_k Pi_C = n Z (x) Z^T |Z>><<Z| / n, the identity on the block
+                y += np.outer(z.ravel(), z.ravel().conj())
+        if wide:
+            vecs = k.reshape(c, r * r)
+            rr = ((vecs[:, ::r + 1].conj() @ lam) @ vecs).reshape(r, r)  # E_C(diag lam)
+            m_sum = np.zeros_like(y)  # M over the blocks of m_k > 1
+            for z, n, m in wide:
+                w, v = np.linalg.eigh(z @ rr @ z)
+                w, v = w[-n * m:], v[:, -n * m:]  # R is positive on Z_k and 0 off it
+                omega = w.reshape(m, n).sum(axis=1)
+                p, s, res = _one_state_centre(omega / omega.sum())
+                steps, residual = steps + s, max(residual, res)
+                lift = (v[:, None, :, None] * v.conj()[None, :, None, :]).reshape(r * r, -1)  # V (x) conj V
+                m_sum += n * (lift * p.repeat(n, axis=0).repeat(n, axis=1).ravel()) @ linops.dagger(lift)
+            y += m_sum @ (vecs.T @ vecs.conj())
     return sdpmod.SdpSolution(
         x=y, objective_value=float(np.trace(y).real), primal_residual=residual,
         dual_residual=0.0, status=sdpmod.STATUS_OPTIMAL, iterations=steps, rank=c,

@@ -130,3 +130,9 @@ def block_channel(rng: np.random.Generator, blocks, decay: int = 0, scaled: bool
         return out
 
     return chan.choi_from_map(phi, d, d)
+
+
+def face(algebra) -> np.ndarray:
+    """The isometry onto vec of the commutant of a ``ForcedAlgebra``, its
+    columns vec C_j: the face of the PSD cone that holds every core."""
+    return algebra.commutant.reshape(algebra.commutant_dim, -1).T

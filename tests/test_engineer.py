@@ -19,7 +19,7 @@ from conekit.engineer import (
 )
 from conekit.linops import kron, trace_distance
 
-from conftest import basis_proj, random_density, sample_valid_single_pair
+from conftest import basis_proj, face, random_density, sample_valid_single_pair
 
 
 def random_psd(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
@@ -565,12 +565,6 @@ def eigenvalue_1e_7_state(seed: int) -> np.ndarray:
     return u @ np.diag(e) @ u.conj().T
 
 
-def face(algebra) -> np.ndarray:
-    """The isometry onto vec of the commutant, its columns vec C_j: the face
-    of the PSD cone that holds every core (``ForcedAlgebra``)."""
-    return algebra.commutant.reshape(algebra.commutant_dim, -1).T
-
-
 def centre_matrix(res) -> np.ndarray:
     """P[a, j] = Y[(a, j), (a, j)] of a one-state core Y = diag(vec P)."""
     y = res.solution.x
@@ -788,6 +782,22 @@ class TestFixedPointFace:
         assert algebra.commutant_dim == 9
         assert [(n, m) for _, n, m in algebra.blocks] == [(1, 3)]
 
+    def test_a_split_that_breaks_the_blocks_is_refused(self, monkeypatch):
+        # the diagonal commutant of C^2 with its centre cut short to one
+        # element: C^2 stays one block, holding a part of dimension 2 of the
+        # commutant, which is no m^2. Unrefused, it would pass for C I
+        commutant = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        assert [(n, m) for _, n, m in engineer._blocks(commutant)] == [(1, 1), (1, 1)]
+        svd = np.linalg.svd
+
+        def cut_short(a, full_matrices=True):
+            u, sv, vh = svd(a, full_matrices=full_matrices)
+            return u, np.concatenate([[1.0], sv[1:]]), vh
+
+        monkeypatch.setattr(np.linalg, "svd", cut_short)
+        with pytest.raises(engineer.sdpmod.NumericalLimitError, match="dimension 2 of the commutant"):
+            engineer._blocks(commutant)
+
     def test_small_eigenvalue_is_not_cut(self, rng):
         # an eigenvalue of 5e-8 is real support: cutting it would move the
         # constraints past the solver's inconsistency test
@@ -901,7 +911,7 @@ class TestForcedAlgebra:
         res = build_via_sdp(FORCING_ON_A_PLANE, b=b)
         sol = res.solution
         assert (sol.status, sol.iterations, sol.message) == ("optimal", 0, engineer.ANALYTIC_CENTRE)
-        assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
+        assert sol.objective_value == 2.0
         pi = np.diag([1.0, 1.0, 0.0])
         expected = np.outer(pi.ravel(), pi.ravel()) + kron(b, np.eye(3) - pi)
         assert np.abs(res.c.matrix - expected).max() <= 1e-12

@@ -9,7 +9,7 @@ from conekit.conesim import haar_unitary
 from conekit.engineer import forced_algebra
 from conekit.linops import kron
 
-from conftest import basis_proj, random_density, random_hermitian, rotation
+from conftest import basis_proj, face, random_density, random_hermitian, rotation
 
 
 def make_problem(ops, vals, n=None, objective=None):
@@ -722,7 +722,7 @@ class TestComplexHermitianHandling:
         # X = V X' V^dag with a genuinely complex V
         psi = np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)])
         pair = [linops.ket_projector(psi), np.eye(2) - linops.ket_projector(psi)]
-        v = forced_algebra(pair).commutant.reshape(2, 4).T
+        v = face(forced_algebra(pair))
         assert v.shape == (4, 2)
         assert np.linalg.matrix_rank(np.hstack([v, v.conj()]), tol=1e-8) == 3
         p = sdp.assemble_fixed_point_constraints(pair)
