@@ -480,8 +480,6 @@ def run_bell_demo(coeffs: list[float], s_weights: list[float], r_weights: list[f
     s = _check_weights(s_weights, "state-0 weights")
     r = _check_weights(r_weights, "state-1 weights")
     sigma0, sigma1 = build_bell_demo_states(coeffs, s, r)
-    sigma0 = linops.check_density(sigma0)
-    sigma1 = linops.check_density(sigma1)
     b = np.eye(4, dtype=complex) / 4.0
 
     states = [sigma0, sigma1]

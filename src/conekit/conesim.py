@@ -77,14 +77,14 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import zgeqrf, zungqr
 
 from . import channel as chan
 from . import linops
 from .channel import ChoiMatrix
 from .linops import hermitize, trace_distance
 # never called here: kept because perfbench/tracing.py patches conesim.nnls by
-# name; quasireal's nnls imports scipy.optimize only when it is called
+# name; importing it loads no scipy, as quasireal's nnls imports
+# scipy.optimize on its first call
 from .quasireal import QuasiRealization, nnls  # noqa: F401
 
 CLASSIFY_TOL = 1e-3
@@ -99,16 +99,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix with
     the phases of R's diagonal folded back in (Mezzadri 2007).
 
-    Draws 2*dim**2 standard normals, the real parts first. The QR is
-    LAPACK's zgeqrf / zungqr called directly, the pair that
-    ``np.linalg.qr`` runs, without its wrapper's cost; R's diagonal is
-    the diagonal of the factored matrix.
+    Draws 2*dim**2 standard normals, the real parts first: one round of
+    ``_haar_unitaries``, which blocks of sample-mode rounds call stacked.
     """
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    qr, tau, _, _ = zgeqrf(z)
-    q, _, _ = zungqr(qr, tau)
-    d = qr.diagonal()
-    return q * (d / np.abs(d))
+    return _haar_unitaries(rng.standard_normal((1, 2, dim, dim)))[0]
 
 
 @dataclass(frozen=True)

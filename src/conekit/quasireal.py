@@ -23,10 +23,11 @@ squares (NNLS) on the unit generators. For independent generators the least
 singular value bounds the distance from 0 to their hull, and proves
 pointedness when that bound clears ``tol``; otherwise one NNLS on the unit
 generators decides (``is_pointed``). ``nnls`` imports ``scipy.optimize`` on
-its first call, so a process whose cone questions all have certificates
-never loads it. Every norm of a row not at unit scale comes from
-``linops.row_norms``, whose squares cannot overflow or underflow, so the
-generators' scale decides no verdict.
+its first call, and only ``sdp.solve`` imports scipy otherwise, so a
+process whose cone questions all have certificates loads no scipy at all.
+Every norm of a row not at unit scale comes from ``linops.row_norms``,
+whose squares cannot overflow or underflow, so the generators' scale
+decides no verdict.
 """
 
 from __future__ import annotations

@@ -28,15 +28,15 @@ step works on. ``solve`` is the single entry point and runs one path:
    constraints, A dx = b - A x, by one least-norm correction through the
    pseudo-inverse of the rows' Gram matrix, so each step shrinks the
    primal residual by exactly (1 - alpha) up to rounding (Kojima, Megiddo
-   & Mizuno, Math. Programming 61, 1993). Every iteration calls LAPACK
-   directly, since at these sizes the numpy and scipy wrappers around the
-   same routines cost more than the arithmetic: dsyevd / zheevd
-   (``_eigh``) for the scaling's eigendecompositions of Z and of
-   Z^1/2 X Z^1/2, which also give Z^-1 and the factors in which each step
-   length is one eigenvalue-only solve, and dpotrf / dpotrs for the Schur
-   system (``_schur_solver``). An eigensolve of a non-finite matrix raises
-   LinAlgError; inside the loop, an iterate or a step that goes non-finite
-   ends it as numerical-limit;
+   & Mizuno, Math. Programming 61, 1993). Each iteration runs numpy's
+   eigensolver (``_eigh``) for the scaling's eigendecompositions of Z and
+   of Z^1/2 X Z^1/2, which also give Z^-1 and the factors in which each
+   step length is one eigenvalue-only solve, and scipy's LAPACK dpotrf /
+   dpotrs, called directly, for the Schur system (``_schur_solver``).
+   scipy is imported on the first ``solve``, for the pivoted QR of step 2,
+   so a process that never solves never loads it. An eigensolve of a
+   non-finite matrix raises LinAlgError; inside the loop, an iterate or a
+   step that goes non-finite ends it as numerical-limit;
 4. map X back through the face and each kept row's multiplier back to
    the raw row (y_k / |A_k|_F).
 
@@ -56,8 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, zheevd
 
 from . import linops
 from .linops import PSD_TOL, hermitian_basis, hermitize
@@ -204,19 +202,14 @@ class _NonFiniteError(np.linalg.LinAlgError):
 
 
 def _eigh(a: np.ndarray, compute_v: int):
-    """(w, v) of Hermitian ``a`` in one LAPACK call: dsyevd for real and
-    zheevd for complex data, reading the lower triangle as np.linalg.eigh
-    does (the same routines, so w ascending and v match it to rounding,
-    bit for bit when numpy links the same LAPACK build); v is not computed
-    when ``compute_v`` is 0. Raises LinAlgError when LAPACK reports a
-    failure, and its subclass _NonFiniteError on a non-finite entry, for
-    which LAPACK returns finite garbage without an error."""
+    """(w, v) of Hermitian ``a`` by ``np.linalg.eigh``, reading the lower
+    triangle, w ascending; v is None and only ``np.linalg.eigvalsh`` runs
+    when ``compute_v`` is 0. Raises LinAlgError when the eigensolve fails,
+    and its subclass _NonFiniteError on a non-finite entry, for which
+    numpy returns NaN eigenvalues without an error."""
     if not np.isfinite(a).all():
         raise _NonFiniteError("eigensolve of a matrix with non-finite entries")
-    w, v, info = (zheevd if np.iscomplexobj(a) else dsyevd)(a, compute_v=compute_v, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"eigensolve failed (LAPACK info {info})")
-    return w, v
+    return np.linalg.eigh(a) if compute_v else (np.linalg.eigvalsh(a), None)
 
 
 def _max_step(g: np.ndarray, ds: np.ndarray) -> float:
@@ -247,10 +240,12 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
 
 
 def _schur_solver(schur: np.ndarray):
-    """rhs -> dy with schur @ dy = rhs: dpotrf of schur plus a 1e-13
-    relative diagonal shift, then dpotrs with one refinement step against
-    schur itself; least squares when the shifted matrix is not positive
-    definite."""
+    """rhs -> dy with schur @ dy = rhs: LAPACK's dpotrf of schur plus a
+    1e-13 relative diagonal shift, then dpotrs with one refinement step
+    against schur itself; least squares when the shifted matrix is not
+    positive definite. Both routines are scipy's, imported here."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     m = schur.shape[0]
     chol, info = dpotrf(schur + 1e-13 * np.trace(schur) / m * np.eye(m), lower=0, clean=0)
     if info != 0:
@@ -428,9 +423,11 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     The returned x, primal_residual (the max absolute constraint violation
     over the full, pre-reduction constraint set), rank and status refer to
     the full problem. An iterate or step that goes non-finite ends the
-    solve with status numerical-limit. A LinAlgError that a LAPACK routine
-    reports propagates.
+    solve with status numerical-limit. A LinAlgError that an eigensolve or
+    a LAPACK routine reports propagates.
     """
+    from scipy.linalg import qr, solve_triangular
+
     n = problem.n
     ops_c = problem.constraint_ops
     m = ops_c.shape[0]
@@ -470,11 +467,11 @@ def solve(problem: SdpProblem, max_iter: int = MAX_ITER, feas_tol: float = FEAS_
     # the real coordinates of the scaled rows: their dot products are
     # Re tr[A_k^dag A_l] / (|A_k|_F |A_l|_F)
     scaled = data[1:].reshape(m, -1).view(float) / norms[:, None]
-    _, r, piv = scipy.linalg.qr(scaled.T, pivoting=True, mode="economic")
+    _, r, piv = qr(scaled.T, pivoting=True, mode="economic")
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0])))
     # dropped row piv[rank + j] ~ sum_i comb[i, j] * kept row piv[i]
-    comb = scipy.linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    comb = solve_triangular(r[:rank, :rank], r[:rank, rank:])
     mismatch = b_s[piv[rank:]] - b_s[piv[:rank]] @ comb
     if rank < m:
         j = int(np.argmax(np.abs(mismatch)))

@@ -460,6 +460,18 @@ class TestEngineerCommands:
         assert code == 0
         assert check.call_count == len(states) + with_b
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--coeffs", "0.8,0.6,-0.6,0.8,0.6,0.8,-0.8,0.6", "--s", "0.3,0.4,0.3", "--r", "0.2,0.5,0.3"],
+    ], ids=["default", "generic"])
+    def test_demo_bell_validates_each_state_three_times(self, capsys, argv):
+        # find_discrimination_projectors, SeparableMultiSpec.from_parts and
+        # build_via_sdp each check both states, the last two B as well; the
+        # demo adds no check of its own
+        with mock.patch.object(linops, "check_density", wraps=linops.check_density) as check:
+            code, _, _ = run_cli(capsys, "demo", "bell", *argv)
+        assert code == 0
+        assert check.call_count == 8
+
 
 class TestSdpCommand:
     def test_solve_optimal(self, workdir, capsys):
@@ -1507,8 +1519,8 @@ class TestVerdictPayloads:
 
 
 class TestImportPath:
-    def test_scipy_optimize_is_imported_only_for_nnls(self, tmp_path):
-        # a fresh interpreter, as this one has imported scipy.optimize for other tests
+    def test_scipy_is_imported_only_for_sdp_solve_and_nnls(self, tmp_path):
+        # a fresh interpreter, as this one has imported scipy for other tests
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         script = Path(__file__).with_name("import_guard.py")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgeqrf, zungqr
 from scipy.optimize import nnls
 from scipy.stats import chi2
 
@@ -36,22 +37,25 @@ def qutrit_channel() -> ChoiMatrix:
     return spec.channel
 
 
-def haar_unitary_by_numpy_qr(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Mezzadri's construction through np.linalg.qr: the reference for
-    haar_unitary, which calls LAPACK directly."""
+def haar_unitary_by_lapack(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Mezzadri's construction through scipy's zgeqrf / zungqr, R's diagonal
+    read off the factored matrix: a reference for haar_unitary, which runs
+    numpy's QR on a stack."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
+    qr, tau, _, _ = zgeqrf(z)
+    q, _, _ = zungqr(qr, tau)
+    d = qr.diagonal()
     return q * (d / np.abs(d))
 
 
 class TestHaarUnitary:
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_matches_numpy_qr_construction(self, dim):
+        # numpy's QR against LAPACK's zgeqrf / zungqr pair, called directly
         for seed in range(20):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             u = haar_unitary(dim, rng)
-            assert np.abs(u - haar_unitary_by_numpy_qr(dim, ref_rng)).max() <= 1e-13
+            assert np.abs(u - haar_unitary_by_lapack(dim, ref_rng)).max() <= 1e-13
             assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-13
             # both drew the same 2 dim^2 normals
             assert rng.random() == ref_rng.random()

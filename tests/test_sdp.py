@@ -633,48 +633,27 @@ def random_symmetric(rng, n, complex_data):
     return random_hermitian(rng, n) if complex_data else random_hermitian(rng, n).real
 
 
-def eigenspace_projectors(w, v, gap):
-    """Projectors onto the eigenspaces of ascending w, eigenvalues closer
-    than ``gap`` sharing one."""
-    groups = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > gap) + 1)
-    return [v[:, g] @ v[:, g].conj().T for g in groups]
-
-
 class TestLapackKernels:
-    """_eigh and _schur_solver call LAPACK directly. _schur_solver must agree
-    bit for bit with cho_solve, which calls the same scipy LAPACK routines.
-    _eigh is checked against numpy, which links its own LAPACK build (bit
-    equality between two builds is not guaranteed), to rounding: eigenvalues
-    within 8 n eps |a| and the projectors onto the eigenspaces within 1e-9."""
+    """_eigh is numpy's eigensolver behind a finiteness check. _schur_solver
+    calls scipy's LAPACK directly and must agree bit for bit with cho_solve,
+    which calls the same routines."""
 
     @pytest.mark.parametrize("complex_data", [False, True])
     @pytest.mark.parametrize("n", range(1, 17))
     def test_eigh_matches_numpy(self, rng, n, complex_data):
-        g = rng.standard_normal((n, -(-n // 2)))
-        if complex_data:
-            g = g + 1j * rng.standard_normal(g.shape)
-        mats = [random_symmetric(rng, n, complex_data) for _ in range(3)]
-        mats.append(g @ g.conj().T)  # rank ceil(n/2)
-        mats.append(random_pd(rng, n, complex_data, np.repeat([0.5, 2.0], n)[:n]))  # repeated
-        mats.append(np.eye(n, dtype=complex if complex_data else float))
-        for a in mats:
-            w, v = sdp._eigh(a, 1)
-            w_ref, v_ref = np.linalg.eigh(a)
-            assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
-            scale = max(1.0, float(np.abs(w_ref).max()))
-            tol = 8 * n * np.finfo(float).eps * scale
-            assert np.abs(w - w_ref).max() <= tol
-            assert np.abs(sdp._eigh(a, 0)[0] - np.linalg.eigvalsh(a)).max() <= tol
-            assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
-            for p, p_ref in zip(eigenspace_projectors(w_ref, v, 1e-6 * scale),
-                                eigenspace_projectors(w_ref, v_ref, 1e-6 * scale)):
-                assert np.abs(p - p_ref).max() <= 1e-9
+        # np.linalg.eigh, or eigvalsh and no v when compute_v is 0
+        a = random_symmetric(rng, n, complex_data)
+        w, v = sdp._eigh(a, 1)
+        w_ref, v_ref = np.linalg.eigh(a)
+        assert (w.tobytes(), v.tobytes()) == (w_ref.tobytes(), v_ref.tobytes())
+        w, v = sdp._eigh(a, 0)
+        assert (w.tobytes(), v) == (np.linalg.eigvalsh(a).tobytes(), None)
 
     @pytest.mark.parametrize("compute_v", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_eigh_rejects_non_finite(self, compute_v, bad, dtype):
-        # LAPACK itself returns finite garbage here with info 0
+        # numpy's eigh returns NaN eigenvalues here without an error
         a = np.eye(3, dtype=dtype)
         a[1, 2] = a[2, 1] = bad
         with pytest.raises(np.linalg.LinAlgError):
